@@ -104,7 +104,7 @@ def cmd_test(args) -> int:
         eps=None if args.eps is None else exact_fraction(args.eps),
         alpha=None if args.alpha is None else exact_fraction(args.alpha),
         k=args.k, degree=args.degree, bounds=bounds, poset=poset)
-    entry = validate_config(cfg)
+    entry, _ = validate_config(cfg)
     oracle = QueryOracle(fn)
     verdict = entry.run(cfg, oracle, make_rng(args.seed, "trial", 0))
     if verdict.is_reject and not entry.validate(cfg, fn, verdict.certificate):

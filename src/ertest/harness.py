@@ -192,7 +192,10 @@ _LINE_TESTERS = ("monotone-line", "classic-monotone-line", "bdp-line",
                  "convex-line", "k-runs", "low-degree", "poset-monotone")
 
 
-def validate_config(cfg: ExperimentConfig) -> TesterEntry:
+def validate_config(cfg: ExperimentConfig) -> tuple[TesterEntry, ErasedFunction]:
+    """Returns the registry entry and trial 0's instance.  The cheap
+    parameter checks come first; then trial 0 is realized once and checked
+    against the tester, so callers can reuse it instead of realizing it again."""
     if cfg.trials < 1:
         raise ConfigError("trials must be at least 1")
     entry = TESTERS.get(cfg.tester)
@@ -219,7 +222,7 @@ def validate_config(cfg: ExperimentConfig) -> TesterEntry:
         raise ConfigError("k-runs expects bit values")
     if cfg.tester == "low-degree" and fn.kind != "field":
         raise ConfigError("low-degree expects field values")
-    return entry
+    return entry, fn
 
 
 def _peek_instance(cfg: ExperimentConfig) -> ErasedFunction:
@@ -231,6 +234,32 @@ def _peek_instance(cfg: ExperimentConfig) -> ErasedFunction:
     raise ConfigError("instance must be an ErasedFunction or an InstanceSpec")
 
 
+def _worker_count() -> int:
+    """Worker processes from ``ERTEST_WORKERS`` (default 1)."""
+    raw = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be at least 1, got {workers}")
+    return workers
+
+
+def _wilson_interval(successes: int, trials: int) -> tuple:
+    """99% Wilson score interval (Wilson, JASA 1927) for a binomial proportion.
+    Unlike the Wald interval it keeps a positive width at 0 and at 1.  Its
+    end is exactly 0 at no successes and exactly 1 at all successes; those
+    ends are set directly so float rounding cannot move them."""
+    phat = successes / trials
+    z2 = Z99 * Z99 / trials
+    center = (phat + z2 / 2) / (1 + z2)
+    half = Z99 / (1 + z2) * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials))
+    low = 0.0 if successes == 0 else max(0.0, center - half)
+    high = 1.0 if successes == trials else min(1.0, center + half)
+    return low, high
+
+
 def _trial_fn(cfg: ExperimentConfig, index: int) -> ErasedFunction:
     if isinstance(cfg.instance, ErasedFunction):
         return cfg.instance
@@ -238,8 +267,9 @@ def _trial_fn(cfg: ExperimentConfig, index: int) -> ErasedFunction:
     return fn
 
 
-def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int) -> tuple:
-    """Trials [lo, hi); returns commutative partial sums."""
+def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int, fn0=None) -> tuple:
+    """Trials [lo, hi); returns commutative partial sums.  ``fn0``, when
+    given, is trial 0's instance, already realized."""
     entry = TESTERS[cfg.tester]
     rejections = 0
     sum_q = 0
@@ -250,7 +280,7 @@ def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int) -> tuple:
     sum_walking = 0
     have_stats = 0
     for i in range(lo, hi):
-        fn = _trial_fn(cfg, i)
+        fn = fn0 if i == 0 and fn0 is not None else _trial_fn(cfg, i)
         oracle = QueryOracle(fn)
         verdict = entry.run(cfg, oracle, make_rng(cfg.seed, "trial", i))
         cap = entry.budget(cfg, fn)
@@ -285,19 +315,20 @@ def _merge(parts) -> tuple:
 
 
 def run_experiment(cfg: ExperimentConfig) -> TrialSummary:
-    validate_config(cfg)
+    workers = _worker_count()
+    _, fn0 = validate_config(cfg)
     start = time.perf_counter()
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers > 1 and cfg.trials > 1:
         chunk = -(-cfg.trials // workers)
         spans = [(i, min(i + chunk, cfg.trials))
                  for i in range(0, cfg.trials, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_chunk, [cfg] * len(spans),
-                                  [s[0] for s in spans], [s[1] for s in spans]))
+                                  [s[0] for s in spans], [s[1] for s in spans],
+                                  [fn0] + [None] * (len(spans) - 1)))
         totals = _merge(parts)
     else:
-        totals = _run_chunk(cfg, 0, cfg.trials)
+        totals = _run_chunk(cfg, 0, cfg.trials, fn0)
     (rejections, sum_q, sum_q2, max_q, budget_q,
      sum_sampling, sum_walking, have_stats) = totals
     wall = time.perf_counter() - start
@@ -305,10 +336,9 @@ def run_experiment(cfg: ExperimentConfig) -> TrialSummary:
     t = cfg.trials
     accepts = t - rejections
     phat = accepts / t
-    se = math.sqrt(phat * (1 - phat) / t)
+    ci_low, ci_high = _wilson_interval(accepts, t)
     mean_q = sum_q / t
     var = sum_q2 / t - mean_q * mean_q
-    fn0 = _peek_instance(cfg)
     return TrialSummary(
         tester=cfg.tester,
         n=fn0.domain.n,
@@ -319,8 +349,8 @@ def run_experiment(cfg: ExperimentConfig) -> TrialSummary:
         seed=cfg.seed,
         rejections=rejections,
         accept_rate=phat,
-        ci_low=max(0.0, phat - Z99 * se),
-        ci_high=min(1.0, phat + Z99 * se),
+        ci_low=ci_low,
+        ci_high=ci_high,
         ci_flagged=t < 100,
         mean_q=mean_q,
         max_q=max_q,

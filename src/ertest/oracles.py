@@ -21,6 +21,7 @@ from .core import (
     ErasedFunction,
     InvalidField,
     SizeLimit,
+    value_gt,
 )
 from .line import INF, LineBoundingPair, pair_violates
 
@@ -100,25 +101,37 @@ def distance_to_bdp_line(fn: ErasedFunction, bounds: LineBoundingPair) -> Distan
     """Longest subsequence whose consecutive pairs satisfy both directed
     bounds; consecutive pairs suffice because the directed sums telescope:
     if every step of a chain fits inside its segment sums, any two chain
-    points differ by at most the concatenated sums."""
+    points differ by at most the concatenated sums.
+
+    Chain ends sit in buckets by chain length.  Each point scans the lengths
+    downward and, inside a length, earlier points upward, and stops at the
+    first compatible one: the parent is the earliest compatible point among
+    the longest chains, and the kept chain ends at the earliest point of
+    greatest length.  O(m^2) checks in the worst case, about one per point
+    on near-members.
+    """
     pairs = line_pairs(fn)
     if bounds.n != fn.domain.n:
         raise ValueError("bounds length does not match the domain")
     m = len(pairs)
-    best_len = [1] * m
-    parent = [None] * m
-    for i in range(m):
-        pi, vi = pairs[i]
-        for j in range(i):
-            pj, vj = pairs[j]
-            if best_len[j] + 1 > best_len[i] and not pair_violates(bounds, pj, vj, pi, vi):
-                best_len[i] = best_len[j] + 1
-                parent[i] = j
     if m == 0:
         raise ValueError("no nonerased points")
-    end = max(range(m), key=lambda i: best_len[i])
+    parent = [None] * m
+    by_len = [None, []]   # by_len[L] = points ending a chain of length L, in order
+    for i in range(m):
+        pi, vi = pairs[i]
+        chain = 1
+        for length in range(len(by_len) - 1, 0, -1):
+            j = next((j for j in by_len[length]
+                      if not pair_violates(bounds, pairs[j][0], pairs[j][1], pi, vi)), None)
+            if j is not None:
+                chain, parent[i] = length + 1, j
+                break
+        if chain == len(by_len):
+            by_len.append([])
+        by_len[chain].append(i)
     keep = []
-    cur = end
+    cur = by_len[-1][0]
     while cur is not None:
         keep.append(cur)
         cur = parent[cur]
@@ -142,27 +155,50 @@ def _slope(p, q):
 
 def distance_to_convex_line(fn: ErasedFunction) -> DistanceReport:
     """DP over (previous kept point, current kept point): a kept-set is
-    convex-compatible iff its consecutive slopes never decrease."""
+    convex-compatible iff its consecutive slopes never decrease.
+
+    O(m^2 log m): every chord slope is computed once; for each middle point
+    j the predecessors h are sorted by slope(h, j), and each successor i
+    finds its best predecessor by bisecting slope(j, i) into a prefix
+    maximum.  Ties go to the smallest h with the longest chain, and the kept
+    chain ends at the first longest pair (j, i) in (i, then j) order.
+    """
     pairs = line_pairs(fn)
     m = len(pairs)
-    # best[(j, i)] = longest chain ending with consecutive points j then i
-    best = {}
-    parent = {}
-    for i in range(m):
-        for j in range(i):
-            s_ji = _slope(pairs[j], pairs[i])
-            length, par = 2, None
-            for h in range(j):
-                cand = best[(h, j)]
-                if cand + 1 > length and _slope(pairs[h], pairs[j]) <= s_ji:
-                    length, par = cand + 1, h
-            best[(j, i)] = length
-            parent[(j, i)] = par
-    if best:
-        (bj, bi) = max(best, key=lambda k: best[k])
+    # slope[j][i], best[j][i], parent[j][i] for j < i: the longest chain
+    # ending with consecutive points j then i, and the point before j
+    slope = [[None] * m for _ in range(m)]
+    for j in range(m):
+        row = slope[j]
+        for i in range(j + 1, m):
+            row[i] = _slope(pairs[j], pairs[i])
+    best = [[2] * m for _ in range(m)]
+    parent = [[None] * m for _ in range(m)]
+    for j in range(1, m):
+        preds = sorted(range(j), key=lambda h: slope[h][j])
+        keys = [slope[h][j] for h in preds]
+        prefix = []     # prefix[k] = (longest, smallest h) over preds[:k+1]
+        top = (0, None)
+        for h in preds:
+            length = best[h][j]
+            if length > top[0] or (length == top[0] and h < top[1]):
+                top = (length, h)
+            prefix.append(top)
+        for i in range(j + 1, m):
+            k = bisect_right(keys, slope[j][i])
+            if k:
+                length, h = prefix[k - 1]
+                best[j][i] = length + 1
+                parent[j][i] = h
+    if m > 1:
+        longest, bj, bi = 0, None, None
+        for i in range(1, m):
+            for j in range(i):
+                if best[j][i] > longest:
+                    longest, bj, bi = best[j][i], j, i
         keep = [bi, bj]
-        while parent[(bj, bi)] is not None:
-            h = parent[(bj, bi)]
+        while parent[bj][bi] is not None:
+            h = parent[bj][bi]
             keep.append(h)
             bj, bi = h, bj
         keep.reverse()
@@ -177,36 +213,52 @@ def distance_to_convex_line(fn: ErasedFunction) -> DistanceReport:
 # monotonicity over grids and posets
 
 def _violated_order_edges(items, le):
-    """Directed edges (i, j) with item i below item j but value above it.
-    The relation is transitive, so its comparability graph is perfect and
-    the maximum violation-free subset is a maximum antichain."""
+    """Directed edges (i, j) with item i below item j but value above it,
+    in (i, j) order.  The relation is transitive, so its comparability graph
+    is perfect and the maximum violation-free subset is a maximum antichain.
+    The cheap value test runs before the partial order."""
     edges = []
     for i, (p, v) in enumerate(items):
         for j, (q, w) in enumerate(items):
-            if i != j and le(p, q) and p != q and v > w:
+            if v > w and le(p, q) and p != q:
                 edges.append((i, j))
     return edges
 
 
 def _max_bipartite_matching(m: int, edges) -> dict:
-    """Kuhn's augmenting paths; returns {left: right} over node ids 0..m-1."""
+    """Kuhn's augmenting paths; returns {left: right} over node ids 0..m-1.
+    The depth-first search keeps its own stack, so a long augmenting path
+    cannot overflow Python's; it visits edges in adjacency order."""
     adj = [[] for _ in range(m)]
     for a, b in edges:
         adj[a].append(b)
     match_right = {}
 
-    def try_augment(a, seen):
-        for b in adj[a]:
-            if b in seen:
-                continue
-            seen.add(b)
-            if b not in match_right or try_augment(match_right[b], seen):
-                match_right[b] = a
-                return True
-        return False
+    def augment(root):
+        seen = set()
+        stack = [(root, iter(adj[root]))]
+        via = []        # via[k] = the right node frame k descended through
+        while stack:
+            a, it = stack[-1]
+            for b in it:
+                if b in seen:
+                    continue
+                seen.add(b)
+                if b not in match_right:
+                    match_right[b] = a
+                    for (a2, _), b2 in zip(reversed(stack[:-1]), reversed(via)):
+                        match_right[b2] = a2
+                    return
+                via.append(b)
+                stack.append((match_right[b], iter(adj[match_right[b]])))
+                break
+            else:
+                stack.pop()
+                if via:
+                    via.pop()
 
     for a in range(m):
-        try_augment(a, set())
+        augment(a)
     return {a: b for b, a in match_right.items()}
 
 
@@ -340,18 +392,28 @@ def monotone_grid_matching_bound(fn: ErasedFunction) -> DistanceReport:
 
 def bdp_grid_matching_bound(fn: ErasedFunction, family) -> DistanceReport:
     """Matching lower bound on the grid distance to a bounded-derivative
-    property; ``family`` supplies pair_violates over grid points."""
+    property; ``family`` supplies pair_violates over grid points.
+
+    The greedy maximal matching over violated pairs in (i, j) order: each
+    unmatched point i takes the first later unmatched point j it violates
+    with.  Only pairs of two free points are checked, O(m^2) in the worst
+    case.
+    """
     items = _grid_items(fn)
-    edges = []
+    m = len(items)
+    free = [True] * m
+    matching = []
     for i, (p, v) in enumerate(items):
-        for j in range(i + 1, len(items)):
-            q, w = items[j]
-            if family.pair_violates(p, v, q, w):
-                edges.append((i, j))
-    matching = greedy_maximal_matching(len(items), edges)
+        if not free[i]:
+            continue
+        for j in range(i + 1, m):
+            if free[j] and family.pair_violates(p, v, *items[j]):
+                matching.append((i, j))
+                free[i] = free[j] = False
+                break
     cert = ("matching",) + tuple((items[a][0], items[b][0]) for a, b in matching)
     return DistanceReport("bdp-grid", len(matching),
-                          Fraction(len(matching), len(items)), cert,
+                          Fraction(len(matching), m), cert,
                           is_lower_bound=True, matching_bound=len(matching))
 
 
@@ -457,7 +519,12 @@ def interpolate(points, p: int) -> list:
 
 def distance_to_low_degree(fn: ErasedFunction, degree: int) -> DistanceReport:
     """p minus the best agreement over every coefficient vector (erased points
-    reduce both sides: distance and |N| count only nonerased points)."""
+    reduce both sides: distance and |N| count only nonerased points).
+
+    O(p^d * m): for each (c1..cd) the best constant term c0 is the most
+    common residual y - (c1 x + ... + cd x^d).  Ties go to the smallest
+    (c0, c1, ..., cd), the first in ``itertools.product`` order.
+    """
     if fn.kind != "field":
         raise ValueError("low-degree distance needs a field-valued function")
     p = fn.modulus
@@ -468,13 +535,19 @@ def distance_to_low_degree(fn: ErasedFunction, degree: int) -> DistanceReport:
     if degree + 1 > p:
         raise ValueError("degree too high for the field size")
     pts = [(i, v) for i, v in enumerate(fn.values) if v is not ERASED]
-    best_agree, best_coeffs = -1, None
-    for coeffs in itertools.product(range(p), repeat=degree + 1):
-        agree = sum(1 for x, y in pts if poly_eval(coeffs, x, p) == y)
-        if agree > best_agree:
-            best_agree, best_coeffs = agree, coeffs
+    powers = [[pow(x, k, p) for k in range(1, degree + 1)] for x, _ in pts]
+
+    def best_constant(tail):
+        counts = [0] * p
+        for (_, y), xs in zip(pts, powers):
+            counts[(y - sum(c * xk for c, xk in zip(tail, xs))) % p] += 1
+        agree = max(counts)
+        return -agree, counts.index(agree), tail
+
+    neg_agree, c0, tail = min(map(best_constant, itertools.product(range(p), repeat=degree)))
+    best_coeffs = (c0,) + tail
     m = len(pts)
-    absolute = m - best_agree
+    absolute = m + neg_agree
     kept = [(x + 1,) for x, y in pts if poly_eval(best_coeffs, x, p) == y]
     return DistanceReport("low-degree", absolute, Fraction(absolute, m),
                           ("kept",) + tuple(kept))
@@ -608,7 +681,7 @@ def is_member_convex_values(points_values) -> bool:
     last = None
     for (a, fa), (b, fb) in zip(items, items[1:]):
         s = _slope((a, fa), (b, fb))
-        if last is not None and s < last:
+        if last is not None and value_gt(last, s):
             return False
         last = s
     return True
@@ -687,6 +760,16 @@ def _verify_low_degree(fn, prop, kept_pos, report) -> bool:
 
 
 def _verify_matching(fn: ErasedFunction, prop: PropertySpec, report: DistanceReport) -> bool:
+    """The pairs are disjoint, each pair is violated on ``fn``'s nonerased
+    values, and there are exactly ``absolute`` of them."""
+    if prop.tag == "monotone-grid":
+        def violated(a, fa, b, fb):
+            lo, hi, flo, fhi = (a, b, fa, fb) if grid_le(a, b) else (b, a, fb, fa)
+            return grid_le(lo, hi) and flo > fhi
+    elif prop.tag == "bdp-grid":
+        violated = prop.bounds.pair_violates
+    else:
+        return False
     pairs = report.certificate[1:]
     seen = set()
     for a, b in pairs:
@@ -694,10 +777,7 @@ def _verify_matching(fn: ErasedFunction, prop: PropertySpec, report: DistanceRep
             return False
         seen.add(a)
         seen.add(b)
-        if prop.tag == "monotone-grid":
-            lo, hi = (a, b) if grid_le(a, b) else (b, a)
-            if not (grid_le(lo, hi) and fn.value_at(lo) > fn.value_at(hi)):
-                return False
-        else:
+        fa, fb = fn.value_at(a), fn.value_at(b)
+        if fa is ERASED or fb is ERASED or not violated(a, fa, b, fb):
             return False
     return len(pairs) == report.absolute

@@ -19,6 +19,7 @@ from ertest.harness import (
     CSV_COLUMNS,
     TESTERS,
     WORKERS_ENV,
+    Z99,
     ExperimentConfig,
     TrialSummary,
     emit_report,
@@ -26,6 +27,7 @@ from ertest.harness import (
     summaries_from_json,
     summary_rows,
     validate_config,
+    _wilson_interval,
 )
 # aliased so pytest does not try to collect the class as tests
 from ertest.harness import TesterEntry as RegistryEntry
@@ -55,7 +57,8 @@ def cfg_for(tester, instance, trials=20, seed=11, **kw):
 
 def test_config_rejects_basic_mistakes():
     good = cfg_for("monotone-line", SORTED_64, eps=Fraction(1, 4))
-    assert validate_config(good) is TESTERS["monotone-line"]
+    entry, fn0 = validate_config(good)
+    assert entry is TESTERS["monotone-line"] and fn0 is SORTED_64
     with pytest.raises(ConfigError):
         validate_config(cfg_for("monotone-line", SORTED_64, trials=0,
                                 eps=Fraction(1, 4)))
@@ -101,7 +104,9 @@ def test_member_experiment_never_rejects():
     summary = run_experiment(cfg)
     assert summary.rejections == 0
     assert summary.accept_rate == 1.0
-    assert summary.ci_low == 1.0 and summary.ci_high == 1.0
+    # Wilson at p-hat = 1: the upper end is 1 and the lower end t / (t + z^2)
+    assert summary.ci_high == 1.0
+    assert summary.ci_low == pytest.approx(200 / (200 + Z99 ** 2))
     assert not summary.ci_flagged
     assert summary.max_q <= summary.budget_Q
     assert summary.budget_Q == monotone_line_budget(64, Fraction(1, 4), 0)
@@ -147,6 +152,43 @@ def test_parallel_equals_serial(monkeypatch):
     assert summary_rows([serial]) == summary_rows([parallel])
     assert serial.rejections == parallel.rejections
     assert serial.max_q == parallel.max_q
+
+
+@pytest.mark.parametrize("raw", ["0", "-3", "two", "1.5", ""])
+def test_bad_worker_counts_are_config_errors(monkeypatch, raw):
+    started = []
+    monkeypatch.setattr("ertest.harness.ProcessPoolExecutor",
+                        lambda *a, **kw: started.append(1))
+    monkeypatch.setenv(WORKERS_ENV, raw)
+    cfg = cfg_for("monotone-line", SORTED_64, trials=4, eps=Fraction(1, 4))
+    with pytest.raises(ConfigError, match=WORKERS_ENV):
+        run_experiment(cfg)
+    assert not started
+
+
+def test_wilson_interval_stays_wide_at_the_boundaries():
+    assert _wilson_interval(20, 20) == (pytest.approx(20 / (20 + Z99 ** 2)), 1.0)
+    assert _wilson_interval(0, 20) == (0.0, pytest.approx(Z99 ** 2 / (20 + Z99 ** 2)))
+    low, high = _wilson_interval(10, 20)
+    assert low + high == pytest.approx(1.0) and 0.0 < low < 0.5 < high < 1.0
+
+
+def test_trial_zero_is_realized_once(monkeypatch):
+    spec = InstanceSpec(Domain.line(32), PropertySpec("monotone-line"),
+                        member=False, target_eps=Fraction(1, 4),
+                        alpha=Fraction(1, 8))
+    calls = []
+    realize = InstanceSpec.realize
+
+    def counting(self, rng):
+        calls.append(1)
+        return realize(self, rng)
+
+    monkeypatch.setattr(InstanceSpec, "realize", counting)
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    run_experiment(cfg_for("monotone-line", spec, trials=7, seed=5,
+                           eps=Fraction(1, 4)))
+    assert len(calls) == 7
 
 
 def test_instance_specs_redraw_per_trial():

@@ -1,0 +1,157 @@
+"""The fast exact oracles against their straightforward references.
+
+Each library oracle must return the identical DistanceReport (distance,
+certificate and all) as the reference in ``reference_oracles.py`` on
+generated int, Fraction and float inputs with erasures.  The matching search
+is also checked on a long augmenting chain, against scipy.
+"""
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ertest import oracles as O
+from ertest.core import ERASED, Domain, ErasedFunction
+from ertest.hypergrid import BoundingFamily
+from ertest.line import INF, LineBoundingPair
+
+import reference_oracles as ref
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+_NUMBERS = {
+    # small ranges, so equal values and equal slopes are common
+    "int": st.integers(-6, 6),
+    "fraction": st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4)),
+    "float": st.one_of(st.integers(-30, 30).map(lambda k: k / 10),
+                       st.floats(-8, 8, allow_nan=False, allow_infinity=False)),
+}
+
+
+@st.composite
+def values_with_erasures(draw, size):
+    kind = draw(st.sampled_from(sorted(_NUMBERS)))
+    vals = draw(st.lists(_NUMBERS[kind], min_size=size, max_size=size))
+    erased = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    if all(erased):
+        erased[draw(st.integers(0, size - 1))] = False
+    return [ERASED if e else v for v, e in zip(vals, erased)]
+
+
+@st.composite
+def line_functions(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    return ErasedFunction(Domain.line(n), draw(values_with_erasures(n)))
+
+
+@st.composite
+def grid_functions(draw):
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(2, 3)) if n < 4 else 2
+    dom = Domain.grid(n, d)
+    return ErasedFunction(dom, draw(values_with_erasures(dom.size)))
+
+
+@st.composite
+def line_bounds(draw, n):
+    lower, upper = [], []
+    for _ in range(n - 1):
+        lo = draw(st.sampled_from([-INF, -2, -1, Fraction(-1, 2), 0, 1]))
+        width = draw(st.sampled_from([Fraction(1, 2), 1, 2, 3, INF]))
+        lower.append(lo)
+        # an unbounded lower side keeps a finite upper one, and vice versa
+        upper.append(width if lo == -INF else lo + width)
+    return LineBoundingPair(lower, upper)
+
+
+@SETTINGS
+@given(line_functions(14))
+def test_convex_line_matches_reference(fn):
+    assert O.distance_to_convex_line(fn) == ref.distance_to_convex_line(fn)
+
+
+@SETTINGS
+@given(st.data())
+def test_bdp_line_matches_reference(data):
+    fn = data.draw(line_functions(24))
+    bounds = data.draw(line_bounds(fn.domain.n))
+    assert O.distance_to_bdp_line(fn, bounds) == ref.distance_to_bdp_line(fn, bounds)
+
+
+@SETTINGS
+@given(grid_functions())
+def test_monotone_grid_matches_reference(fn):
+    items = O._grid_items(fn)
+    assert O._violated_order_edges(items, O.grid_le) == \
+        ref.violated_order_edges(items, O.grid_le)
+    fast = O.distance_to_monotone_grid_exact(fn)
+    with mock.patch.object(O, "_violated_order_edges", ref.violated_order_edges), \
+            mock.patch.object(O, "_max_bipartite_matching", ref.max_bipartite_matching):
+        assert fast == O.distance_to_monotone_grid_exact(fn)
+
+
+@SETTINGS
+@given(st.data())
+def test_bdp_grid_matches_reference(data):
+    fn = data.draw(grid_functions())
+    n, d = fn.domain.n, fn.domain.d
+    family = BoundingFamily(tuple(data.draw(line_bounds(n)) for _ in range(d)))
+    assert O.bdp_grid_matching_bound(fn, family) == ref.bdp_grid_matching_bound(fn, family)
+
+
+@SETTINGS
+@given(st.data())
+def test_low_degree_matches_reference(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11]))
+    degree = data.draw(st.integers(0, min(2, p - 1)))
+    if data.draw(st.booleans()):
+        # a polynomial of the right degree with a few corrupted points
+        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=degree + 1,
+                                    max_size=degree + 1))
+        vals = [O.poly_eval(coeffs, x, p) for x in range(p)]
+        for x in data.draw(st.lists(st.integers(0, p - 1), max_size=p // 2)):
+            vals[x] = data.draw(st.integers(0, p - 1))
+    else:
+        vals = data.draw(st.lists(st.integers(0, p - 1), min_size=p, max_size=p))
+    erased = data.draw(st.lists(st.booleans(), min_size=p, max_size=p))
+    if all(erased):
+        erased[0] = False
+    vals = [ERASED if e else v for v, e in zip(vals, erased)]
+    fn = ErasedFunction(Domain.line(p), vals, kind="field", modulus=p)
+    assert O.distance_to_low_degree(fn, degree) == ref.distance_to_low_degree(fn, degree)
+
+
+@SETTINGS
+@given(st.integers(1, 12), st.data())
+def test_matching_search_matches_reference(m, data):
+    edges = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                               max_size=3 * m))
+    fast = O._max_bipartite_matching(m, edges)
+    assert list(fast.items()) == list(ref.max_bipartite_matching(m, edges).items())
+
+
+def _augmenting_chain(length):
+    """Left k joins right k and k+1; the last left node joins right 0 only,
+    so its augmenting path runs through every earlier match."""
+    edges = [e for k in range(length) for e in ((k, k), (k, k + 1))]
+    return length + 1, edges + [(length, 0)]
+
+
+def test_matching_survives_a_long_augmenting_chain():
+    m, edges = _augmenting_chain(1200)
+    match = O._max_bipartite_matching(m, edges)
+    assert len(match) == m
+    assert sorted(match.values()) == list(range(m))
+    assert all((a, b) in set(edges) for a, b in match.items())
+    assert match[m - 1] == 0 and all(match[k] == k + 1 for k in range(m - 1))
+
+
+def test_matching_size_agrees_with_scipy():
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    m, edges = _augmenting_chain(1200)
+    rows, cols = zip(*edges)
+    graph = sparse.csr_matrix(([1] * len(edges), (rows, cols)), shape=(m, m))
+    theirs = csgraph.maximum_bipartite_matching(graph, perm_type="column")
+    assert len(O._max_bipartite_matching(m, edges)) == int((theirs >= 0).sum()) == m

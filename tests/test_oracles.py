@@ -2,11 +2,14 @@
 random instances, and certificate re-verification in bulk."""
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from ertest.adversary import erase_random
 from ertest.core import ERASED, Domain, ErasedFunction, InvalidField, SizeLimit
+from ertest.hypergrid import BoundingFamily
 from ertest.line import INF, LineBoundingPair, pair_violates
 from ertest import oracles as O
 
@@ -293,6 +296,62 @@ def test_matching_bound_certificates_reverify():
         r = O.monotone_grid_matching_bound(f)
         assert r.is_lower_bound
         assert O.verify_report(f, O.PropertySpec("monotone-grid"), r)
+
+
+def _bdp_grid_far(n, seed):
+    rng = random.Random(seed)
+    dom = Domain.grid(n, 2)
+    amp = 2 * (2 * n + 1) + 1
+    vals = [amp * (sum(p) % 2) if rng.random() > 0.2 else ERASED for p in dom.points()]
+    family = BoundingFamily.lipschitz(n, 2)
+    return ErasedFunction(dom, vals), O.PropertySpec("bdp-grid", bounds=family)
+
+
+def test_bdp_grid_matching_bound_reverifies():
+    for seed in range(20):
+        f, prop = _bdp_grid_far(4, seed)
+        r = O.bdp_grid_matching_bound(f, prop.bounds)
+        assert r.absolute > 0
+        assert O.verify_report(f, prop, r)
+
+
+def test_tampered_bdp_grid_matching_fails():
+    f, prop = _bdp_grid_far(4, 3)
+    r = O.bdp_grid_matching_bound(f, prop.bounds)
+    (a, b), rest = r.certificate[1], r.certificate[2:]
+    # two equal values are no violation, though the pair is disjoint and counted
+    p, q = [x for x in f.nonerased_points() if f.value_at(x) == f.value_at(a)][:2]
+    tampered = [
+        replace(r, certificate=("matching", (p, q)), absolute=1),
+        replace(r, certificate=("matching", (a, b), (a, b)) + rest,
+                absolute=r.absolute + 1),
+        replace(r, absolute=r.absolute + 1),
+    ]
+    assert O.verify_report(f, prop, replace(r, certificate=("matching", (a, b)), absolute=1))
+    for bad in tampered:
+        assert not O.verify_report(f, prop, bad)
+
+
+def test_float_convex_completions_reverify():
+    rng = random.Random(0)
+    for _ in range(50):
+        n = rng.randint(8, 32)
+        mid, tilt = (n + 1) / 2, rng.random()
+        total = line_fn([-(t - mid) ** 2 + tilt * t for t in range(1, n + 1)])
+        f = erase_random(total, Fraction(1, 8), rng)
+        prop = O.PropertySpec("convex-line")
+        assert O.verify_report(f, prop, O.distance_to_convex_line(f))
+
+
+def test_convex_membership_tolerates_float_noise_only():
+    # 0.1 steps in floats: consecutive slopes differ by rounding noise
+    noisy = {x: x * 0.1 for x in range(1, 30)}
+    slopes = [noisy[x + 1] - noisy[x] for x in range(1, 29)]
+    assert any(b < a for a, b in zip(slopes, slopes[1:]))
+    assert O.is_member_convex_values(noisy)
+    tiny = Fraction(1, 10 ** 30)
+    assert not O.is_member_convex_values({1: 0, 2: 1, 3: 2 - tiny})
+    assert not O.is_member_convex_values({1: 0.0, 2: 1.0, 3: 1.5})
 
 
 # ---------------------------------------------------------------------------
