@@ -280,7 +280,12 @@ class QueryOracle:
         if self.count >= self.budget:
             raise BudgetExhausted(self.count)
         self.count += 1
-        return self.fn.values[self.fn.domain.index_of(pt)]
+        fn = self.fn
+        # a point on a line indexes directly once it is range-checked; the
+        # rest, out-of-range points included, goes through index_of
+        if len(pt) == 1 and fn.domain.d == 1 and 1 <= pt[0] <= fn.domain.n:
+            return fn.values[pt[0] - 1]
+        return fn.values[fn.domain.index_of(pt)]
 
     @property
     def remaining(self) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .core import ERASED, Domain, ErasedFunction
+from .core import ERASED, ConfigError, Domain, ErasedFunction
 from .line import INF, LineBoundingPair
 from .hypergrid import BoundingFamily
 from .oracles import DistanceReport
@@ -24,30 +24,93 @@ def _tokens(path: str):
             yield from line.split()
 
 
-def _parse_value(token: str, kind: str):
-    if token == "_":
-        return ERASED
-    if kind == "real":
-        return Fraction(token)
-    return int(token)
+def _line_of(path: str, index: int) -> int:
+    """Line number of the index-th token (0-based), or of the last line when
+    the file has fewer tokens.  Reads the file again: error paths only."""
+    count = 0
+    lineno = 1
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            count += len(line.split("#", 1)[0].split())
+            if count > index:
+                break
+    return lineno
+
+
+_PARSE_ERRORS = (ValueError, ZeroDivisionError)
+
+
+class _Reader:
+    """The tokens of a flat file, in order.  It counts the tokens it hands
+    out, so that every error names ``path:line``; the line itself is looked
+    up only when an error is raised, so reading costs what it did without."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.tokens = _tokens(path)
+        self.taken = 0
+
+    def error(self, index: int, message: str) -> ConfigError:
+        return ConfigError(f"{self.path}:{_line_of(self.path, index)}: {message}")
+
+    def take(self, what: str, parse=str):
+        tok = next(self.tokens, None)
+        if tok is None:
+            raise self.error(self.taken, f"expected {what}, got end of file")
+        self.taken += 1
+        try:
+            return parse(tok)
+        except _PARSE_ERRORS:
+            raise self.error(self.taken - 1, f"expected {what}, got {tok!r}") from None
+
+    def header(self, keyword: str) -> None:
+        head = next(self.tokens, None)
+        self.taken += 1
+        if head != keyword:
+            raise self.error(0, f"expected `{keyword}` header, got {head!r}")
+
+    def rest(self, what: str, parse) -> list:
+        """Every remaining token, parsed."""
+        start = self.taken
+        try:
+            out = [parse(t) for t in self.tokens]
+        except _PARSE_ERRORS:
+            for i, tok in enumerate(_tokens(self.path)):
+                if i >= start:
+                    try:
+                        parse(tok)
+                    except _PARSE_ERRORS:
+                        raise self.error(i, f"expected {what}, got {tok!r}") from None
+            raise
+        self.taken += len(out)
+        return out
+
+
+def _parse_real(token: str):
+    return ERASED if token == "_" else Fraction(token)
+
+
+def _parse_int(token: str):
+    return ERASED if token == "_" else int(token)
 
 
 def load_function(path: str, kind: str = "real", modulus=None) -> ErasedFunction:
-    toks = _tokens(path)
-    head = next(toks, None)
-    if head != "domain":
-        raise ValueError(f"{path}: expected `domain` header, got {head!r}")
-    shape = next(toks)
+    reader = _Reader(path)
+    reader.header("domain")
+    shape = reader.take("a domain shape")
     if shape == "line":
-        domain = Domain.line(int(next(toks)))
+        domain = Domain.line(reader.take("a side length", int))
     elif shape == "grid":
-        domain = Domain.grid(int(next(toks)), int(next(toks)))
+        domain = Domain.grid(reader.take("a side length", int),
+                             reader.take("a dimension", int))
     else:
-        raise ValueError(f"{path}: unknown domain shape {shape!r}")
-    values = [_parse_value(t, kind) for t in toks]
+        raise reader.error(reader.taken - 1, f"unknown domain shape {shape!r}")
+    start = reader.taken
+    values = reader.rest(f"a {kind} value or `_`",
+                         _parse_real if kind == "real" else _parse_int)
     if len(values) != domain.size:
-        raise ValueError(
-            f"{path}: {domain.size} points expected, {len(values)} tokens found")
+        raise reader.error(start + domain.size,
+                           f"{domain.size} points expected, {len(values)} tokens found")
     return ErasedFunction(domain, values, kind=kind, modulus=modulus)
 
 
@@ -84,19 +147,17 @@ def _parse_bound(token: str):
 def load_bounds(path: str):
     """LineBoundingPair for d=1, BoundingFamily otherwise.  Per dimension:
     a row of lower bounds, then a row of upper bounds, n-1 tokens each."""
-    toks = _tokens(path)
-    head = next(toks, None)
-    if head != "bounds":
-        raise ValueError(f"{path}: expected `bounds` header, got {head!r}")
-    d = int(next(toks))
-    n = int(next(toks))
+    reader = _Reader(path)
+    reader.header("bounds")
+    d = reader.take("a dimension count", int)
+    n = reader.take("a side length", int)
     pairs = []
     for _ in range(d):
-        lower = [_parse_bound(next(toks)) for _ in range(n - 1)]
-        upper = [_parse_bound(next(toks)) for _ in range(n - 1)]
+        lower = [reader.take("a lower bound", _parse_bound) for _ in range(n - 1)]
+        upper = [reader.take("an upper bound", _parse_bound) for _ in range(n - 1)]
         pairs.append(LineBoundingPair(lower, upper))
-    if next(toks, None) is not None:
-        raise ValueError(f"{path}: trailing tokens after {d} bound pairs")
+    if next(reader.tokens, None) is not None:
+        raise reader.error(reader.taken, f"trailing tokens after {d} bound pairs")
     if d == 1:
         return pairs[0]
     return BoundingFamily(tuple(pairs))
@@ -123,18 +184,14 @@ def save_bounds(obj, path: str) -> None:
 
 
 def load_poset(path: str) -> Poset:
-    toks = _tokens(path)
-    head = next(toks, None)
-    if head != "poset":
-        raise ValueError(f"{path}: expected `poset` header, got {head!r}")
-    size = int(next(toks))
-    edges = []
-    while True:
-        u = next(toks, None)
-        if u is None:
-            break
-        edges.append((int(u), int(next(toks))))
-    return Poset(size, edges)
+    reader = _Reader(path)
+    reader.header("poset")
+    size = reader.take("a poset size", int)
+    ends = reader.rest("an edge endpoint", int)
+    if len(ends) % 2:
+        raise reader.error(reader.taken, "expected the second endpoint of an edge, "
+                                         "got end of file")
+    return Poset(size, list(zip(ends[::2], ends[1::2])))
 
 
 def save_poset(size: int, edges, path: str) -> None:

@@ -13,10 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    ALL_CHECKS_PASSED,
-    BUDGET_EXHAUSTED,
-    Box,
-    BudgetExhausted,
+    ERASED,
     Domain,
     ErasedFunction,
     PreconditionViolated,
@@ -25,15 +22,19 @@ from .core import (
     ceil_frac,
     exact_fraction,
     exact_log2,
-    sample_nonerased_uniform,
+    sample_nonerased_uniform,  # noqa: F401  unused here; bench/tracing.py wraps it
     value_gt,
 )
 from .line import (
     INF,
     LineBoundingPair,
-    bdp_to_monotone_transforms,
+    _bdp_check,
+    _descends,
+    _params,
+    _search_driver,
+    bdp_to_monotone_transforms,  # noqa: F401  unused here; bench/tracing.py wraps it
     pair_violates,
-    randomized_binary_search_step_loop,
+    randomized_binary_search_step_loop,  # noqa: F401  likewise
 )
 
 
@@ -141,27 +142,25 @@ class _AxisLineView:
     """Presents one axis line of a grid oracle as a line oracle: queries at
     line position p hit the underlying grid point, budget shared."""
 
-    __slots__ = ("oracle", "line")
+    __slots__ = ("oracle", "line", "head", "tail")
 
     def __init__(self, oracle: QueryOracle, line: AxisLine):
         self.oracle = oracle
         self.line = line
+        # the fixed coordinates before and after the axis, in order
+        self.head = line.fixed[:line.axis - 1]
+        self.tail = line.fixed[line.axis - 1:]
 
     def query(self, pt):
-        return self.oracle.query(self.line.point(pt[0]))
+        return self.oracle.query(self.head + pt + self.tail)
 
 
 # ---------------------------------------------------------------------------
 # testers
 
 def _grid_params(oracle, eps, alpha, gate_factor: int):
-    fn = oracle.fn
-    n, d = fn.domain.n, fn.domain.d
-    e, a = exact_fraction(eps), exact_fraction(alpha)
-    if not 0 < e < 1:
-        raise ValueError(f"proximity parameter {eps!r} outside (0,1)")
-    if not 0 <= a < 1:
-        raise ValueError(f"erasure bound {alpha!r} outside [0,1)")
+    n, d = oracle.fn.domain.n, oracle.fn.domain.d
+    e, a = _params(eps, alpha)
     if a > e / (gate_factor * d):
         raise PreconditionViolated(
             f"erasure bound {a} exceeds eps/{gate_factor}d = {e / (gate_factor * d)}")
@@ -188,13 +187,28 @@ def hypergrid_iterations(d: int, eps, alpha, factor: int) -> int:
     return ceil_frac(Fraction(factor * d) / denom)
 
 
-def _sample_on_line(oracle, line: AxisLine, n: int, rng):
-    lopt = line.point(1)
-    hipt = line.point(n)
-    box = Box(tuple(min(a, b) for a, b in zip(lopt, hipt)),
-              tuple(max(a, b) for a, b in zip(lopt, hipt)))
-    pt, v = sample_nonerased_uniform(oracle, box, rng)
-    return pt[line.axis - 1], v
+def _axis_searches(oracle: QueryOracle, iterations: int, checks, rng):
+    """Per iteration: a uniform axis line, then a uniform nonerased start on
+    it, searched with the pair check of its axis (``checks[axis - 1]``).
+
+    A start draw is the draw ``sample_nonerased_uniform`` makes over the
+    line's box: ``rng.randint(c, c)`` for each fixed coordinate c, in
+    coordinate order, around the draw on the axis.  Those calls look
+    redundant but consume random bits, so they keep the seeded stream."""
+    domain = oracle.fn.domain
+    n = domain.n
+    for _ in range(iterations):
+        view = _AxisLineView(oracle, sample_axis_line(domain, rng))
+        while True:
+            for c in view.head:
+                rng.randint(c, c)
+            s = rng.randint(1, n)
+            for c in view.tail:
+                rng.randint(c, c)
+            fs = view.query((s,))
+            if fs is not ERASED:
+                break
+        yield view, s, fs, checks[view.line.axis - 1]
 
 
 def test_monotone_hypergrid(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
@@ -202,28 +216,12 @@ def test_monotone_hypergrid(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
     one randomized binary search along it; rejects on an observed violated
     pair.  One-sided."""
     n, d, e, a = _grid_params(oracle, eps, alpha, 250)
-    oracle.set_budget(monotone_hypergrid_budget(n, d, e, a))
-    try:
-        for _ in range(hypergrid_iterations(d, e, a, 12)):
-            line = sample_axis_line(oracle.fn.domain, rng)
-            view = _AxisLineView(oracle, line)
-            s, fs = _sample_on_line(oracle, line, n, rng)
 
-            def on_pivot(m, fm, side):
-                if side == "right" and value_gt(fs, fm):
-                    return ((s, fs), (m, fm))
-                if side == "left" and value_gt(fm, fs):
-                    return ((m, fm), (s, fs))
-                return None
+    def certify(view, pa, fa, pb, fb):
+        return ("monotone-violation", (view.line.point(pa), fa), (view.line.point(pb), fb))
 
-            hit = randomized_binary_search_step_loop(view, 1, n, s, fs, rng, on_pivot)
-            if hit is not None:
-                (pa, fa), (pb, fb) = hit
-                cert = ("monotone-violation", (line.point(pa), fa), (line.point(pb), fb))
-                return Verdict.rejected(cert, oracle.count)
-    except BudgetExhausted:
-        return Verdict.accepted(BUDGET_EXHAUSTED, oracle.count)
-    return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)
+    searches = _axis_searches(oracle, hypergrid_iterations(d, e, a, 12), (_descends,) * d, rng)
+    return _search_driver(oracle, monotone_hypergrid_budget(n, d, e, a), searches, certify, rng)
 
 
 def test_bdp_hypergrid(oracle: QueryOracle, family: BoundingFamily,
@@ -234,41 +232,16 @@ def test_bdp_hypergrid(oracle: QueryOracle, family: BoundingFamily,
     n, d, e, a = _grid_params(oracle, eps, alpha, 970)
     if family.d != d or family.n != n:
         raise ValueError("bounding family does not match the domain")
-    oracle.set_budget(bdp_hypergrid_budget(n, d, e, a))
-    try:
-        for _ in range(hypergrid_iterations(d, e, a, 48)):
-            line = sample_axis_line(oracle.fn.domain, rng)
-            bounds = family.per_dim[line.axis - 1]
-            view = _AxisLineView(oracle, line)
-            s, fs = _sample_on_line(oracle, line, n, rng)
 
-            if bounds.all_finite:
-                g_map, h_map = bdp_to_monotone_transforms(bounds)
+    def certify(view, pa, fa, pb, fb):
+        # reject only when the raw pair violates under exact recheck
+        if pair_violates(family.per_dim[view.line.axis - 1], pa, fa, pb, fb):
+            return ("bdp-violation", (view.line.point(pa), fa), (view.line.point(pb), fb))
+        return None
 
-                def on_pivot(m, fm, side):
-                    pa, fa, pb, fb = (s, fs, m, fm) if side == "right" else (m, fm, s, fs)
-                    for vmap in (g_map, h_map):
-                        if value_gt(vmap(pa, fa), vmap(pb, fb)):
-                            return ((pa, fa), (pb, fb))
-                    return None
-            else:
-                def on_pivot(m, fm, side):
-                    pa, fa, pb, fb = (s, fs, m, fm) if side == "right" else (m, fm, s, fs)
-                    if pair_violates(bounds, pa, fa, pb, fb):
-                        return ((pa, fa), (pb, fb))
-                    return None
-
-            hit = randomized_binary_search_step_loop(view, 1, n, s, fs, rng, on_pivot)
-            if hit is None:
-                continue
-            (pa, fa), (pb, fb) = hit
-            # reject only when the raw pair violates under exact recheck
-            if pair_violates(bounds, pa, fa, pb, fb):
-                cert = ("bdp-violation", (line.point(pa), fa), (line.point(pb), fb))
-                return Verdict.rejected(cert, oracle.count)
-    except BudgetExhausted:
-        return Verdict.accepted(BUDGET_EXHAUSTED, oracle.count)
-    return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)
+    checks = [_bdp_check(bounds) for bounds in family.per_dim]
+    searches = _axis_searches(oracle, hypergrid_iterations(d, e, a, 48), checks, rng)
+    return _search_driver(oracle, bdp_hypergrid_budget(n, d, e, a), searches, certify, rng)
 
 
 def check_grid_certificate(fn: ErasedFunction, certificate,

@@ -8,6 +8,8 @@ entries +inf, so a directed sum never mixes opposite infinities.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,16 +18,14 @@ from .core import (
     ERASED,
     ALL_CHECKS_PASSED,
     BUDGET_EXHAUSTED,
-    Box,
     BudgetExhausted,
-    Domain,
     ErasedFunction,
     QueryOracle,
     Verdict,
     ceil_frac,
     exact_fraction,
     exact_log2,
-    sample_nonerased_uniform,
+    sample_nonerased_uniform,  # noqa: F401  unused here; bench/tracing.py wraps it
     value_gt,
 )
 
@@ -133,19 +133,21 @@ def bdp_to_monotone_transforms(bounds: LineBoundingPair):
 
     G(i, v) = v + sum of lower over [i, n); H(i, v) = -v - sum of upper over
     [i, n).  These equal the half-sum recentering followed by the symmetric
-    slack subtraction, folded into one shift per side.  Requires finite bounds.
+    slack subtraction, folded into one shift per side.  Each map is O(1): it
+    evaluates the same prefix-sum difference as ``seg_lower(i, n)`` and
+    ``seg_upper(i, n)``, so int, Fraction and float values come out the same.
+    Requires finite bounds.
     """
     if not bounds.all_finite:
         raise ValueError("transforms need finite bounds on every step")
-    n = bounds.n
-    lo_suffix = [bounds.seg_lower(i, n) for i in range(1, n + 1)]
-    up_suffix = [bounds.seg_upper(i, n) for i in range(1, n + 1)]
+    lo_pre, up_pre = bounds._lo_pre, bounds._up_pre
+    lo_total, up_total = lo_pre[-1], up_pre[-1]
 
     def g_map(i, v):
-        return v + lo_suffix[i - 1]
+        return v + (lo_total - lo_pre[i - 1])
 
     def h_map(i, v):
-        return -v - up_suffix[i - 1]
+        return -v - (up_total - up_pre[i - 1])
 
     return g_map, h_map
 
@@ -194,18 +196,29 @@ def _line_domain(oracle: QueryOracle) -> int:
     return oracle.fn.domain.n
 
 
+def _draw_nonerased(line, l: int, r: int, rng):
+    """A uniform nonerased position of [l, r] on a line oracle, with its
+    value.  Each draw is one ``rng.randint(l, r)`` and one query: the draws
+    ``sample_nonerased_uniform`` makes over ``Box((l,), (r,))``, without
+    building the box."""
+    while True:
+        m = rng.randint(l, r)
+        v = line.query((m,))
+        if v is not ERASED:
+            return m, v
+
+
 def randomized_binary_search_step_loop(oracle, lo, hi, s, fs, rng, on_pivot):
     """One random search path for s: sample a nonerased pivot m from the
     current interval, let on_pivot(m, fm, side) inspect it (side is "right"
     when m lies right of s), halve toward s, stop when the pivot is s itself.
-    Returns the first payload on_pivot yields, or None for a clean pass."""
+    Returns the first payload on_pivot yields, or None for a clean pass.
+
+    The interval always contains s, so a singleton is s itself; drawing the
+    forced pivot would add a query and check nothing."""
     l, r = lo, hi
-    while l <= r:
-        if l == r:
-            # the interval always contains s, so a singleton is s itself;
-            # drawing the forced pivot would add a query and check nothing
-            return None
-        (m,), fm = sample_nonerased_uniform(oracle, Box((l,), (r,)), rng)
+    while l < r:
+        m, fm = _draw_nonerased(oracle, l, r, rng)
         if s < m:
             r = m - 1
             hit = on_pivot(m, fm, "right")
@@ -219,41 +232,77 @@ def randomized_binary_search_step_loop(oracle, lo, hi, s, fs, rng, on_pivot):
     return None
 
 
+def _search_driver(oracle: QueryOracle, budget: int, searches, certify, rng) -> Verdict:
+    """The loop every line and hypergrid search tester runs.
+
+    ``searches`` yields one (line, s, fs, violated) per iteration, drawing
+    lazily: ``line`` is the line oracle to search (``oracle`` itself or an
+    axis line of a grid), s a nonerased start position on it with value fs,
+    and ``violated(a, fa, b, fb)`` the check for a pair with a < b.  The
+    search runs over [1, n] and stops at the first violated pair, which
+    ``certify(line, a, fa, b, fb)`` turns into a reject certificate, or into
+    None to go on with the next iteration.  A spent budget accepts.
+    """
+    n = oracle.fn.domain.n
+    oracle.set_budget(budget)
+    try:
+        for line, s, fs, violated in searches:
+            def on_pivot(m, fm, side):
+                if side == "right":
+                    if violated(s, fs, m, fm):
+                        return s, fs, m, fm
+                elif violated(m, fm, s, fs):
+                    return m, fm, s, fs
+                return None
+
+            hit = randomized_binary_search_step_loop(line, 1, n, s, fs, rng, on_pivot)
+            if hit is not None:
+                cert = certify(line, *hit)
+                if cert is not None:
+                    return Verdict.rejected(cert, oracle.count)
+    except BudgetExhausted:
+        return Verdict.accepted(BUDGET_EXHAUSTED, oracle.count)
+    return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)
+
+
+def _line_searches(oracle: QueryOracle, iterations: int, violated, rng):
+    n = oracle.fn.domain.n
+    for _ in range(iterations):
+        s, fs = _draw_nonerased(oracle, 1, n, rng)
+        yield oracle, s, fs, violated
+
+
+def _descends(a, fa, b, fb) -> bool:
+    return value_gt(fa, fb)
+
+
+def _view_descends(vmap):
+    """Monotonicity violation under the value map ``vmap``."""
+    def violated(a, fa, b, fb):
+        return value_gt(vmap(a, fa), vmap(b, fb))
+    return violated
+
+
+def _bdp_check(bounds: LineBoundingPair):
+    """The pair check a bounded-derivative search runs: both transformed
+    views with finite bounds, the directed segment sums otherwise."""
+    if not bounds.all_finite:
+        return functools.partial(pair_violates, bounds)
+    g_map, h_map = bdp_to_monotone_transforms(bounds)
+    return lambda a, fa, b, fb: (value_gt(g_map(a, fa), g_map(b, fb))
+                                 or value_gt(h_map(a, fa), h_map(b, fb)))
+
+
 def test_monotone_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
     """Accepts every function with a monotone restoration; rejects functions
     whose every restoration is eps-far on the nonerased points with
     probability at least 2/3.  Reject verdicts carry the violated pair."""
     n = _line_domain(oracle)
     e, a = _params(eps, alpha)
-    oracle.set_budget(monotone_line_budget(n, e, a))
-    box = Box.whole(oracle.fn.domain)
-    try:
-        for _ in range(proximity_iterations(e)):
-            (s,), fs = sample_nonerased_uniform(oracle, box, rng)
-
-            def on_pivot(m, fm, side):
-                if side == "right" and value_gt(fs, fm):
-                    return ((s, fs), (m, fm))
-                if side == "left" and value_gt(fm, fs):
-                    return ((m, fm), (s, fs))
-                return None
-
-            hit = randomized_binary_search_step_loop(oracle, 1, n, s, fs, rng, on_pivot)
-            if hit is not None:
-                return Verdict.rejected(("monotone-violation",) + hit, oracle.count)
-    except BudgetExhausted:
-        return Verdict.accepted(BUDGET_EXHAUSTED, oracle.count)
-    return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)
-
-
-def _search_bdp_direct(oracle, bounds, lo, hi, s, fs, rng):
-    def on_pivot(m, fm, side):
-        a, fa, b, fb = (s, fs, m, fm) if side == "right" else (m, fm, s, fs)
-        if pair_violates(bounds, a, fa, b, fb):
-            return ((a, fa), (b, fb))
-        return None
-
-    return randomized_binary_search_step_loop(oracle, lo, hi, s, fs, rng, on_pivot)
+    return _search_driver(
+        oracle, monotone_line_budget(n, e, a),
+        _line_searches(oracle, proximity_iterations(e), _descends, rng),
+        lambda line, pa, fa, pb, fb: ("monotone-violation", (pa, fa), (pb, fb)), rng)
 
 
 def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng) -> Verdict:
@@ -269,49 +318,24 @@ def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng
     e, a = _params(eps, alpha)
     if bounds.n != n:
         raise ValueError("bounds length does not match the domain")
-    box = Box.whole(oracle.fn.domain)
+
+    def certify(line, pa, fa, pb, fb):
+        # reject on the original values, not the view: certificates
+        # must hold against the raw function under exact recheck
+        if pair_violates(bounds, pa, fa, pb, fb):
+            return ("bdp-violation", (pa, fa), (pb, fb))
+        return None
 
     if not bounds.all_finite:
-        oracle.set_budget(monotone_line_budget(n, e, a))
-        try:
-            for _ in range(proximity_iterations(e)):
-                (s,), fs = sample_nonerased_uniform(oracle, box, rng)
-                hit = _search_bdp_direct(oracle, bounds, 1, n, s, fs, rng)
-                if hit is not None:
-                    return Verdict.rejected(("bdp-violation",) + hit, oracle.count)
-        except BudgetExhausted:
-            return Verdict.accepted(BUDGET_EXHAUSTED, oracle.count)
-        return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)
-
+        return _search_driver(
+            oracle, monotone_line_budget(n, e, a),
+            _line_searches(oracle, proximity_iterations(e), _bdp_check(bounds), rng),
+            certify, rng)
     g_map, h_map = bdp_to_monotone_transforms(bounds)
-    oracle.set_budget(bdp_line_budget(n, e, a))
     reps = one_sixth_iterations(e)
-    try:
-        for vmap in (g_map, h_map):
-            for _ in range(reps):
-                (s,), fs = sample_nonerased_uniform(oracle, box, rng)
-                vs = vmap(s, fs)
-
-                def on_pivot(m, fm, side):
-                    vm = vmap(m, fm)
-                    if side == "right" and value_gt(vs, vm):
-                        return ((s, fs), (m, fm))
-                    if side == "left" and value_gt(vm, vs):
-                        return ((m, fm), (s, fs))
-                    return None
-
-                hit = randomized_binary_search_step_loop(oracle, 1, n, s, fs, rng, on_pivot)
-                if hit is None:
-                    continue
-                (pa, fa), (pb, fb) = hit
-                # reject on the original values, not the view: certificates
-                # must hold against the raw function under exact recheck
-                if pair_violates(bounds, pa, fa, pb, fb):
-                    return Verdict.rejected(("bdp-violation", (pa, fa), (pb, fb)),
-                                            oracle.count)
-    except BudgetExhausted:
-        return Verdict.accepted(BUDGET_EXHAUSTED, oracle.count)
-    return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)
+    searches = itertools.chain(_line_searches(oracle, reps, _view_descends(g_map), rng),
+                               _line_searches(oracle, reps, _view_descends(h_map), rng))
+    return _search_driver(oracle, bdp_line_budget(n, e, a), searches, certify, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +344,10 @@ def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng
 NEG_INF = float("-inf")
 
 
-def _chord_slope(chord):
-    (a, fa), (b, fb) = chord
+def _slope(p, q):
+    """Slope of the chord from p to q, each a (position, value) pair: exact
+    for int and Fraction values, float otherwise."""
+    (a, fa), (b, fb) = p, q
     num = fb - fa
     if isinstance(num, (int, Fraction)):
         return Fraction(num, b - a)
@@ -388,8 +414,7 @@ def test_interval(frame: IntervalFrame, oracle: QueryOracle, rng, counters=None)
         counters = {"sampling": 0, "walking": 0}
     while True:
         before = oracle.count
-        (x,), fx = sample_nonerased_uniform(
-            oracle, Box((frame.lo,), (frame.hi,)), rng)
+        x, fx = _draw_nonerased(oracle, frame.lo, frame.hi, rng)
         counters["sampling"] += oracle.count - before
 
         before = oracle.count
@@ -409,7 +434,7 @@ def test_interval(frame: IntervalFrame, oracle: QueryOracle, rng, counters=None)
             chain.append((frame.left_slope, frame.left_chord))
         for (a, fa), (b, fb) in zip(anchor_list, anchor_list[1:]):
             chord = ((a, fa), (b, fb))
-            chain.append((_chord_slope(chord), chord))
+            chain.append((_slope(*chord), chord))
         if frame.right_chord is not None:
             chain.append((frame.right_slope, frame.right_chord))
         for (s1, c1), (s2, c2) in zip(chain, chain[1:]):
@@ -425,7 +450,7 @@ def test_interval(frame: IntervalFrame, oracle: QueryOracle, rng, counters=None)
             frame = IntervalFrame(
                 frame.lo, z,
                 tuple(item for item in anchor_list if item[0] < x),
-                frame.left_slope, _chord_slope(chord),
+                frame.left_slope, _slope(*chord),
                 s, frame.search_value,
                 frame.left_chord, chord)
         else:
@@ -434,7 +459,7 @@ def test_interval(frame: IntervalFrame, oracle: QueryOracle, rng, counters=None)
             frame = IntervalFrame(
                 y, frame.hi,
                 tuple(item for item in anchor_list if item[0] > x),
-                _chord_slope(chord), frame.right_slope,
+                _slope(*chord), frame.right_slope,
                 s, frame.search_value,
                 chord, frame.right_chord)
 
@@ -449,12 +474,11 @@ def test_convex_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
     if oracle.fn.kind != "real":
         raise ValueError("convexity is tested for real-valued functions")
     oracle.set_budget(convex_line_budget(n, e, a))
-    box = Box.whole(oracle.fn.domain)
     counters = {"sampling": 0, "walking": 0}
     try:
         for _ in range(proximity_iterations(e)):
             before = oracle.count
-            (s,), fs = sample_nonerased_uniform(oracle, box, rng)
+            s, fs = _draw_nonerased(oracle, 1, n, rng)
             counters["sampling"] += oracle.count - before
             frame = IntervalFrame(1, n, (), NEG_INF, INF, s, fs)
             cert = test_interval(frame, oracle, rng, counters)
@@ -490,5 +514,5 @@ def check_line_certificate(fn: ErasedFunction, certificate,
         (c, _), (d, _) = c2
         if not (a < b and c < d and a <= c and b <= d and (a, b) != (c, d)):
             return False
-        return value_gt(_chord_slope(c1), _chord_slope(c2))
+        return value_gt(_slope(*c1), _slope(*c2))
     return False

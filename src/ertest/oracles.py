@@ -23,7 +23,7 @@ from .core import (
     SizeLimit,
     value_gt,
 )
-from .line import INF, LineBoundingPair, pair_violates
+from .line import INF, LineBoundingPair, _slope, pair_violates
 
 GRID_EXACT_GATE = 20
 FIELD_EXHAUSTIVE_GATE = 64
@@ -143,14 +143,6 @@ def distance_to_bdp_line(fn: ErasedFunction, bounds: LineBoundingPair) -> Distan
 
 # ---------------------------------------------------------------------------
 # convexity on the line
-
-
-def _slope(p, q):
-    (a, fa), (b, fb) = p, q
-    num = fb - fa
-    if isinstance(num, (int, Fraction)):
-        return Fraction(num, b - a)
-    return num / (b - a)
 
 
 def distance_to_convex_line(fn: ErasedFunction) -> DistanceReport:

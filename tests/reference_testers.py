@@ -1,0 +1,331 @@
+"""Reference versions of the search testers, as they were before the shared
+search driver.
+
+Each tester here runs its own search loop, draws every pivot and start point
+through ``sample_nonerased_uniform`` over a freshly built ``Box``, and
+rebuilds the O(n) bounded-derivative value maps on every call.  The
+cross-check tests in ``test_tester_reference.py`` require the library testers
+to give the same verdict, ``queries_used`` and certificate as these on the
+same seed.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+from ertest.core import (
+    ALL_CHECKS_PASSED,
+    BUDGET_EXHAUSTED,
+    Box,
+    BudgetExhausted,
+    QueryOracle,
+    Verdict,
+    sample_nonerased_uniform,
+    value_gt,
+)
+from ertest.hypergrid import (
+    BoundingFamily,
+    _AxisLineView,
+    _grid_params,
+    bdp_hypergrid_budget,
+    hypergrid_iterations,
+    monotone_hypergrid_budget,
+    sample_axis_line,
+)
+from ertest.line import (
+    INF,
+    NEG_INF,
+    IntervalFrame,
+    LineBoundingPair,
+    _line_domain,
+    _params,
+    _walk_nonerased,
+    bdp_line_budget,
+    convex_line_budget,
+    monotone_line_budget,
+    one_sixth_iterations,
+    pair_violates,
+    proximity_iterations,
+)
+
+
+def bdp_to_monotone_transforms(bounds: LineBoundingPair):
+    """The suffix-list maps: O(n) to build, one list entry per position."""
+    if not bounds.all_finite:
+        raise ValueError("transforms need finite bounds on every step")
+    n = bounds.n
+    lo_suffix = [bounds.seg_lower(i, n) for i in range(1, n + 1)]
+    up_suffix = [bounds.seg_upper(i, n) for i in range(1, n + 1)]
+
+    def g_map(i, v):
+        return v + lo_suffix[i - 1]
+
+    def h_map(i, v):
+        return -v - up_suffix[i - 1]
+
+    return g_map, h_map
+
+
+def randomized_binary_search_step_loop(oracle, lo, hi, s, fs, rng, on_pivot):
+    l, r = lo, hi
+    while l <= r:
+        if l == r:
+            return None
+        (m,), fm = sample_nonerased_uniform(oracle, Box((l,), (r,)), rng)
+        if s < m:
+            r = m - 1
+            hit = on_pivot(m, fm, "right")
+        elif s > m:
+            l = m + 1
+            hit = on_pivot(m, fm, "left")
+        else:
+            return None
+        if hit is not None:
+            return hit
+    return None
+
+
+def test_monotone_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
+    n = _line_domain(oracle)
+    e, a = _params(eps, alpha)
+    oracle.set_budget(monotone_line_budget(n, e, a))
+    box = Box.whole(oracle.fn.domain)
+    try:
+        for _ in range(proximity_iterations(e)):
+            (s,), fs = sample_nonerased_uniform(oracle, box, rng)
+
+            def on_pivot(m, fm, side):
+                if side == "right" and value_gt(fs, fm):
+                    return ((s, fs), (m, fm))
+                if side == "left" and value_gt(fm, fs):
+                    return ((m, fm), (s, fs))
+                return None
+
+            hit = randomized_binary_search_step_loop(oracle, 1, n, s, fs, rng, on_pivot)
+            if hit is not None:
+                return Verdict.rejected(("monotone-violation",) + hit, oracle.count)
+    except BudgetExhausted:
+        return Verdict.accepted(BUDGET_EXHAUSTED, oracle.count)
+    return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)
+
+
+def _search_bdp_direct(oracle, bounds, lo, hi, s, fs, rng):
+    def on_pivot(m, fm, side):
+        a, fa, b, fb = (s, fs, m, fm) if side == "right" else (m, fm, s, fs)
+        if pair_violates(bounds, a, fa, b, fb):
+            return ((a, fa), (b, fb))
+        return None
+
+    return randomized_binary_search_step_loop(oracle, lo, hi, s, fs, rng, on_pivot)
+
+
+def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng) -> Verdict:
+    n = _line_domain(oracle)
+    e, a = _params(eps, alpha)
+    if bounds.n != n:
+        raise ValueError("bounds length does not match the domain")
+    box = Box.whole(oracle.fn.domain)
+
+    if not bounds.all_finite:
+        oracle.set_budget(monotone_line_budget(n, e, a))
+        try:
+            for _ in range(proximity_iterations(e)):
+                (s,), fs = sample_nonerased_uniform(oracle, box, rng)
+                hit = _search_bdp_direct(oracle, bounds, 1, n, s, fs, rng)
+                if hit is not None:
+                    return Verdict.rejected(("bdp-violation",) + hit, oracle.count)
+        except BudgetExhausted:
+            return Verdict.accepted(BUDGET_EXHAUSTED, oracle.count)
+        return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)
+
+    g_map, h_map = bdp_to_monotone_transforms(bounds)
+    oracle.set_budget(bdp_line_budget(n, e, a))
+    reps = one_sixth_iterations(e)
+    try:
+        for vmap in (g_map, h_map):
+            for _ in range(reps):
+                (s,), fs = sample_nonerased_uniform(oracle, box, rng)
+                vs = vmap(s, fs)
+
+                def on_pivot(m, fm, side):
+                    vm = vmap(m, fm)
+                    if side == "right" and value_gt(vs, vm):
+                        return ((s, fs), (m, fm))
+                    if side == "left" and value_gt(vm, vs):
+                        return ((m, fm), (s, fs))
+                    return None
+
+                hit = randomized_binary_search_step_loop(oracle, 1, n, s, fs, rng, on_pivot)
+                if hit is None:
+                    continue
+                (pa, fa), (pb, fb) = hit
+                if pair_violates(bounds, pa, fa, pb, fb):
+                    return Verdict.rejected(("bdp-violation", (pa, fa), (pb, fb)),
+                                            oracle.count)
+    except BudgetExhausted:
+        return Verdict.accepted(BUDGET_EXHAUSTED, oracle.count)
+    return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)
+
+
+def _sample_on_line(oracle, line, n: int, rng):
+    lopt = line.point(1)
+    hipt = line.point(n)
+    box = Box(tuple(min(a, b) for a, b in zip(lopt, hipt)),
+              tuple(max(a, b) for a, b in zip(lopt, hipt)))
+    pt, v = sample_nonerased_uniform(oracle, box, rng)
+    return pt[line.axis - 1], v
+
+
+def test_monotone_hypergrid(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
+    n, d, e, a = _grid_params(oracle, eps, alpha, 250)
+    oracle.set_budget(monotone_hypergrid_budget(n, d, e, a))
+    try:
+        for _ in range(hypergrid_iterations(d, e, a, 12)):
+            line = sample_axis_line(oracle.fn.domain, rng)
+            view = _AxisLineView(oracle, line)
+            s, fs = _sample_on_line(oracle, line, n, rng)
+
+            def on_pivot(m, fm, side):
+                if side == "right" and value_gt(fs, fm):
+                    return ((s, fs), (m, fm))
+                if side == "left" and value_gt(fm, fs):
+                    return ((m, fm), (s, fs))
+                return None
+
+            hit = randomized_binary_search_step_loop(view, 1, n, s, fs, rng, on_pivot)
+            if hit is not None:
+                (pa, fa), (pb, fb) = hit
+                cert = ("monotone-violation", (line.point(pa), fa), (line.point(pb), fb))
+                return Verdict.rejected(cert, oracle.count)
+    except BudgetExhausted:
+        return Verdict.accepted(BUDGET_EXHAUSTED, oracle.count)
+    return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)
+
+
+def test_bdp_hypergrid(oracle: QueryOracle, family: BoundingFamily,
+                       eps, alpha, rng) -> Verdict:
+    n, d, e, a = _grid_params(oracle, eps, alpha, 970)
+    if family.d != d or family.n != n:
+        raise ValueError("bounding family does not match the domain")
+    oracle.set_budget(bdp_hypergrid_budget(n, d, e, a))
+    try:
+        for _ in range(hypergrid_iterations(d, e, a, 48)):
+            line = sample_axis_line(oracle.fn.domain, rng)
+            bounds = family.per_dim[line.axis - 1]
+            view = _AxisLineView(oracle, line)
+            s, fs = _sample_on_line(oracle, line, n, rng)
+
+            if bounds.all_finite:
+                g_map, h_map = bdp_to_monotone_transforms(bounds)
+
+                def on_pivot(m, fm, side):
+                    pa, fa, pb, fb = (s, fs, m, fm) if side == "right" else (m, fm, s, fs)
+                    for vmap in (g_map, h_map):
+                        if value_gt(vmap(pa, fa), vmap(pb, fb)):
+                            return ((pa, fa), (pb, fb))
+                    return None
+            else:
+                def on_pivot(m, fm, side):
+                    pa, fa, pb, fb = (s, fs, m, fm) if side == "right" else (m, fm, s, fs)
+                    if pair_violates(bounds, pa, fa, pb, fb):
+                        return ((pa, fa), (pb, fb))
+                    return None
+
+            hit = randomized_binary_search_step_loop(view, 1, n, s, fs, rng, on_pivot)
+            if hit is None:
+                continue
+            (pa, fa), (pb, fb) = hit
+            if pair_violates(bounds, pa, fa, pb, fb):
+                cert = ("bdp-violation", (line.point(pa), fa), (line.point(pb), fb))
+                return Verdict.rejected(cert, oracle.count)
+    except BudgetExhausted:
+        return Verdict.accepted(BUDGET_EXHAUSTED, oracle.count)
+    return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)
+
+
+# ---------------------------------------------------------------------------
+# convexity, whose pivot draw now goes through the same Box-free draw
+
+def _chord_slope(chord):
+    (a, fa), (b, fb) = chord
+    num = fb - fa
+    if isinstance(num, (int, Fraction)):
+        return Fraction(num, b - a)
+    return num / (b - a)
+
+
+def test_interval(frame: IntervalFrame, oracle: QueryOracle, rng, counters=None) -> object:
+    if counters is None:
+        counters = {"sampling": 0, "walking": 0}
+    while True:
+        before = oracle.count
+        (x,), fx = sample_nonerased_uniform(
+            oracle, Box((frame.lo,), (frame.hi,)), rng)
+        counters["sampling"] += oracle.count - before
+
+        before = oracle.count
+        right = _walk_nonerased(oracle, x + 1, frame.hi, +1)
+        left = _walk_nonerased(oracle, x - 1, frame.lo, -1)
+        counters["walking"] += oracle.count - before
+
+        merged = {pos: val for pos, val in frame.anchors}
+        merged[x] = fx
+        for hit in (right, left):
+            if hit is not None:
+                merged[hit[0]] = hit[1]
+        anchor_list = sorted(merged.items())
+
+        chain = []
+        if frame.left_chord is not None:
+            chain.append((frame.left_slope, frame.left_chord))
+        for (a, fa), (b, fb) in zip(anchor_list, anchor_list[1:]):
+            chord = ((a, fa), (b, fb))
+            chain.append((_chord_slope(chord), chord))
+        if frame.right_chord is not None:
+            chain.append((frame.right_slope, frame.right_chord))
+        for (s1, c1), (s2, c2) in zip(chain, chain[1:]):
+            if value_gt(s1, s2):
+                return ("convex-violation", c1, c2)
+
+        s = frame.search_point
+        if s == x:
+            return None
+        if s < x:
+            z, fz = left
+            chord = ((z, fz), (x, fx))
+            frame = IntervalFrame(
+                frame.lo, z,
+                tuple(item for item in anchor_list if item[0] < x),
+                frame.left_slope, _chord_slope(chord),
+                s, frame.search_value,
+                frame.left_chord, chord)
+        else:
+            y, fy = right
+            chord = ((x, fx), (y, fy))
+            frame = IntervalFrame(
+                y, frame.hi,
+                tuple(item for item in anchor_list if item[0] > x),
+                _chord_slope(chord), frame.right_slope,
+                s, frame.search_value,
+                chord, frame.right_chord)
+
+
+def test_convex_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
+    n = _line_domain(oracle)
+    e, a = _params(eps, alpha)
+    if oracle.fn.kind != "real":
+        raise ValueError("convexity is tested for real-valued functions")
+    oracle.set_budget(convex_line_budget(n, e, a))
+    box = Box.whole(oracle.fn.domain)
+    counters = {"sampling": 0, "walking": 0}
+    try:
+        for _ in range(proximity_iterations(e)):
+            before = oracle.count
+            (s,), fs = sample_nonerased_uniform(oracle, box, rng)
+            counters["sampling"] += oracle.count - before
+            frame = IntervalFrame(1, n, (), NEG_INF, INF, s, fs)
+            cert = test_interval(frame, oracle, rng, counters)
+            if cert is not None:
+                return Verdict.rejected(cert, oracle.count, stats=dict(counters))
+    except BudgetExhausted:
+        return Verdict.accepted(BUDGET_EXHAUSTED, oracle.count, stats=dict(counters))
+    return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count, stats=dict(counters))

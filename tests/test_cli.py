@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ertest.cli import main
-from ertest.core import ERASED, Domain, ErasedFunction, erased_fraction
+from ertest.core import ERASED, ConfigError, Domain, ErasedFunction, erased_fraction
 from ertest.fileio import (
     load_bounds,
     load_function,
@@ -85,6 +85,58 @@ def test_function_file_errors(tmp_path):
     badshape = write_lines(tmp_path / "t.fn", "domain torus 4\n1 2 3 4\n")
     with pytest.raises(ValueError, match="unknown domain shape"):
         load_function(badshape)
+
+
+def _config_error(loader, path, message):
+    with pytest.raises(ConfigError) as info:
+        loader(path)
+    assert str(info.value) == f"{path}:{message}"
+
+
+def test_function_file_errors_name_file_and_line(tmp_path, capsys):
+    truncated = write_lines(tmp_path / "t.fn", "# a line function\ndomain line\n")
+    _config_error(load_function, truncated, "2: expected a side length, got end of file")
+    noshape = write_lines(tmp_path / "e.fn", "domain\n")
+    _config_error(load_function, noshape, "1: expected a domain shape, got end of file")
+    badsize = write_lines(tmp_path / "z.fn", "domain grid 3 two\n")
+    _config_error(load_function, badsize, "1: expected a dimension, got 'two'")
+    badtoken = write_lines(tmp_path / "x.fn", "domain line 4\n1 2\n3 x  # typo\n")
+    _config_error(load_function, badtoken, "3: expected a real value or `_`, got 'x'")
+    badbit = write_lines(tmp_path / "b.fn", "domain line 3\n0\n1/2 1\n")
+    with pytest.raises(ConfigError, match=r"b\.fn:3: expected a bit value or `_`, got '1/2'"):
+        load_function(badbit, kind="bit")
+    short = write_lines(tmp_path / "s.fn", "domain line 4\n1 2\n3\n\n")
+    _config_error(load_function, short, "4: 4 points expected, 3 tokens found")
+    long = write_lines(tmp_path / "l.fn", "domain line 2\n1 2\n3\n")
+    _config_error(load_function, long, "3: 2 points expected, 3 tokens found")
+    # the CLI prints the located message, not an empty `error: `
+    assert main(["test", "--tester", "monotone-line", "--input", truncated,
+                 "--eps", "1/4"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {truncated}:2: expected a side length, got end of file\n"
+
+
+def test_bounds_file_errors_name_file_and_line(tmp_path):
+    truncated = write_lines(tmp_path / "t.bounds", "bounds 2 3\n0 0\n1 1\n0 0\n1\n")
+    _config_error(load_bounds, truncated, "5: expected an upper bound, got end of file")
+    noside = write_lines(tmp_path / "n.bounds", "bounds 1\n")
+    _config_error(load_bounds, noside, "1: expected a side length, got end of file")
+    badtoken = write_lines(tmp_path / "x.bounds", "bounds 1 3\n0 -1/0\n1 1\n")
+    _config_error(load_bounds, badtoken, "2: expected a lower bound, got '-1/0'")
+    trailing = write_lines(tmp_path / "y.bounds", "bounds 1 3\n0 0\n1 1\n\n99\n")
+    _config_error(load_bounds, trailing, "5: trailing tokens after 1 bound pairs")
+
+
+def test_poset_file_errors_name_file_and_line(tmp_path):
+    truncated = write_lines(tmp_path / "t.poset", "poset 4\n1 2\n3\n")
+    _config_error(load_poset, truncated,
+                  "3: expected the second endpoint of an edge, got end of file")
+    nosize = write_lines(tmp_path / "n.poset", "poset\n")
+    _config_error(load_poset, nosize, "1: expected a poset size, got end of file")
+    badtoken = write_lines(tmp_path / "x.poset", "poset 4\n1 2\n2 three\n")
+    _config_error(load_poset, badtoken, "3: expected an edge endpoint, got 'three'")
+    empty = write_lines(tmp_path / "e.poset", "")
+    _config_error(load_poset, empty, "1: expected `poset` header, got None")
 
 
 def test_bounds_file_round_trip(tmp_path):
