@@ -26,12 +26,10 @@ from .core import (
 from .line import INF, LineBoundingPair, monotone_line_budget, proximity_iterations
 from .hypergrid import BoundingFamily
 from .oracles import (
-    DistanceReport,
     PropertySpec,
-    bdp_grid_matching_bound,
-    compute_distance,
-    distance_to_monotone_grid_exact,
+    compute_distance as certify_distance,
     is_restorable,
+    poly_eval,
 )
 
 FAR_RETRIES = 32
@@ -198,17 +196,6 @@ def middle_layer_matching(d: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# certification dispatch (any-size grids need the matching routes)
-
-def certify_distance(fn: ErasedFunction, prop: PropertySpec) -> DistanceReport:
-    if prop.tag == "monotone-grid" and not fn.domain.is_line:
-        return distance_to_monotone_grid_exact(fn)
-    if prop.tag == "bdp-grid":
-        return bdp_grid_matching_bound(fn, prop.bounds)
-    return compute_distance(fn, prop)
-
-
-# ---------------------------------------------------------------------------
 # far templates
 
 def _finite_step_cap(bounds: LineBoundingPair) -> float:
@@ -259,14 +246,8 @@ def _far_template(prop: PropertySpec, domain: Domain, rng) -> ErasedFunction:
         return ErasedFunction(domain, vals, kind="bit")
     if tag == "low-degree":
         p = n
-        deg = prop.degree
-        low = [rng.randint(0, p - 1) for _ in range(deg + 1)]
-        vals = []
-        for x in range(p):
-            acc = pow(x, deg + 1, p)
-            for j, c in enumerate(low):
-                acc = (acc + c * pow(x, j, p)) % p
-            vals.append(acc)
+        low = [rng.randint(0, p - 1) for _ in range(prop.degree + 1)]
+        vals = [poly_eval(low + [1], x, p) for x in range(p)]
         return ErasedFunction(domain, vals, kind="field", modulus=p)
     raise ValueError(f"no far template for {tag!r}")
 
@@ -350,12 +331,7 @@ def _member_template(prop: PropertySpec, domain: Domain, rng) -> ErasedFunction:
     if tag == "low-degree":
         p = n
         coeffs = [rng.randint(0, p - 1) for _ in range(prop.degree + 1)]
-        vals = []
-        for x in range(p):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = (acc * x + c) % p
-            vals.append(acc)
+        vals = [poly_eval(coeffs, x, p) for x in range(p)]
         return ErasedFunction(domain, vals, kind="field", modulus=p)
     raise ValueError(f"no member template for {tag!r}")
 
@@ -365,9 +341,6 @@ def generate_member_instance(prop: PropertySpec, domain: Domain, alpha, rng,
     """Random member, then erasures; restorability is asserted, not assumed."""
     total = _member_template(prop, domain, rng)
     fn = eraser(total, alpha, rng) if exact_fraction(alpha) > 0 else total
-    if prop.tag in ("monotone-grid", "bdp-grid") and not domain.is_line:
-        assert certify_distance(fn, prop).absolute == 0
-        return fn
     assert is_restorable(fn, prop)
     return fn
 

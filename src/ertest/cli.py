@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .core import Domain, ErasedFunction, QueryOracle, exact_fraction
+from .core import Domain, QueryOracle, exact_fraction
 from .oracles import PropertySpec
 from .adversary import (
     InstanceSpec,
@@ -30,7 +30,6 @@ from .fileio import (
     save_function,
 )
 from .harness import (
-    TESTERS,
     ExperimentConfig,
     run_experiment,
     emit_report,
@@ -135,26 +134,26 @@ def _domain_from_json(node) -> Domain:
     raise ValueError(f"unknown domain shape {shape!r}")
 
 
-def _prop_from_json(tag, data, bounds) -> PropertySpec:
-    return PropertySpec(tag, bounds=bounds,
-                        k=data.get("k"), degree=data.get("degree"))
-
-
-def _instance_from_json(node, cfg_bounds):
-    if "file" in node:
-        return load_function(node["file"], kind=node.get("kind", "real"),
-                             modulus=node.get("modulus"))
-    bounds = load_bounds(node["bounds"]) if node.get("bounds") else cfg_bounds
-    prop = _prop_from_json(node["property"], node, bounds)
+def _spec_from_json(node, default_bounds) -> InstanceSpec:
+    """A spec from JSON; its own ``bounds`` file wins over ``default_bounds``."""
+    bounds = load_bounds(node["bounds"]) if node.get("bounds") else default_bounds
     return InstanceSpec(
         domain=_domain_from_json(node["domain"]),
-        prop=prop,
+        prop=PropertySpec(node["property"], bounds=bounds,
+                          k=node.get("k"), degree=node.get("degree")),
         member=bool(node.get("member", False)),
         target_eps=node.get("target_eps"),
         erasure=node.get("erasure", "random"),
         alpha=node.get("alpha", 0),
         seed=int(node.get("seed", 0)),
     )
+
+
+def _instance_from_json(node, cfg_bounds):
+    if "file" in node:
+        return load_function(node["file"], kind=node.get("kind", "real"),
+                             modulus=node.get("modulus"))
+    return _spec_from_json(node, cfg_bounds)
 
 
 def cmd_experiment(args) -> int:
@@ -186,21 +185,11 @@ def cmd_experiment(args) -> int:
 def cmd_generate(args) -> int:
     with open(args.spec) as fh:
         data = json.load(fh)
-    bounds = load_bounds(data["bounds"]) if data.get("bounds") else None
-    prop = _prop_from_json(data["property"], data, bounds)
-    spec = InstanceSpec(
-        domain=_domain_from_json(data["domain"]),
-        prop=prop,
-        member=bool(data.get("member", False)),
-        target_eps=data.get("target_eps"),
-        erasure=data.get("erasure", "random"),
-        alpha=data.get("alpha", 0),
-        seed=int(data.get("seed", 0)),
-    )
+    spec = _spec_from_json(data, None)
     fn, report = spec.realize(make_rng(spec.seed, "instance"))
     out = data["out"]
     save_function(fn, out)
-    sidecar = {"property": prop.tag, "member": spec.member}
+    sidecar = {"property": spec.prop.tag, "member": spec.member}
     if report is not None:
         sidecar["distance"] = report_to_dict(report)
     with open(out + ".cert.json", "w") as fh:

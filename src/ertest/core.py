@@ -168,9 +168,10 @@ class Domain:
         for idx in range(self.size):
             yield self.point_at(idx)
 
-    def comparable_le(self, x, y) -> bool:
-        """Coordinatewise partial order x <= y."""
-        return all(a <= b for a, b in zip(x, y))
+
+def grid_le(x, y) -> bool:
+    """Coordinatewise partial order x <= y on grid points."""
+    return all(a <= b for a, b in zip(x, y))
 
 
 def _check_kind(kind: str, value, modulus) -> bool:

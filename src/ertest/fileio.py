@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .core import ERASED, ConfigError, Domain, ErasedFunction
+from .core import ERASED, ConfigError, Domain, ErasedFunction, _check_kind, value_gt
 from .line import INF, LineBoundingPair
 from .hypergrid import BoundingFamily
 from .oracles import DistanceReport
@@ -42,16 +42,26 @@ _PARSE_ERRORS = (ValueError, ZeroDivisionError)
 
 class _Reader:
     """The tokens of a flat file, in order.  It counts the tokens it hands
-    out, so that every error names ``path:line``; the line itself is looked
-    up only when an error is raised, so reading costs what it did without."""
+    out, so that every error names ``path:line`` (or ``path`` alone when no
+    single line is at fault); the line itself is looked up only when an error
+    is raised, so reading costs what it did without."""
 
     def __init__(self, path: str):
         self.path = path
         self.tokens = _tokens(path)
         self.taken = 0
 
-    def error(self, index: int, message: str) -> ConfigError:
-        return ConfigError(f"{self.path}:{_line_of(self.path, index)}: {message}")
+    def error(self, index, message: str) -> ConfigError:
+        where = self.path if index is None else f"{self.path}:{_line_of(self.path, index)}"
+        return ConfigError(f"{where}: {message}")
+
+    def build(self, make, at):
+        """``make()``, with a ValueError it raises turned into an error at the
+        token index ``at()`` returns (None: the whole file)."""
+        try:
+            return make()
+        except ValueError as exc:
+            raise self.error(at(), str(exc)) from None
 
     def take(self, what: str, parse=str):
         tok = next(self.tokens, None)
@@ -99,19 +109,35 @@ def load_function(path: str, kind: str = "real", modulus=None) -> ErasedFunction
     reader.header("domain")
     shape = reader.take("a domain shape")
     if shape == "line":
-        domain = Domain.line(reader.take("a side length", int))
+        sides = (reader.take("a side length", int), 1)
     elif shape == "grid":
-        domain = Domain.grid(reader.take("a side length", int),
-                             reader.take("a dimension", int))
+        sides = (reader.take("a side length", int), reader.take("a dimension", int))
     else:
         raise reader.error(reader.taken - 1, f"unknown domain shape {shape!r}")
     start = reader.taken
+    domain = reader.build(lambda: Domain(*sides), lambda: start - 1)
     values = reader.rest(f"a {kind} value or `_`",
                          _parse_real if kind == "real" else _parse_int)
     if len(values) != domain.size:
         raise reader.error(start + domain.size,
                            f"{domain.size} points expected, {len(values)} tokens found")
-    return ErasedFunction(domain, values, kind=kind, modulus=modulus)
+    return reader.build(lambda: ErasedFunction(domain, values, kind=kind, modulus=modulus),
+                        lambda: _misfit(values, kind, modulus, start))
+
+
+def _first(start: int, faults):
+    """``start`` plus the position of the first true flag in ``faults``, or None."""
+    return next((start + i for i, bad in enumerate(faults) if bad), None)
+
+
+def _misfit(values, kind, modulus, start):
+    """Token index of the first value that does not fit ``kind``, or None
+    when no single value is at fault (a missing modulus, no nonerased point)."""
+    try:
+        return _first(start, (v is not ERASED and not _check_kind(kind, v, modulus)
+                              for v in values))
+    except (TypeError, ValueError):
+        return None
 
 
 def _format_value(v) -> str:
@@ -155,12 +181,16 @@ def load_bounds(path: str):
     for _ in range(d):
         lower = [reader.take("a lower bound", _parse_bound) for _ in range(n - 1)]
         upper = [reader.take("an upper bound", _parse_bound) for _ in range(n - 1)]
-        pairs.append(LineBoundingPair(lower, upper))
+        # an error names the line of the first upper bound not above its lower
+        first_upper = reader.taken - len(upper)
+        pairs.append(reader.build(
+            lambda: LineBoundingPair(lower, upper),
+            lambda: _first(first_upper, (not value_gt(u, l) for l, u in zip(lower, upper)))))
     if next(reader.tokens, None) is not None:
         raise reader.error(reader.taken, f"trailing tokens after {d} bound pairs")
     if d == 1:
         return pairs[0]
-    return BoundingFamily(tuple(pairs))
+    return reader.build(lambda: BoundingFamily(tuple(pairs)), lambda: 1)
 
 
 def _format_bound(v) -> str:
@@ -191,7 +221,9 @@ def load_poset(path: str) -> Poset:
     if len(ends) % 2:
         raise reader.error(reader.taken, "expected the second endpoint of an edge, "
                                          "got end of file")
-    return Poset(size, list(zip(ends[::2], ends[1::2])))
+    # the size's line, an out-of-range endpoint's line, or (a cycle) no line
+    return reader.build(lambda: Poset(size, list(zip(ends[::2], ends[1::2]))),
+                        lambda: 1 if size < 1 else _first(2, (not 1 <= e <= size for e in ends)))
 
 
 def save_poset(size: int, edges, path: str) -> None:

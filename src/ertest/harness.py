@@ -10,19 +10,18 @@ oracle.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
-from fractions import Fraction
+from dataclasses import dataclass, asdict, astuple, fields
 from typing import Callable, Optional
 
 from .core import (
     ConfigError,
     ErasedFunction,
     QueryOracle,
-    Verdict,
     exact_fraction,
 )
 from .rng import make_rng
@@ -111,10 +110,16 @@ def _cfg_alpha(cfg: ExperimentConfig, fn: ErasedFunction):
 
 @dataclass(frozen=True)
 class TesterEntry:
+    """A tester and what it requires: the ``ExperimentConfig`` fields it
+    needs set, the domain shape it runs on ("line" or "grid"), and the value
+    kind it expects (None: any)."""
+
     run: Callable
     budget: Callable
     validate: Callable
-    needs_eps: bool = True
+    needs: tuple = ("eps",)
+    shape: str = "line"
+    kind: Optional[str] = None
 
 
 TESTERS = {
@@ -139,6 +144,7 @@ TESTERS = {
             fn.domain.n, cfg.eps, _cfg_alpha(cfg, fn)),
         validate=lambda cfg, fn, cert: check_line_certificate(
             fn, cert, cfg.bounds),
+        needs=("eps", "bounds"),
     ),
     "convex-line": TesterEntry(
         run=lambda cfg, o, rng: test_convex_line(
@@ -153,6 +159,7 @@ TESTERS = {
         budget=lambda cfg, fn: monotone_hypergrid_budget(
             fn.domain.n, fn.domain.d, cfg.eps, _cfg_alpha(cfg, fn)),
         validate=lambda cfg, fn, cert: check_grid_certificate(fn, cert),
+        shape="grid",
     ),
     "bdp-grid": TesterEntry(
         run=lambda cfg, o, rng: test_bdp_hypergrid(
@@ -161,12 +168,16 @@ TESTERS = {
             fn.domain.n, fn.domain.d, cfg.eps, _cfg_alpha(cfg, fn)),
         validate=lambda cfg, fn, cert: check_grid_certificate(
             fn, cert, cfg.bounds),
+        needs=("eps", "bounds"),
+        shape="grid",
     ),
     "k-runs": TesterEntry(
         run=lambda cfg, o, rng: test_k_runs(o, cfg.k, cfg.eps, rng),
         budget=lambda cfg, fn: k_runs_sample_size(cfg.k, cfg.eps),
         validate=lambda cfg, fn, cert: check_k_runs_certificate(
             fn, cfg.k, cert),
+        needs=("eps", "k"),
+        kind="bit",
     ),
     "low-degree": TesterEntry(
         run=lambda cfg, o, rng: erasure_resilient_pot_run(
@@ -174,7 +185,8 @@ TESTERS = {
         budget=lambda cfg, fn: cfg.degree + 2,
         validate=lambda cfg, fn, cert: check_pot_certificate(
             fn, low_degree_pot(fn.modulus, cfg.degree), cert),
-        needs_eps=False,
+        needs=("degree",),
+        kind="field",
     ),
     "poset-monotone": TesterEntry(
         run=lambda cfg, o, rng: erasure_resilient_extendable(
@@ -185,11 +197,9 @@ TESTERS = {
             _cfg_alpha(cfg, fn)),
         validate=lambda cfg, fn, cert: check_extendable_certificate(
             fn, poset_monotone_uniform_spec(cfg.poset), cert),
+        needs=("eps", "poset"),
     ),
 }
-
-_LINE_TESTERS = ("monotone-line", "classic-monotone-line", "bdp-line",
-                 "convex-line", "k-runs", "low-degree", "poset-monotone")
 
 
 def validate_config(cfg: ExperimentConfig) -> tuple[TesterEntry, ErasedFunction]:
@@ -202,36 +212,16 @@ def validate_config(cfg: ExperimentConfig) -> tuple[TesterEntry, ErasedFunction]
     if entry is None:
         raise ConfigError(f"unknown tester {cfg.tester!r}; "
                           f"known: {sorted(TESTERS)}")
-    if entry.needs_eps and cfg.eps is None:
-        raise ConfigError(f"{cfg.tester} needs a proximity parameter")
-    if cfg.tester in ("bdp-line", "bdp-grid") and cfg.bounds is None:
-        raise ConfigError(f"{cfg.tester} needs bounds")
-    if cfg.tester == "k-runs" and cfg.k is None:
-        raise ConfigError("k-runs needs k")
-    if cfg.tester == "low-degree" and cfg.degree is None:
-        raise ConfigError("low-degree needs a degree")
-    if cfg.tester == "poset-monotone" and cfg.poset is None:
-        raise ConfigError("poset-monotone needs a poset")
-    fn = _peek_instance(cfg)
-    if cfg.tester in _LINE_TESTERS and not fn.domain.is_line:
-        raise ConfigError(f"{cfg.tester} runs on line domains, "
+    for name in entry.needs:
+        if getattr(cfg, name) is None:
+            raise ConfigError(f"{cfg.tester} needs {name}")
+    fn = _trial_fn(cfg, 0)
+    if fn.domain.is_line != (entry.shape == "line"):
+        raise ConfigError(f"{cfg.tester} runs on {entry.shape} domains, "
                           f"got d={fn.domain.d}")
-    if cfg.tester in ("monotone-grid", "bdp-grid") and fn.domain.is_line:
-        raise ConfigError(f"{cfg.tester} expects d >= 2")
-    if cfg.tester == "k-runs" and fn.kind != "bit":
-        raise ConfigError("k-runs expects bit values")
-    if cfg.tester == "low-degree" and fn.kind != "field":
-        raise ConfigError("low-degree expects field values")
+    if entry.kind is not None and fn.kind != entry.kind:
+        raise ConfigError(f"{cfg.tester} expects {entry.kind} values")
     return entry, fn
-
-
-def _peek_instance(cfg: ExperimentConfig) -> ErasedFunction:
-    if isinstance(cfg.instance, ErasedFunction):
-        return cfg.instance
-    if isinstance(cfg.instance, InstanceSpec):
-        fn, _ = cfg.instance.realize(make_rng(cfg.seed, "inst", 0))
-        return fn
-    raise ConfigError("instance must be an ErasedFunction or an InstanceSpec")
 
 
 def _worker_count() -> int:
@@ -263,12 +253,35 @@ def _wilson_interval(successes: int, trials: int) -> tuple:
 def _trial_fn(cfg: ExperimentConfig, index: int) -> ErasedFunction:
     if isinstance(cfg.instance, ErasedFunction):
         return cfg.instance
+    if not isinstance(cfg.instance, InstanceSpec):
+        raise ConfigError("instance must be an ErasedFunction or an InstanceSpec")
     fn, _ = cfg.instance.realize(make_rng(cfg.seed, "inst", index))
     return fn
 
 
-def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int, fn0=None) -> tuple:
-    """Trials [lo, hi); returns commutative partial sums.  ``fn0``, when
+@dataclass(frozen=True)
+class _PartialSums:
+    """Commutative partial sums over a span of trials.  Module-level, so the
+    pool's workers can pickle it."""
+
+    rejections: int = 0
+    sum_q: int = 0
+    sum_q2: int = 0
+    max_q: int = 0
+    budget_q: int = 0
+    sum_sampling: int = 0
+    sum_walking: int = 0
+    have_stats: int = 0
+
+    def merge(self, other: "_PartialSums") -> "_PartialSums":
+        """``max_q`` and ``budget_q`` take the max; every other field adds."""
+        pairs = zip(fields(self), astuple(self), astuple(other))
+        return _PartialSums(*(max(a, b) if f.name in ("max_q", "budget_q") else a + b
+                              for f, a, b in pairs))
+
+
+def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int, fn0=None) -> _PartialSums:
+    """Trials [lo, hi); returns their partial sums.  ``fn0``, when
     given, is trial 0's instance, already realized."""
     entry = TESTERS[cfg.tester]
     rejections = 0
@@ -302,16 +315,8 @@ def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int, fn0=None) -> tuple:
             have_stats += 1
             sum_sampling += verdict.stats.get("sampling", 0)
             sum_walking += verdict.stats.get("walking", 0)
-    return (rejections, sum_q, sum_q2, max_q, budget_q,
-            sum_sampling, sum_walking, have_stats)
-
-
-def _merge(parts) -> tuple:
-    out = [0] * 8
-    for part in parts:
-        for j, v in enumerate(part):
-            out[j] = max(out[j], v) if j in (3, 4) else out[j] + v
-    return tuple(out)
+    return _PartialSums(rejections, sum_q, sum_q2, max_q, budget_q,
+                        sum_sampling, sum_walking, have_stats)
 
 
 def run_experiment(cfg: ExperimentConfig) -> TrialSummary:
@@ -326,19 +331,18 @@ def run_experiment(cfg: ExperimentConfig) -> TrialSummary:
             parts = list(pool.map(_run_chunk, [cfg] * len(spans),
                                   [s[0] for s in spans], [s[1] for s in spans],
                                   [fn0] + [None] * (len(spans) - 1)))
-        totals = _merge(parts)
+        totals = functools.reduce(_PartialSums.merge, parts)
     else:
         totals = _run_chunk(cfg, 0, cfg.trials, fn0)
-    (rejections, sum_q, sum_q2, max_q, budget_q,
-     sum_sampling, sum_walking, have_stats) = totals
     wall = time.perf_counter() - start
 
     t = cfg.trials
-    accepts = t - rejections
+    accepts = t - totals.rejections
     phat = accepts / t
     ci_low, ci_high = _wilson_interval(accepts, t)
-    mean_q = sum_q / t
-    var = sum_q2 / t - mean_q * mean_q
+    mean_q = totals.sum_q / t
+    stats = totals.have_stats
+    var = totals.sum_q2 / t - mean_q * mean_q
     return TrialSummary(
         tester=cfg.tester,
         n=fn0.domain.n,
@@ -347,17 +351,17 @@ def run_experiment(cfg: ExperimentConfig) -> TrialSummary:
         alpha=str(_cfg_alpha(cfg, fn0)),
         trials=t,
         seed=cfg.seed,
-        rejections=rejections,
+        rejections=totals.rejections,
         accept_rate=phat,
         ci_low=ci_low,
         ci_high=ci_high,
         ci_flagged=t < 100,
         mean_q=mean_q,
-        max_q=max_q,
+        max_q=totals.max_q,
         stddev_q=math.sqrt(max(0.0, var)),
-        budget_Q=budget_q,
-        mean_sampling=sum_sampling / have_stats if have_stats else None,
-        mean_walking=sum_walking / have_stats if have_stats else None,
+        budget_Q=totals.budget_q,
+        mean_sampling=totals.sum_sampling / stats if stats else None,
+        mean_walking=totals.sum_walking / stats if stats else None,
         wall_time=wall,
     )
 

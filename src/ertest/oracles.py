@@ -13,14 +13,14 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import (
     ERASED,
-    Domain,
     ErasedFunction,
     InvalidField,
     SizeLimit,
+    grid_le,
     value_gt,
 )
 from .line import INF, LineBoundingPair, _slope, pair_violates
@@ -291,17 +291,14 @@ def _min_changes_poset(items, le):
     return len(match_lr), kept
 
 
-def grid_le(x, y) -> bool:
-    return all(a <= b for a, b in zip(x, y))
-
-
 def _grid_items(fn: ErasedFunction):
     return [(fn.domain.point_at(i), fn.values[i]) for i in fn.nonerased_indices()]
 
 
 def distance_to_monotone_grid_exact(fn: ErasedFunction) -> DistanceReport:
-    """Exact grid distance at any size via the matching route.  The spec-sized
-    branch-and-bound oracle cross-checks this on small instances."""
+    """Exact grid distance at any size via the matching route.  The
+    branch-and-bound oracle and the greedy matching below are kept only as
+    references that tests cross-check this against; no dispatch reaches them."""
     items = _grid_items(fn)
     absolute, keep = _min_changes_poset(items, grid_le)
     kept_pts = [items[i][0] for i in keep]
@@ -559,6 +556,8 @@ class PropertySpec:
 
 
 def compute_distance(fn: ErasedFunction, prop: PropertySpec) -> DistanceReport:
+    """The one distance dispatch: the exact oracle for each property, and the
+    certified matching lower bound for bounded-derivative grids."""
     if prop.tag == "monotone-line":
         return distance_to_monotone_line(fn)
     if prop.tag == "bdp-line":
@@ -566,7 +565,9 @@ def compute_distance(fn: ErasedFunction, prop: PropertySpec) -> DistanceReport:
     if prop.tag == "convex-line":
         return distance_to_convex_line(fn)
     if prop.tag == "monotone-grid":
-        return distance_to_monotone_grid_small(fn)
+        return distance_to_monotone_grid_exact(fn)
+    if prop.tag == "bdp-grid":
+        return bdp_grid_matching_bound(fn, prop.bounds)
     if prop.tag == "k-runs":
         return distance_to_k_runs(fn, prop.k)
     if prop.tag == "low-degree":
@@ -625,10 +626,6 @@ def complete_bdp_line(pairs, kept_pos, bounds: LineBoundingPair) -> dict:
             out[pos] = 0
         prev = pos
     return out
-
-
-def complete_monotone_line(pairs, kept_pos, n: int) -> dict:
-    return complete_bdp_line(pairs, kept_pos, LineBoundingPair.monotone(n))
 
 
 def complete_convex_line(pairs, kept_pos) -> dict:

@@ -228,6 +228,27 @@ def test_certify_distance_routes():
     assert bound.absolute == O.bdp_grid_matching_bound(jumpy, fam).absolute
 
 
+def test_certify_distance_matches_compute_distance():
+    rng = random.Random(5210)
+    tags = ("monotone-line", "bdp-line", "convex-line", "k-runs",
+            "monotone-grid", "bdp-grid")
+    for _ in range(120):
+        tag = rng.choice(tags)
+        grid = tag.endswith("-grid")
+        domain = Domain.grid(rng.randint(2, 5), 2) if grid else Domain.line(rng.randint(2, 24))
+        kind = "bit" if tag == "k-runs" else "real"
+        vals = [rng.randint(0, 1) if kind == "bit" else rng.randint(-4, 4)
+                for _ in range(domain.size)]
+        fn = erase_random(ErasedFunction(domain, vals, kind=kind), Fraction(1, 5), rng)
+        bounds = None
+        if tag == "bdp-line":
+            bounds = LineBoundingPair.lipschitz(domain.n)
+        elif tag == "bdp-grid":
+            bounds = BoundingFamily.lipschitz(domain.n, 2)
+        prop = PropertySpec(tag, bounds=bounds, k=2 if kind == "bit" else None)
+        assert certify_distance(fn, prop) == O.compute_distance(fn, prop)
+
+
 # ---------------------------------------------------------------------------
 # far and member generators
 

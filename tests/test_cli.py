@@ -139,6 +139,31 @@ def test_poset_file_errors_name_file_and_line(tmp_path):
     _config_error(load_poset, empty, "1: expected `poset` header, got None")
 
 
+# (file name, contents, `ertest test` arguments before the path, message after it)
+VALUE_FAULTS = [
+    ("zero.fn", "domain line 0\n", ["--input"], ":1: domain needs n >= 1 and d >= 1"),
+    ("two.fn", "domain line 3\n0 1\n2\n", ["--kind", "bit", "--input"],
+     ":3: value 2 does not fit kind 'bit'"),
+    ("nomod.fn", "domain line 3\n0 1 2\n", ["--kind", "field", "--input"],
+     ": field functions need a modulus"),
+    ("badmod.fn", "domain line 3\n0 1\n4\n", ["--kind", "field", "--modulus", "3", "--input"],
+     ":3: value 4 does not fit kind 'field'"),
+    ("step.bounds", "bounds 1 3\n0 1\n1 1\n", ["--bounds"], ":3: need lower < upper, got 1 vs 1"),
+    ("cycle.poset", "poset 3\n1 2\n2 3\n3 1\n", ["--poset"], ": edge list contains a cycle"),
+]
+
+
+@pytest.mark.parametrize("name, text, args, message", VALUE_FAULTS,
+                         ids=[case[0] for case in VALUE_FAULTS])
+def test_invalid_file_values_name_the_file(tmp_path, capsys, name, text, args, message):
+    path = write_lines(tmp_path / name, text)
+    argv = ["test", "--tester", "monotone-line", "--eps", "1/4", *args, path]
+    if "--input" not in args:
+        argv += ["--input", sorted_line_file(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}{message}\n"
+
+
 def test_bounds_file_round_trip(tmp_path):
     pair = LineBoundingPair((0, -INF, Fraction(1, 2)), (1, INF, 2))
     path = tmp_path / "b.bounds"

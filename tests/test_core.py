@@ -23,6 +23,7 @@ from ertest.core import (
     erased_fraction,
     exact_fraction,
     exact_log2,
+    grid_le,
     restrict_to_line,
     sample_nonerased_uniform,
     value_gt,
@@ -106,8 +107,8 @@ def test_contains_and_partial_order():
     assert dom.contains((1, 4))
     assert not dom.contains((0, 1))
     assert not dom.contains((1, 5))
-    assert dom.comparable_le((1, 2), (3, 2))
-    assert not dom.comparable_le((2, 1), (1, 2))
+    assert grid_le((1, 2), (3, 2))
+    assert not grid_le((2, 1), (1, 2))
 
 
 def test_hamming_cube_is_side_two_grid():

@@ -2,7 +2,7 @@
 determinism, and report emission."""
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -81,6 +81,21 @@ def test_config_requires_property_parameters():
         validate_config(cfg_for("low-degree", field))
     with pytest.raises(ConfigError):
         validate_config(cfg_for("poset-monotone", SORTED_64, eps=Fraction(1, 4)))
+
+
+def _member_config(tester):
+    return next(cfg for cfg in member_configs() if cfg.tester == tester)
+
+
+@pytest.mark.parametrize("tester", sorted(TESTERS))
+def test_config_requires_every_needed_field(tester):
+    entry = TESTERS[tester]
+    assert set(entry.needs) <= {f.name for f in fields(ExperimentConfig)}
+    cfg = _member_config(tester)
+    validate_config(cfg)
+    for name in entry.needs:
+        with pytest.raises(ConfigError, match=f"{tester} needs {name}"):
+            validate_config(replace(cfg, **{name: None}))
 
 
 def test_config_checks_domain_and_kind():
@@ -227,7 +242,7 @@ def test_budget_overrun_aborts_experiment():
 
     _register("overbudget-probe", RegistryEntry(
         run=run, budget=lambda cfg, fn: 2,
-        validate=lambda cfg, fn, cert: True, needs_eps=False))
+        validate=lambda cfg, fn, cert: True, needs=()))
     try:
         cfg = cfg_for("overbudget-probe", SORTED_64, trials=1)
         with pytest.raises(AssertionError, match="exceeded the budget"):
@@ -243,7 +258,7 @@ def test_unverifiable_certificate_aborts_experiment():
 
     _register("badcert-probe", RegistryEntry(
         run=run, budget=lambda cfg, fn: 10,
-        validate=lambda cfg, fn, cert: False, needs_eps=False))
+        validate=lambda cfg, fn, cert: False, needs=()))
     try:
         cfg = cfg_for("badcert-probe", SORTED_64, trials=1)
         with pytest.raises(RuntimeError, match="failed re-validation"):

@@ -354,6 +354,17 @@ def test_convex_membership_tolerates_float_noise_only():
     assert not O.is_member_convex_values({1: 0.0, 2: 1.0, 3: 1.5})
 
 
+def test_compute_distance_routes_grids_to_any_size_oracles():
+    fam = BoundingFamily.lipschitz(3, 2)
+    jumpy = grid_fn(3, 2, lambda p: 100 * (sum(p) % 2))
+    prop = O.PropertySpec("bdp-grid", bounds=fam)
+    assert O.compute_distance(jumpy, prop) == O.bdp_grid_matching_bound(jumpy, fam)
+    # 25 points: above the branch-and-bound reference's gate
+    big = grid_fn(5, 2, lambda p: -sum(p))
+    assert O.compute_distance(big, O.PropertySpec("monotone-grid")) == \
+        O.distance_to_monotone_grid_exact(big)
+
+
 # ---------------------------------------------------------------------------
 # gates, errors, restorability
 
