@@ -3,12 +3,20 @@
 Function files are line-oriented text: a `domain` header, then one token
 per point in canonical index order, `_` for an erased value.  Real tokens
 load as exact rationals so downstream slope comparisons stay exact; they
-accept plain decimals, fractions like 7/3, and scientific notation.
+accept plain decimals, fractions like 7/3, and scientific notation.  Every
+real value and finite bound is the ``Fraction`` that ``Fraction(token)``
+gives, and the same tokens are refused; plain integer tokens (an optional
+``-``, then decimal digits) are read by ``int`` instead of Fraction's regex,
+and a bounds file parses each distinct token once.  Bounds files start
+`bounds d n` with d >= 1 and n >= 2, then per dimension a row of n-1 lower
+and a row of n-1 upper bounds.
 """
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
+from itertools import islice
 
 from .core import ERASED, ConfigError, Domain, ErasedFunction, _check_kind, value_gt
 from .line import INF, LineBoundingPair
@@ -79,25 +87,41 @@ class _Reader:
         if head != keyword:
             raise self.error(0, f"expected `{keyword}` header, got {head!r}")
 
-    def rest(self, what: str, parse) -> list:
-        """Every remaining token, parsed."""
+    def take_many(self, count, what: str, parse) -> list:
+        """The next ``count`` tokens (None: every remaining token), parsed.
+        Errors are those of ``count`` calls to ``take``: the first bad token,
+        else the end of the file."""
         start = self.taken
+        toks = list(self.tokens if count is None else islice(self.tokens, count))
+        self.taken += len(toks)
         try:
-            out = [parse(t) for t in self.tokens]
+            out = list(map(parse, toks))
         except _PARSE_ERRORS:
-            for i, tok in enumerate(_tokens(self.path)):
-                if i >= start:
-                    try:
-                        parse(tok)
-                    except _PARSE_ERRORS:
-                        raise self.error(i, f"expected {what}, got {tok!r}") from None
+            for i, tok in enumerate(toks):
+                try:
+                    parse(tok)
+                except _PARSE_ERRORS:
+                    raise self.error(start + i, f"expected {what}, got {tok!r}") from None
             raise
-        self.taken += len(out)
+        if count is not None and len(toks) < count:
+            raise self.error(self.taken, f"expected {what}, got end of file")
         return out
 
 
+def _parse_exact(token: str) -> Fraction:
+    """``Fraction(token)``: the same value and type, and the same tokens
+    refused.  A plain integer token (an optional ``-``, then decimal digits)
+    skips Fraction's regex by way of ``int``, which takes every such token
+    and gives it Fraction's value.  Every other token goes to Fraction
+    directly: a failed ``int`` would cost more than the regex saves, and
+    ``int`` accepts digit separators, which CPython 3.10's Fraction refuses."""
+    if token.removeprefix("-").isdecimal():
+        return Fraction(int(token))
+    return Fraction(token)
+
+
 def _parse_real(token: str):
-    return ERASED if token == "_" else Fraction(token)
+    return ERASED if token == "_" else _parse_exact(token)
 
 
 def _parse_int(token: str):
@@ -116,8 +140,8 @@ def load_function(path: str, kind: str = "real", modulus=None) -> ErasedFunction
         raise reader.error(reader.taken - 1, f"unknown domain shape {shape!r}")
     start = reader.taken
     domain = reader.build(lambda: Domain(*sides), lambda: start - 1)
-    values = reader.rest(f"a {kind} value or `_`",
-                         _parse_real if kind == "real" else _parse_int)
+    values = reader.take_many(None, f"a {kind} value or `_`",
+                              _parse_real if kind == "real" else _parse_int)
     if len(values) != domain.size:
         raise reader.error(start + domain.size,
                            f"{domain.size} points expected, {len(values)} tokens found")
@@ -167,7 +191,7 @@ def _parse_bound(token: str):
         return INF
     if token == "-inf":
         return -INF
-    return Fraction(token)
+    return _parse_exact(token)
 
 
 def load_bounds(path: str):
@@ -176,11 +200,16 @@ def load_bounds(path: str):
     reader = _Reader(path)
     reader.header("bounds")
     d = reader.take("a dimension count", int)
+    if d < 1:
+        raise reader.error(1, f"bounds need a dimension count >= 1, got {d}")
     n = reader.take("a side length", int)
+    if n < 2:
+        raise reader.error(2, f"bounds need a side length >= 2, got {n}")
+    parse = functools.cache(_parse_bound)  # per call; Fractions are immutable
     pairs = []
     for _ in range(d):
-        lower = [reader.take("a lower bound", _parse_bound) for _ in range(n - 1)]
-        upper = [reader.take("an upper bound", _parse_bound) for _ in range(n - 1)]
+        lower = reader.take_many(n - 1, "a lower bound", parse)
+        upper = reader.take_many(n - 1, "an upper bound", parse)
         # an error names the line of the first upper bound not above its lower
         first_upper = reader.taken - len(upper)
         pairs.append(reader.build(
@@ -217,7 +246,7 @@ def load_poset(path: str) -> Poset:
     reader = _Reader(path)
     reader.header("poset")
     size = reader.take("a poset size", int)
-    ends = reader.rest("an edge endpoint", int)
+    ends = reader.take_many(None, "an edge endpoint", int)
     if len(ends) % 2:
         raise reader.error(reader.taken, "expected the second endpoint of an edge, "
                                          "got end of file")

@@ -26,6 +26,7 @@ from .core import (
 )
 from .rng import make_rng
 from .line import (
+    LineBoundingPair,
     bdp_line_budget,
     check_line_certificate,
     convex_line_budget,
@@ -35,6 +36,7 @@ from .line import (
     test_monotone_line,
 )
 from .hypergrid import (
+    BoundingFamily,
     bdp_hypergrid_budget,
     check_grid_certificate,
     monotone_hypergrid_budget,
@@ -221,7 +223,21 @@ def validate_config(cfg: ExperimentConfig) -> tuple[TesterEntry, ErasedFunction]
                           f"got d={fn.domain.d}")
     if entry.kind is not None and fn.kind != entry.kind:
         raise ConfigError(f"{cfg.tester} expects {entry.kind} values")
+    if "bounds" in entry.needs:
+        _check_bounds(cfg.tester, entry.shape, cfg.bounds, fn.domain)
     return entry, fn
+
+
+def _check_bounds(tester: str, shape: str, bounds, domain) -> None:
+    """Bounds of the tester's domain shape, with the domain's n and d."""
+    want = LineBoundingPair if shape == "line" else BoundingFamily
+    if not isinstance(bounds, want):
+        raise ConfigError(f"{tester} needs {shape} bounds ({want.__name__}), "
+                          f"got {type(bounds).__name__}")
+    d = bounds.d if shape == "grid" else 1
+    if (bounds.n, d) != (domain.n, domain.d):
+        raise ConfigError(f"{tester} bounds have n={bounds.n}, d={d}; "
+                          f"the domain has n={domain.n}, d={domain.d}")
 
 
 def _worker_count() -> int:

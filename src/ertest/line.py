@@ -36,10 +36,13 @@ def _prefix_with_inf(entries, sign):
     """Prefix sums of the finite entries plus a prefix count of infinities.
 
     ``sign`` is the only infinity each side may carry: -1 for lower bounds,
-    +1 for upper bounds.
+    +1 for upper bounds.  While every finite entry so far is an integral
+    Fraction, the sum is kept as an int and stored as ``Fraction(acc)``: the
+    value and type ``finite[-1] + e`` gives, without Fraction addition.
     """
     finite = [0]
     inf_count = [0]
+    acc = 0  # None once a finite entry is not an integral Fraction
     for e in entries:
         if isinstance(e, float) and math.isinf(e):
             if (e > 0) != (sign > 0):
@@ -47,7 +50,12 @@ def _prefix_with_inf(entries, sign):
             finite.append(finite[-1])
             inf_count.append(inf_count[-1] + 1)
         else:
-            finite.append(finite[-1] + e)
+            if acc is not None and type(e) is Fraction and e.denominator == 1:
+                acc += e.numerator
+                finite.append(Fraction(acc))
+            else:
+                acc = None
+                finite.append(finite[-1] + e)
             inf_count.append(inf_count[-1])
     return finite, inf_count
 

@@ -127,6 +127,19 @@ def test_bounds_file_errors_name_file_and_line(tmp_path):
     _config_error(load_bounds, trailing, "5: trailing tokens after 1 bound pairs")
 
 
+@pytest.mark.parametrize("header, message", [
+    ("bounds 1 1", "1: bounds need a side length >= 2, got 1"),
+    ("bounds 1 0", "1: bounds need a side length >= 2, got 0"),
+    ("bounds 1 -3", "1: bounds need a side length >= 2, got -3"),
+    ("bounds 0 3", "1: bounds need a dimension count >= 1, got 0"),
+    ("bounds -2 3", "1: bounds need a dimension count >= 1, got -2"),
+    ("bounds\n1\n0", "3: bounds need a side length >= 2, got 0"),
+], ids=["side-1", "side-0", "side-negative", "dims-0", "dims-negative", "split-header"])
+def test_bounds_file_refuses_bad_headers(tmp_path, header, message):
+    path = write_lines(tmp_path / "h.bounds", header + "\n0 0\n1 1\n")
+    _config_error(load_bounds, path, message)
+
+
 def test_poset_file_errors_name_file_and_line(tmp_path):
     truncated = write_lines(tmp_path / "t.poset", "poset 4\n1 2\n3\n")
     _config_error(load_poset, truncated,
@@ -162,6 +175,32 @@ def test_invalid_file_values_name_the_file(tmp_path, capsys, name, text, args, m
         argv += ["--input", sorted_line_file(tmp_path)]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {path}{message}\n"
+
+
+# (tester, function file contents, bounds file contents, message)
+BOUNDS_MISFITS = [
+    ("bdp-grid", "domain grid 3 2\n0 1 2\n1 2 3\n2 3 4\n", "bounds 1 3\n0 0\n1 1\n",
+     "bdp-grid needs grid bounds (BoundingFamily), got LineBoundingPair"),
+    ("bdp-line", "domain line 3\n0 1 2\n", "bounds 2 3\n0 0\n1 1\n0 0\n1 1\n",
+     "bdp-line needs line bounds (LineBoundingPair), got BoundingFamily"),
+    ("bdp-line", "domain line 4\n0 1 2 3\n", "bounds 1 3\n0 0\n1 1\n",
+     "bdp-line bounds have n=3, d=1; the domain has n=4, d=1"),
+    ("bdp-grid", "domain grid 3 2\n0 1 2\n1 2 3\n2 3 4\n",
+     "bounds 3 3\n0 0\n1 1\n0 0\n1 1\n0 0\n1 1\n",
+     "bdp-grid bounds have n=3, d=3; the domain has n=3, d=2"),
+]
+
+
+@pytest.mark.parametrize("tester, fn_text, bounds_text, message", BOUNDS_MISFITS,
+                         ids=["line-bounds-on-grid", "grid-bounds-on-line",
+                              "line-length", "grid-dimension"])
+def test_bounds_that_do_not_fit_the_tester_name_it(tmp_path, capsys, tester, fn_text,
+                                                   bounds_text, message):
+    fn_path = write_lines(tmp_path / "f.fn", fn_text)
+    bounds_path = write_lines(tmp_path / "b.bounds", bounds_text)
+    assert main(["test", "--tester", tester, "--input", fn_path, "--eps", "1/4",
+                 "--bounds", bounds_path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_bounds_file_round_trip(tmp_path):

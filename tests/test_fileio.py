@@ -1,0 +1,169 @@
+"""Token parsing in the flat-file loaders: every loaded real value and bound
+is the Fraction that ``Fraction(token)`` gives, with the same refusals."""
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from ertest import fileio
+from ertest.core import ERASED, ConfigError, Domain, ErasedFunction
+from ertest.fileio import (
+    _parse_bound,
+    _parse_exact,
+    _parse_real,
+    load_bounds,
+    load_function,
+    save_bounds,
+    save_function,
+)
+from ertest.hypergrid import BoundingFamily
+from ertest.line import INF, LineBoundingPair
+
+SETTINGS = settings(max_examples=300, deadline=None)
+
+
+def _outcome(parse, token):
+    """(type, value) of the result, or the type of the exception raised."""
+    try:
+        value = parse(token)
+    except Exception as exc:  # the outcome under test, whatever it is
+        return type(exc)
+    return type(value), value
+
+
+def _reference_bound(token):
+    return INF if token == "inf" else -INF if token == "-inf" else Fraction(token)
+
+
+# number-like text: signs, digits (ASCII and not), separators, points,
+# exponents and slashes, so that the int path and its edges come up often
+_NUMBERISH = st.text(alphabet="0123456789+-_./eE ٣²", min_size=1, max_size=8)
+_BIG_INTS = st.integers(-2 ** 200, 2 ** 200).map(str)
+_PADDED_INTS = st.builds(lambda sign, zeros, k: f"{sign}{'0' * zeros}{k}",
+                         st.sampled_from(["", "+", "-"]), st.integers(0, 3),
+                         st.integers(0, 10 ** 30))
+_TOKENS = st.one_of(st.text(), _NUMBERISH, _BIG_INTS, _PADDED_INTS)
+
+_LISTED = ["+5", "-0", "007", "1_000", "1e3", "7/3", "2.50", "٣", "²", "inf", "-inf",
+           str(2 ** 63), str(2 ** 64 + 1), str(-2 ** 63 - 1), "1/0", "", " 5", "5 ", "_",
+           "-", "--5", "+-5", "-+5", "-٣", "-²", "𝟓"]
+
+
+def _with_listed(test):
+    for token in _LISTED:
+        test = example(token)(test)
+    return test
+
+
+@SETTINGS
+@given(_TOKENS)
+@_with_listed
+def test_parse_exact_equals_fraction(token):
+    assert _outcome(_parse_exact, token) == _outcome(Fraction, token)
+
+
+@SETTINGS
+@given(_TOKENS)
+@_with_listed
+def test_parse_real_and_bound_equal_their_references(token):
+    assert _outcome(_parse_real, token) == _outcome(
+        lambda t: ERASED if t == "_" else Fraction(t), token)
+    assert _outcome(_parse_bound, token) == _outcome(_reference_bound, token)
+
+
+class _Fraction310(Fraction):
+    """``Fraction`` as CPython 3.10 reads strings: no digit separators."""
+
+    def __new__(cls, numerator=0, denominator=None):
+        if isinstance(numerator, str) and "_" in numerator:
+            raise ValueError(f"Invalid literal for Fraction: {numerator!r}")
+        return Fraction(numerator, denominator)
+
+
+@pytest.mark.parametrize("token", ["1_000", "-1_0", "+7_7", "1_0/3"])
+def test_int_path_refuses_what_fraction_refuses(monkeypatch, tmp_path, token):
+    """Where Fraction refuses digit separators, so does the loader, at the
+    token's line, although ``int`` would take the token."""
+    monkeypatch.setattr(fileio, "Fraction", _Fraction310)
+    with pytest.raises(ValueError):
+        _parse_exact(token)
+    path = tmp_path / "sep.fn"
+    path.write_text(f"domain line 3\n1 2\n{token}\n")
+    with pytest.raises(ConfigError) as info:
+        load_function(str(path))
+    assert str(info.value) == f"{path}:3: expected a real value or `_`, got {token!r}"
+
+
+_FINITE = st.one_of(
+    st.integers(-10 ** 20, 10 ** 20),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 6)),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _erased_functions(draw):
+    n = draw(st.integers(2, 6))
+    domain = Domain.line(n) if draw(st.booleans()) else Domain.grid(n, 2)
+    values = draw(st.lists(st.one_of(_FINITE, st.just(ERASED)),
+                           min_size=domain.size, max_size=domain.size))
+    if all(v is ERASED for v in values):
+        values[0] = 0
+    return ErasedFunction(domain, values)
+
+
+@SETTINGS
+@given(_erased_functions())
+def test_function_round_trip_loads_fractions(tmp_path_factory, fn):
+    path = str(tmp_path_factory.mktemp("fn") / "f.fn")
+    save_function(fn, path)
+    back = load_function(path)
+    assert back.domain == fn.domain
+    for v, w in zip(fn.values, back.values):
+        if v is ERASED:
+            assert w is ERASED
+        else:
+            assert type(w) is Fraction and w == Fraction(str(v))
+
+
+@st.composite
+def _bound_pairs(draw, n):
+    lower, upper = [], []
+    for _ in range(n - 1):
+        lo = draw(st.one_of(_FINITE, st.just(-INF)))
+        if lo == -INF:
+            up = draw(st.one_of(_FINITE, st.just(INF)))
+        else:
+            step = draw(st.one_of(st.integers(1, 10 ** 6), st.just(INF)))
+            up = step if step == INF else lo + step
+        lower.append(lo)
+        upper.append(up)
+    return LineBoundingPair(lower, upper)
+
+
+@st.composite
+def _bounds(draw):
+    n = draw(st.integers(2, 7))
+    d = draw(st.integers(1, 3))
+    pairs = tuple(draw(_bound_pairs(n)) for _ in range(d))
+    return pairs[0] if d == 1 else BoundingFamily(pairs)
+
+
+def _entries(bounds):
+    pairs = bounds.per_dim if isinstance(bounds, BoundingFamily) else (bounds,)
+    return [v for pair in pairs for v in pair.lower + pair.upper]
+
+
+@SETTINGS
+@given(_bounds())
+def test_bounds_round_trip_loads_fractions(tmp_path_factory, bounds):
+    path = str(tmp_path_factory.mktemp("bounds") / "b.bounds")
+    save_bounds(bounds, path)
+    back = load_bounds(path)
+    assert type(back) is type(bounds)
+    for v, w in zip(_entries(bounds), _entries(back), strict=True):
+        if isinstance(v, float) and math.isinf(v):
+            assert w == v and type(w) is float
+        else:
+            assert type(w) is Fraction and w == Fraction(str(v))

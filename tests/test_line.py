@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ertest.core import (
     ALL_CHECKS_PASSED,
@@ -27,6 +28,7 @@ from ertest.line import (
     pair_violates,
     proximity_iterations,
     randomized_binary_search_step_loop,
+    _prefix_with_inf,
 )
 # aliased so pytest does not collect the library entry points as tests
 from ertest.line import test_bdp_line as run_bdp
@@ -35,6 +37,48 @@ from ertest.line import test_interval as run_interval
 from ertest.line import test_monotone_line as run_monotone
 from ertest import oracles as O
 from ertest.rng import make_rng
+
+
+def _plain_prefix_with_inf(entries, sign):
+    """``_prefix_with_inf`` with every finite entry added by plain ``+``."""
+    finite = [0]
+    inf_count = [0]
+    for e in entries:
+        if isinstance(e, float) and math.isinf(e):
+            if (e > 0) != (sign > 0):
+                raise ValueError(f"bound entry {e} has the wrong sign")
+            finite.append(finite[-1])
+            inf_count.append(inf_count[-1] + 1)
+        else:
+            finite.append(finite[-1] + e)
+            inf_count.append(inf_count[-1])
+    return finite, inf_count
+
+
+_PREFIX_ENTRIES = st.one_of(
+    st.integers(-10 ** 20, 10 ** 20),
+    st.integers(-10 ** 20, 10 ** 20).map(Fraction),  # integral Fractions
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 6)),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    st.sampled_from([INF, -INF]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.integers(-9, 9).map(Fraction), _PREFIX_ENTRIES), max_size=12),
+       st.sampled_from([-1, 1]))
+def test_prefix_sums_equal_plain_accumulation(entries, sign):
+    """Same values and the same types, element by element, or the same error;
+    integral Fractions come first often, so the int accumulation runs and
+    then hands over to plain addition at every kind of entry."""
+    def outcome(prefix):
+        try:
+            finite, inf_count = prefix(entries, sign)
+        except ValueError as exc:
+            return str(exc)
+        return [(type(x), x) for x in finite], inf_count
+
+    assert outcome(_prefix_with_inf) == outcome(_plain_prefix_with_inf)
 
 
 def line_fn(values, **kw):
