@@ -101,16 +101,6 @@ def grid_pair_violates(family: BoundingFamily, x: tuple, fx, y: tuple, fy) -> bo
     return m_yx != INF and value_gt(fy - fx, m_yx)
 
 
-def is_member_bdp(values: dict, family: BoundingFamily) -> bool:
-    """Pairwise membership check for a total function on any sub-domain,
-    given as {point: value}."""
-    items = list(values.items())
-    for (x, fx), (y, fy) in itertools.combinations(items, 2):
-        if grid_pair_violates(family, x, fx, y, fy):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # axis lines
 

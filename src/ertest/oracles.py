@@ -10,6 +10,8 @@ a certified distance matters.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +27,6 @@ from .core import (
 )
 from .line import INF, LineBoundingPair, _slope, pair_violates
 
-GRID_EXACT_GATE = 20
 FIELD_EXHAUSTIVE_GATE = 64
 _ENUM_CAP = 1 << 20
 
@@ -295,111 +296,167 @@ def _grid_items(fn: ErasedFunction):
     return [(fn.domain.point_at(i), fn.values[i]) for i in fn.nonerased_indices()]
 
 
+def _dominance_sweep(cells, domain, better, signs=None, cuts=None) -> list:
+    """The best value over every cell that reaches each cell, O(d·N).
+
+    ``cells`` lists the grid in index order, None where a cell has no value.
+    A cell reaches another by unit steps of sign ``signs[r]`` (default +1)
+    along each axis r, never across a cut step: ``cuts[r][t]`` cuts the step
+    between 0-based coordinates t and t + 1.  ``better(a, b)`` says a beats
+    b.  The reachable cells form a box, so one running pass per axis
+    suffices.
+    """
+    n, size = domain.n, domain.size
+    out = list(cells)
+    for r in range(domain.d):
+        stride = n ** r
+        up = signs is None or signs[r] > 0
+        order = range(n) if up else range(n - 1, -1, -1)
+        offsets = [t * stride for t in order]
+        # resets[k]: the k-th move along the axis crosses a cut step
+        resets = [False] + (cuts[r] if up else cuts[r][::-1]) if cuts else [False] * n
+        for top in range(0, size, stride * n):
+            for base in range(top, top + stride):
+                run = None
+                for off, reset in zip(offsets, resets):
+                    if reset:
+                        run = None
+                    v = out[base + off]
+                    if v is not None and (run is None or better(v, run)):
+                        run = v
+                    else:
+                        out[base + off] = run
+    return out
+
+
+def _is_monotone(cells, domain) -> bool:
+    """No valued cell lies below a cell with a smaller value, by plain ``>``:
+    a prefix-max sweep, exact for any mix of ints, floats and Fractions."""
+    top = _dominance_sweep(cells, domain, operator.gt)
+    return not any(t > v for t, v in zip(top, cells) if v is not None)
+
+
 def distance_to_monotone_grid_exact(fn: ErasedFunction) -> DistanceReport:
-    """Exact grid distance at any size via the matching route.  The
-    branch-and-bound oracle and the greedy matching below are kept only as
-    references that tests cross-check this against; no dispatch reaches them."""
+    """Exact grid distance at any size via the matching route.
+
+    A prefix-max sweep first tests for a violated pair in O(d·N) over the
+    N grid points.  It compares by plain ``>``, as the edge scan does, so it
+    is exact for any mix of ints, floats and Fractions (NaN values, which
+    violate nothing, are skipped).  With no violated pair, the matching is
+    empty and every point is kept, which is the report the matching route
+    returns; otherwise the O(m^2) edge scan runs.
+    """
     items = _grid_items(fn)
-    absolute, keep = _min_changes_poset(items, grid_le)
+    cells = [None if v is ERASED or v != v else v for v in fn.values]
+    if _is_monotone(cells, fn.domain):
+        absolute, keep = 0, range(len(items))
+    else:
+        absolute, keep = _min_changes_poset(items, grid_le)
     kept_pts = [items[i][0] for i in keep]
     return DistanceReport("monotone-grid", absolute,
                           Fraction(absolute, len(items)), _kept_cert(kept_pts))
 
 
-def greedy_maximal_matching(num_nodes: int, edges) -> list:
-    """Deterministic greedy maximal matching over an undirected edge list."""
-    used = set()
-    picked = []
-    for a, b in edges:
-        if a not in used and b not in used:
-            picked.append((a, b))
-            used.add(a)
-            used.add(b)
-    return picked
+def _exact_ints(values, entries):
+    """``values`` and ``entries`` as ints over one positive common
+    denominator, or None when the exact fast accept does not apply: the
+    values are neither all finite floats nor all ints and Fractions, or an
+    entry is not an int or Fraction (float bounds give rounded prefix sums).
+    """
+    if all(type(v) is float for v in values):
+        if not all(map(math.isfinite, values)):
+            return None
+    elif not all(isinstance(v, (int, Fraction)) for v in values):
+        return None
+    if not all(isinstance(e, (int, Fraction)) for e in entries):
+        return None
+    ratios = [x.as_integer_ratio() for x in itertools.chain(values, entries)]
+    scale = math.lcm(*{den for _, den in ratios})
+    ints = [num * (scale // den) for num, den in ratios]
+    return ints[:len(values)], ints[len(values):]
 
 
-def _min_vertex_cover_bnb(num_nodes: int, edges) -> list:
-    """Exact minimum vertex cover by branching on an uncovered edge, with a
-    greedy-matching lower bound for pruning."""
-    best = {"size": num_nodes, "cover": frozenset(range(num_nodes))}
+def _bdp_violation_free(domain, cells, per_dim) -> bool:
+    """True only when no two valued cells violate the bounded-derivative
+    bounds ``per_dim`` (one ``LineBoundingPair`` per axis); False when a
+    pair does or when the exact test does not apply.  ``cells`` lists the
+    grid in index order, ERASED where a cell has no value.
 
-    def matching_lb(cover):
-        used = set()
-        count = 0
-        for a, b in edges:
-            if a in cover or b in cover or a in used or b in used:
-                continue
-            used.add(a)
-            used.add(b)
-            count += 1
-        return count
+    For an orthant pattern sigma, let H(p) sum, over each axis r, the upper
+    prefix sum at p_r where sigma_r = +1 and the lower one where it is -1.
+    Then m(x, y) = H(x) - H(y) for every y in x's sigma-orthant (y_r <= x_r
+    where sigma_r = +1, y_r >= x_r where it is -1) with no infinite step
+    between them, so no such pair violates iff F = f - H has no cell above a
+    smaller one in that order.  That is one min sweep per sigma,
+    O(2^d·d·N), the grid form of the G/H maps of Chakrabarty, Dixit, Jha
+    and Seshadhri (SODA 2015).
 
-    def rec(cover, size):
-        if size + matching_lb(cover) >= best["size"]:
-            return
-        for a, b in edges:
-            if a not in cover and b not in cover:
-                rec(cover | {a}, size + 1)
-                rec(cover | {b}, size + 1)
-                return
-        best["size"] = size
-        best["cover"] = frozenset(cover)
-
-    rec(set(), 0)
-    return sorted(best["cover"])
-
-
-def distance_to_monotone_grid_small(fn: ErasedFunction) -> DistanceReport:
-    items = _grid_items(fn)
-    m = len(items)
-    if m > GRID_EXACT_GATE:
-        raise SizeLimit(f"{m} nonerased points exceeds the exact gate {GRID_EXACT_GATE}")
-    edges = _violated_order_edges(items, grid_le)
-    undirected = sorted(set((min(a, b), max(a, b)) for a, b in edges))
-    matching = greedy_maximal_matching(m, undirected)
-    cover = _min_vertex_cover_bnb(m, undirected)
-    absolute = len(cover)
-    assert len(matching) <= absolute <= 2 * len(matching) if matching else absolute == 0
-    kept = [i for i in range(m) if i not in set(cover)]
-    kept_pts = [items[i][0] for i in kept]
-    return DistanceReport("monotone-grid", absolute, Fraction(absolute, m),
-                          _kept_cert(kept_pts), matching_bound=len(matching))
-
-
-def monotone_grid_matching_bound(fn: ErasedFunction) -> DistanceReport:
-    """Certified lower bound for grids of any size: each matched violated
-    pair forces at least one change."""
-    items = _grid_items(fn)
-    edges = _violated_order_edges(items, grid_le)
-    undirected = sorted(set((min(a, b), max(a, b)) for a, b in edges))
-    matching = greedy_maximal_matching(len(items), undirected)
-    cert = ("matching",) + tuple((items[a][0], items[b][0]) for a, b in matching)
-    return DistanceReport("monotone-grid", len(matching),
-                          Fraction(len(matching), len(items)), cert,
-                          is_lower_bound=True, matching_bound=len(matching))
+    The test is exact: values and bounds scale to ints.  Exact non-violation
+    implies ``value_gt``'s tolerant non-violation only when every segment
+    sum is exact (no float bound entries), every value is finite, and the
+    values are all floats (one rounding per difference, and rounding is
+    monotone) or all ints and Fractions.  Otherwise this returns False and
+    the caller runs its pairwise check, so verdicts are the pairwise ones.
+    """
+    n, d = domain.n, domain.d
+    if len(per_dim) != d or any(b.n != n for b in per_dim):
+        return False
+    valued = [i for i, v in enumerate(cells) if v is not ERASED]
+    sides = [side for b in per_dim for side in (b.lower, b.upper)]
+    cuts = [[isinstance(e, float) and math.isinf(e) for e in side] for side in sides]
+    exact = _exact_ints([cells[i] for i in valued],
+                        [e for side, cut in zip(sides, cuts)
+                         for e, inf in zip(side, cut) if not inf])
+    if exact is None:
+        return False
+    values, steps = exact
+    steps = iter(steps)
+    # prefix[k][t]: the finite entries of side k summed over steps before 0-based t
+    prefix = [list(itertools.accumulate((0 if inf else next(steps) for inf in cut), initial=0))
+              for cut in cuts]
+    size = domain.size
+    for signs in itertools.product((1, -1), repeat=d):
+        used = [2 * r + (s > 0) for r, s in enumerate(signs)]
+        f = [None] * size
+        for i, v in zip(valued, values):
+            f[i] = v
+        for r, k in enumerate(used):
+            h, stride = prefix[k], n ** r
+            for i in valued:
+                f[i] -= h[i // stride % n]
+        low = _dominance_sweep(f, domain, operator.lt, signs, [cuts[k] for k in used])
+        if any(low[i] < f[i] for i in valued):
+            return False
+    return True
 
 
 def bdp_grid_matching_bound(fn: ErasedFunction, family) -> DistanceReport:
     """Matching lower bound on the grid distance to a bounded-derivative
-    property; ``family`` supplies pair_violates over grid points.
+    property; ``family`` is a ``BoundingFamily``.
 
-    The greedy maximal matching over violated pairs in (i, j) order: each
-    unmatched point i takes the first later unmatched point j it violates
-    with.  Only pairs of two free points are checked, O(m^2) in the worst
-    case.
+    ``_bdp_violation_free`` first tests for a violated pair in O(2^d·d·N)
+    over the N grid points.  It accepts exactly, and only where that implies
+    the float-tolerant verdict: every bound entry is an int or Fraction and
+    the values are all finite floats or all ints and Fractions.  When it
+    accepts, the matching is empty.
+    Otherwise the greedy maximal matching runs over violated pairs in (i, j)
+    order: each unmatched point i takes the first later unmatched point j it
+    violates with.  Only pairs of two free points are checked, O(m^2) in the
+    worst case.
     """
     items = _grid_items(fn)
     m = len(items)
-    free = [True] * m
     matching = []
-    for i, (p, v) in enumerate(items):
-        if not free[i]:
-            continue
-        for j in range(i + 1, m):
-            if free[j] and family.pair_violates(p, v, *items[j]):
-                matching.append((i, j))
-                free[i] = free[j] = False
-                break
+    if not _bdp_violation_free(fn.domain, fn.values, family.per_dim):
+        free = [True] * m
+        for i, (p, v) in enumerate(items):
+            if not free[i]:
+                continue
+            for j in range(i + 1, m):
+                if free[j] and family.pair_violates(p, v, *items[j]):
+                    matching.append((i, j))
+                    free[i] = free[j] = False
+                    break
     cert = ("matching",) + tuple((items[a][0], items[b][0]) for a, b in matching)
     return DistanceReport("bdp-grid", len(matching),
                           Fraction(len(matching), m), cert,
@@ -633,10 +690,8 @@ def complete_convex_line(pairs, kept_pos) -> dict:
     slopes beyond them; a single kept point spreads as a constant."""
     vals = dict(pairs)
     kept = sorted(kept_pos)
-    out = {}
-    for pos, _ in pairs:
-        if pos in vals and pos in set(kept):
-            out[pos] = vals[pos]
+    kept_set = set(kept)
+    out = {pos: v for pos, v in pairs if pos in kept_set}
     if len(kept) == 1:
         for pos, _ in pairs:
             out[pos] = vals[kept[0]]
@@ -658,6 +713,8 @@ def complete_convex_line(pairs, kept_pos) -> dict:
 
 
 def is_member_bdp_values(points_values, bounds: LineBoundingPair) -> bool:
+    """Pairwise membership check, O(m^2): the fallback where the exact
+    sweep in ``_bdp_violation_free`` does not apply or finds a violation."""
     items = sorted(points_values.items())
     for (a, fa), (b, fb) in itertools.combinations(items, 2):
         if pair_violates(bounds, a, fa, b, fb):
@@ -676,28 +733,65 @@ def is_member_convex_values(points_values) -> bool:
     return True
 
 
-def complete_monotone_grid(items, kept_idx) -> dict:
-    """Monotone extension: each point takes the max kept value below it,
-    defaulting to the overall minimum kept value."""
-    kept = [items[i] for i in kept_idx]
-    floor = min(v for _, v in kept)
-    out = {}
-    for p, _ in items:
-        below = [v for q, v in kept if grid_le(q, p)]
-        out[p] = max(below) if below else floor
-    return out
+def complete_monotone_grid(fn: ErasedFunction, kept_idx) -> list:
+    """Monotone extension over the nonerased points, by domain index (None
+    at erased points): each point takes the max kept value below it,
+    defaulting to the overall minimum kept value.  One prefix-max sweep."""
+    kept = [None] * fn.domain.size
+    for i in kept_idx:
+        kept[i] = fn.values[i]
+    floor = min(kept[i] for i in kept_idx)
+    below = _dominance_sweep(kept, fn.domain, operator.gt)
+    return [None if v is ERASED else floor if b is None else b
+            for v, b in zip(fn.values, below)]
+
+
+def _point_indices(fn: ErasedFunction, points):
+    """Domain indices of ``points``, or None unless they are distinct
+    nonerased points of ``fn``'s domain."""
+    # read fn.values directly: nonerased_indices() would keep a list on fn
+    valued = [i for i, v in enumerate(fn.values) if v is not ERASED]
+    if fn.domain.is_line:  # (i + 1,) is point_at(i), without its range check
+        index = {(i + 1,): i for i in valued}
+    else:
+        index = {fn.domain.point_at(i): i for i in valued}
+    try:
+        found = list(map(index.__getitem__, points))
+    except (KeyError, TypeError):  # not a nonerased point, or unhashable
+        return None
+    return found if len(set(found)) == len(found) else None
 
 
 def verify_report(fn: ErasedFunction, prop: PropertySpec, report: DistanceReport) -> bool:
     """Independent re-check: the completion that keeps exactly the certified
-    kept-set is a member, and it changes exactly ``absolute`` points."""
+    kept-set is a member, and it changes exactly ``absolute`` points.  A
+    certificate that names a point twice, or a point that is erased or
+    outside the domain, fails.
+
+    The membership checks are sweeps.  Monotone and bounded-derivative
+    lines run ``_bdp_violation_free`` on the completion, O(n) for two
+    orthants; only where it does not accept (a violation, or float bound
+    entries, a non-finite value, or float values mixed with exact ones)
+    does the pairwise O(m^2) ``is_member_bdp_values`` run, so the verdict is
+    the pairwise one.  The monotone grid completes and checks with
+    prefix-max sweeps, O(d·N), exact by plain ``>``.  Convexity checks
+    consecutive slopes, O(m log m).  No check calls a distance oracle.
+    """
+    cert = report.certificate
+    if not isinstance(cert, tuple) or cert[:1] != (
+            ("matching",) if report.is_lower_bound else ("kept",)):
+        return False
     if report.is_lower_bound:
         return _verify_matching(fn, prop, report)
-    kept_pts = report.certificate[1:]
+    kept_idx = _point_indices(fn, cert[1:])
+    if kept_idx is None:
+        return False
     if prop.tag in ("monotone-line", "bdp-line", "convex-line", "k-runs", "low-degree"):
         pairs = line_pairs(fn)
-        kept_pos = [p[0] for p in kept_pts]
+        kept_pos = [i + 1 for i in kept_idx]
         if prop.tag == "convex-line":
+            if not kept_pos:
+                return False
             filled = complete_convex_line(pairs, kept_pos)
             ok = is_member_convex_values(filled)
         elif prop.tag == "k-runs":
@@ -710,19 +804,20 @@ def verify_report(fn: ErasedFunction, prop: PropertySpec, report: DistanceReport
         else:
             bounds = prop.bounds if prop.tag == "bdp-line" else LineBoundingPair.monotone(fn.domain.n)
             filled = complete_bdp_line(pairs, kept_pos, bounds)
-            ok = is_member_bdp_values(filled, bounds)
+            cells = [ERASED] * fn.domain.n
+            for pos, v in filled.items():
+                cells[pos - 1] = v
+            ok = (_bdp_violation_free(fn.domain, cells, (bounds,))
+                  or is_member_bdp_values(filled, bounds))
         changed = sum(1 for pos, v in pairs if filled[pos] != v)
         return ok and changed == report.absolute == len(pairs) - len(kept_pos)
     if prop.tag == "monotone-grid":
-        items = _grid_items(fn)
-        index = {p: i for i, (p, _) in enumerate(items)}
-        kept_idx = [index[p] for p in kept_pts]
-        filled = complete_monotone_grid(items, kept_idx)
-        for p, v in filled.items():
-            for q, w in filled.items():
-                if grid_le(p, q) and v > w:
-                    return False
-        changed = sum(1 for p, v in items if filled[p] != v)
+        if not kept_idx:
+            return False
+        filled = complete_monotone_grid(fn, kept_idx)
+        if not _is_monotone(filled, fn.domain):
+            return False
+        changed = sum(1 for f, v in zip(filled, fn.values) if v is not ERASED and f != v)
         return changed == report.absolute
     raise ValueError(f"unknown property {prop.tag!r}")
 
@@ -760,13 +855,13 @@ def _verify_matching(fn: ErasedFunction, prop: PropertySpec, report: DistanceRep
     else:
         return False
     pairs = report.certificate[1:]
-    seen = set()
-    for a, b in pairs:
-        if a in seen or b in seen:
-            return False
-        seen.add(a)
-        seen.add(b)
-        fa, fb = fn.value_at(a), fn.value_at(b)
-        if fa is ERASED or fb is ERASED or not violated(a, fa, b, fb):
+    if not all(isinstance(pair, tuple) and len(pair) == 2 for pair in pairs):
+        return False
+    found = _point_indices(fn, [p for pair in pairs for p in pair])
+    if found is None:
+        return False
+    for i, j in zip(found[::2], found[1::2]):
+        a, b = fn.domain.point_at(i), fn.domain.point_at(j)
+        if not violated(a, fn.values[i], b, fn.values[j]):
             return False
     return len(pairs) == report.absolute

@@ -3,27 +3,43 @@
 These are the original direct implementations: simple enough to check by
 eye, slow enough that the library no longer uses them.  The cross-check tests
 in ``test_oracle_reference.py`` require the library oracles to return the
-same ``DistanceReport`` (distance and certificate) on every generated input.
+same ``DistanceReport`` (distance and certificate) on every generated input,
+and ``verify_report`` to return the same verdict as the pairwise
+``verify_report`` kept here.  The branch-and-bound grid oracle, the greedy
+grid matching and the pairwise grid membership check serve only as
+references for tests.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 
-from ertest.core import ERASED, InvalidField, SizeLimit
+from bisect import bisect_right
+
+from ertest.core import ERASED, ErasedFunction, InvalidField, SizeLimit, grid_le
+from ertest.hypergrid import BoundingFamily, grid_pair_violates
 from ertest.line import LineBoundingPair, pair_violates
 from ertest.oracles import (
     _ENUM_CAP,
     FIELD_EXHAUSTIVE_GATE,
     DistanceReport,
+    PropertySpec,
     _grid_items,
+    _k_runs_completion_exists,
     _kept_cert,
+    _min_changes_poset,
     _slope,
-    greedy_maximal_matching,
+    _verify_low_degree,
+    _violated_order_edges,
+    complete_bdp_line,
+    is_member_bdp_values,
+    is_member_convex_values,
     is_prime,
     line_pairs,
     poly_eval,
 )
+
+GRID_EXACT_GATE = 20
 
 
 def distance_to_bdp_line(fn, bounds: LineBoundingPair) -> DistanceReport:
@@ -156,3 +172,206 @@ def distance_to_low_degree(fn, degree: int) -> DistanceReport:
     kept = [(x + 1,) for x, y in pts if poly_eval(best_coeffs, x, p) == y]
     return DistanceReport("low-degree", absolute, Fraction(absolute, m),
                           ("kept",) + tuple(kept))
+
+
+# ---------------------------------------------------------------------------
+# grid monotonicity references
+
+def greedy_maximal_matching(num_nodes: int, edges) -> list:
+    """Deterministic greedy maximal matching over an undirected edge list."""
+    used = set()
+    picked = []
+    for a, b in edges:
+        if a not in used and b not in used:
+            picked.append((a, b))
+            used.add(a)
+            used.add(b)
+    return picked
+
+
+def _min_vertex_cover_bnb(num_nodes: int, edges) -> list:
+    """Exact minimum vertex cover by branching on an uncovered edge, with a
+    greedy-matching lower bound for pruning."""
+    best = {"size": num_nodes, "cover": frozenset(range(num_nodes))}
+
+    def matching_lb(cover):
+        used = set()
+        count = 0
+        for a, b in edges:
+            if a in cover or b in cover or a in used or b in used:
+                continue
+            used.add(a)
+            used.add(b)
+            count += 1
+        return count
+
+    def rec(cover, size):
+        if size + matching_lb(cover) >= best["size"]:
+            return
+        for a, b in edges:
+            if a not in cover and b not in cover:
+                rec(cover | {a}, size + 1)
+                rec(cover | {b}, size + 1)
+                return
+        best["size"] = size
+        best["cover"] = frozenset(cover)
+
+    rec(set(), 0)
+    return sorted(best["cover"])
+
+
+def distance_to_monotone_grid_small(fn: ErasedFunction) -> DistanceReport:
+    items = _grid_items(fn)
+    m = len(items)
+    if m > GRID_EXACT_GATE:
+        raise SizeLimit(f"{m} nonerased points exceeds the exact gate {GRID_EXACT_GATE}")
+    edges = _violated_order_edges(items, grid_le)
+    undirected = sorted(set((min(a, b), max(a, b)) for a, b in edges))
+    matching = greedy_maximal_matching(m, undirected)
+    cover = _min_vertex_cover_bnb(m, undirected)
+    absolute = len(cover)
+    assert len(matching) <= absolute <= 2 * len(matching) if matching else absolute == 0
+    kept = [i for i in range(m) if i not in set(cover)]
+    kept_pts = [items[i][0] for i in kept]
+    return DistanceReport("monotone-grid", absolute, Fraction(absolute, m),
+                          _kept_cert(kept_pts), matching_bound=len(matching))
+
+
+def monotone_grid_matching_bound(fn: ErasedFunction) -> DistanceReport:
+    """Certified lower bound for grids of any size: each matched violated
+    pair forces at least one change."""
+    items = _grid_items(fn)
+    edges = _violated_order_edges(items, grid_le)
+    undirected = sorted(set((min(a, b), max(a, b)) for a, b in edges))
+    matching = greedy_maximal_matching(len(items), undirected)
+    cert = ("matching",) + tuple((items[a][0], items[b][0]) for a, b in matching)
+    return DistanceReport("monotone-grid", len(matching),
+                          Fraction(len(matching), len(items)), cert,
+                          is_lower_bound=True, matching_bound=len(matching))
+
+
+def is_member_bdp(values: dict, family: BoundingFamily) -> bool:
+    """Pairwise membership check for a total function on any sub-domain,
+    given as {point: value}."""
+    items = list(values.items())
+    for (x, fx), (y, fy) in itertools.combinations(items, 2):
+        if grid_pair_violates(family, x, fx, y, fy):
+            return False
+    return True
+
+
+def distance_to_monotone_grid_exact(fn: ErasedFunction) -> DistanceReport:
+    """Exact grid distance via the matching route alone, with no sweep."""
+    items = _grid_items(fn)
+    absolute, keep = _min_changes_poset(items, grid_le)
+    kept_pts = [items[i][0] for i in keep]
+    return DistanceReport("monotone-grid", absolute,
+                          Fraction(absolute, len(items)), _kept_cert(kept_pts))
+
+
+# ---------------------------------------------------------------------------
+# the pairwise verifier
+
+def complete_convex_line(pairs, kept_pos) -> dict:
+    """Piecewise-linear through the kept points, extended with the terminal
+    slopes beyond them; a single kept point spreads as a constant."""
+    vals = dict(pairs)
+    kept = sorted(kept_pos)
+    out = {}
+    for pos, _ in pairs:
+        if pos in vals and pos in set(kept):
+            out[pos] = vals[pos]
+    if len(kept) == 1:
+        for pos, _ in pairs:
+            out[pos] = vals[kept[0]]
+        return out
+    slopes = [_slope((kept[i], vals[kept[i]]), (kept[i + 1], vals[kept[i + 1]]))
+              for i in range(len(kept) - 1)]
+    for pos, _ in pairs:
+        if pos in out:
+            continue
+        if pos < kept[0]:
+            out[pos] = vals[kept[0]] + slopes[0] * (pos - kept[0])
+        elif pos > kept[-1]:
+            out[pos] = vals[kept[-1]] + slopes[-1] * (pos - kept[-1])
+        else:
+            i = bisect_right(kept, pos) - 1
+            a = kept[i]
+            out[pos] = vals[a] + slopes[i] * (pos - a)
+    return out
+
+
+def complete_monotone_grid(items, kept_idx) -> dict:
+    """Monotone extension: each point takes the max kept value below it,
+    defaulting to the overall minimum kept value."""
+    kept = [items[i] for i in kept_idx]
+    floor = min(v for _, v in kept)
+    out = {}
+    for p, _ in items:
+        below = [v for q, v in kept if grid_le(q, p)]
+        out[p] = max(below) if below else floor
+    return out
+
+
+def verify_report(fn: ErasedFunction, prop: PropertySpec, report: DistanceReport) -> bool:
+    """Independent re-check: the completion that keeps exactly the certified
+    kept-set is a member, and it changes exactly ``absolute`` points.
+    Every membership check is pairwise."""
+    if report.is_lower_bound:
+        return _verify_matching(fn, prop, report)
+    kept_pts = report.certificate[1:]
+    if prop.tag in ("monotone-line", "bdp-line", "convex-line", "k-runs", "low-degree"):
+        pairs = line_pairs(fn)
+        kept_pos = [p[0] for p in kept_pts]
+        if prop.tag == "convex-line":
+            filled = complete_convex_line(pairs, kept_pos)
+            ok = is_member_convex_values(filled)
+        elif prop.tag == "k-runs":
+            # a completion exists iff the kept bits already fit inside k runs
+            ok = _k_runs_completion_exists(pairs, set(kept_pos), prop.k)
+            changed = len(pairs) - len(kept_pos)
+            return ok and changed == report.absolute
+        elif prop.tag == "low-degree":
+            return _verify_low_degree(fn, prop, kept_pos, report)
+        else:
+            bounds = prop.bounds if prop.tag == "bdp-line" else LineBoundingPair.monotone(fn.domain.n)
+            filled = complete_bdp_line(pairs, kept_pos, bounds)
+            ok = is_member_bdp_values(filled, bounds)
+        changed = sum(1 for pos, v in pairs if filled[pos] != v)
+        return ok and changed == report.absolute == len(pairs) - len(kept_pos)
+    if prop.tag == "monotone-grid":
+        items = _grid_items(fn)
+        index = {p: i for i, (p, _) in enumerate(items)}
+        kept_idx = [index[p] for p in kept_pts]
+        filled = complete_monotone_grid(items, kept_idx)
+        for p, v in filled.items():
+            for q, w in filled.items():
+                if grid_le(p, q) and v > w:
+                    return False
+        changed = sum(1 for p, v in items if filled[p] != v)
+        return changed == report.absolute
+    raise ValueError(f"unknown property {prop.tag!r}")
+
+
+def _verify_matching(fn: ErasedFunction, prop: PropertySpec, report: DistanceReport) -> bool:
+    """The pairs are disjoint, each pair is violated on ``fn``'s nonerased
+    values, and there are exactly ``absolute`` of them."""
+    if prop.tag == "monotone-grid":
+        def violated(a, fa, b, fb):
+            lo, hi, flo, fhi = (a, b, fa, fb) if grid_le(a, b) else (b, a, fb, fa)
+            return grid_le(lo, hi) and flo > fhi
+    elif prop.tag == "bdp-grid":
+        violated = prop.bounds.pair_violates
+    else:
+        return False
+    pairs = report.certificate[1:]
+    seen = set()
+    for a, b in pairs:
+        if a in seen or b in seen:
+            return False
+        seen.add(a)
+        seen.add(b)
+        fa, fb = fn.value_at(a), fn.value_at(b)
+        if fa is ERASED or fb is ERASED or not violated(a, fa, b, fb):
+            return False
+    return len(pairs) == report.absolute

@@ -22,7 +22,7 @@ from ertest.line import LineBoundingPair, bdp_to_monotone_transforms, pair_viola
 from ertest.line import test_monotone_line as run_monotone
 from ertest.line import test_bdp_line as run_bdp_line
 from ertest.line import test_convex_line as run_convex
-from ertest.hypergrid import BoundingFamily, is_member_bdp
+from ertest.hypergrid import BoundingFamily
 from ertest.hypergrid import test_monotone_hypergrid as run_grid_monotone
 from ertest.hypergrid import test_bdp_hypergrid as run_grid_bdp
 from ertest.transforms import (
@@ -46,6 +46,8 @@ from ertest.adversary import (
 )
 from ertest.harness import ExperimentConfig, emit_report, run_experiment
 from ertest.rng import make_rng
+
+from reference_oracles import distance_to_monotone_grid_small, is_member_bdp
 
 MASTER = 739411
 
@@ -423,7 +425,7 @@ def test_criterion_05_middle_layer():
         # flattening one side realizes it, so the bound is tight
         assert Fraction(len(pairs), live) == Fraction(1, 2)
         if d == 4:
-            assert O.distance_to_monotone_grid_small(fn).relative == Fraction(1, 2)
+            assert distance_to_monotone_grid_small(fn).relative == Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,12 @@ from ertest.adversary import (
 )
 from ertest.line import INF, LineBoundingPair
 from ertest.line import test_monotone_line as run_monotone
-from ertest.hypergrid import BoundingFamily, all_axis_lines, is_member_bdp
+from ertest.hypergrid import BoundingFamily, all_axis_lines
 from ertest import oracles as O
 from ertest.oracles import PropertySpec
 from ertest.rng import make_rng
+
+from reference_oracles import distance_to_monotone_grid_small, is_member_bdp
 
 
 def line_fn(values, **kw):
@@ -205,7 +207,7 @@ def test_middle_layer_unviolated_but_far():
         # disjoint violated pairs each force one change, and flattening the
         # lower half to zero restores monotonicity, so distance is exactly 1/2
         if d == 4:
-            assert O.distance_to_monotone_grid_small(fn).relative == Fraction(1, 2)
+            assert distance_to_monotone_grid_small(fn).relative == Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from ertest.hypergrid import (
     check_grid_certificate,
     grid_pair_violates,
     hypergrid_iterations,
-    is_member_bdp,
     monotone_hypergrid_budget,
     quasi_metric,
     sample_axis_line,
@@ -35,6 +34,8 @@ from ertest.hypergrid import test_bdp_hypergrid as run_grid_bdp
 from ertest.hypergrid import test_monotone_hypergrid as run_grid_monotone
 from ertest import oracles as O
 from ertest.rng import make_rng
+
+from reference_oracles import is_member_bdp
 
 
 def grid_fn(n, d, mapping, erase=None, rng=None):

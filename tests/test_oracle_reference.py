@@ -2,9 +2,13 @@
 
 Each library oracle must return the identical DistanceReport (distance,
 certificate and all) as the reference in ``reference_oracles.py`` on
-generated int, Fraction and float inputs with erasures.  The matching search
-is also checked on a long augmenting chain, against scipy.
+generated int, Fraction and float inputs with erasures, and ``verify_report``
+the same verdict as the pairwise reference verifier.  Member-heavy inputs (a
+member template, sometimes nudged at one point) make the sweeps' exact fast
+accept and their pairwise fallback both run.  The matching search is also
+checked on a long augmenting chain, against scipy.
 """
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -63,6 +67,127 @@ def line_bounds(draw, n):
         # an unbounded lower side keeps a finite upper one, and vice versa
         upper.append(width if lo == -INF else lo + width)
     return LineBoundingPair(lower, upper)
+
+
+@st.composite
+def any_line_bounds(draw, n):
+    """``line_bounds``, or the same bounds with float entries, whose prefix
+    sums round, so the sweeps' exact fast accept does not apply."""
+    bounds = draw(line_bounds(n))
+    if draw(st.booleans()):
+        return bounds
+    return LineBoundingPair([float(e) for e in bounds.lower],
+                            [float(e) for e in bounds.upper])
+
+
+@st.composite
+def member_walk(draw, bounds):
+    """Values on the line that fit ``bounds``, often with a step on a bound."""
+    vals = [draw(_NUMBERS["int"])]
+    for lo, up in zip(bounds.lower, bounds.upper):
+        if lo == -INF:
+            steps = [up, up - 1]
+        elif up == INF:
+            steps = [lo, lo + 1]
+        else:
+            steps = [lo, up, (lo + up) / 2]
+        vals.append(vals[-1] + draw(st.sampled_from(steps)))
+    return vals
+
+
+_NUDGES = [1e-12, -1e-12, 1, -1, Fraction(1, 3), 3]
+
+
+@st.composite
+def member_values(draw, template):
+    """``template`` as exact, float or mixed values, sometimes with one point
+    nudged, then erased at random (one point always stays)."""
+    kind = draw(st.sampled_from(["exact", "float", "mixed"]))
+    vals = [v if kind == "exact" or (kind == "mixed" and i % 2) else float(v)
+            for i, v in enumerate(template)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(vals) - 1))
+        vals[i] += draw(st.sampled_from(_NUDGES))
+    erased = draw(st.lists(st.booleans(), min_size=len(vals), max_size=len(vals)))
+    erased[draw(st.integers(0, len(vals) - 1))] = False
+    return [ERASED if e else v for v, e in zip(vals, erased)]
+
+
+@st.composite
+def grid_members(draw, family_of):
+    """A grid function that sums one member walk per axis (a member of the
+    family ``family_of(n, d)`` draws), with ``member_values``' changes."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 3)) if n < 4 else draw(st.integers(1, 2))
+    family = draw(family_of(n, d))
+    dom = Domain.grid(n, d)
+    walks = [draw(member_walk(b)) for b in family.per_dim]
+    template = [sum(w[c - 1] for w, c in zip(walks, p)) for p in dom.points()]
+    return ErasedFunction(dom, draw(member_values(template))), family
+
+
+@st.composite
+def any_families(draw, n, d):
+    return BoundingFamily(tuple(draw(any_line_bounds(n)) for _ in range(d)))
+
+
+def monotone_families(n, d):
+    return st.just(BoundingFamily.monotone(n, d))
+
+
+def _report_variants(fn, report):
+    """The report, a claim that every point is kept, and the report with one
+    kept point dropped: all checkable by the pairwise reference."""
+    points = fn.nonerased_points()
+    kept = report.certificate[1:]
+    yield report
+    yield replace(report, absolute=0, relative=Fraction(0),
+                  certificate=("kept",) + tuple(points))
+    if len(kept) > 1:
+        yield replace(report, absolute=report.absolute + 1,
+                      certificate=("kept",) + kept[1:])
+
+
+@SETTINGS
+@given(st.data())
+def test_verify_report_matches_reference_on_lines(data):
+    tag = data.draw(st.sampled_from(["monotone-line", "bdp-line", "convex-line"]))
+    n = data.draw(st.integers(1, 16))
+    bounds = data.draw(any_line_bounds(n)) if tag == "bdp-line" else LineBoundingPair.monotone(n)
+    if tag != "convex-line" and data.draw(st.booleans()):
+        fn = ErasedFunction(Domain.line(n), data.draw(member_values(data.draw(member_walk(bounds)))))
+    else:
+        fn = data.draw(line_functions(16))
+        bounds = data.draw(any_line_bounds(fn.domain.n))
+    prop = O.PropertySpec(tag, bounds=bounds if tag == "bdp-line" else None)
+    for report in _report_variants(fn, O.compute_distance(fn, prop)):
+        assert O.verify_report(fn, prop, report) == ref.verify_report(fn, prop, report)
+
+
+@SETTINGS
+@given(st.data())
+def test_verify_report_matches_reference_on_grids(data):
+    if data.draw(st.booleans()):
+        fn, _ = data.draw(grid_members(monotone_families))
+    else:
+        fn = data.draw(grid_functions())
+    prop = O.PropertySpec("monotone-grid")
+    for report in _report_variants(fn, O.compute_distance(fn, prop)):
+        assert O.verify_report(fn, prop, report) == ref.verify_report(fn, prop, report)
+
+
+@SETTINGS
+@given(grid_members(monotone_families))
+def test_monotone_grid_matches_reference_on_members(member):
+    fn, _ = member
+    assert O.distance_to_monotone_grid_exact(fn) == ref.distance_to_monotone_grid_exact(fn)
+
+
+@SETTINGS
+@given(grid_members(any_families))
+def test_bdp_grid_matches_reference_on_members(member):
+    fn, family = member
+    assert O.bdp_grid_matching_bound(fn, family) == ref.bdp_grid_matching_bound(fn, family)
 
 
 @SETTINGS

@@ -1,9 +1,11 @@
 """Exact-oracle behavior: frozen worked examples, brute-force equivalence on
 random instances, and certificate re-verification in bulk."""
+import contextlib
 import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -12,6 +14,8 @@ from ertest.core import ERASED, Domain, ErasedFunction, InvalidField, SizeLimit
 from ertest.hypergrid import BoundingFamily
 from ertest.line import INF, LineBoundingPair, pair_violates
 from ertest import oracles as O
+
+import reference_oracles as ref
 
 
 def line_fn(values, **kw):
@@ -49,7 +53,7 @@ def test_convex_line_example():
 
 def test_grid_antitone_example():
     f = grid_fn(3, 2, lambda p: -p[0] - p[1])
-    r = O.distance_to_monotone_grid_small(f)
+    r = ref.distance_to_monotone_grid_small(f)
     assert r.absolute == 6
     assert r.matching_bound is not None and r.matching_bound <= 6 <= 2 * r.matching_bound
 
@@ -72,7 +76,7 @@ def test_middle_layer_relative_distance():
         w = sum(c - 1 for c in dom.point_at(i))
         vals.append(ERASED if w == 2 else (1 if w < 2 else 0))
     f = ErasedFunction(dom, vals)
-    r = O.distance_to_monotone_grid_small(f)
+    r = ref.distance_to_monotone_grid_small(f)
     assert r.relative == Fraction(1, 2)
     assert r.absolute == 5
 
@@ -206,7 +210,7 @@ def test_grid_small_matches_exhaustive():
                        for (p, v), (q, w) in itertools.permutations(sub, 2))
 
         expect = brute_distance(items, ok)
-        got = O.distance_to_monotone_grid_small(f)
+        got = ref.distance_to_monotone_grid_small(f)
         assert got.absolute == expect
         assert O.distance_to_monotone_grid_exact(f).absolute == expect
         if got.matching_bound:
@@ -293,7 +297,7 @@ def test_matching_bound_certificates_reverify():
         if all(v is ERASED for v in vals):
             vals[0] = 0
         f = ErasedFunction(dom, vals)
-        r = O.monotone_grid_matching_bound(f)
+        r = ref.monotone_grid_matching_bound(f)
         assert r.is_lower_bound
         assert O.verify_report(f, O.PropertySpec("monotone-grid"), r)
 
@@ -365,6 +369,118 @@ def test_compute_distance_routes_grids_to_any_size_oracles():
         O.distance_to_monotone_grid_exact(big)
 
 
+def _all_kept(fn, prop):
+    """A report that claims ``fn`` is already a member."""
+    return O.DistanceReport(prop.tag, 0, Fraction(0),
+                            ("kept",) + tuple(fn.nonerased_points()))
+
+
+def test_float_chain_passing_consecutive_checks_falls_back_to_pairwise():
+    # each step drops 6e-10, inside value_gt's 1e-9 tolerance, but two
+    # steps drop 1.2e-9: the consecutive checks pass and a pairwise one fails
+    f = line_fn([1.0, 1.0 - 6e-10, 1.0 - 1.2e-9])
+    for prop in (O.PropertySpec("monotone-line"),
+                 O.PropertySpec("bdp-line", bounds=LineBoundingPair.monotone(3))):
+        report = _all_kept(f, prop)
+        with mock.patch.object(O, "is_member_bdp_values",
+                               wraps=O.is_member_bdp_values) as pairwise:
+            assert O.verify_report(f, prop, report) is False
+        assert pairwise.called
+        assert ref.verify_report(f, prop, report) is False
+
+
+_MEMBER = [0.0, 0.5, 1.5, 2.0]
+_FAST_ACCEPT_CASES = {
+    # name: (values, bounds); the first takes the fast accept, each other
+    # breaks one of its conditions and must fall back to the pairwise check
+    "exact-sums-float-values": (_MEMBER, LineBoundingPair.lipschitz(4)),
+    "float-bound-entries": (_MEMBER, LineBoundingPair([-1.0] * 3, [1.0] * 3)),
+    "infinite-value": (_MEMBER[:3] + [INF], LineBoundingPair.monotone(4)),
+    "nan-value": (_MEMBER[:3] + [float("nan")], LineBoundingPair.monotone(4)),
+    "mixed-value-types": ([0, 0.5, Fraction(3, 2), 2.0], LineBoundingPair.lipschitz(4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAST_ACCEPT_CASES))
+def test_exact_fast_accept_runs_only_under_its_rule(case):
+    values, bounds = _FAST_ACCEPT_CASES[case]
+    f = line_fn(values)
+    fast = case == "exact-sums-float-values"
+    assert O._bdp_violation_free(f.domain, f.values, (bounds,)) is fast
+    prop = O.PropertySpec("bdp-line", bounds=bounds)
+    report = _all_kept(f, prop)
+    with mock.patch.object(O, "is_member_bdp_values",
+                           wraps=O.is_member_bdp_values) as pairwise:
+        verdict = O.verify_report(f, prop, report)
+    assert pairwise.called is not fast
+    # NaN != NaN, so the NaN point counts as changed and the report fails
+    assert verdict is ref.verify_report(f, prop, report) is (case != "nan-value")
+    grid = ErasedFunction(Domain.grid(4, 1), values)
+    family = BoundingFamily((bounds,))
+    assert O.bdp_grid_matching_bound(grid, family) == ref.bdp_grid_matching_bound(grid, family)
+
+
+_ORACLES = ("compute_distance", "is_restorable", "distance_to_monotone_line",
+            "distance_to_bdp_line", "distance_to_convex_line",
+            "distance_to_monotone_grid_exact", "bdp_grid_matching_bound",
+            "distance_to_k_runs", "distance_to_low_degree")
+
+
+def test_verifiers_call_no_distance_oracle():
+    lip = LineBoundingPair.lipschitz(6)
+    fam = BoundingFamily.lipschitz(3, 2)
+    cases = [
+        (line_fn([0, 2, 1, ERASED, 3, 5]), O.PropertySpec("monotone-line")),
+        (line_fn([0, 2, 1, ERASED, 3, 5]), O.PropertySpec("bdp-line", bounds=lip)),
+        (line_fn([0, 2, 1, ERASED, 3, 5]), O.PropertySpec("convex-line")),
+        (line_fn([0, 1, 1, 0, ERASED, 1], kind="bit"), O.PropertySpec("k-runs", k=2)),
+        (line_fn([1, 3, 0, 2, 4], kind="field", modulus=5), O.PropertySpec("low-degree", degree=1)),
+        (grid_fn(3, 2, lambda p: p[0] - p[1], erased={(2, 2)}), O.PropertySpec("monotone-grid")),
+        (grid_fn(3, 2, lambda p: 9 * (sum(p) % 2)), O.PropertySpec("bdp-grid", bounds=fam)),
+    ]
+    reports = [O.compute_distance(f, prop) for f, prop in cases]
+    with contextlib.ExitStack() as stack:
+        for name in _ORACLES:
+            stack.enter_context(mock.patch.object(O, name, side_effect=AssertionError(name)))
+        for (f, prop), report in zip(cases, reports):
+            assert O.verify_report(f, prop, report)
+
+
+_BAD_CERTIFICATES = {
+    # name: (function, property, absolute, certificate)
+    "convex-erased-point": (line_fn([1, ERASED, 2, 3]), O.PropertySpec("convex-line"), 0,
+                            ("kept", (1,), (2,), (3,), (4,))),
+    "convex-outside-domain": (line_fn([1, ERASED, 2, 3]), O.PropertySpec("convex-line"), 0,
+                              ("kept", (1,), (3,), (4,), (9,))),
+    "convex-repeated-point": (line_fn([1, 2, 3, 10]), O.PropertySpec("convex-line"), 0,
+                              ("kept", (1,), (1,), (2,), (3,))),
+    "convex-no-point": (line_fn([1, 2, 3, 10]), O.PropertySpec("convex-line"), 4, ("kept",)),
+    "k-runs-repeated-point": (line_fn([0, 0, 1, 0], kind="bit"), O.PropertySpec("k-runs", k=2),
+                              0, ("kept", (1,), (1,), (2,), (3,))),
+    "monotone-line-unhashable-point": (line_fn([1, 2, 3]), O.PropertySpec("monotone-line"), 0,
+                                       ("kept", (1,), [2], (3,))),
+    "grid-erased-point": (grid_fn(2, 2, sum, erased={(2, 1)}), O.PropertySpec("monotone-grid"),
+                          0, ("kept", (1, 1), (2, 1), (1, 2), (2, 2))),
+    "grid-outside-domain": (grid_fn(2, 2, sum), O.PropertySpec("monotone-grid"), 0,
+                            ("kept", (1, 1), (2, 1), (1, 2), (3, 2))),
+    "grid-repeated-point": (grid_fn(2, 2, sum), O.PropertySpec("monotone-grid"), 0,
+                            ("kept", (1, 1), (1, 1), (2, 1), (1, 2))),
+    "grid-no-point": (grid_fn(2, 2, sum), O.PropertySpec("monotone-grid"), 4, ("kept",)),
+    "matching-outside-domain": (grid_fn(2, 2, lambda p: -sum(p)), O.PropertySpec("monotone-grid"),
+                                1, ("matching", ((1, 1), (3, 3)))),
+    "matching-not-a-pair": (grid_fn(2, 2, lambda p: -sum(p)), O.PropertySpec("monotone-grid"),
+                            1, ("matching", (1, 1))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CERTIFICATES))
+def test_bad_certificates_fail_without_raising(case):
+    f, prop, absolute, cert = _BAD_CERTIFICATES[case]
+    report = O.DistanceReport(prop.tag, absolute, Fraction(absolute, 4), cert,
+                              is_lower_bound=cert[0] == "matching")
+    assert O.verify_report(f, prop, report) is False
+
+
 # ---------------------------------------------------------------------------
 # gates, errors, restorability
 
@@ -372,7 +488,7 @@ def test_grid_gate_enforced():
     dom = Domain.grid(5, 2)
     f = ErasedFunction(dom, list(range(25)))
     with pytest.raises(SizeLimit):
-        O.distance_to_monotone_grid_small(f)
+        ref.distance_to_monotone_grid_small(f)
 
 
 def test_low_degree_rejects_composite_modulus():
