@@ -12,10 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
-    ALL_CHECKS_PASSED,
-    BUDGET_EXHAUSTED,
     ERASED,
-    BudgetExhausted,
     Domain,
     ErasedFunction,
     GenerationFailed,
@@ -23,7 +20,8 @@ from .core import (
     Verdict,
     exact_fraction,
 )
-from .line import INF, LineBoundingPair, monotone_line_budget, proximity_iterations
+from .line import (INF, LineBoundingPair, _run_searches, monotone_line_budget,
+                   proximity_iterations)
 from .hypergrid import BoundingFamily
 from .oracles import (
     PropertySpec,
@@ -104,33 +102,28 @@ def classic_monotone_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
     erasing the top of the search tree blinds it.  Shipped for A/B runs
     against the randomized-pivot tester; budgeted identically."""
     n = oracle.fn.domain.n
-    oracle.set_budget(monotone_line_budget(n, eps, alpha))
-    try:
+
+    def searches():
         for _ in range(proximity_iterations(eps)):
             s = rng.randint(1, n)
             fs = oracle.query((s,))
-            if fs is ERASED:
-                continue
             lo, hi = 1, n
-            while lo <= hi:
+            while fs is not ERASED and lo <= hi:
                 m = (lo + hi) // 2
                 if m == s:
                     break
                 fm = oracle.query((m,))
                 if fm is not ERASED:
                     if m < s and fm > fs:
-                        return Verdict.rejected(
-                            ("monotone-violation", (m, fm), (s, fs)), oracle.count)
+                        yield ("monotone-violation", (m, fm), (s, fs))
                     if m > s and fs > fm:
-                        return Verdict.rejected(
-                            ("monotone-violation", (s, fs), (m, fm)), oracle.count)
+                        yield ("monotone-violation", (s, fs), (m, fm))
                 if s < m:
                     hi = m - 1
                 else:
                     lo = m + 1
-    except BudgetExhausted:
-        return Verdict.accepted(BUDGET_EXHAUSTED, oracle.count)
-    return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)
+
+    return _run_searches(oracle, monotone_line_budget(n, eps, alpha), searches())
 
 
 # ---------------------------------------------------------------------------

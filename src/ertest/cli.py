@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .core import Domain, QueryOracle, exact_fraction
+from .core import Domain, exact_fraction
 from .oracles import PropertySpec
 from .adversary import (
     InstanceSpec,
@@ -33,6 +33,7 @@ from .harness import (
     ExperimentConfig,
     run_experiment,
     emit_report,
+    run_trial,
     summary_rows,
     validate_config,
 )
@@ -104,10 +105,7 @@ def cmd_test(args) -> int:
         alpha=None if args.alpha is None else exact_fraction(args.alpha),
         k=args.k, degree=args.degree, bounds=bounds, poset=poset)
     entry, _ = validate_config(cfg)
-    oracle = QueryOracle(fn)
-    verdict = entry.run(cfg, oracle, make_rng(args.seed, "trial", 0))
-    if verdict.is_reject and not entry.validate(cfg, fn, verdict.certificate):
-        raise RuntimeError("reject certificate failed re-validation")
+    verdict, _ = run_trial(cfg, entry, fn, 0)
     print(json.dumps({
         "outcome": verdict.outcome,
         "reason": verdict.reason,

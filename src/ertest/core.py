@@ -97,6 +97,19 @@ def exact_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def check_params(eps=None, alpha=None) -> tuple:
+    """(eps, alpha) as exact rationals, with the proximity parameter eps in
+    (0,1) and the erasure bound alpha in [0,1).  A tester that takes only
+    one of them passes that one; the other comes back None, unchecked."""
+    e = None if eps is None else exact_fraction(eps)
+    a = None if alpha is None else exact_fraction(alpha)
+    if e is not None and not 0 < e < 1:
+        raise ValueError(f"proximity parameter {eps!r} outside (0,1)")
+    if a is not None and not 0 <= a < 1:
+        raise ValueError(f"erasure bound {alpha!r} outside [0,1)")
+    return e, a
+
+
 def exact_log2(n: int):
     """log2(n) as an int when n is a power of two, else an exact rational of
     the float value.  Keeps budget formulas deterministic."""
@@ -176,7 +189,10 @@ def grid_le(x, y) -> bool:
 
 def _check_kind(kind: str, value, modulus) -> bool:
     if kind == "real":
-        return isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
+        if isinstance(value, float):
+            # NaN equals nothing, itself included, so no report could keep it
+            return value == value
+        return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
     if kind == "bit":
         return isinstance(value, int) and not isinstance(value, bool) and value in (0, 1)
     if kind == "field":

@@ -275,6 +275,24 @@ def _trial_fn(cfg: ExperimentConfig, index: int) -> ErasedFunction:
     return fn
 
 
+def run_trial(cfg: ExperimentConfig, entry: TesterEntry, fn: ErasedFunction,
+              index: int) -> tuple:
+    """Trial ``index`` of ``cfg`` on ``fn``: returns (verdict, budget cap).
+    Raises unless the queries stay within the budget formula and a reject
+    certificate re-validates against ``fn`` outside the oracle."""
+    verdict = entry.run(cfg, QueryOracle(fn), make_rng(cfg.seed, "trial", index))
+    cap = entry.budget(cfg, fn)
+    if verdict.queries_used > cap:
+        raise AssertionError(
+            f"trial {index}: {verdict.queries_used} queries exceeded the "
+            f"budget {cap} for {cfg.tester}")
+    if verdict.is_reject and not entry.validate(cfg, fn, verdict.certificate):
+        raise RuntimeError(
+            f"trial {index}: reject certificate failed re-validation: "
+            f"{verdict.certificate!r}")
+    return verdict, cap
+
+
 @dataclass(frozen=True)
 class _PartialSums:
     """Commutative partial sums over a span of trials.  Module-level, so the
@@ -310,17 +328,7 @@ def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int, fn0=None) -> _PartialSum
     have_stats = 0
     for i in range(lo, hi):
         fn = fn0 if i == 0 and fn0 is not None else _trial_fn(cfg, i)
-        oracle = QueryOracle(fn)
-        verdict = entry.run(cfg, oracle, make_rng(cfg.seed, "trial", i))
-        cap = entry.budget(cfg, fn)
-        if verdict.queries_used > cap:
-            raise AssertionError(
-                f"trial {i}: {verdict.queries_used} queries exceeded the "
-                f"budget {cap} for {cfg.tester}")
-        if verdict.is_reject and not entry.validate(cfg, fn, verdict.certificate):
-            raise RuntimeError(
-                f"trial {i}: reject certificate failed re-validation: "
-                f"{verdict.certificate!r}")
+        verdict, cap = run_trial(cfg, entry, fn, i)
         rejections += verdict.is_reject
         q = verdict.queries_used
         sum_q += q

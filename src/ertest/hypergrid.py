@@ -20,6 +20,7 @@ from .core import (
     QueryOracle,
     Verdict,
     ceil_frac,
+    check_params,
     exact_fraction,
     exact_log2,
     grid_le,
@@ -31,7 +32,6 @@ from .line import (
     LineBoundingPair,
     _bdp_check,
     _descends,
-    _params,
     _search_driver,
     bdp_to_monotone_transforms,  # noqa: F401  unused here; bench/tracing.py wraps it
     pair_violates,
@@ -151,7 +151,7 @@ class _AxisLineView:
 
 def _grid_params(oracle, eps, alpha, gate_factor: int):
     n, d = oracle.fn.domain.n, oracle.fn.domain.d
-    e, a = _params(eps, alpha)
+    e, a = check_params(eps, alpha)
     if a > e / (gate_factor * d):
         raise PreconditionViolated(
             f"erasure bound {a} exceeds eps/{gate_factor}d = {e / (gate_factor * d)}")

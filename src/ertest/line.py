@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -23,6 +22,7 @@ from .core import (
     QueryOracle,
     Verdict,
     ceil_frac,
+    check_params,
     exact_fraction,
     exact_log2,
     sample_nonerased_uniform,  # noqa: F401  unused here; bench/tracing.py wraps it
@@ -114,25 +114,15 @@ class LineBoundingPair:
         return self._up_pre[b - 1] - self._up_pre[a - 1]
 
 
-def violates_lower(bounds: LineBoundingPair, a: int, fa, b: int, fb) -> bool:
-    """For a < b: does the pair drop faster than the lower bounds allow,
-    i.e. f(a) - f(b) > -sum of lower over [a, b)."""
-    s = bounds.seg_lower(a, b)
-    if s == -INF:
-        return False
-    return value_gt(fa - fb, -s)
-
-
-def violates_upper(bounds: LineBoundingPair, a: int, fa, b: int, fb) -> bool:
-    """For a < b: does the pair rise faster than the upper bounds allow."""
-    s = bounds.seg_upper(a, b)
-    if s == INF:
-        return False
-    return value_gt(fb - fa, s)
-
-
 def pair_violates(bounds: LineBoundingPair, a: int, fa, b: int, fb) -> bool:
-    return violates_lower(bounds, a, fa, b, fb) or violates_upper(bounds, a, fa, b, fb)
+    """For a < b: does the pair drop faster than the lower bounds allow,
+    f(a) - f(b) > -(sum of lower over [a, b)), or rise faster than the upper
+    bounds allow, f(b) - f(a) > sum of upper over [a, b)?"""
+    s = bounds.seg_lower(a, b)
+    if s != -INF and value_gt(fa - fb, -s):
+        return True
+    s = bounds.seg_upper(a, b)
+    return s != INF and value_gt(fb - fa, s)
 
 
 def bdp_to_monotone_transforms(bounds: LineBoundingPair):
@@ -163,28 +153,19 @@ def bdp_to_monotone_transforms(bounds: LineBoundingPair):
 # ---------------------------------------------------------------------------
 # testers
 
-def _params(eps, alpha):
-    e, a = exact_fraction(eps), exact_fraction(alpha)
-    if not 0 < e < 1:
-        raise ValueError(f"proximity parameter {eps!r} outside (0,1)")
-    if not 0 <= a < 1:
-        raise ValueError(f"erasure bound {alpha!r} outside [0,1)")
-    return e, a
-
-
 def monotone_line_budget(n: int, eps, alpha) -> int:
-    e, a = _params(eps, alpha)
+    e, a = check_params(eps, alpha)
     return ceil_frac(60 * exact_log2(n) / (e * (1 - a)))
 
 
 def convex_line_budget(n: int, eps, alpha) -> int:
-    e, a = _params(eps, alpha)
+    e, a = check_params(eps, alpha)
     return ceil_frac(180 * exact_log2(n) / (e * (1 - a)))
 
 
 def bdp_line_budget(n: int, eps, alpha) -> int:
     """Two monotonicity searches at proximity eps/4 share one budget."""
-    e, a = _params(eps, alpha)
+    e, a = check_params(eps, alpha)
     return 2 * ceil_frac(60 * exact_log2(n) / ((e / 4) * (1 - a)))
 
 
@@ -240,6 +221,28 @@ def randomized_binary_search_step_loop(oracle, lo, hi, s, fs, rng, on_pivot):
     return None
 
 
+def _run_searches(oracle: QueryOracle, budget: int, searches, stats=None) -> Verdict:
+    """The budgeted shell every search tester runs in.
+
+    ``searches`` yields one certificate or None per search, drawing lazily
+    once the budget is set; the first certificate rejects.  A spent budget
+    accepts.  ``stats``, when given, is a dict of counters the searches
+    update; the verdict carries a copy of it.
+    """
+    oracle.set_budget(budget)
+    cert, reason = None, ALL_CHECKS_PASSED
+    try:
+        for cert in searches:
+            if cert is not None:
+                break
+    except BudgetExhausted:
+        reason = BUDGET_EXHAUSTED
+    stats = None if stats is None else dict(stats)
+    if cert is not None:
+        return Verdict.rejected(cert, oracle.count, stats)
+    return Verdict.accepted(reason, oracle.count, stats)
+
+
 def _search_driver(oracle: QueryOracle, budget: int, searches, certify, rng) -> Verdict:
     """The loop every line and hypergrid search tester runs.
 
@@ -249,11 +252,11 @@ def _search_driver(oracle: QueryOracle, budget: int, searches, certify, rng) -> 
     and ``violated(a, fa, b, fb)`` the check for a pair with a < b.  The
     search runs over [1, n] and stops at the first violated pair, which
     ``certify(line, a, fa, b, fb)`` turns into a reject certificate, or into
-    None to go on with the next iteration.  A spent budget accepts.
+    None to go on with the next iteration.
     """
     n = oracle.fn.domain.n
-    oracle.set_budget(budget)
-    try:
+
+    def certificates():
         for line, s, fs, violated in searches:
             def on_pivot(m, fm, side):
                 if side == "right":
@@ -264,13 +267,9 @@ def _search_driver(oracle: QueryOracle, budget: int, searches, certify, rng) -> 
                 return None
 
             hit = randomized_binary_search_step_loop(line, 1, n, s, fs, rng, on_pivot)
-            if hit is not None:
-                cert = certify(line, *hit)
-                if cert is not None:
-                    return Verdict.rejected(cert, oracle.count)
-    except BudgetExhausted:
-        return Verdict.accepted(BUDGET_EXHAUSTED, oracle.count)
-    return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)
+            yield None if hit is None else certify(line, *hit)
+
+    return _run_searches(oracle, budget, certificates())
 
 
 def _line_searches(oracle: QueryOracle, iterations: int, violated, rng):
@@ -306,7 +305,7 @@ def test_monotone_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
     whose every restoration is eps-far on the nonerased points with
     probability at least 2/3.  Reject verdicts carry the violated pair."""
     n = _line_domain(oracle)
-    e, a = _params(eps, alpha)
+    e, a = check_params(eps, alpha)
     return _search_driver(
         oracle, monotone_line_budget(n, e, a),
         _line_searches(oracle, proximity_iterations(e), _descends, rng),
@@ -323,7 +322,7 @@ def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng
     check the directed segment sums on the search path directly.
     """
     n = _line_domain(oracle)
-    e, a = _params(eps, alpha)
+    e, a = check_params(eps, alpha)
     if bounds.n != n:
         raise ValueError("bounds length does not match the domain")
 
@@ -349,9 +348,6 @@ def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng
 # ---------------------------------------------------------------------------
 # convexity
 
-NEG_INF = float("-inf")
-
-
 def _slope(p, q):
     """Slope of the chord from p to q, each a (position, value) pair: exact
     for int and Fraction values, float otherwise."""
@@ -360,36 +356,6 @@ def _slope(p, q):
     if isinstance(num, (int, Fraction)):
         return Fraction(num, b - a)
     return num / (b - a)
-
-
-@dataclass(frozen=True)
-class IntervalFrame:
-    """One level of the convexity search.
-
-    ``anchors`` are already-queried nonerased (position, value) pairs inside
-    [lo, hi]; the slope bounds come with the chords that produced them
-    (``None`` chord = unbounded side) so reject certificates can name
-    concrete points.
-    """
-
-    lo: int
-    hi: int
-    anchors: tuple
-    left_slope: object
-    right_slope: object
-    search_point: int
-    search_value: object
-    left_chord: tuple = None
-    right_chord: tuple = None
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("empty interval")
-        if not self.lo <= self.search_point <= self.hi:
-            raise ValueError("search point outside the interval")
-        for pos, _ in self.anchors:
-            if not self.lo <= pos <= self.hi:
-                raise ValueError("anchor outside the interval")
 
 
 def _walk_nonerased(oracle, start, stop, step):
@@ -404,72 +370,61 @@ def _walk_nonerased(oracle, start, stop, step):
     return None
 
 
-def test_interval(frame: IntervalFrame, oracle: QueryOracle, rng, counters=None) -> object:
-    """Recursive goodness check, run iteratively (each loop pass is one
-    recursion level; only the side holding the search point recurses).
+def convex_search(oracle: QueryOracle, s: int, rng, counters) -> object:
+    """Recursive goodness check for the nonerased search point s, run
+    iteratively: each loop pass is one recursion level, and only the side
+    holding s recurses.
 
-    Per level: sample a nonerased pivot x (sampling queries), walk outward
-    for the nearest nonerased neighbors y right and z left (walking queries),
-    merge {z, x, y} into the anchors, and test that the slopes over the
-    merged list fit between the inherited slope bounds.  Descends with the
-    anchors on the search side of x, which include the walked neighbor on
-    that side, and with the chord (z,x) or (x,y) as the new bound.
+    A level has an interval [lo, hi], its anchors (nonerased (position,
+    value) pairs queried so far, in position order) and a (slope, chord)
+    bound per side, None while that side is unbounded.  Per level: sample a
+    nonerased pivot x (sampling queries), walk outward for the nearest
+    nonerased neighbors y right and z left (walking queries), merge {z, x, y}
+    into the anchors, and test that the chord slopes over them fit between
+    the bounds.  Then descend toward s, keeping the anchors on its side and
+    taking the chord (z,x) or (x,y) as the new bound.  ``counters`` gains
+    the queries each phase spends.
 
     Returns None (accept) or a certificate ("convex-violation", chord_a,
     chord_b) where chord_a sits left of chord_b but has the larger slope.
     """
-    if counters is None:
-        counters = {"sampling": 0, "walking": 0}
+    lo, hi = 1, oracle.fn.domain.n
+    anchors = []
+    low = high = None
     while True:
         before = oracle.count
-        x, fx = _draw_nonerased(oracle, frame.lo, frame.hi, rng)
+        x, fx = _draw_nonerased(oracle, lo, hi, rng)
         counters["sampling"] += oracle.count - before
 
         before = oracle.count
-        right = _walk_nonerased(oracle, x + 1, frame.hi, +1)
-        left = _walk_nonerased(oracle, x - 1, frame.lo, -1)
+        right = _walk_nonerased(oracle, x + 1, hi, +1)
+        left = _walk_nonerased(oracle, x - 1, lo, -1)
         counters["walking"] += oracle.count - before
 
-        merged = {pos: val for pos, val in frame.anchors}
+        merged = dict(anchors)
         merged[x] = fx
         for hit in (right, left):
             if hit is not None:
                 merged[hit[0]] = hit[1]
-        anchor_list = sorted(merged.items())
+        points = sorted(merged.items())
 
-        chain = []
-        if frame.left_chord is not None:
-            chain.append((frame.left_slope, frame.left_chord))
-        for (a, fa), (b, fb) in zip(anchor_list, anchor_list[1:]):
-            chord = ((a, fa), (b, fb))
-            chain.append((_slope(*chord), chord))
-        if frame.right_chord is not None:
-            chain.append((frame.right_slope, frame.right_chord))
+        chain = [] if low is None else [low]
+        chain += [(_slope(p, q), (p, q)) for p, q in zip(points, points[1:])]
+        if high is not None:
+            chain.append(high)
         for (s1, c1), (s2, c2) in zip(chain, chain[1:]):
             if value_gt(s1, s2):
                 return ("convex-violation", c1, c2)
 
-        s = frame.search_point
         if s == x:
             return None
+        # points[i] is x: chain[k] is the chord (z, x), chain[k + 1] is (x, y)
+        i = points.index((x, fx))
+        k = i - (low is None)
         if s < x:
-            z, fz = left  # s itself is a nonerased point below x
-            chord = ((z, fz), (x, fx))
-            frame = IntervalFrame(
-                frame.lo, z,
-                tuple(item for item in anchor_list if item[0] < x),
-                frame.left_slope, _slope(*chord),
-                s, frame.search_value,
-                frame.left_chord, chord)
+            hi, anchors, high = left[0], points[:i], chain[k]
         else:
-            y, fy = right
-            chord = ((x, fx), (y, fy))
-            frame = IntervalFrame(
-                y, frame.hi,
-                tuple(item for item in anchor_list if item[0] > x),
-                _slope(*chord), frame.right_slope,
-                s, frame.search_value,
-                chord, frame.right_chord)
+            lo, anchors, low = right[0], points[i + 1:], chain[k + 1]
 
 
 def test_convex_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
@@ -478,23 +433,19 @@ def test_convex_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
     probability at least 2/3.  Verdict stats carry the sampling/walking
     query split."""
     n = _line_domain(oracle)
-    e, a = _params(eps, alpha)
+    e, a = check_params(eps, alpha)
     if oracle.fn.kind != "real":
         raise ValueError("convexity is tested for real-valued functions")
-    oracle.set_budget(convex_line_budget(n, e, a))
     counters = {"sampling": 0, "walking": 0}
-    try:
+
+    def searches():
         for _ in range(proximity_iterations(e)):
             before = oracle.count
-            s, fs = _draw_nonerased(oracle, 1, n, rng)
+            s, _ = _draw_nonerased(oracle, 1, n, rng)
             counters["sampling"] += oracle.count - before
-            frame = IntervalFrame(1, n, (), NEG_INF, INF, s, fs)
-            cert = test_interval(frame, oracle, rng, counters)
-            if cert is not None:
-                return Verdict.rejected(cert, oracle.count, stats=dict(counters))
-    except BudgetExhausted:
-        return Verdict.accepted(BUDGET_EXHAUSTED, oracle.count, stats=dict(counters))
-    return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count, stats=dict(counters))
+            yield convex_search(oracle, s, rng, counters)
+
+    return _run_searches(oracle, convex_line_budget(n, e, a), searches(), counters)
 
 
 # ---------------------------------------------------------------------------

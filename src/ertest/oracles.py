@@ -341,13 +341,12 @@ def distance_to_monotone_grid_exact(fn: ErasedFunction) -> DistanceReport:
 
     A prefix-max sweep first tests for a violated pair in O(d·N) over the
     N grid points.  It compares by plain ``>``, as the edge scan does, so it
-    is exact for any mix of ints, floats and Fractions (NaN values, which
-    violate nothing, are skipped).  With no violated pair, the matching is
-    empty and every point is kept, which is the report the matching route
-    returns; otherwise the O(m^2) edge scan runs.
+    is exact for any mix of ints, floats and Fractions.  With no violated
+    pair, the matching is empty and every point is kept, which is the report
+    the matching route returns; otherwise the O(m^2) edge scan runs.
     """
     items = _grid_items(fn)
-    cells = [None if v is ERASED or v != v else v for v in fn.values]
+    cells = [None if v is ERASED else v for v in fn.values]
     if _is_monotone(cells, fn.domain):
         absolute, keep = 0, range(len(items))
     else:

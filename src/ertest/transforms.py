@@ -25,6 +25,7 @@ from .core import (
     QueryOracle,
     Verdict,
     ceil_frac,
+    check_params,
     exact_fraction,
     exact_log2,
 )
@@ -87,9 +88,7 @@ def pot_amplify(pot: POTSpec, alpha, detection_lower_bound,
                 oracle: QueryOracle, rng) -> Verdict:
     """Independent repetition against a detection-rate floor: ln(3)/bound
     runs push the miss probability below 1/3; reject on any rejecting run."""
-    a = exact_fraction(alpha)
-    if not 0 <= a < 1:
-        raise ValueError("erasure bound outside [0,1)")
+    _, a = check_params(alpha=alpha)
     bound = exact_fraction(detection_lower_bound)
     if not 0 < bound <= 1:
         raise ValueError("detection bound must be in (0,1]")
@@ -164,10 +163,8 @@ class UniformTesterSpec:
 
 def extendable_plan(spec: UniformTesterSpec, domain_size: int, eps, alpha):
     """(base sample size, oversampled draws per repetition, repetitions)."""
-    a = exact_fraction(alpha)
-    if not 0 <= a < 1:
-        raise ValueError("erasure bound outside [0,1)")
-    need = spec.q(domain_size, exact_fraction(eps))
+    e, a = check_params(eps, alpha)
+    need = spec.q(domain_size, e)
     draws = ceil_frac(2 * Fraction(need) / (1 - a))
     reps = 3 if need < 8 else 1
     return need, draws, reps
@@ -300,9 +297,7 @@ def test_k_runs(oracle: QueryOracle, k: int, eps, rng) -> Verdict:
     if k < 1:
         raise ValueError("k must be at least 1")
     n = fn.domain.n
-    e = exact_fraction(eps)
-    if not 0 < e < 1:
-        raise ValueError(f"proximity parameter {eps!r} outside (0,1)")
+    e, _ = check_params(eps)
     if e <= Fraction(k * k, n):
         raise PreconditionViolated(f"need eps > k^2/n = {Fraction(k*k, n)}")
     draws = k_runs_sample_size(k, e)
@@ -342,10 +337,9 @@ def tester_from_distance_approx(approx: Callable, fill, alpha, eps,
     distance/eta - delta <= e <= distance (with its own success probability);
     valid for alpha < (eps - delta*eta)/(eps + eta).
     """
-    a, e = exact_fraction(alpha), exact_fraction(eps)
+    e, _ = check_params(eps)
+    a = exact_fraction(alpha)
     eta_f, delta_f = exact_fraction(eta), exact_fraction(delta)
-    if not 0 < e < 1:
-        raise ValueError(f"proximity parameter {eps!r} outside (0,1)")
     if not a < (e - delta_f * eta_f) / (e + eta_f):
         raise PreconditionViolated(
             "erasure bound too large for this approximation quality")

@@ -1,5 +1,5 @@
 """Reference versions of the search testers, as they were before the shared
-search driver.
+search driver and its budget shell.
 
 Each tester here runs its own search loop, draws every pivot and start point
 through ``sample_nonerased_uniform`` over a freshly built ``Box``, and
@@ -10,15 +10,18 @@ same seed.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ertest.core import (
     ALL_CHECKS_PASSED,
     BUDGET_EXHAUSTED,
     Box,
+    ERASED,
     BudgetExhausted,
     QueryOracle,
     Verdict,
+    check_params as _params,
     sample_nonerased_uniform,
     value_gt,
 )
@@ -33,11 +36,8 @@ from ertest.hypergrid import (
 )
 from ertest.line import (
     INF,
-    NEG_INF,
-    IntervalFrame,
     LineBoundingPair,
     _line_domain,
-    _params,
     _walk_nonerased,
     bdp_line_budget,
     convex_line_budget,
@@ -245,6 +245,39 @@ def test_bdp_hypergrid(oracle: QueryOracle, family: BoundingFamily,
 # ---------------------------------------------------------------------------
 # convexity, whose pivot draw now goes through the same Box-free draw
 
+NEG_INF = float("-inf")
+
+
+@dataclass(frozen=True)
+class IntervalFrame:
+    """One level of the convexity search.
+
+    ``anchors`` are already-queried nonerased (position, value) pairs inside
+    [lo, hi]; the slope bounds come with the chords that produced them
+    (``None`` chord = unbounded side) so reject certificates can name
+    concrete points.
+    """
+
+    lo: int
+    hi: int
+    anchors: tuple
+    left_slope: object
+    right_slope: object
+    search_point: int
+    search_value: object
+    left_chord: tuple = None
+    right_chord: tuple = None
+
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError("empty interval")
+        if not self.lo <= self.search_point <= self.hi:
+            raise ValueError("search point outside the interval")
+        for pos, _ in self.anchors:
+            if not self.lo <= pos <= self.hi:
+                raise ValueError("anchor outside the interval")
+
+
 def _chord_slope(chord):
     (a, fa), (b, fb) = chord
     num = fb - fa
@@ -329,3 +362,37 @@ def test_convex_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
     except BudgetExhausted:
         return Verdict.accepted(BUDGET_EXHAUSTED, oracle.count, stats=dict(counters))
     return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count, stats=dict(counters))
+
+
+# ---------------------------------------------------------------------------
+# the deterministic-pivot baseline, with its own budget shell
+
+def classic_monotone_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
+    n = oracle.fn.domain.n
+    oracle.set_budget(monotone_line_budget(n, eps, alpha))
+    try:
+        for _ in range(proximity_iterations(eps)):
+            s = rng.randint(1, n)
+            fs = oracle.query((s,))
+            if fs is ERASED:
+                continue
+            lo, hi = 1, n
+            while lo <= hi:
+                m = (lo + hi) // 2
+                if m == s:
+                    break
+                fm = oracle.query((m,))
+                if fm is not ERASED:
+                    if m < s and fm > fs:
+                        return Verdict.rejected(
+                            ("monotone-violation", (m, fm), (s, fs)), oracle.count)
+                    if m > s and fs > fm:
+                        return Verdict.rejected(
+                            ("monotone-violation", (s, fs), (m, fm)), oracle.count)
+                if s < m:
+                    hi = m - 1
+                else:
+                    lo = m + 1
+    except BudgetExhausted:
+        return Verdict.accepted(BUDGET_EXHAUSTED, oracle.count)
+    return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from ertest.cli import main
-from ertest.core import ERASED, ConfigError, Domain, ErasedFunction, erased_fraction
+from ertest.core import (ALL_CHECKS_PASSED, ERASED, ConfigError, Domain, ErasedFunction,
+                         Verdict, erased_fraction)
 from ertest.fileio import (
     load_bounds,
     load_function,
@@ -15,7 +16,8 @@ from ertest.fileio import (
     save_function,
     save_poset,
 )
-from ertest.harness import CSV_COLUMNS
+from ertest.harness import CSV_COLUMNS, TESTERS
+from ertest.harness import TesterEntry as RegistryEntry
 from ertest.line import INF, LineBoundingPair
 from ertest.hypergrid import BoundingFamily
 from ertest.oracles import PropertySpec, distance_to_monotone_line
@@ -287,6 +289,33 @@ def test_cli_error_paths_exit_two(tmp_path, capsys):
                  "--kind", "bit", "--eps", "1/2"]) == 2  # k missing
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("eps", ["0", "-1", "2"])
+def test_cli_test_refuses_eps_outside_unit_interval(tmp_path, capsys, eps):
+    bits = write_lines(tmp_path / "b.fn", "domain line 4\n0 0 1 1\n")
+    poset = write_lines(tmp_path / "chain.poset", "poset 4\n1 2\n2 3\n3 4\n")
+    assert main(["test", "--tester", "poset-monotone", "--kind", "bit",
+                 "--input", bits, "--poset", poset, "--eps", eps]) == 2
+    assert "proximity parameter" in capsys.readouterr().err
+
+
+def test_cli_test_enforces_the_budget(tmp_path, capsys):
+    def run(cfg, oracle, rng):
+        oracle.set_budget(5)
+        for _ in range(3):
+            oracle.query((1,))
+        return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)
+
+    TESTERS["overbudget-probe"] = RegistryEntry(
+        run=run, budget=lambda cfg, fn: 2,
+        validate=lambda cfg, fn, cert: True, needs=())
+    try:
+        assert main(["test", "--tester", "overbudget-probe",
+                     "--input", sorted_line_file(tmp_path)]) == 2
+    finally:
+        del TESTERS["overbudget-probe"]
+    assert "exceeded the budget 2" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,12 @@ from ertest.core import (
 )
 from ertest.line import (
     INF,
-    NEG_INF,
-    IntervalFrame,
     LineBoundingPair,
     bdp_line_budget,
     bdp_to_monotone_transforms,
     check_line_certificate,
     convex_line_budget,
+    convex_search,
     monotone_line_budget,
     one_sixth_iterations,
     pair_violates,
@@ -33,7 +32,6 @@ from ertest.line import (
 # aliased so pytest does not collect the library entry points as tests
 from ertest.line import test_bdp_line as run_bdp
 from ertest.line import test_convex_line as run_convex
-from ertest.line import test_interval as run_interval
 from ertest.line import test_monotone_line as run_monotone
 from ertest import oracles as O
 from ertest.rng import make_rng
@@ -325,10 +323,13 @@ class FixedPivots:
         return v
 
 
+def _counters():
+    return {"sampling": 0, "walking": 0}
+
+
 def test_interval_rejects_failed_slope_chain():
     f = line_fn([0, 3, 4])
-    frame = IntervalFrame(1, 3, (), NEG_INF, INF, 1, 0)
-    cert = run_interval(frame, QueryOracle(f, budget=50), FixedPivots([2]))
+    cert = convex_search(QueryOracle(f, budget=50), 1, FixedPivots([2]), _counters())
     assert cert is not None and cert[0] == "convex-violation"
     assert check_line_certificate(f, cert)
     (c1, c2) = cert[1], cert[2]
@@ -338,18 +339,9 @@ def test_interval_rejects_failed_slope_chain():
 def test_interval_accepts_convex_under_any_pivot():
     f = line_fn([0, 1, 4, 9])
     for pivot in range(1, 5):
-        frame = IntervalFrame(1, 4, (), NEG_INF, INF, pivot, f.values[pivot - 1])
-        out = run_interval(frame, QueryOracle(f, budget=50), FixedPivots([pivot]))
+        out = convex_search(QueryOracle(f, budget=50), pivot, FixedPivots([pivot]),
+                            _counters())
         assert out is None
-
-
-def test_interval_frame_validation():
-    with pytest.raises(ValueError):
-        IntervalFrame(3, 2, (), NEG_INF, INF, 3, 0)
-    with pytest.raises(ValueError):
-        IntervalFrame(1, 4, (), NEG_INF, INF, 5, 0)
-    with pytest.raises(ValueError):
-        IntervalFrame(2, 4, ((1, 0),), NEG_INF, INF, 3, 0)
 
 
 def _chain_breaks(items, left_sc, right_sc):
@@ -365,7 +357,7 @@ def _chain_breaks(items, left_sc, right_sc):
 
 def _min_convex_witnesses(lo, hi, anchors, left_sc, right_sc, val):
     """Fewest nonerased points landing in a bad interval, minimized over all
-    pivot trees; mirrors test_interval's anchor merging exactly."""
+    pivot trees; mirrors convex_search's anchor merging exactly."""
     pts = [p for p in range(lo, hi + 1) if p in val]
     if not pts:
         return 0

@@ -396,7 +396,6 @@ _FAST_ACCEPT_CASES = {
     "exact-sums-float-values": (_MEMBER, LineBoundingPair.lipschitz(4)),
     "float-bound-entries": (_MEMBER, LineBoundingPair([-1.0] * 3, [1.0] * 3)),
     "infinite-value": (_MEMBER[:3] + [INF], LineBoundingPair.monotone(4)),
-    "nan-value": (_MEMBER[:3] + [float("nan")], LineBoundingPair.monotone(4)),
     "mixed-value-types": ([0, 0.5, Fraction(3, 2), 2.0], LineBoundingPair.lipschitz(4)),
 }
 
@@ -413,11 +412,19 @@ def test_exact_fast_accept_runs_only_under_its_rule(case):
                            wraps=O.is_member_bdp_values) as pairwise:
         verdict = O.verify_report(f, prop, report)
     assert pairwise.called is not fast
-    # NaN != NaN, so the NaN point counts as changed and the report fails
-    assert verdict is ref.verify_report(f, prop, report) is (case != "nan-value")
+    assert verdict is ref.verify_report(f, prop, report) is True
     grid = ErasedFunction(Domain.grid(4, 1), values)
     family = BoundingFamily((bounds,))
     assert O.bdp_grid_matching_bound(grid, family) == ref.bdp_grid_matching_bound(grid, family)
+
+
+def test_erased_function_refuses_nan():
+    # NaN equals nothing, so no report could keep a NaN point unchanged
+    nan = float("nan")
+    for domain, values in ((Domain.line(4), _MEMBER[:3] + [nan]),
+                           (Domain.grid(2, 2), [0.0, ERASED, nan, 2.0])):
+        with pytest.raises(ValueError, match="nan"):
+            ErasedFunction(domain, values)
 
 
 _ORACLES = ("compute_distance", "is_restorable", "distance_to_monotone_line",

@@ -1,0 +1,84 @@
+"""Every search tester in the budgeted search shell queries the same points,
+in the same order, as its reference in ``reference_testers.py``, and returns
+the same verdict.
+
+The verdict cross-checks in ``test_tester_reference.py`` cannot see the order
+of the queries inside one search level (the convexity search walks right
+before it walks left): a spent budget stops either order at the same count.
+The query log does see it.
+"""
+import random
+from fractions import Fraction
+
+from hypothesis import given, strategies as st
+
+from ertest import adversary as A
+from ertest import hypergrid as HG
+from ertest import line as L
+from ertest.core import QueryOracle
+
+import reference_testers as ref
+from test_tester_reference import (
+    EPS,
+    GRID_SETTINGS,
+    SEEDS,
+    SETTINGS,
+    grid_functions,
+    line_bounds,
+    line_functions,
+)
+
+ALPHAS = st.sampled_from([0, Fraction(1, 8), 0.5])
+
+
+class RecordingOracle(QueryOracle):
+    """A query oracle that logs every point asked for, in order."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, fn):
+        super().__init__(fn)
+        self.log = []
+
+    def query(self, pt):
+        self.log.append(pt)
+        return super().query(pt)
+
+
+def _same_queries(lib_tester, ref_tester, fn, seed, *args):
+    lib, want = RecordingOracle(fn), RecordingOracle(fn)
+    assert lib_tester(lib, *args, random.Random(seed)) == ref_tester(
+        want, *args, random.Random(seed))
+    assert lib.log == want.log
+
+
+@SETTINGS
+@given(line_functions(), EPS, ALPHAS, SEEDS)
+def test_classic_monotone_line_matches_reference(fn, eps, alpha, seed):
+    _same_queries(A.classic_monotone_line, ref.classic_monotone_line, fn, seed, eps, alpha)
+
+
+@SETTINGS
+@given(line_functions(), EPS, ALPHAS, SEEDS)
+def test_monotone_line_queries_match_reference(fn, eps, alpha, seed):
+    _same_queries(L.test_monotone_line, ref.test_monotone_line, fn, seed, eps, alpha)
+
+
+@SETTINGS
+@given(line_functions(), EPS, ALPHAS, SEEDS)
+def test_convex_line_queries_match_reference(fn, eps, alpha, seed):
+    _same_queries(L.test_convex_line, ref.test_convex_line, fn, seed, eps, alpha)
+
+
+@SETTINGS
+@given(st.data(), EPS, SEEDS)
+def test_bdp_line_queries_match_reference(data, eps, seed):
+    fn = data.draw(line_functions(max_n=24))
+    bounds = data.draw(line_bounds(fn.domain.n))
+    _same_queries(L.test_bdp_line, ref.test_bdp_line, fn, seed, bounds, eps, 0)
+
+
+@GRID_SETTINGS
+@given(grid_functions(), EPS, SEEDS)
+def test_monotone_grid_queries_match_reference(fn, eps, seed):
+    _same_queries(HG.test_monotone_hypergrid, ref.test_monotone_hypergrid, fn, seed, eps, 0)
