@@ -20,8 +20,8 @@ from .core import (
     Verdict,
     exact_fraction,
 )
-from .line import (INF, LineBoundingPair, _run_searches, monotone_line_budget,
-                   proximity_iterations)
+from .line import (INF, LineBoundingPair, _descends, _run_searches,
+                   monotone_line_budget, proximity_iterations)
 from .hypergrid import BoundingFamily
 from .oracles import (
     PropertySpec,
@@ -114,10 +114,9 @@ def classic_monotone_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
                     break
                 fm = oracle.query((m,))
                 if fm is not ERASED:
-                    if m < s and fm > fs:
-                        yield ("monotone-violation", (m, fm), (s, fs))
-                    if m > s and fs > fm:
-                        yield ("monotone-violation", (s, fs), (m, fm))
+                    a, fa, b, fb = (m, fm, s, fs) if m < s else (s, fs, m, fm)
+                    if _descends(a, fa, b, fb):
+                        yield ("monotone-violation", (a, fa), (b, fb))
                 if s < m:
                     hi = m - 1
                 else:

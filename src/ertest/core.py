@@ -103,10 +103,11 @@ def check_params(eps=None, alpha=None) -> tuple:
     one of them passes that one; the other comes back None, unchecked."""
     e = None if eps is None else exact_fraction(eps)
     a = None if alpha is None else exact_fraction(alpha)
-    if e is not None and not 0 < e < 1:
-        raise ValueError(f"proximity parameter {eps!r} outside (0,1)")
-    if a is not None and not 0 <= a < 1:
-        raise ValueError(f"erasure bound {alpha!r} outside [0,1)")
+    # int comparisons, as a Fraction's denominator is positive: Fraction ones cost µs
+    if e is not None and not 0 < e.numerator < e.denominator:
+        raise ValueError(f"proximity parameter {eps} outside (0,1)")
+    if a is not None and not 0 <= a.numerator < a.denominator:
+        raise ValueError(f"erasure bound {alpha} outside [0,1)")
     return e, a
 
 
@@ -185,6 +186,11 @@ class Domain:
 def grid_le(x, y) -> bool:
     """Coordinatewise partial order x <= y on grid points."""
     return all(a <= b for a, b in zip(x, y))
+
+
+def grid_descends(x, fx, y, fy) -> bool:
+    """x lies strictly below y in the grid order, yet f(x) > f(y) by ``value_gt``."""
+    return grid_le(x, y) and x != y and value_gt(fx, fy)
 
 
 def _check_kind(kind: str, value, modulus) -> bool:

@@ -114,7 +114,8 @@ def _cfg_alpha(cfg: ExperimentConfig, fn: ErasedFunction):
 class TesterEntry:
     """A tester and what it requires: the ``ExperimentConfig`` fields it
     needs set, the domain shape it runs on ("line" or "grid"), and the value
-    kind it expects (None: any)."""
+    kind it expects (None: any).  ``run`` and ``budget`` take the trial's
+    erasure bound alpha, which ``run_trial`` works out once."""
 
     run: Callable
     budget: Callable
@@ -126,77 +127,62 @@ class TesterEntry:
 
 TESTERS = {
     "monotone-line": TesterEntry(
-        run=lambda cfg, o, rng: test_monotone_line(
-            o, cfg.eps, _cfg_alpha(cfg, o.fn), rng),
-        budget=lambda cfg, fn: monotone_line_budget(
-            fn.domain.n, cfg.eps, _cfg_alpha(cfg, fn)),
+        run=lambda cfg, o, alpha, rng: test_monotone_line(o, cfg.eps, alpha, rng),
+        budget=lambda cfg, fn, alpha: monotone_line_budget(fn.domain.n, cfg.eps, alpha),
         validate=lambda cfg, fn, cert: check_line_certificate(fn, cert),
     ),
     "classic-monotone-line": TesterEntry(
-        run=lambda cfg, o, rng: classic_monotone_line(
-            o, cfg.eps, _cfg_alpha(cfg, o.fn), rng),
-        budget=lambda cfg, fn: monotone_line_budget(
-            fn.domain.n, cfg.eps, _cfg_alpha(cfg, fn)),
+        run=lambda cfg, o, alpha, rng: classic_monotone_line(o, cfg.eps, alpha, rng),
+        budget=lambda cfg, fn, alpha: monotone_line_budget(fn.domain.n, cfg.eps, alpha),
         validate=lambda cfg, fn, cert: check_line_certificate(fn, cert),
     ),
     "bdp-line": TesterEntry(
-        run=lambda cfg, o, rng: test_bdp_line(
-            o, cfg.bounds, cfg.eps, _cfg_alpha(cfg, o.fn), rng),
-        budget=lambda cfg, fn: bdp_line_budget(
-            fn.domain.n, cfg.eps, _cfg_alpha(cfg, fn)),
-        validate=lambda cfg, fn, cert: check_line_certificate(
-            fn, cert, cfg.bounds),
+        run=lambda cfg, o, alpha, rng: test_bdp_line(o, cfg.bounds, cfg.eps, alpha, rng),
+        budget=lambda cfg, fn, alpha: bdp_line_budget(fn.domain.n, cfg.eps, alpha),
+        validate=lambda cfg, fn, cert: check_line_certificate(fn, cert, cfg.bounds),
         needs=("eps", "bounds"),
     ),
     "convex-line": TesterEntry(
-        run=lambda cfg, o, rng: test_convex_line(
-            o, cfg.eps, _cfg_alpha(cfg, o.fn), rng),
-        budget=lambda cfg, fn: convex_line_budget(
-            fn.domain.n, cfg.eps, _cfg_alpha(cfg, fn)),
+        run=lambda cfg, o, alpha, rng: test_convex_line(o, cfg.eps, alpha, rng),
+        budget=lambda cfg, fn, alpha: convex_line_budget(fn.domain.n, cfg.eps, alpha),
         validate=lambda cfg, fn, cert: check_line_certificate(fn, cert),
     ),
     "monotone-grid": TesterEntry(
-        run=lambda cfg, o, rng: test_monotone_hypergrid(
-            o, cfg.eps, _cfg_alpha(cfg, o.fn), rng),
-        budget=lambda cfg, fn: monotone_hypergrid_budget(
-            fn.domain.n, fn.domain.d, cfg.eps, _cfg_alpha(cfg, fn)),
+        run=lambda cfg, o, alpha, rng: test_monotone_hypergrid(o, cfg.eps, alpha, rng),
+        budget=lambda cfg, fn, alpha: monotone_hypergrid_budget(
+            fn.domain.n, fn.domain.d, cfg.eps, alpha),
         validate=lambda cfg, fn, cert: check_grid_certificate(fn, cert),
         shape="grid",
     ),
     "bdp-grid": TesterEntry(
-        run=lambda cfg, o, rng: test_bdp_hypergrid(
-            o, cfg.bounds, cfg.eps, _cfg_alpha(cfg, o.fn), rng),
-        budget=lambda cfg, fn: bdp_hypergrid_budget(
-            fn.domain.n, fn.domain.d, cfg.eps, _cfg_alpha(cfg, fn)),
-        validate=lambda cfg, fn, cert: check_grid_certificate(
-            fn, cert, cfg.bounds),
+        run=lambda cfg, o, alpha, rng: test_bdp_hypergrid(o, cfg.bounds, cfg.eps, alpha, rng),
+        budget=lambda cfg, fn, alpha: bdp_hypergrid_budget(
+            fn.domain.n, fn.domain.d, cfg.eps, alpha),
+        validate=lambda cfg, fn, cert: check_grid_certificate(fn, cert, cfg.bounds),
         needs=("eps", "bounds"),
         shape="grid",
     ),
     "k-runs": TesterEntry(
-        run=lambda cfg, o, rng: test_k_runs(o, cfg.k, cfg.eps, rng),
-        budget=lambda cfg, fn: k_runs_sample_size(cfg.k, cfg.eps),
-        validate=lambda cfg, fn, cert: check_k_runs_certificate(
-            fn, cfg.k, cert),
+        run=lambda cfg, o, alpha, rng: test_k_runs(o, cfg.k, cfg.eps, rng),
+        budget=lambda cfg, fn, alpha: k_runs_sample_size(cfg.k, cfg.eps),
+        validate=lambda cfg, fn, cert: check_k_runs_certificate(fn, cfg.k, cert),
         needs=("eps", "k"),
         kind="bit",
     ),
     "low-degree": TesterEntry(
-        run=lambda cfg, o, rng: erasure_resilient_pot_run(
+        run=lambda cfg, o, alpha, rng: erasure_resilient_pot_run(
             low_degree_pot(o.fn.modulus, cfg.degree), o, rng),
-        budget=lambda cfg, fn: cfg.degree + 2,
+        budget=lambda cfg, fn, alpha: cfg.degree + 2,
         validate=lambda cfg, fn, cert: check_pot_certificate(
             fn, low_degree_pot(fn.modulus, cfg.degree), cert),
         needs=("degree",),
         kind="field",
     ),
     "poset-monotone": TesterEntry(
-        run=lambda cfg, o, rng: erasure_resilient_extendable(
-            poset_monotone_uniform_spec(cfg.poset), _cfg_alpha(cfg, o.fn),
-            cfg.eps, o, rng),
-        budget=lambda cfg, fn: extendable_budget(
-            poset_monotone_uniform_spec(cfg.poset), fn.domain.size, cfg.eps,
-            _cfg_alpha(cfg, fn)),
+        run=lambda cfg, o, alpha, rng: erasure_resilient_extendable(
+            poset_monotone_uniform_spec(cfg.poset), alpha, cfg.eps, o, rng),
+        budget=lambda cfg, fn, alpha: extendable_budget(
+            poset_monotone_uniform_spec(cfg.poset), fn.domain.size, cfg.eps, alpha),
         validate=lambda cfg, fn, cert: check_extendable_certificate(
             fn, poset_monotone_uniform_spec(cfg.poset), cert),
         needs=("eps", "poset"),
@@ -280,8 +266,9 @@ def run_trial(cfg: ExperimentConfig, entry: TesterEntry, fn: ErasedFunction,
     """Trial ``index`` of ``cfg`` on ``fn``: returns (verdict, budget cap).
     Raises unless the queries stay within the budget formula and a reject
     certificate re-validates against ``fn`` outside the oracle."""
-    verdict = entry.run(cfg, QueryOracle(fn), make_rng(cfg.seed, "trial", index))
-    cap = entry.budget(cfg, fn)
+    alpha = _cfg_alpha(cfg, fn)
+    verdict = entry.run(cfg, QueryOracle(fn), alpha, make_rng(cfg.seed, "trial", index))
+    cap = entry.budget(cfg, fn, alpha)
     if verdict.queries_used > cap:
         raise AssertionError(
             f"trial {index}: {verdict.queries_used} queries exceeded the "

@@ -21,9 +21,7 @@ from .core import (
     Verdict,
     ceil_frac,
     check_params,
-    exact_fraction,
-    exact_log2,
-    grid_le,
+    grid_descends,
     sample_nonerased_uniform,  # noqa: F401  unused here; bench/tracing.py wraps it
     value_gt,
 )
@@ -32,6 +30,7 @@ from .line import (
     LineBoundingPair,
     _bdp_check,
     _descends,
+    _log_budget,
     _search_driver,
     bdp_to_monotone_transforms,  # noqa: F401  unused here; bench/tracing.py wraps it
     pair_violates,
@@ -159,19 +158,17 @@ def _grid_params(oracle, eps, alpha, gate_factor: int):
 
 
 def monotone_hypergrid_budget(n: int, d: int, eps, alpha) -> int:
-    e, a = exact_fraction(eps), exact_fraction(alpha)
-    return ceil_frac(1200 * d * exact_log2(n) / (e * (1 - a)))
+    return _log_budget(1200 * d, n, eps, alpha)
 
 
 def bdp_hypergrid_budget(n: int, d: int, eps, alpha) -> int:
-    e, a = exact_fraction(eps), exact_fraction(alpha)
-    return ceil_frac(4800 * d * exact_log2(n) / (e * (1 - a)))
+    return _log_budget(4800 * d, n, eps, alpha)
 
 
 def hypergrid_iterations(d: int, eps, alpha, factor: int) -> int:
     """ceil(factor * d / (eps(1-alpha) - 4 d alpha)); the precondition keeps
     the denominator positive."""
-    e, a = exact_fraction(eps), exact_fraction(alpha)
+    e, a = check_params(eps, alpha)
     denom = e * (1 - a) - 4 * d * a
     if denom <= 0:
         raise PreconditionViolated("erasure bound too large for the iteration count")
@@ -243,7 +240,7 @@ def check_grid_certificate(fn: ErasedFunction, certificate,
     if fn.value_at(x) != fx or fn.value_at(y) != fy:
         return False
     if kind == "monotone-violation":
-        return grid_le(x, y) and x != y and value_gt(fx, fy)
+        return grid_descends(x, fx, y, fy)
     if kind == "bdp-violation":
         return grid_pair_violates(family, x, fx, y, fy)
     return False

@@ -153,20 +153,22 @@ def bdp_to_monotone_transforms(bounds: LineBoundingPair):
 # ---------------------------------------------------------------------------
 # testers
 
-def monotone_line_budget(n: int, eps, alpha) -> int:
+def _log_budget(factor, n: int, eps, alpha) -> int:
     e, a = check_params(eps, alpha)
-    return ceil_frac(60 * exact_log2(n) / (e * (1 - a)))
+    return ceil_frac(factor * exact_log2(n) / (e * (1 - a)))
+
+
+def monotone_line_budget(n: int, eps, alpha) -> int:
+    return _log_budget(60, n, eps, alpha)
 
 
 def convex_line_budget(n: int, eps, alpha) -> int:
-    e, a = check_params(eps, alpha)
-    return ceil_frac(180 * exact_log2(n) / (e * (1 - a)))
+    return _log_budget(180, n, eps, alpha)
 
 
 def bdp_line_budget(n: int, eps, alpha) -> int:
     """Two monotonicity searches at proximity eps/4 share one budget."""
-    e, a = check_params(eps, alpha)
-    return 2 * ceil_frac(60 * exact_log2(n) / ((e / 4) * (1 - a)))
+    return 2 * _log_budget(240, n, eps, alpha)  # 60 / (eps/4) = 240 / eps
 
 
 def proximity_iterations(eps) -> int:
@@ -197,27 +199,25 @@ def _draw_nonerased(line, l: int, r: int, rng):
             return m, v
 
 
-def randomized_binary_search_step_loop(oracle, lo, hi, s, fs, rng, on_pivot):
+def randomized_binary_search_step_loop(oracle, lo, hi, s, fs, rng, violated):
     """One random search path for s: sample a nonerased pivot m from the
-    current interval, let on_pivot(m, fm, side) inspect it (side is "right"
-    when m lies right of s), halve toward s, stop when the pivot is s itself.
-    Returns the first payload on_pivot yields, or None for a clean pass.
+    current interval, halve toward s, stop when the pivot is s itself.
+    Returns the first pair (a, fa, b, fb) of s and a pivot, ordered so that
+    a < b, which ``violated(a, fa, b, fb)`` flags, or None for a clean pass.
 
     The interval always contains s, so a singleton is s itself; drawing the
     forced pivot would add a query and check nothing."""
     l, r = lo, hi
     while l < r:
         m, fm = _draw_nonerased(oracle, l, r, rng)
-        if s < m:
-            r = m - 1
-            hit = on_pivot(m, fm, "right")
-        elif s > m:
-            l = m + 1
-            hit = on_pivot(m, fm, "left")
-        else:
+        if m == s:
             return None
-        if hit is not None:
-            return hit
+        if s < m:
+            r, pair = m - 1, (s, fs, m, fm)
+        else:
+            l, pair = m + 1, (m, fm, s, fs)
+        if violated(*pair):
+            return pair
     return None
 
 
@@ -258,15 +258,7 @@ def _search_driver(oracle: QueryOracle, budget: int, searches, certify, rng) -> 
 
     def certificates():
         for line, s, fs, violated in searches:
-            def on_pivot(m, fm, side):
-                if side == "right":
-                    if violated(s, fs, m, fm):
-                        return s, fs, m, fm
-                elif violated(m, fm, s, fs):
-                    return m, fm, s, fs
-                return None
-
-            hit = randomized_binary_search_step_loop(line, 1, n, s, fs, rng, on_pivot)
+            hit = randomized_binary_search_step_loop(line, 1, n, s, fs, rng, violated)
             yield None if hit is None else certify(line, *hit)
 
     return _run_searches(oracle, budget, certificates())
@@ -456,14 +448,12 @@ def check_line_certificate(fn: ErasedFunction, certificate,
     """Validates a reject certificate against the function itself, outside
     any oracle.  False means the certificate is bogus."""
     kind = certificate[0]
-    if kind == "monotone-violation":
+    if kind in ("monotone-violation", "bdp-violation"):
+        # the pair rule the search applied
         (a, fa), (b, fb) = certificate[1], certificate[2]
         return (a < b and fn.value_at((a,)) == fa and fn.value_at((b,)) == fb
-                and value_gt(fa, fb))
-    if kind == "bdp-violation":
-        (a, fa), (b, fb) = certificate[1], certificate[2]
-        return (a < b and fn.value_at((a,)) == fa and fn.value_at((b,)) == fb
-                and pair_violates(bounds, a, fa, b, fb))
+                and (_descends(a, fa, b, fb) if kind == "monotone-violation"
+                     else pair_violates(bounds, a, fa, b, fb)))
     if kind == "convex-violation":
         c1, c2 = certificate[1], certificate[2]
         for (p, fp) in (*c1, *c2):

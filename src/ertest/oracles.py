@@ -22,6 +22,7 @@ from .core import (
     ErasedFunction,
     InvalidField,
     SizeLimit,
+    grid_descends,
     grid_le,
     value_gt,
 )
@@ -356,20 +357,20 @@ def distance_to_monotone_grid_exact(fn: ErasedFunction) -> DistanceReport:
                           Fraction(absolute, len(items)), _kept_cert(kept_pts))
 
 
-def _exact_ints(values, entries):
-    """``values`` and ``entries`` as ints over one positive common
-    denominator, or None when the exact fast accept does not apply: the
-    values are neither all finite floats nor all ints and Fractions, or an
-    entry is not an int or Fraction (float bounds give rounded prefix sums).
+def _exact_ints(values, sums):
+    """``values`` and the bound prefix ``sums`` as ints over one positive
+    common denominator, or None when the exact fast accept does not apply:
+    the values are neither all finite floats nor all ints and Fractions, or
+    a sum is not an int or Fraction (every sum from a float bound entry on is a float).
     """
     if all(type(v) is float for v in values):
         if not all(map(math.isfinite, values)):
             return None
     elif not all(isinstance(v, (int, Fraction)) for v in values):
         return None
-    if not all(isinstance(e, (int, Fraction)) for e in entries):
+    if not all(isinstance(s, (int, Fraction)) for s in sums):
         return None
-    ratios = [x.as_integer_ratio() for x in itertools.chain(values, entries)]
+    ratios = [x.as_integer_ratio() for x in itertools.chain(values, sums)]
     scale = math.lcm(*{den for _, den in ratios})
     ints = [num * (scale // den) for num, den in ratios]
     return ints[:len(values)], ints[len(values):]
@@ -401,18 +402,16 @@ def _bdp_violation_free(domain, cells, per_dim) -> bool:
     if len(per_dim) != d or any(b.n != n for b in per_dim):
         return False
     valued = [i for i, v in enumerate(cells) if v is not ERASED]
-    sides = [side for b in per_dim for side in (b.lower, b.upper)]
-    cuts = [[isinstance(e, float) and math.isinf(e) for e in side] for side in sides]
-    exact = _exact_ints([cells[i] for i in valued],
-                        [e for side, cut in zip(sides, cuts)
-                         for e, inf in zip(side, cut) if not inf])
+    # side 2r holds axis r's lower bounds, 2r + 1 its upper ones
+    sums = [pre for b in per_dim for pre in (b._lo_pre, b._up_pre)]
+    infs = [inf for b in per_dim for inf in (b._lo_inf, b._up_inf)]
+    cuts = [list(map(operator.lt, inf, inf[1:])) for inf in infs]
+    exact = _exact_ints([cells[i] for i in valued], list(itertools.chain(*sums)))
     if exact is None:
         return False
-    values, steps = exact
-    steps = iter(steps)
+    values, flat = exact
     # prefix[k][t]: the finite entries of side k summed over steps before 0-based t
-    prefix = [list(itertools.accumulate((0 if inf else next(steps) for inf in cut), initial=0))
-              for cut in cuts]
+    prefix = [flat[k * n:(k + 1) * n] for k in range(2 * d)]
     size = domain.size
     for signs in itertools.product((1, -1), repeat=d):
         used = [2 * r + (s > 0) for r, s in enumerate(signs)]
@@ -847,8 +846,7 @@ def _verify_matching(fn: ErasedFunction, prop: PropertySpec, report: DistanceRep
     values, and there are exactly ``absolute`` of them."""
     if prop.tag == "monotone-grid":
         def violated(a, fa, b, fb):
-            lo, hi, flo, fhi = (a, b, fa, fb) if grid_le(a, b) else (b, a, fb, fa)
-            return grid_le(lo, hi) and flo > fhi
+            return grid_descends(a, fa, b, fb) or grid_descends(b, fb, a, fa)
     elif prop.tag == "bdp-grid":
         violated = prop.bounds.pair_violates
     else:

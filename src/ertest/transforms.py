@@ -284,7 +284,7 @@ def poset_monotone_uniform_spec(poset: Poset) -> UniformTesterSpec:
 # runs of a bit string
 
 def k_runs_sample_size(k: int, eps) -> int:
-    return ceil_frac(3 * (k + 1) * exact_log2(k + 1) / exact_fraction(eps))
+    return ceil_frac(3 * (k + 1) * exact_log2(k + 1) / check_params(eps)[0])
 
 
 def test_k_runs(oracle: QueryOracle, k: int, eps, rng) -> Verdict:

@@ -300,15 +300,26 @@ def test_cli_test_refuses_eps_outside_unit_interval(tmp_path, capsys, eps):
     assert "proximity parameter" in capsys.readouterr().err
 
 
+def test_cli_test_range_errors_print_the_value(tmp_path, capsys):
+    bits = write_lines(tmp_path / "b.fn", "domain line 4\n0 0 1 1\n")
+    poset = write_lines(tmp_path / "chain.poset", "poset 4\n1 2\n2 3\n3 4\n")
+    assert main(["test", "--tester", "poset-monotone", "--kind", "bit",
+                 "--input", bits, "--poset", poset, "--eps", "0"]) == 2
+    assert capsys.readouterr().err == "error: proximity parameter 0 outside (0,1)\n"
+    assert main(["test", "--tester", "monotone-line", "--input", sorted_line_file(tmp_path),
+                 "--eps", "1/4", "--alpha", "1"]) == 2
+    assert capsys.readouterr().err == "error: erasure bound 1 outside [0,1)\n"
+
+
 def test_cli_test_enforces_the_budget(tmp_path, capsys):
-    def run(cfg, oracle, rng):
+    def run(cfg, oracle, alpha, rng):
         oracle.set_budget(5)
         for _ in range(3):
             oracle.query((1,))
         return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)
 
     TESTERS["overbudget-probe"] = RegistryEntry(
-        run=run, budget=lambda cfg, fn: 2,
+        run=run, budget=lambda cfg, fn, alpha: 2,
         validate=lambda cfg, fn, cert: True, needs=())
     try:
         assert main(["test", "--tester", "overbudget-probe",

@@ -1,14 +1,17 @@
 """Experiment runner: config validation, per-trial invariants, aggregation,
 determinism, and report emission."""
+import itertools
 import json
 import os
 from dataclasses import asdict, fields, replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ertest.core import (
     ALL_CHECKS_PASSED,
+    ERASED,
     ConfigError,
     Domain,
     ErasedFunction,
@@ -24,6 +27,7 @@ from ertest.harness import (
     TrialSummary,
     emit_report,
     run_experiment,
+    run_trial,
     summaries_from_json,
     summary_rows,
     validate_config,
@@ -234,14 +238,14 @@ def _register(name, entry):
 
 
 def test_budget_overrun_aborts_experiment():
-    def run(cfg, oracle, rng):
+    def run(cfg, oracle, alpha, rng):
         oracle.set_budget(5)
         for _ in range(3):
             oracle.query((1,))
         return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)
 
     _register("overbudget-probe", RegistryEntry(
-        run=run, budget=lambda cfg, fn: 2,
+        run=run, budget=lambda cfg, fn, alpha: 2,
         validate=lambda cfg, fn, cert: True, needs=()))
     try:
         cfg = cfg_for("overbudget-probe", SORTED_64, trials=1)
@@ -252,12 +256,12 @@ def test_budget_overrun_aborts_experiment():
 
 
 def test_unverifiable_certificate_aborts_experiment():
-    def run(cfg, oracle, rng):
+    def run(cfg, oracle, alpha, rng):
         oracle.set_budget(1)
         return Verdict.rejected(("made-up", ()), 0)
 
     _register("badcert-probe", RegistryEntry(
-        run=run, budget=lambda cfg, fn: 10,
+        run=run, budget=lambda cfg, fn, alpha: 10,
         validate=lambda cfg, fn, cert: False, needs=()))
     try:
         cfg = cfg_for("badcert-probe", SORTED_64, trials=1)
@@ -265,6 +269,60 @@ def test_unverifiable_certificate_aborts_experiment():
             run_experiment(cfg)
     finally:
         del TESTERS["badcert-probe"]
+
+
+def test_classic_baseline_rejects_only_by_the_certificate_rule():
+    # the first half sits 1e-12 above the second: float noise, not a
+    # descent, by the tolerant rule the certificate check applies
+    fn = ErasedFunction(Domain.line(16), [1.0 + 1e-12] * 8 + [1.0] * 8)
+    cfg = cfg_for("classic-monotone-line", fn, seed=1, eps=Fraction(1, 2))
+    assert run_experiment(cfg).rejections == 0
+
+
+_PAIR_TESTERS = ("monotone-line", "classic-monotone-line", "bdp-line",
+                 "monotone-grid", "bdp-grid")
+
+
+@st.composite
+def _nudged_members(draw):
+    """(tester, function, bounds): a float member of the tester's property
+    (monotone, or 1-Lipschitz for the bounded-derivative testers) with every
+    value moved by at most 1e-12.  Line members may carry erasures; grid
+    members carry none, since the grid testers' gate needs a tiny alpha."""
+    tester = draw(st.sampled_from(_PAIR_TESTERS))
+    lowest = -1 if tester.startswith("bdp") else 0
+    grid = tester.endswith("grid")
+    n = draw(st.integers(2, 4 if grid else 24))
+    d = draw(st.integers(2, 3)) if grid else 1
+    # one walk of steps in [lowest, 1] per axis; the value sums the walks
+    walks = [list(itertools.accumulate(draw(st.lists(st.integers(lowest, 1),
+                                                     min_size=n - 1, max_size=n - 1)),
+                                       initial=0))
+             for _ in range(d)]
+    domain = Domain.grid(n, d)
+    values = [float(sum(walk[c - 1] for walk, c in zip(walks, pt)))
+              + draw(st.floats(-1e-12, 1e-12)) for pt in domain.points()]
+    if not grid:
+        for i in draw(st.sets(st.integers(0, n - 1), max_size=n - 1)):
+            values[i] = ERASED
+    if not tester.startswith("bdp"):
+        bounds = None
+    elif grid:
+        bounds = BoundingFamily.lipschitz(n, d)
+    else:
+        bounds = LineBoundingPair.lipschitz(n)
+    return tester, ErasedFunction(domain, values), bounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nudged_members(), st.integers(0, 2 ** 16))
+def test_pair_testers_accept_float_noise_on_members(case, seed):
+    # one-sided: float noise on a member is never evidence, so no tester
+    # rejects, and run_trial never sees a certificate fail re-validation
+    tester, fn, bounds = case
+    cfg = cfg_for(tester, fn, trials=1, seed=seed, eps=Fraction(1, 2), bounds=bounds)
+    verdict, _ = run_trial(cfg, TESTERS[tester], fn, 0)
+    assert not verdict.is_reject
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from ertest.core import (
     QueryOracle,
     erased_fraction,
 )
-from ertest.line import INF, LineBoundingPair
+from ertest.line import (INF, LineBoundingPair, bdp_line_budget, convex_line_budget,
+                         monotone_line_budget)
 from ertest.hypergrid import (
     AxisLine,
     BoundingFamily,
@@ -33,6 +34,7 @@ from ertest.hypergrid import (
 from ertest.hypergrid import test_bdp_hypergrid as run_grid_bdp
 from ertest.hypergrid import test_monotone_hypergrid as run_grid_monotone
 from ertest import oracles as O
+from ertest.transforms import k_runs_sample_size
 from ertest.rng import make_rng
 
 from reference_oracles import is_member_bdp
@@ -189,6 +191,21 @@ def test_budget_worked_examples():
 def test_iteration_worked_examples():
     assert hypergrid_iterations(2, Fraction(1, 5), 0, 12) == 120
     assert hypergrid_iterations(2, Fraction(2, 5), 0, 48) == 240
+
+
+@pytest.mark.parametrize("helper", [
+    lambda eps: monotone_line_budget(64, eps, 0),
+    lambda eps: convex_line_budget(64, eps, 0),
+    lambda eps: bdp_line_budget(64, eps, 0),
+    lambda eps: monotone_hypergrid_budget(8, 2, eps, 0),
+    lambda eps: bdp_hypergrid_budget(8, 2, eps, 0),
+    lambda eps: hypergrid_iterations(2, eps, 0, 12),
+    lambda eps: k_runs_sample_size(2, eps),
+], ids=["monotone-line", "convex-line", "bdp-line", "monotone-grid", "bdp-grid",
+        "grid-iterations", "k-runs"])
+def test_budget_helpers_check_the_proximity_range(helper):
+    with pytest.raises(ValueError, match="proximity parameter 0 outside"):
+        helper(0)
 
 
 def test_monotone_gate_rejects_large_alpha_before_queries():

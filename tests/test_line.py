@@ -219,7 +219,7 @@ def test_path_length_on_three_points():
     for _ in range(trials):
         o = QueryOracle(f, budget=100)
         randomized_binary_search_step_loop(o, 1, 3, 2, 5, rng,
-                                           lambda m, fm, side: None)
+                                           lambda a, fa, b, fb: False)
         assert o.count in (1, 2)
         ones += o.count == 1
     se = math.sqrt((1 / 3) * (2 / 3) / trials)
@@ -231,7 +231,7 @@ def test_search_with_unique_nonerased_point():
     o = QueryOracle(f, budget=100)
     hits = []
     out = randomized_binary_search_step_loop(
-        o, 1, 4, 2, 7, random.Random(4), lambda m, fm, side: hits.append(m))
+        o, 1, 4, 2, 7, random.Random(4), lambda a, fa, b, fb: hits.append((a, b)))
     assert out is None and hits == []
 
 
@@ -249,14 +249,12 @@ def test_search_never_flags_monotone_input():
         s = rng.choice(live)
         fired = []
 
-        def on_pivot(m, fm, side):
-            if side == "right" and f.value_at((s,)) > fm:
-                fired.append(m)
-            if side == "left" and fm > f.value_at((s,)):
-                fired.append(m)
-            return None
+        def violated(a, fa, b, fb):
+            if fa > fb:
+                fired.append((a, b))
+            return False
 
-        randomized_binary_search_step_loop(o, 1, n, s, f.value_at((s,)), rng, on_pivot)
+        randomized_binary_search_step_loop(o, 1, n, s, f.value_at((s,)), rng, violated)
         assert fired == []
 
 

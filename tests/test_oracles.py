@@ -418,6 +418,23 @@ def test_exact_fast_accept_runs_only_under_its_rule(case):
     assert O.bdp_grid_matching_bound(grid, family) == ref.bdp_grid_matching_bound(grid, family)
 
 
+def test_exact_fast_accept_cuts_at_unbounded_steps():
+    # g drops by 6 across its one step without a lower bound; every other
+    # pair fits, so only a cut at that step lets the exact sweep accept
+    bounds = LineBoundingPair([0, -INF, 0], [1, 1, 1])
+    g = [0, 1, -5, -4]
+    line = line_fn(g)
+    assert O._bdp_violation_free(line.domain, line.values, (bounds,)) is True
+    square = Domain.grid(4, 2)
+    grid = ErasedFunction(square, [g[x - 1] + g[y - 1] for x, y in square.points()])
+    assert O._bdp_violation_free(grid.domain, grid.values, (bounds, bounds)) is True
+    prop = O.PropertySpec("bdp-line", bounds=bounds)
+    with mock.patch.object(O, "is_member_bdp_values",
+                           wraps=O.is_member_bdp_values) as pairwise:
+        assert O.verify_report(line, prop, _all_kept(line, prop)) is True
+    assert not pairwise.called
+
+
 def test_erased_function_refuses_nan():
     # NaN equals nothing, so no report could keep a NaN point unchanged
     nan = float("nan")
@@ -477,6 +494,12 @@ _BAD_CERTIFICATES = {
                                 1, ("matching", ((1, 1), (3, 3)))),
     "matching-not-a-pair": (grid_fn(2, 2, lambda p: -sum(p)), O.PropertySpec("monotone-grid"),
                             1, ("matching", (1, 1))),
+    # f(1,1) exceeds f(2,2) by float noise only, which no certificate check counts
+    "matching-float-noise": (grid_fn(2, 2, lambda p: 1.0 + 1e-12 * (p == (1, 1))),
+                             O.PropertySpec("monotone-grid"), 1, ("matching", ((1, 1), (2, 2)))),
+    "matching-float-noise-reversed": (grid_fn(2, 2, lambda p: 1.0 + 1e-12 * (p == (1, 1))),
+                                      O.PropertySpec("monotone-grid"), 1,
+                                      ("matching", ((2, 2), (1, 1)))),
 }
 
 
