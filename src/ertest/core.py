@@ -317,47 +317,6 @@ class QueryOracle:
         return self.budget - self.count
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned sub-box given by inclusive corner tuples."""
-
-    lo: tuple
-    hi: tuple
-
-    def __post_init__(self):
-        if len(self.lo) != len(self.hi) or any(a > b for a, b in zip(self.lo, self.hi)):
-            raise ValueError(f"empty or malformed box {self.lo}..{self.hi}")
-
-    @classmethod
-    def whole(cls, domain: Domain) -> "Box":
-        return cls((1,) * domain.d, (domain.n,) * domain.d)
-
-    @property
-    def size(self) -> int:
-        s = 1
-        for a, b in zip(self.lo, self.hi):
-            s *= b - a + 1
-        return s
-
-    def sample(self, rng) -> tuple:
-        # rng.randint is exactly uniform (rejection sampling underneath)
-        return tuple(rng.randint(a, b) for a, b in zip(self.lo, self.hi))
-
-
-def sample_nonerased_uniform(oracle: QueryOracle, box: Box, rng):
-    """Uniform draws from the box until a nonerased point comes up.
-
-    Returns (point, value).  Every draw costs one query, so a region with few
-    nonerased points is paid for in budget; a fully erased region terminates
-    only through BudgetExhausted.
-    """
-    while True:
-        pt = box.sample(rng)
-        v = oracle.query(pt)
-        if v is not ERASED:
-            return pt, v
-
-
 def restrict_to_line(fn: ErasedFunction, axis: int, fixed: tuple) -> ErasedFunction:
     """Restriction to the axis-parallel line along ``axis`` (1-based) with the
     other coordinates fixed (in increasing dimension order)."""

@@ -27,7 +27,7 @@ from .core import (
 from .rng import make_rng
 from .line import (
     LineBoundingPair,
-    bdp_line_budget,
+    bdp_line_tester_budget,
     check_line_certificate,
     convex_line_budget,
     monotone_line_budget,
@@ -138,7 +138,7 @@ TESTERS = {
     ),
     "bdp-line": TesterEntry(
         run=lambda cfg, o, alpha, rng: test_bdp_line(o, cfg.bounds, cfg.eps, alpha, rng),
-        budget=lambda cfg, fn, alpha: bdp_line_budget(fn.domain.n, cfg.eps, alpha),
+        budget=lambda cfg, fn, alpha: bdp_line_tester_budget(cfg.bounds, cfg.eps, alpha),
         validate=lambda cfg, fn, cert: check_line_certificate(fn, cert, cfg.bounds),
         needs=("eps", "bounds"),
     ),

@@ -22,7 +22,6 @@ from .core import (
     ceil_frac,
     check_params,
     grid_descends,
-    sample_nonerased_uniform,  # noqa: F401  unused here; bench/tracing.py wraps it
     value_gt,
 )
 from .line import (
@@ -35,6 +34,7 @@ from .line import (
     bdp_to_monotone_transforms,  # noqa: F401  unused here; bench/tracing.py wraps it
     pair_violates,
     randomized_binary_search_step_loop,  # noqa: F401  likewise
+    sample_nonerased_uniform,  # noqa: F401  likewise
 )
 
 
@@ -179,10 +179,11 @@ def _axis_searches(oracle: QueryOracle, iterations: int, checks, rng):
     """Per iteration: a uniform axis line, then a uniform nonerased start on
     it, searched with the pair check of its axis (``checks[axis - 1]``).
 
-    A start draw is the draw ``sample_nonerased_uniform`` makes over the
-    line's box: ``rng.randint(c, c)`` for each fixed coordinate c, in
-    coordinate order, around the draw on the axis.  Those calls look
-    redundant but consume random bits, so they keep the seeded stream."""
+    A start draw is the draw a box sampler over the line's points makes:
+    ``rng.randint(c, c)`` for each fixed coordinate c, in coordinate order,
+    around the draw on the axis.  Those calls look redundant but consume
+    random bits, so they keep the seeded stream; the line sampler, which
+    draws the pivots, makes none of them."""
     domain = oracle.fn.domain
     n = domain.n
     for _ in range(iterations):

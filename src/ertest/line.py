@@ -23,9 +23,7 @@ from .core import (
     Verdict,
     ceil_frac,
     check_params,
-    exact_fraction,
     exact_log2,
-    sample_nonerased_uniform,  # noqa: F401  unused here; bench/tracing.py wraps it
     value_gt,
 )
 
@@ -171,14 +169,22 @@ def bdp_line_budget(n: int, eps, alpha) -> int:
     return 2 * _log_budget(240, n, eps, alpha)  # 60 / (eps/4) = 240 / eps
 
 
+def bdp_line_tester_budget(bounds: LineBoundingPair, eps, alpha) -> int:
+    """The budget ``test_bdp_line`` runs under: two views' worth with finite
+    bounds, one monotonicity search's worth when a bound is infinite."""
+    if bounds.all_finite:
+        return bdp_line_budget(bounds.n, eps, alpha)
+    return monotone_line_budget(bounds.n, eps, alpha)
+
+
 def proximity_iterations(eps) -> int:
-    return ceil_frac(2 / exact_fraction(eps))
+    return ceil_frac(2 / check_params(eps)[0])
 
 
 def one_sixth_iterations(eps) -> int:
     """Repetitions driving one view's miss probability below 1/6:
     (1 - eps/4)^t <= exp(-t*eps/4) <= 1/6 at t = 4 ln 6 / eps."""
-    return ceil_frac(Fraction(4 * math.log(6)) / exact_fraction(eps))
+    return ceil_frac(Fraction(4 * math.log(6)) / check_params(eps)[0])
 
 
 def _line_domain(oracle: QueryOracle) -> int:
@@ -187,13 +193,13 @@ def _line_domain(oracle: QueryOracle) -> int:
     return oracle.fn.domain.n
 
 
-def _draw_nonerased(line, l: int, r: int, rng):
-    """A uniform nonerased position of [l, r] on a line oracle, with its
-    value.  Each draw is one ``rng.randint(l, r)`` and one query: the draws
-    ``sample_nonerased_uniform`` makes over ``Box((l,), (r,))``, without
-    building the box."""
+def sample_nonerased_uniform(line, lo: int, hi: int, rng):
+    """A uniform nonerased position of [lo, hi] on a line oracle (or an axis
+    line of a grid), with its value.  Each draw is one ``rng.randint(lo, hi)``
+    and one query, so erasures are paid for in budget; a fully erased range
+    ends only through ``BudgetExhausted``."""
     while True:
-        m = rng.randint(l, r)
+        m = rng.randint(lo, hi)
         v = line.query((m,))
         if v is not ERASED:
             return m, v
@@ -209,7 +215,7 @@ def randomized_binary_search_step_loop(oracle, lo, hi, s, fs, rng, violated):
     forced pivot would add a query and check nothing."""
     l, r = lo, hi
     while l < r:
-        m, fm = _draw_nonerased(oracle, l, r, rng)
+        m, fm = sample_nonerased_uniform(oracle, l, r, rng)
         if m == s:
             return None
         if s < m:
@@ -267,7 +273,7 @@ def _search_driver(oracle: QueryOracle, budget: int, searches, certify, rng) -> 
 def _line_searches(oracle: QueryOracle, iterations: int, violated, rng):
     n = oracle.fn.domain.n
     for _ in range(iterations):
-        s, fs = _draw_nonerased(oracle, 1, n, rng)
+        s, fs = sample_nonerased_uniform(oracle, 1, n, rng)
         yield oracle, s, fs, violated
 
 
@@ -326,15 +332,13 @@ def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng
         return None
 
     if not bounds.all_finite:
-        return _search_driver(
-            oracle, monotone_line_budget(n, e, a),
-            _line_searches(oracle, proximity_iterations(e), _bdp_check(bounds), rng),
-            certify, rng)
-    g_map, h_map = bdp_to_monotone_transforms(bounds)
-    reps = one_sixth_iterations(e)
-    searches = itertools.chain(_line_searches(oracle, reps, _view_descends(g_map), rng),
-                               _line_searches(oracle, reps, _view_descends(h_map), rng))
-    return _search_driver(oracle, bdp_line_budget(n, e, a), searches, certify, rng)
+        searches = _line_searches(oracle, proximity_iterations(e), _bdp_check(bounds), rng)
+    else:
+        g_map, h_map = bdp_to_monotone_transforms(bounds)
+        reps = one_sixth_iterations(e)
+        searches = itertools.chain(_line_searches(oracle, reps, _view_descends(g_map), rng),
+                                   _line_searches(oracle, reps, _view_descends(h_map), rng))
+    return _search_driver(oracle, bdp_line_tester_budget(bounds, e, a), searches, certify, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +389,7 @@ def convex_search(oracle: QueryOracle, s: int, rng, counters) -> object:
     low = high = None
     while True:
         before = oracle.count
-        x, fx = _draw_nonerased(oracle, lo, hi, rng)
+        x, fx = sample_nonerased_uniform(oracle, lo, hi, rng)
         counters["sampling"] += oracle.count - before
 
         before = oracle.count
@@ -433,7 +437,7 @@ def test_convex_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
     def searches():
         for _ in range(proximity_iterations(e)):
             before = oracle.count
-            s, _ = _draw_nonerased(oracle, 1, n, rng)
+            s, _ = sample_nonerased_uniform(oracle, 1, n, rng)
             counters["sampling"] += oracle.count - before
             yield convex_search(oracle, s, rng, counters)
 

@@ -834,8 +834,6 @@ def _verify_low_degree(fn, prop, kept_pos, report) -> bool:
     if not sample:
         return report.absolute == len(pts)
     coeffs = interpolate(sample, p)
-    if len(coeffs) > prop.degree + 1 and any(c for c in coeffs[prop.degree + 1:]):
-        return False
     agree = all(poly_eval(coeffs, x, p) == y for x, y in pts if x in kept)
     changed = sum(1 for x, y in pts if poly_eval(coeffs, x, p) != y)
     return agree and changed == report.absolute

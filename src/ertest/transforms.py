@@ -265,7 +265,7 @@ def poset_monotone_uniform_spec(poset: Poset) -> UniformTesterSpec:
     comparable pair with inverted values."""
 
     def q(size, eps):
-        return ceil_frac(8 * Fraction(math.sqrt(size / float(eps))))
+        return math.ceil(8 * math.sqrt(size / float(eps)))
 
     def decide(sample) -> bool:
         pairs = sorted(set((pt[0], v) for pt, v in sample))
@@ -337,8 +337,7 @@ def tester_from_distance_approx(approx: Callable, fill, alpha, eps,
     distance/eta - delta <= e <= distance (with its own success probability);
     valid for alpha < (eps - delta*eta)/(eps + eta).
     """
-    e, _ = check_params(eps)
-    a = exact_fraction(alpha)
+    e, a = check_params(eps, alpha)
     eta_f, delta_f = exact_fraction(eta), exact_fraction(delta)
     if not a < (e - delta_f * eta_f) / (e + eta_f):
         raise PreconditionViolated(

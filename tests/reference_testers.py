@@ -2,8 +2,9 @@
 search driver and its budget shell.
 
 Each tester here runs its own search loop, draws every pivot and start point
-through ``sample_nonerased_uniform`` over a freshly built ``Box``, and
-rebuilds the O(n) bounded-derivative value maps on every call.  The
+through ``sample_nonerased_uniform`` over a freshly built ``Box`` (the
+box sampler the library once had, kept here verbatim), and rebuilds the O(n)
+bounded-derivative value maps on every call.  The
 cross-check tests in ``test_tester_reference.py`` require the library testers
 to give the same verdict, ``queries_used`` and certificate as these on the
 same seed.
@@ -16,13 +17,12 @@ from fractions import Fraction
 from ertest.core import (
     ALL_CHECKS_PASSED,
     BUDGET_EXHAUSTED,
-    Box,
     ERASED,
     BudgetExhausted,
+    Domain,
     QueryOracle,
     Verdict,
     check_params as _params,
-    sample_nonerased_uniform,
     value_gt,
 )
 from ertest.hypergrid import (
@@ -46,6 +46,47 @@ from ertest.line import (
     pair_violates,
     proximity_iterations,
 )
+
+
+@dataclass(frozen=True)
+class Box:
+    """Axis-aligned sub-box given by inclusive corner tuples."""
+
+    lo: tuple
+    hi: tuple
+
+    def __post_init__(self):
+        if len(self.lo) != len(self.hi) or any(a > b for a, b in zip(self.lo, self.hi)):
+            raise ValueError(f"empty or malformed box {self.lo}..{self.hi}")
+
+    @classmethod
+    def whole(cls, domain: Domain) -> "Box":
+        return cls((1,) * domain.d, (domain.n,) * domain.d)
+
+    @property
+    def size(self) -> int:
+        s = 1
+        for a, b in zip(self.lo, self.hi):
+            s *= b - a + 1
+        return s
+
+    def sample(self, rng) -> tuple:
+        # rng.randint is exactly uniform (rejection sampling underneath)
+        return tuple(rng.randint(a, b) for a, b in zip(self.lo, self.hi))
+
+
+def sample_nonerased_uniform(oracle: QueryOracle, box: Box, rng):
+    """Uniform draws from the box until a nonerased point comes up.
+
+    Returns (point, value).  Every draw costs one query, so a region with few
+    nonerased points is paid for in budget; a fully erased region terminates
+    only through BudgetExhausted.
+    """
+    while True:
+        pt = box.sample(rng)
+        v = oracle.query(pt)
+        if v is not ERASED:
+            return pt, v
 
 
 def bdp_to_monotone_transforms(bounds: LineBoundingPair):
@@ -243,7 +284,7 @@ def test_bdp_hypergrid(oracle: QueryOracle, family: BoundingFamily,
 
 
 # ---------------------------------------------------------------------------
-# convexity, whose pivot draw now goes through the same Box-free draw
+# convexity, whose pivot draw the library now makes with the line sampler
 
 NEG_INF = float("-inf")
 

@@ -12,7 +12,6 @@ from ertest.core import (
     ERASED,
     REJECT,
     VIOLATION_FOUND,
-    Box,
     BudgetExhausted,
     Domain,
     ErasedFunction,
@@ -25,11 +24,13 @@ from ertest.core import (
     exact_log2,
     grid_le,
     restrict_to_line,
-    sample_nonerased_uniform,
     value_gt,
     value_lt,
 )
+from ertest import line
 from ertest.rng import derive_seed, make_rng
+
+from reference_testers import Box, sample_nonerased_uniform
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +258,19 @@ def test_sampler_on_fully_erased_region_exhausts_budget():
     with pytest.raises(BudgetExhausted):
         sample_nonerased_uniform(oracle, Box((1,), (3,)), rng)
     assert oracle.count == 10
+
+
+def test_line_sampler_draws_what_the_box_sampler_draws():
+    # the library's one sampler must keep the box sampler's seeded stream:
+    # the same positions, values, query counts and RNG state after each draw
+    f = _half_erased_16()
+    ours, ref = QueryOracle(f, budget=10 ** 5), QueryOracle(f, budget=10 ** 5)
+    rng_ours, rng_ref = random.Random(779), random.Random(779)
+    for lo, hi in [(1, 16), (3, 9), (5, 5), (2, 15)] * 50:
+        m, v = line.sample_nonerased_uniform(ours, lo, hi, rng_ours)
+        (m_ref,), v_ref = sample_nonerased_uniform(ref, Box((lo,), (hi,)), rng_ref)
+        assert (m, v, ours.count) == (m_ref, v_ref, ref.count)
+        assert rng_ours.getstate() == rng_ref.getstate()
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from ertest.core import (
     ConfigError,
     Domain,
     ErasedFunction,
+    QueryOracle,
     Verdict,
 )
 from ertest.adversary import InstanceSpec
@@ -35,7 +36,7 @@ from ertest.harness import (
 )
 # aliased so pytest does not try to collect the class as tests
 from ertest.harness import TesterEntry as RegistryEntry
-from ertest.line import LineBoundingPair, monotone_line_budget
+from ertest.line import LineBoundingPair, bdp_line_budget, monotone_line_budget
 from ertest.hypergrid import BoundingFamily
 from ertest.oracles import PropertySpec
 from ertest.transforms import Poset
@@ -130,6 +131,25 @@ def test_member_experiment_never_rejects():
     assert summary.max_q <= summary.budget_Q
     assert summary.budget_Q == monotone_line_budget(64, Fraction(1, 4), 0)
     assert summary.mean_sampling is None and summary.mean_walking is None
+
+
+@pytest.mark.parametrize("bounds, expected", [
+    # an infinite bound runs one monotonicity search's budget, not two views'
+    (LineBoundingPair.monotone(256), 2195),
+    (LineBoundingPair.lipschitz(256), 17556),
+], ids=["infinite-bound", "finite-bounds"])
+def test_bdp_line_budget_q_is_the_testers_budget(bounds, expected):
+    eps, alpha = Fraction(1, 4), Fraction(1, 8)
+    fn = line_fn(list(range(256)))
+    summary = run_experiment(cfg_for("bdp-line", fn, trials=3, eps=eps,
+                                     alpha=alpha, bounds=bounds))
+    assert summary.budget_Q == expected
+    assert expected == (bdp_line_budget(256, eps, alpha) if bounds.all_finite
+                        else monotone_line_budget(256, eps, alpha))
+    oracle = QueryOracle(fn)
+    TESTERS["bdp-line"].run(
+        cfg_for("bdp-line", fn, eps=eps, bounds=bounds), oracle, alpha, make_rng(7))
+    assert oracle.budget == summary.budget_Q
 
 
 def test_far_experiment_rejects_often():

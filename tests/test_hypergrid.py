@@ -18,7 +18,7 @@ from ertest.core import (
     erased_fraction,
 )
 from ertest.line import (INF, LineBoundingPair, bdp_line_budget, convex_line_budget,
-                         monotone_line_budget)
+                         monotone_line_budget, one_sixth_iterations, proximity_iterations)
 from ertest.hypergrid import (
     AxisLine,
     BoundingFamily,
@@ -201,11 +201,14 @@ def test_iteration_worked_examples():
     lambda eps: bdp_hypergrid_budget(8, 2, eps, 0),
     lambda eps: hypergrid_iterations(2, eps, 0, 12),
     lambda eps: k_runs_sample_size(2, eps),
+    proximity_iterations,
+    one_sixth_iterations,
 ], ids=["monotone-line", "convex-line", "bdp-line", "monotone-grid", "bdp-grid",
-        "grid-iterations", "k-runs"])
+        "grid-iterations", "k-runs", "proximity-iterations", "one-sixth-iterations"])
 def test_budget_helpers_check_the_proximity_range(helper):
-    with pytest.raises(ValueError, match="proximity parameter 0 outside"):
-        helper(0)
+    for eps in (0, -1, 2):
+        with pytest.raises(ValueError, match=f"proximity parameter {eps} outside"):
+            helper(eps)
 
 
 def test_monotone_gate_rejects_large_alpha_before_queries():

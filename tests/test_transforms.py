@@ -564,6 +564,16 @@ def test_adapter_precondition_gate():
     assert not verdict.is_reject
 
 
+def test_adapter_checks_the_erasure_bound_range():
+    # a negative bound would turn a zero estimate on a sorted line into a reject
+    fn = line_fn(list(range(1, 21)))
+    for alpha in (Fraction(-1, 2), 1):
+        oracle = QueryOracle(fn)
+        with pytest.raises(ValueError, match="erasure bound .* outside"):
+            run_distance_adapter(lambda v: 0, 0, alpha, Fraction(1, 4), oracle)
+        assert oracle.count == 0
+
+
 def test_adapter_accepts_monotone_with_fill():
     vals = list(range(1, 21))
     vals[4] = vals[9] = ERASED
