@@ -279,6 +279,19 @@ def erased_fraction(fn: ErasedFunction) -> Fraction:
     return Fraction(fn.erased_count(), fn.domain.size)
 
 
+def holds_values(fn: ErasedFunction, named) -> bool:
+    """Every (point, value) in ``named`` is a point of ``fn``'s domain that
+    holds exactly that value, which is not ERASED: O(d) per pair, with no
+    scan of ``fn``, so certificate checks can call it on every trial."""
+    try:
+        for pt, v in named:
+            if v is ERASED or fn.value_at(pt) != v:
+                return False
+    except (TypeError, ValueError):  # outside the domain, or of the wrong shape
+        return False
+    return True
+
+
 class QueryOracle:
     """The only read channel testers may use.  Counts every query; raises
     BudgetExhausted when count would pass the budget."""

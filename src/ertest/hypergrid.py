@@ -22,6 +22,7 @@ from .core import (
     ceil_frac,
     check_params,
     grid_descends,
+    holds_values,
     value_gt,
 )
 from .line import (
@@ -66,9 +67,6 @@ class BoundingFamily:
     @classmethod
     def lipschitz(cls, n: int, d: int, c=1) -> "BoundingFamily":
         return cls(tuple(LineBoundingPair.lipschitz(n, c) for _ in range(d)))
-
-    def pair_violates(self, x: tuple, fx, y: tuple, fy) -> bool:
-        return grid_pair_violates(self, x, fx, y, fy)
 
 
 def quasi_metric(family: BoundingFamily, x: tuple, y: tuple):
@@ -238,7 +236,7 @@ def check_grid_certificate(fn: ErasedFunction, certificate,
     """Validates a grid reject certificate against the raw function."""
     kind = certificate[0]
     (x, fx), (y, fy) = certificate[1], certificate[2]
-    if fn.value_at(x) != fx or fn.value_at(y) != fy:
+    if not holds_values(fn, [(x, fx), (y, fy)]):
         return False
     if kind == "monotone-violation":
         return grid_descends(x, fx, y, fy)

@@ -24,6 +24,7 @@ from .core import (
     ceil_frac,
     check_params,
     exact_log2,
+    holds_values,
     value_gt,
 )
 
@@ -455,14 +456,13 @@ def check_line_certificate(fn: ErasedFunction, certificate,
     if kind in ("monotone-violation", "bdp-violation"):
         # the pair rule the search applied
         (a, fa), (b, fb) = certificate[1], certificate[2]
-        return (a < b and fn.value_at((a,)) == fa and fn.value_at((b,)) == fb
+        return (holds_values(fn, [((a,), fa), ((b,), fb)]) and a < b
                 and (_descends(a, fa, b, fb) if kind == "monotone-violation"
                      else pair_violates(bounds, a, fa, b, fb)))
     if kind == "convex-violation":
         c1, c2 = certificate[1], certificate[2]
-        for (p, fp) in (*c1, *c2):
-            if fn.value_at((p,)) != fp:
-                return False
+        if not holds_values(fn, [((p,), fp) for p, fp in (*c1, *c2)]):
+            return False
         (a, _), (b, _) = c1
         (c, _), (d, _) = c2
         if not (a < b and c < d and a <= c and b <= d and (a, b) != (c, d)):

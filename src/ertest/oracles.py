@@ -9,6 +9,7 @@ a certified distance matters.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -26,6 +27,7 @@ from .core import (
     grid_le,
     value_gt,
 )
+from .hypergrid import grid_pair_violates
 from .line import INF, LineBoundingPair, _slope, pair_violates
 
 FIELD_EXHAUSTIVE_GATE = 64
@@ -451,7 +453,7 @@ def bdp_grid_matching_bound(fn: ErasedFunction, family) -> DistanceReport:
             if not free[i]:
                 continue
             for j in range(i + 1, m):
-                if free[j] and family.pair_violates(p, v, *items[j]):
+                if free[j] and grid_pair_violates(family, p, v, *items[j]):
                     matching.append((i, j))
                     free[i] = free[j] = False
                     break
@@ -688,14 +690,9 @@ def complete_convex_line(pairs, kept_pos) -> dict:
     slopes beyond them; a single kept point spreads as a constant."""
     vals = dict(pairs)
     kept = sorted(kept_pos)
-    kept_set = set(kept)
-    out = {pos: v for pos, v in pairs if pos in kept_set}
-    if len(kept) == 1:
-        for pos, _ in pairs:
-            out[pos] = vals[kept[0]]
-        return out
+    out = {pos: vals[pos] for pos in kept}
     slopes = [_slope((kept[i], vals[kept[i]]), (kept[i + 1], vals[kept[i + 1]]))
-              for i in range(len(kept) - 1)]
+              for i in range(len(kept) - 1)] or [0]
     for pos, _ in pairs:
         if pos in out:
             continue
@@ -761,19 +758,18 @@ def _point_indices(fn: ErasedFunction, points):
 
 
 def verify_report(fn: ErasedFunction, prop: PropertySpec, report: DistanceReport) -> bool:
-    """Independent re-check: the completion that keeps exactly the certified
-    kept-set is a member, and it changes exactly ``absolute`` points.  A
-    certificate that names a point twice, or a point that is erased or
-    outside the domain, fails.
+    """Independent re-check, one rule for every kept-set report: the
+    certificate names at least one point, each a distinct nonerased point
+    of ``fn``; the property's completion of the kept points is a member;
+    and it changes exactly the nonerased points the certificate leaves out,
+    which number ``absolute``.  Matching reports go to ``_verify_matching``.
 
-    The membership checks are sweeps.  Monotone and bounded-derivative
-    lines run ``_bdp_violation_free`` on the completion, O(n) for two
-    orthants; only where it does not accept (a violation, or float bound
-    entries, a non-finite value, or float values mixed with exact ones)
-    does the pairwise O(m^2) ``is_member_bdp_values`` run, so the verdict is
-    the pairwise one.  The monotone grid completes and checks with
-    prefix-max sweeps, O(d·N), exact by plain ``>``.  Convexity checks
-    consecutive slopes, O(m log m).  No check calls a distance oracle.
+    Membership is checked by sweeps: ``_bdp_violation_free`` on monotone
+    and bounded-derivative lines, O(n), with the pairwise O(m^2)
+    ``is_member_bdp_values`` wherever it does not accept, so the verdict is
+    the pairwise one; prefix-max sweeps on the monotone grid, O(d·N), exact
+    by plain ``>``; consecutive slopes for convexity, O(m log m).  No check
+    calls a distance oracle.
     """
     cert = report.certificate
     if not isinstance(cert, tuple) or cert[:1] != (
@@ -782,61 +778,49 @@ def verify_report(fn: ErasedFunction, prop: PropertySpec, report: DistanceReport
     if report.is_lower_bound:
         return _verify_matching(fn, prop, report)
     kept_idx = _point_indices(fn, cert[1:])
-    if kept_idx is None:
+    if not kept_idx:
         return False
-    if prop.tag in ("monotone-line", "bdp-line", "convex-line", "k-runs", "low-degree"):
-        pairs = line_pairs(fn)
-        kept_pos = [i + 1 for i in kept_idx]
-        if prop.tag == "convex-line":
-            if not kept_pos:
-                return False
-            filled = complete_convex_line(pairs, kept_pos)
-            ok = is_member_convex_values(filled)
-        elif prop.tag == "k-runs":
-            # a completion exists iff the kept bits already fit inside k runs
-            ok = _k_runs_completion_exists(pairs, set(kept_pos), prop.k)
-            changed = len(pairs) - len(kept_pos)
-            return ok and changed == report.absolute
-        elif prop.tag == "low-degree":
-            return _verify_low_degree(fn, prop, kept_pos, report)
-        else:
-            bounds = prop.bounds if prop.tag == "bdp-line" else LineBoundingPair.monotone(fn.domain.n)
-            filled = complete_bdp_line(pairs, kept_pos, bounds)
-            cells = [ERASED] * fn.domain.n
-            for pos, v in filled.items():
-                cells[pos - 1] = v
-            ok = (_bdp_violation_free(fn.domain, cells, (bounds,))
-                  or is_member_bdp_values(filled, bounds))
-        changed = sum(1 for pos, v in pairs if filled[pos] != v)
-        return ok and changed == report.absolute == len(pairs) - len(kept_pos)
+    filled = _member_completion(fn, prop, kept_idx)
+    if filled is None:
+        return False
+    kept = set(kept_idx)
+    left_out = [i for i, v in enumerate(fn.values) if v is not ERASED and i not in kept]
+    changed = [i for i, v in enumerate(fn.values) if v is not ERASED and filled[i] != v]
+    return changed == left_out and len(left_out) == report.absolute
+
+
+def _member_completion(fn: ErasedFunction, prop: PropertySpec, kept_idx):
+    """``prop``'s completion that keeps the points at ``kept_idx``, by domain
+    index (erased entries are never read), or None if it is not a member."""
+    values = fn.values
     if prop.tag == "monotone-grid":
-        if not kept_idx:
-            return False
         filled = complete_monotone_grid(fn, kept_idx)
-        if not _is_monotone(filled, fn.domain):
-            return False
-        changed = sum(1 for f, v in zip(filled, fn.values) if v is not ERASED and f != v)
-        return changed == report.absolute
-    raise ValueError(f"unknown property {prop.tag!r}")
-
-
-def _k_runs_completion_exists(pairs, kept_pos, k) -> bool:
-    # scan: the kept bits must themselves have at most k-1 alternations
-    kept_bits = [v for p, v in pairs if p in kept_pos]
-    return count_alternations(kept_bits) <= k - 1
-
-
-def _verify_low_degree(fn, prop, kept_pos, report) -> bool:
-    p = fn.modulus
-    pts = [(i, v) for i, v in enumerate(fn.values) if v is not ERASED]
-    kept = set(x - 1 for x in kept_pos)
-    sample = [(x, y) for x, y in pts if x in kept][:prop.degree + 1]
-    if not sample:
-        return report.absolute == len(pts)
-    coeffs = interpolate(sample, p)
-    agree = all(poly_eval(coeffs, x, p) == y for x, y in pts if x in kept)
-    changed = sum(1 for x, y in pts if poly_eval(coeffs, x, p) != y)
-    return agree and changed == report.absolute
+        return filled if _is_monotone(filled, fn.domain) else None
+    if prop.tag == "k-runs":
+        # each point copies the last kept bit at or before it, else the first
+        order = sorted(kept_idx)
+        if count_alternations(values[i] for i in order) > prop.k - 1:
+            return None
+        kept, bit = set(kept_idx), values[order[0]]
+        return [bit := (v if i in kept else bit) for i, v in enumerate(values)]
+    if prop.tag == "low-degree":
+        p = fn.modulus
+        coeffs = interpolate([(i, values[i]) for i in kept_idx[:prop.degree + 1]], p)
+        return [poly_eval(coeffs, x, p) for x in range(len(values))]
+    kept_pos = [i + 1 for i in kept_idx]
+    if prop.tag == "convex-line":
+        filled = complete_convex_line(line_pairs(fn), kept_pos)
+    elif prop.tag in ("monotone-line", "bdp-line"):
+        bounds = prop.bounds if prop.tag == "bdp-line" else LineBoundingPair.monotone(fn.domain.n)
+        filled = complete_bdp_line(line_pairs(fn), kept_pos, bounds)
+    else:
+        raise ValueError(f"unknown property {prop.tag!r}")
+    cells = [filled.get(i + 1, ERASED) for i in range(len(values))]
+    if prop.tag == "convex-line":
+        return cells if is_member_convex_values(filled) else None
+    member = (_bdp_violation_free(fn.domain, cells, (bounds,))
+              or is_member_bdp_values(filled, bounds))
+    return cells if member else None
 
 
 def _verify_matching(fn: ErasedFunction, prop: PropertySpec, report: DistanceReport) -> bool:
@@ -846,7 +830,7 @@ def _verify_matching(fn: ErasedFunction, prop: PropertySpec, report: DistanceRep
         def violated(a, fa, b, fb):
             return grid_descends(a, fa, b, fb) or grid_descends(b, fb, a, fa)
     elif prop.tag == "bdp-grid":
-        violated = prop.bounds.pair_violates
+        violated = functools.partial(grid_pair_violates, prop.bounds)
     else:
         return False
     pairs = report.certificate[1:]

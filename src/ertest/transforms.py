@@ -28,6 +28,7 @@ from .core import (
     check_params,
     exact_fraction,
     exact_log2,
+    holds_values,
 )
 from .oracles import interpolate, is_prime, poly_eval, count_alternations
 
@@ -128,12 +129,14 @@ def low_degree_pot(p: int, degree: int) -> POTSpec:
 
 
 def check_pot_certificate(fn: ErasedFunction, pot: POTSpec, certificate) -> bool:
-    if certificate[0] != "pot-sample":
+    return _check_sample_certificate(fn, "pot-sample", pot.decide, certificate)
+
+
+def _check_sample_certificate(fn: ErasedFunction, tag: str, decide, certificate) -> bool:
+    if certificate[0] != tag:
         return False
     sample = list(certificate[1])
-    if any(fn.value_at(pt) != v for pt, v in sample):
-        return False
-    return not pot.decide(sample)
+    return holds_values(fn, sample) and not decide(sample)
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +205,7 @@ def erasure_resilient_extendable(spec: UniformTesterSpec, alpha, eps,
 
 def check_extendable_certificate(fn: ErasedFunction, spec: UniformTesterSpec,
                                  certificate) -> bool:
-    if certificate[0] != "extendable-sample":
-        return False
-    sample = list(certificate[1])
-    if any(fn.value_at(pt) != v for pt, v in sample):
-        return False
-    return not spec.decide(sample)
+    return _check_sample_certificate(fn, "extendable-sample", spec.decide, certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +316,7 @@ def check_k_runs_certificate(fn: ErasedFunction, k: int, certificate) -> bool:
     if certificate[0] != "alternation-run":
         return False
     pairs = list(certificate[1])
-    if any(fn.value_at((pos,)) != v for pos, v in pairs):
+    if not holds_values(fn, [((pos,), v) for pos, v in pairs]):
         return False
     if [p for p, _ in pairs] != sorted(set(p for p, _ in pairs)):
         return False

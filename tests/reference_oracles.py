@@ -25,13 +25,13 @@ from ertest.oracles import (
     DistanceReport,
     PropertySpec,
     _grid_items,
-    _k_runs_completion_exists,
     _kept_cert,
     _min_changes_poset,
     _slope,
-    _verify_low_degree,
     _violated_order_edges,
     complete_bdp_line,
+    count_alternations,
+    interpolate,
     is_member_bdp_values,
     is_member_convex_values,
     is_prime,
@@ -141,7 +141,7 @@ def bdp_grid_matching_bound(fn, family) -> DistanceReport:
     for i, (p, v) in enumerate(items):
         for j in range(i + 1, len(items)):
             q, w = items[j]
-            if family.pair_violates(p, v, q, w):
+            if grid_pair_violates(family, p, v, q, w):
                 edges.append((i, j))
     matching = greedy_maximal_matching(len(items), edges)
     cert = ("matching",) + tuple((items[a][0], items[b][0]) for a, b in matching)
@@ -349,8 +349,27 @@ def verify_report(fn: ErasedFunction, prop: PropertySpec, report: DistanceReport
                 if grid_le(p, q) and v > w:
                     return False
         changed = sum(1 for p, v in items if filled[p] != v)
-        return changed == report.absolute
+        return changed == report.absolute == len(items) - len(kept_idx)
     raise ValueError(f"unknown property {prop.tag!r}")
+
+
+def _k_runs_completion_exists(pairs, kept_pos, k) -> bool:
+    # scan: the kept bits must themselves have at most k-1 alternations
+    kept_bits = [v for p, v in pairs if p in kept_pos]
+    return count_alternations(kept_bits) <= k - 1
+
+
+def _verify_low_degree(fn, prop, kept_pos, report) -> bool:
+    p = fn.modulus
+    pts = [(i, v) for i, v in enumerate(fn.values) if v is not ERASED]
+    kept = set(x - 1 for x in kept_pos)
+    sample = [(x, y) for x, y in pts if x in kept][:prop.degree + 1]
+    if not sample:
+        return report.absolute == len(pts)
+    coeffs = interpolate(sample, p)
+    agree = all(poly_eval(coeffs, x, p) == y for x, y in pts if x in kept)
+    changed = sum(1 for x, y in pts if poly_eval(coeffs, x, p) != y)
+    return agree and changed == report.absolute
 
 
 def _verify_matching(fn: ErasedFunction, prop: PropertySpec, report: DistanceReport) -> bool:
@@ -361,7 +380,8 @@ def _verify_matching(fn: ErasedFunction, prop: PropertySpec, report: DistanceRep
             lo, hi, flo, fhi = (a, b, fa, fb) if grid_le(a, b) else (b, a, fb, fa)
             return grid_le(lo, hi) and flo > fhi
     elif prop.tag == "bdp-grid":
-        violated = prop.bounds.pair_violates
+        def violated(a, fa, b, fb):
+            return grid_pair_violates(prop.bounds, a, fa, b, fb)
     else:
         return False
     pairs = report.certificate[1:]

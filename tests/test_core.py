@@ -28,7 +28,15 @@ from ertest.core import (
     value_lt,
 )
 from ertest import line
+from ertest.hypergrid import check_grid_certificate
 from ertest.rng import derive_seed, make_rng
+from ertest.transforms import (
+    UniformTesterSpec,
+    check_extendable_certificate,
+    check_k_runs_certificate,
+    check_pot_certificate,
+    low_degree_pot,
+)
 
 from reference_testers import Box, sample_nonerased_uniform
 
@@ -160,6 +168,39 @@ def test_value_at_uses_points_not_indices():
     vals = [10 * x + y for y in range(1, 4) for x in range(1, 4)]
     f = ErasedFunction(dom, vals)
     assert f.value_at((2, 3)) == 23
+
+
+# Each certificate names one point that is not a point of the function's
+# domain, either outside it or of the wrong shape; every other named point
+# holds its named value.
+_LINE = ErasedFunction(Domain.line(4), [3, 2, 1, 0])
+_GRID = ErasedFunction(Domain.grid(2, 2), [3, 2, 1, 0])
+_BITS = ErasedFunction(Domain.line(4), [0, 1, 0, 1], kind="bit")
+_FIELD = ErasedFunction(Domain.line(5), [0, 1, 4, 4, 1], kind="field", modulus=5)
+_REJECT_ALL = UniformTesterSpec(q=lambda size, eps: 2, decide=lambda sample: False)
+_NOT_IN_DOMAIN = {
+    "line-outside": lambda: line.check_line_certificate(
+        _LINE, ("monotone-violation", (9, 5), (10, 1))),
+    "line-fractional-position": lambda: line.check_line_certificate(
+        _LINE, ("monotone-violation", (1, 3), (2.5, 2))),
+    "line-convex-outside": lambda: line.check_line_certificate(
+        _LINE, ("convex-violation", ((1, 3), (2, 2)), ((3, 1), (5, 0)))),
+    "grid-outside": lambda: check_grid_certificate(
+        _GRID, ("monotone-violation", ((1, 1), 3), ((3, 2), 0))),
+    "grid-wrong-shape": lambda: check_grid_certificate(
+        _GRID, ("monotone-violation", ((1, 1), 3), ((2,), 2))),
+    "k-runs-outside": lambda: check_k_runs_certificate(
+        _BITS, 2, ("alternation-run", ((1, 0), (2, 1), (7, 0)))),
+    "pot-outside": lambda: check_pot_certificate(
+        _FIELD, low_degree_pot(5, 1), ("pot-sample", (((1,), 0), ((2,), 1), ((9,), 4)))),
+    "extendable-outside": lambda: check_extendable_certificate(
+        _BITS, _REJECT_ALL, ("extendable-sample", (((1,), 0), ((0,), 1)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_IN_DOMAIN))
+def test_certificate_checks_fail_on_points_not_in_the_domain(case):
+    assert _NOT_IN_DOMAIN[case]() is False
 
 
 # ---------------------------------------------------------------------------

@@ -490,6 +490,18 @@ _BAD_CERTIFICATES = {
     "grid-repeated-point": (grid_fn(2, 2, sum), O.PropertySpec("monotone-grid"), 0,
                             ("kept", (1, 1), (1, 1), (2, 1), (1, 2))),
     "grid-no-point": (grid_fn(2, 2, sum), O.PropertySpec("monotone-grid"), 4, ("kept",)),
+    # the completion lifts the kept point (2,1) to 2, so the certificate
+    # does not name the one point it changes
+    "grid-completion-changes-kept-point": (ErasedFunction(Domain.grid(2, 2), [2, 1, 5, 6]),
+                                           O.PropertySpec("monotone-grid"), 1,
+                                           ("kept", (1, 1), (2, 1), (1, 2), (2, 2))),
+    # the completion fills every point with 0, so point 1 is left out unchanged
+    "k-runs-left-out-point-unchanged": (line_fn([0, 0, 1, 1], kind="bit"),
+                                        O.PropertySpec("k-runs", k=1), 3, ("kept", (2,))),
+    "k-runs-no-point": (line_fn([0, 0, 1, 1], kind="bit"), O.PropertySpec("k-runs", k=1), 4,
+                        ("kept",)),
+    "low-degree-no-point": (line_fn([0, 1, 2, 3], kind="field", modulus=5),
+                            O.PropertySpec("low-degree", degree=1), 4, ("kept",)),
     "matching-outside-domain": (grid_fn(2, 2, lambda p: -sum(p)), O.PropertySpec("monotone-grid"),
                                 1, ("matching", ((1, 1), (3, 3)))),
     "matching-not-a-pair": (grid_fn(2, 2, lambda p: -sum(p)), O.PropertySpec("monotone-grid"),
