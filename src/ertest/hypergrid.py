@@ -233,9 +233,13 @@ def test_bdp_hypergrid(oracle: QueryOracle, family: BoundingFamily,
 
 def check_grid_certificate(fn: ErasedFunction, certificate,
                            family: BoundingFamily = None) -> bool:
-    """Validates a grid reject certificate against the raw function."""
-    kind = certificate[0]
-    (x, fx), (y, fy) = certificate[1], certificate[2]
+    """Validates a grid reject certificate against the raw function.  False
+    means the certificate is bogus, or not (kind, (point, value),
+    (point, value))."""
+    try:
+        kind, (x, fx), (y, fy) = certificate
+    except (TypeError, ValueError):  # not of that shape
+        return False
     if not holds_values(fn, [(x, fx), (y, fy)]):
         return False
     if kind == "monotone-violation":

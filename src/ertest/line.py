@@ -451,21 +451,26 @@ def test_convex_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
 def check_line_certificate(fn: ErasedFunction, certificate,
                            bounds: LineBoundingPair = None) -> bool:
     """Validates a reject certificate against the function itself, outside
-    any oracle.  False means the certificate is bogus."""
-    kind = certificate[0]
+    any oracle.  False means the certificate is bogus, or not of the shape
+    its kind has: (kind, pair, pair), each pair (position, value), and for
+    convexity each pair itself two (position, value) pairs."""
+    try:
+        kind, c1, c2 = certificate
+        if kind == "convex-violation":
+            ((a, fa), (b, fb)), ((c, fc), (d, fd)) = c1, c2
+        else:
+            (a, fa), (b, fb) = c1, c2
+    except (TypeError, ValueError):  # not of its kind's shape
+        return False
     if kind in ("monotone-violation", "bdp-violation"):
         # the pair rule the search applied
-        (a, fa), (b, fb) = certificate[1], certificate[2]
         return (holds_values(fn, [((a,), fa), ((b,), fb)]) and a < b
                 and (_descends(a, fa, b, fb) if kind == "monotone-violation"
                      else pair_violates(bounds, a, fa, b, fb)))
     if kind == "convex-violation":
-        c1, c2 = certificate[1], certificate[2]
-        if not holds_values(fn, [((p,), fp) for p, fp in (*c1, *c2)]):
+        if not holds_values(fn, [((a,), fa), ((b,), fb), ((c,), fc), ((d,), fd)]):
             return False
-        (a, _), (b, _) = c1
-        (c, _), (d, _) = c2
         if not (a < b and c < d and a <= c and b <= d and (a, b) != (c, d)):
             return False
-        return value_gt(_slope(*c1), _slope(*c2))
+        return value_gt(_slope((a, fa), (b, fb)), _slope((c, fc), (d, fd)))
     return False

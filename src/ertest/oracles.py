@@ -24,7 +24,7 @@ from .core import (
     InvalidField,
     SizeLimit,
     grid_descends,
-    grid_le,
+    grid_le,  # noqa: F401 - still read as oracles.grid_le
     value_gt,
 )
 from .hypergrid import grid_pair_violates
@@ -208,19 +208,6 @@ def distance_to_convex_line(fn: ErasedFunction) -> DistanceReport:
 # ---------------------------------------------------------------------------
 # monotonicity over grids and posets
 
-def _violated_order_edges(items, le):
-    """Directed edges (i, j) with item i below item j but value above it,
-    in (i, j) order.  The relation is transitive, so its comparability graph
-    is perfect and the maximum violation-free subset is a maximum antichain.
-    The cheap value test runs before the partial order."""
-    edges = []
-    for i, (p, v) in enumerate(items):
-        for j, (q, w) in enumerate(items):
-            if v > w and le(p, q) and p != q:
-                edges.append((i, j))
-    return edges
-
-
 def _max_bipartite_matching(m: int, edges) -> dict:
     """Kuhn's augmenting paths; returns {left: right} over node ids 0..m-1.
     The depth-first search keeps its own stack, so a long augmenting path
@@ -258,13 +245,13 @@ def _max_bipartite_matching(m: int, edges) -> dict:
     return {a: b for b, a in match_right.items()}
 
 
-def _min_changes_poset(items, le):
-    """Exact distance to monotonicity over any finite poset, with an optimal
-    kept-set.  The violated-pair relation is a strict partial order; a largest
-    antichain of it (via matching and the alternating-reachability cover) is
-    the largest violation-free subset."""
-    m = len(items)
-    edges = _violated_order_edges(items, le)
+def _min_changes_poset(m: int, edges):
+    """Exact distance to monotonicity over any finite poset of ``m`` items,
+    with an optimal kept-set, from the directed violated edges (i, j): item
+    i below item j, yet valued above it.  The violated-pair relation is a
+    strict partial order, so its comparability graph is perfect and a
+    largest antichain of it (via matching and the alternating-reachability
+    cover) is the largest violation-free subset."""
     match_lr = _max_bipartite_matching(m, edges)
     match_rl = {b: a for a, b in match_lr.items()}
     adj = [[] for _ in range(m)]
@@ -339,21 +326,55 @@ def _is_monotone(cells, domain) -> bool:
     return not any(t > v for t, v in zip(top, cells) if v is not None)
 
 
+def _violated_grid_edges(cells, domain) -> list:
+    """The violated edges (i, j) of the grid order, in (i, j) order: valued
+    cell i lies below valued cell j, yet its value is above, by plain ``>``.
+    Cells number in index order with erased cells (None) left out, as in
+    ``_grid_items``.
+
+    Each valued cell enumerates its upper orthant by index ranges per axis,
+    the highest axis outermost, so the orthant comes out in index order and
+    only cells above it are ever compared.  The cell itself and erased cells
+    are skipped.  O(sum of orthant sizes): about m^2 / 2^d of the m^2
+    pairs on a full grid.
+    """
+    n = domain.n
+    strides = [n ** r for r in range(domain.d)]
+    rank, valued = [None] * len(cells), 0
+    for x, v in enumerate(cells):
+        if v is not None:
+            rank[x] = valued
+            valued += 1
+    edges = []
+    for x, v in enumerate(cells):
+        if v is None:
+            continue
+        orthant = [x]
+        for stride in strides:
+            span = (n - x // stride % n) * stride
+            orthant = [y + s for s in range(0, span, stride) for y in orthant]
+        i = rank[x]
+        edges += [(i, rank[y]) for y in orthant[1:]
+                  if (w := cells[y]) is not None and v > w]
+    return edges
+
+
 def distance_to_monotone_grid_exact(fn: ErasedFunction) -> DistanceReport:
     """Exact grid distance at any size via the matching route.
 
     A prefix-max sweep first tests for a violated pair in O(d·N) over the
-    N grid points.  It compares by plain ``>``, as the edge scan does, so it
-    is exact for any mix of ints, floats and Fractions.  With no violated
-    pair, the matching is empty and every point is kept, which is the report
-    the matching route returns; otherwise the O(m^2) edge scan runs.
+    N grid points.  It compares by plain ``>``, as the edge enumeration
+    does, so it is exact for any mix of ints, floats and Fractions.  With no
+    violated pair, the matching is empty and every point is kept, which is
+    the report the matching route returns; otherwise the edges come from
+    ``_violated_grid_edges`` and Kuhn's matching runs on them.
     """
     items = _grid_items(fn)
     cells = [None if v is ERASED else v for v in fn.values]
     if _is_monotone(cells, fn.domain):
         absolute, keep = 0, range(len(items))
     else:
-        absolute, keep = _min_changes_poset(items, grid_le)
+        absolute, keep = _min_changes_poset(len(items), _violated_grid_edges(cells, fn.domain))
     kept_pts = [items[i][0] for i in keep]
     return DistanceReport("monotone-grid", absolute,
                           Fraction(absolute, len(items)), _kept_cert(kept_pts))
@@ -473,7 +494,17 @@ def count_alternations(bits) -> int:
 
 def distance_to_k_runs(fn: ErasedFunction, k: int) -> DistanceReport:
     """Min changes so the nonerased values form at most k runs, i.e. at most
-    k-1 alternations.  DP over (points assigned, runs used, last bit)."""
+    k-1 alternations.
+
+    DP over (runs used r, last bit c), rolled over the points in two flat
+    lists, one per last bit: ``new[r][c] = min(cost[r-1][1-c], cost[r][c])
+    + (c != v)``.  On a tie the switch from (r-1, 1-c) wins.  After i + 1
+    points only r <= i + 1 is reachable, and unreachable states are never
+    read.  One int per point records the switches, bit 2r+c for "entered
+    (r, c) from (r-1, 1-c)", for the backtrace.  The report is the least
+    (cost, r, c) at the end.  O(m·k) time; O(m) memory, one int of 2k + 2
+    bits per point.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     if fn.kind != "bit":
@@ -481,37 +512,42 @@ def distance_to_k_runs(fn: ErasedFunction, k: int) -> DistanceReport:
     pairs = line_pairs(fn)
     m = len(pairs)
     NEG = m + 1
-    # cost[r][b], runs r in 1..k capped, last bit b
-    cost = [[NEG] * 2 for _ in range(k + 1)]
-    back = []
+    # cost0[r], cost1[r]: least changes with r runs so far, last bit 0 or 1
+    cost0, cost1 = [NEG] * (k + 1), [NEG] * (k + 1)
     first = pairs[0][1]
-    for b in (0, 1):
-        cost[1][b] = 0 if b == first else 1
-    back.append(None)
+    cost0[1], cost1[1] = first, 1 - first
+    switched = [0] * m
+    # (r, bit 2r, bit 2r+1), r downward, so cost*[r - 1] still holds the
+    # previous point's cost when r is updated in place
+    steps = [(r, 1 << 2 * r, 2 << 2 * r) for r in range(k, 0, -1)]
     for i in range(1, m):
         v = pairs[i][1]
-        nxt = [[NEG] * 2 for _ in range(k + 1)]
-        choice = [[None] * 2 for _ in range(k + 1)]
-        for r in range(1, k + 1):
-            for b in (0, 1):
-                if cost[r][b] > m:
-                    continue
-                for c in (0, 1):
-                    r2 = r + (1 if c != b else 0)
-                    if r2 > k:
-                        continue
-                    w = cost[r][b] + (0 if c == v else 1)
-                    if w < nxt[r2][c]:
-                        nxt[r2][c] = w
-                        choice[r2][c] = (r, b)
-        cost = nxt
-        back.append(choice)
-    ends = [(cost[r][b], r, b) for r in range(1, k + 1) for b in (0, 1) if cost[r][b] <= m]
+        u = 1 - v
+        mask = 0
+        for r, bit0, bit1 in (steps if i >= k else steps[k - i - 1:]):
+            s0 = cost1[r - 1]
+            t0 = cost0[r]
+            s1 = cost0[r - 1]
+            t1 = cost1[r]
+            if s0 <= t0:
+                cost0[r] = s0 + v
+                mask |= bit0
+            else:
+                cost0[r] = t0 + v
+            if s1 <= t1:
+                cost1[r] = s1 + u
+                mask |= bit1
+            else:
+                cost1[r] = t1 + u
+        switched[i] = mask
+    costs = (cost0, cost1)
+    ends = [(costs[b][r], r, b) for r in range(1, k + 1) for b in (0, 1) if costs[b][r] <= m]
     absolute, r, b = min(ends)
     labels = [None] * m
     for i in range(m - 1, 0, -1):
         labels[i] = b
-        r, b = back[i][r][b]
+        if switched[i] >> (2 * r + b) & 1:
+            r, b = r - 1, 1 - b
     labels[0] = b
     kept_pos = [pairs[i][0] for i in range(m) if labels[i] == pairs[i][1]]
     report = DistanceReport("k-runs", absolute, Fraction(absolute, m), _kept_cert(kept_pos))
@@ -567,9 +603,12 @@ def distance_to_low_degree(fn: ErasedFunction, degree: int) -> DistanceReport:
     """p minus the best agreement over every coefficient vector (erased points
     reduce both sides: distance and |N| count only nonerased points).
 
-    O(p^d * m): for each (c1..cd) the best constant term c0 is the most
-    common residual y - (c1 x + ... + cd x^d).  Ties go to the smallest
-    (c0, c1, ..., cd), the first in ``itertools.product`` order.
+    O(p^d * m): for each tail (c1..cd) the best constant term c0 is the most
+    common residual y - (c1 x + ... + cd x^d) mod p.  The residuals are built
+    one list pass per nonzero coefficient over precomputed columns of x^k,
+    then counted by residue.  The least key (-agreement, c0, tail) wins, the
+    tails in ``itertools.product`` order: ties go to the smallest
+    (c0, c1, ..., cd).
     """
     if fn.kind != "field":
         raise ValueError("low-degree distance needs a field-valued function")
@@ -581,12 +620,18 @@ def distance_to_low_degree(fn: ErasedFunction, degree: int) -> DistanceReport:
     if degree + 1 > p:
         raise ValueError("degree too high for the field size")
     pts = [(i, v) for i, v in enumerate(fn.values) if v is not ERASED]
-    powers = [[pow(x, k, p) for k in range(1, degree + 1)] for x, _ in pts]
+    ys = [y for _, y in pts]
+    # columns[k - 1][t]: x_t^k for the t-th nonerased point
+    columns = [[pow(x, k, p) for x, _ in pts] for k in range(1, degree + 1)]
 
     def best_constant(tail):
+        residuals = ys
+        for c, column in zip(tail, columns):
+            if c:
+                residuals = [r - c * xk for r, xk in zip(residuals, column)]
         counts = [0] * p
-        for (_, y), xs in zip(pts, powers):
-            counts[(y - sum(c * xk for c, xk in zip(tail, xs))) % p] += 1
+        for r in residuals:
+            counts[r % p] += 1
         agree = max(counts)
         return -agree, counts.index(agree), tail
 
@@ -743,17 +788,39 @@ def complete_monotone_grid(fn: ErasedFunction, kept_idx) -> list:
 
 def _point_indices(fn: ErasedFunction, points):
     """Domain indices of ``points``, or None unless they are distinct
-    nonerased points of ``fn``'s domain."""
-    # read fn.values directly: nonerased_indices() would keep a list on fn
-    valued = [i for i, v in enumerate(fn.values) if v is not ERASED]
-    if fn.domain.is_line:  # (i + 1,) is point_at(i), without its range check
-        index = {(i + 1,): i for i in valued}
-    else:
-        index = {fn.domain.point_at(i): i for i in valued}
-    try:
-        found = list(map(index.__getitem__, points))
-    except (KeyError, TypeError):  # not a nonerased point, or unhashable
-        return None
+    nonerased points of ``fn``'s domain.
+
+    A point is looked up as a dict key: ``(1.0,)`` and ``(True,)`` name the
+    line's first point, as ``(1,)`` does, and an unhashable point names
+    none.  On a line where every point is a plain tuple of one int, the
+    index is the coordinate minus 1 after a range check, with no dict over
+    the nonerased points; any other points take the dict.
+    """
+    values = fn.values
+    found = None
+    if fn.domain.is_line:
+        try:
+            coords = [c for (c,) in points]
+        except (TypeError, ValueError):  # a point that is not of length 1
+            coords = None
+        if (coords is not None and set(map(type, points)) <= {tuple}
+                and set(map(type, coords)) <= {int, bool}):
+            if coords and not (1 <= min(coords) and max(coords) <= len(values)):
+                return None
+            found = [c - 1 for c in coords]
+            if ERASED in map(values.__getitem__, found):
+                return None
+    if found is None:
+        # read fn.values directly: nonerased_indices() would keep a list on fn
+        valued = [i for i, v in enumerate(values) if v is not ERASED]
+        if fn.domain.is_line:  # (i + 1,) is point_at(i), without its range check
+            index = {(i + 1,): i for i in valued}
+        else:
+            index = {fn.domain.point_at(i): i for i in valued}
+        try:
+            found = list(map(index.__getitem__, points))
+        except (KeyError, TypeError):  # not a nonerased point, or unhashable
+            return None
     return found if len(set(found)) == len(found) else None
 
 

@@ -133,10 +133,12 @@ def check_pot_certificate(fn: ErasedFunction, pot: POTSpec, certificate) -> bool
 
 
 def _check_sample_certificate(fn: ErasedFunction, tag: str, decide, certificate) -> bool:
-    if certificate[0] != tag:
+    try:
+        kind, sample = certificate
+        sample = list(sample)
+    except (TypeError, ValueError):  # not (tag, sample)
         return False
-    sample = list(certificate[1])
-    return holds_values(fn, sample) and not decide(sample)
+    return kind == tag and holds_values(fn, sample) and not decide(sample)
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +315,13 @@ def test_k_runs(oracle: QueryOracle, k: int, eps, rng) -> Verdict:
 
 
 def check_k_runs_certificate(fn: ErasedFunction, k: int, certificate) -> bool:
-    if certificate[0] != "alternation-run":
+    try:
+        kind, run = certificate
+        pairs = list(run)
+        named = [((pos,), v) for pos, v in pairs]
+    except (TypeError, ValueError):  # not (kind, ((position, bit), ...))
         return False
-    pairs = list(certificate[1])
-    if not holds_values(fn, [((pos,), v) for pos, v in pairs]):
+    if kind != "alternation-run" or not holds_values(fn, named):
         return False
     if [p for p, _ in pairs] != sorted(set(p for p, _ in pairs)):
         return False

@@ -5,8 +5,9 @@ eye, slow enough that the library no longer uses them.  The cross-check tests
 in ``test_oracle_reference.py`` require the library oracles to return the
 same ``DistanceReport`` (distance and certificate) on every generated input,
 and ``verify_report`` to return the same verdict as the pairwise
-``verify_report`` kept here.  The branch-and-bound grid oracle, the greedy
-grid matching and the pairwise grid membership check serve only as
+``verify_report`` kept here, and ``_point_indices`` the same indices as
+the dict lookup ``point_indices``.  The branch-and-bound grid oracle, the
+greedy grid matching and the pairwise grid membership check serve only as
 references for tests.
 """
 from __future__ import annotations
@@ -28,7 +29,6 @@ from ertest.oracles import (
     _kept_cert,
     _min_changes_poset,
     _slope,
-    _violated_order_edges,
     complete_bdp_line,
     count_alternations,
     interpolate,
@@ -174,6 +174,56 @@ def distance_to_low_degree(fn, degree: int) -> DistanceReport:
                           ("kept",) + tuple(kept))
 
 
+def distance_to_k_runs(fn: ErasedFunction, k: int) -> DistanceReport:
+    """Min changes so the nonerased values form at most k runs, i.e. at most
+    k-1 alternations.  DP over (points assigned, runs used, last bit), with
+    a fresh cost table and a table of (r, b) back-pointers per point."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if fn.kind != "bit":
+        raise ValueError("runs are defined for bit-valued functions")
+    pairs = line_pairs(fn)
+    m = len(pairs)
+    NEG = m + 1
+    # cost[r][b], runs r in 1..k capped, last bit b
+    cost = [[NEG] * 2 for _ in range(k + 1)]
+    back = []
+    first = pairs[0][1]
+    for b in (0, 1):
+        cost[1][b] = 0 if b == first else 1
+    back.append(None)
+    for i in range(1, m):
+        v = pairs[i][1]
+        nxt = [[NEG] * 2 for _ in range(k + 1)]
+        choice = [[None] * 2 for _ in range(k + 1)]
+        for r in range(1, k + 1):
+            for b in (0, 1):
+                if cost[r][b] > m:
+                    continue
+                for c in (0, 1):
+                    r2 = r + (1 if c != b else 0)
+                    if r2 > k:
+                        continue
+                    w = cost[r][b] + (0 if c == v else 1)
+                    if w < nxt[r2][c]:
+                        nxt[r2][c] = w
+                        choice[r2][c] = (r, b)
+        cost = nxt
+        back.append(choice)
+    ends = [(cost[r][b], r, b) for r in range(1, k + 1) for b in (0, 1) if cost[r][b] <= m]
+    absolute, r, b = min(ends)
+    labels = [None] * m
+    for i in range(m - 1, 0, -1):
+        labels[i] = b
+        r, b = back[i][r][b]
+    labels[0] = b
+    kept_pos = [pairs[i][0] for i in range(m) if labels[i] == pairs[i][1]]
+    report = DistanceReport("k-runs", absolute, Fraction(absolute, m), _kept_cert(kept_pos))
+    assert count_alternations(labels) <= k - 1
+    assert m - len(kept_pos) == absolute
+    return report
+
+
 # ---------------------------------------------------------------------------
 # grid monotonicity references
 
@@ -225,7 +275,7 @@ def distance_to_monotone_grid_small(fn: ErasedFunction) -> DistanceReport:
     m = len(items)
     if m > GRID_EXACT_GATE:
         raise SizeLimit(f"{m} nonerased points exceeds the exact gate {GRID_EXACT_GATE}")
-    edges = _violated_order_edges(items, grid_le)
+    edges = violated_order_edges(items, grid_le)
     undirected = sorted(set((min(a, b), max(a, b)) for a, b in edges))
     matching = greedy_maximal_matching(m, undirected)
     cover = _min_vertex_cover_bnb(m, undirected)
@@ -241,7 +291,7 @@ def monotone_grid_matching_bound(fn: ErasedFunction) -> DistanceReport:
     """Certified lower bound for grids of any size: each matched violated
     pair forces at least one change."""
     items = _grid_items(fn)
-    edges = _violated_order_edges(items, grid_le)
+    edges = violated_order_edges(items, grid_le)
     undirected = sorted(set((min(a, b), max(a, b)) for a, b in edges))
     matching = greedy_maximal_matching(len(items), undirected)
     cert = ("matching",) + tuple((items[a][0], items[b][0]) for a, b in matching)
@@ -263,7 +313,7 @@ def is_member_bdp(values: dict, family: BoundingFamily) -> bool:
 def distance_to_monotone_grid_exact(fn: ErasedFunction) -> DistanceReport:
     """Exact grid distance via the matching route alone, with no sweep."""
     items = _grid_items(fn)
-    absolute, keep = _min_changes_poset(items, grid_le)
+    absolute, keep = _min_changes_poset(len(items), violated_order_edges(items, grid_le))
     kept_pts = [items[i][0] for i in keep]
     return DistanceReport("monotone-grid", absolute,
                           Fraction(absolute, len(items)), _kept_cert(kept_pts))
@@ -311,6 +361,22 @@ def complete_monotone_grid(items, kept_idx) -> dict:
         below = [v for q, v in kept if grid_le(q, p)]
         out[p] = max(below) if below else floor
     return out
+
+
+def point_indices(fn: ErasedFunction, points):
+    """Domain indices of ``points``, or None unless they are distinct
+    nonerased points of ``fn``'s domain: a dict over every nonerased point."""
+    # read fn.values directly: nonerased_indices() would keep a list on fn
+    valued = [i for i, v in enumerate(fn.values) if v is not ERASED]
+    if fn.domain.is_line:  # (i + 1,) is point_at(i), without its range check
+        index = {(i + 1,): i for i in valued}
+    else:
+        index = {fn.domain.point_at(i): i for i in valued}
+    try:
+        found = list(map(index.__getitem__, points))
+    except (KeyError, TypeError):  # not a nonerased point, or unhashable
+        return None
+    return found if len(set(found)) == len(found) else None
 
 
 def verify_report(fn: ErasedFunction, prop: PropertySpec, report: DistanceReport) -> bool:

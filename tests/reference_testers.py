@@ -424,10 +424,11 @@ def classic_monotone_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
                     break
                 fm = oracle.query((m,))
                 if fm is not ERASED:
-                    if m < s and fm > fs:
+                    # the library's pair rule: descends by ``value_gt``
+                    if m < s and value_gt(fm, fs):
                         return Verdict.rejected(
                             ("monotone-violation", (m, fm), (s, fs)), oracle.count)
-                    if m > s and fs > fm:
+                    if m > s and value_gt(fs, fm):
                         return Verdict.rejected(
                             ("monotone-violation", (s, fs), (m, fm)), oracle.count)
                 if s < m:

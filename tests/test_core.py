@@ -203,6 +203,46 @@ def test_certificate_checks_fail_on_points_not_in_the_domain(case):
     assert _NOT_IN_DOMAIN[case]() is False
 
 
+# Each certificate is not of the shape its kind has: too short, too long, or
+# with a part that is not a (point, value) pair.  The line and grid ones of
+# three pairs would pass if the extra pair were ignored.
+_WRONG_SHAPE = {
+    "line-empty": lambda: line.check_line_certificate(_LINE, ()),
+    "line-not-a-tuple": lambda: line.check_line_certificate(_LINE, None),
+    "line-one-pair": lambda: line.check_line_certificate(
+        _LINE, ("monotone-violation", (1, 3))),
+    "line-three-pairs": lambda: line.check_line_certificate(
+        _LINE, ("monotone-violation", (1, 3), (2, 2), (3, 1))),
+    "line-long-pair": lambda: line.check_line_certificate(
+        _LINE, ("monotone-violation", (1, 3, 0), (2, 2))),
+    "line-bdp-not-a-pair": lambda: line.check_line_certificate(
+        _LINE, ("bdp-violation", 7, (2, 2))),
+    "line-convex-short-chord": lambda: line.check_line_certificate(
+        _LINE, ("convex-violation", ((1, 3), (2, 2)), ((3, 1),))),
+    "line-convex-flat": lambda: line.check_line_certificate(
+        _LINE, ("convex-violation", (1, 3), (2, 2))),
+    "grid-one-pair": lambda: check_grid_certificate(
+        _GRID, ("monotone-violation", ((1, 1), 3))),
+    "grid-three-pairs": lambda: check_grid_certificate(
+        _GRID, ("monotone-violation", ((1, 1), 3), ((2, 2), 0), ((2, 1), 2))),
+    "grid-long-pair": lambda: check_grid_certificate(
+        _GRID, ("monotone-violation", ((1, 1), 3, 0), ((2, 2), 0))),
+    "grid-not-a-tuple": lambda: check_grid_certificate(_GRID, None),
+    "k-runs-no-run": lambda: check_k_runs_certificate(_BITS, 2, ("alternation-run",)),
+    "k-runs-long-pair": lambda: check_k_runs_certificate(
+        _BITS, 2, ("alternation-run", ((1, 0, 9), (2, 1), (3, 0)))),
+    "pot-no-sample": lambda: check_pot_certificate(_FIELD, low_degree_pot(5, 1), ("pot-sample",)),
+    "pot-sample-not-a-sequence": lambda: check_pot_certificate(
+        _FIELD, low_degree_pot(5, 1), ("pot-sample", 7)),
+    "extendable-empty": lambda: check_extendable_certificate(_BITS, _REJECT_ALL, ()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_SHAPE))
+def test_certificate_checks_fail_on_certificates_of_the_wrong_shape(case):
+    assert _WRONG_SHAPE[case]() is False
+
+
 # ---------------------------------------------------------------------------
 # the query channel
 

@@ -9,11 +9,12 @@ accept and their pairwise fallback both run.  The matching search is also
 checked on a long augmenting chain, against scipy.
 """
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ertest import oracles as O
 from ertest.core import ERASED, Domain, ErasedFunction
@@ -55,6 +56,31 @@ def grid_functions(draw):
     d = draw(st.integers(2, 3)) if n < 4 else 2
     dom = Domain.grid(n, d)
     return ErasedFunction(dom, draw(values_with_erasures(dom.size)))
+
+
+@st.composite
+def mixed_grid_functions(draw):
+    """A grid of d = 1 or d = 4, the dimensions ``grid_functions`` does not
+    draw, whose values mix ints, floats and Fractions, with erased cells."""
+    d = draw(st.sampled_from([1, 4]))
+    n = draw(st.integers(1, 16 if d == 1 else 3))
+    dom = Domain.grid(n, d)
+    number = st.one_of(*(_NUMBERS[kind] for kind in sorted(_NUMBERS)))
+    vals = draw(st.lists(st.one_of(number, st.just(ERASED)), min_size=dom.size,
+                         max_size=dom.size))
+    if all(v is ERASED for v in vals):
+        vals[draw(st.integers(0, dom.size - 1))] = 0
+    return ErasedFunction(dom, vals)
+
+
+@st.composite
+def bit_lines(draw):
+    """Bit-valued lines with erasures, down to one nonerased point."""
+    n = draw(st.integers(1, 40))
+    bits = draw(st.lists(st.sampled_from([0, 1, ERASED]), min_size=n, max_size=n))
+    if all(b is ERASED for b in bits):
+        bits[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0, 1]))
+    return ErasedFunction(Domain.line(n), bits, kind="bit")
 
 
 @st.composite
@@ -176,6 +202,43 @@ def test_verify_report_matches_reference_on_grids(data):
         assert O.verify_report(fn, prop, report) == ref.verify_report(fn, prop, report)
 
 
+# coordinates a hand-made certificate might hold: in and out of range, and
+# values equal to a position without being ints
+_COORDS = st.one_of(
+    st.integers(-1, 17), st.booleans(),
+    st.integers(0, 17).map(float), st.integers(0, 17).map(Fraction),
+    st.sampled_from([1.5, float("nan"), float("inf"), -0.0, 1 + 0j, Decimal(2), "1", None]))
+
+
+@st.composite
+def named_points(draw):
+    """A function, and what a certificate might name on it: mostly its own
+    points, some erased or repeated, and some of another shape, type or
+    hashability."""
+    fn = draw(st.one_of(line_functions(12), grid_functions()))
+    d = fn.domain.d
+    point = st.one_of(
+        st.sampled_from(list(fn.domain.points())),
+        st.tuples(*[_COORDS] * d),
+        st.lists(_COORDS, min_size=d, max_size=d),          # unhashable
+        st.tuples(st.lists(st.integers(1, 2), max_size=1)),  # unhashable inside
+        st.lists(_COORDS, max_size=d + 1).map(tuple),       # any length
+        _COORDS)
+    points = draw(st.lists(point, max_size=8))
+    return fn, tuple(points) if draw(st.booleans()) else points
+
+
+@SETTINGS
+@given(named_points())
+@example((ErasedFunction(Domain.line(3), [0, 1, 2]), [(1.0,), (True,)]))
+@example((ErasedFunction(Domain.line(3), [0, 1, 2]), ((3,), (1.0,), (Fraction(2),))))
+@example((ErasedFunction(Domain.line(3), [0, ERASED, 2]), ((1,), (2,))))
+@example((ErasedFunction(Domain.line(3), [0, 1, 2]), [(1,), [2]]))
+def test_point_lookup_matches_reference(case):
+    fn, points = case
+    assert O._point_indices(fn, points) == ref.point_indices(fn, points)
+
+
 @SETTINGS
 @given(grid_members(monotone_families))
 def test_monotone_grid_matches_reference_on_members(member):
@@ -208,12 +271,33 @@ def test_bdp_line_matches_reference(data):
 @given(grid_functions())
 def test_monotone_grid_matches_reference(fn):
     items = O._grid_items(fn)
-    assert O._violated_order_edges(items, O.grid_le) == \
+    cells = [None if v is ERASED else v for v in fn.values]
+    assert O._violated_grid_edges(cells, fn.domain) == \
         ref.violated_order_edges(items, O.grid_le)
     fast = O.distance_to_monotone_grid_exact(fn)
-    with mock.patch.object(O, "_violated_order_edges", ref.violated_order_edges), \
+
+    def reference_edges(cells, domain):
+        return ref.violated_order_edges(items, O.grid_le)
+
+    with mock.patch.object(O, "_violated_grid_edges", reference_edges), \
             mock.patch.object(O, "_max_bipartite_matching", ref.max_bipartite_matching):
         assert fast == O.distance_to_monotone_grid_exact(fn)
+
+
+@SETTINGS
+@given(st.one_of(grid_functions(), mixed_grid_functions()))
+def test_grid_edge_enumeration_matches_reference(fn):
+    cells = [None if v is ERASED else v for v in fn.values]
+    assert O._violated_grid_edges(cells, fn.domain) == \
+        ref.violated_order_edges(O._grid_items(fn), O.grid_le)
+
+
+@SETTINGS
+@given(bit_lines(), st.integers(1, 6))
+@example(ErasedFunction(Domain.line(3), [ERASED, 1, ERASED], kind="bit"), 1)
+@example(ErasedFunction(Domain.line(1), [0], kind="bit"), 6)
+def test_k_runs_matches_reference(fn, k):
+    assert O.distance_to_k_runs(fn, k) == ref.distance_to_k_runs(fn, k)
 
 
 @SETTINGS

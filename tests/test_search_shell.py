@@ -10,12 +10,12 @@ The query log does see it.
 import random
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ertest import adversary as A
 from ertest import hypergrid as HG
 from ertest import line as L
-from ertest.core import QueryOracle
+from ertest.core import Domain, ErasedFunction, QueryOracle
 
 import reference_testers as ref
 from test_tester_reference import (
@@ -54,6 +54,9 @@ def _same_queries(lib_tester, ref_tester, fn, seed, *args):
 
 @SETTINGS
 @given(line_functions(), EPS, ALPHAS, SEEDS)
+# float pairs that descend by less than ``value_gt``'s tolerance
+@example(ErasedFunction(Domain.line(2), [0.0, -5e-324]), Fraction(1, 4), 0, 0)
+@example(ErasedFunction(Domain.line(2), [1.0, 0.999999999999999]), Fraction(1, 4), 0, 0)
 def test_classic_monotone_line_matches_reference(fn, eps, alpha, seed):
     _same_queries(A.classic_monotone_line, ref.classic_monotone_line, fn, seed, eps, alpha)
 
