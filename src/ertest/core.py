@@ -8,7 +8,9 @@ spent; testers translate that signal into an accepting verdict.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -206,13 +208,20 @@ def _check_kind(kind: str, value, modulus) -> bool:
     raise ValueError(f"unknown value kind {kind!r}")
 
 
+# the value types of kind "real" that need no per-value check; a bool, or
+# an int or Fraction subclass, is a type of its own and takes the check
+_EXACT_REAL_TYPES = frozenset((int, Fraction, _Erased))
+
+
 class ErasedFunction:
     """A function on a domain where some points carry ERASED instead of a value.
 
     ``declared_alpha`` is the erasure bound the instance promises; testers
     trust it, the harness validates it against ``erased_fraction``.  All
     nonerased values must share one kind; mixing is rejected here, at
-    construction.
+    construction.  Real values whose types are only int and Fraction are
+    accepted by one pass over their types; any other type sends every value
+    through ``_check_kind`` in order, so the first misfit is the one named.
     """
 
     __slots__ = ("domain", "values", "kind", "modulus", "declared_alpha", "_nonerased")
@@ -229,12 +238,16 @@ class ErasedFunction:
         values = list(values)
         if len(values) != domain.size:
             raise ValueError(f"expected {domain.size} values, got {len(values)}")
-        erased = 0
-        for v in values:
-            if v is ERASED:
-                erased += 1
-            elif not _check_kind(kind, v, modulus):
-                raise ValueError(f"value {v!r} does not fit kind {kind!r}")
+        if kind == "real" and set(map(type, values)) <= _EXACT_REAL_TYPES:
+            # every value fits: an exact type can be neither bool nor NaN
+            erased = sum(map(operator.is_, values, itertools.repeat(ERASED)))
+        else:
+            erased = 0
+            for v in values:
+                if v is ERASED:
+                    erased += 1
+                elif not _check_kind(kind, v, modulus):
+                    raise ValueError(f"value {v!r} does not fit kind {kind!r}")
         if erased == len(values):
             raise ValueError("function has no nonerased points")
         exact = Fraction(erased, len(values))

@@ -10,6 +10,14 @@ gives, and the same tokens are refused; plain integer tokens (an optional
 and a bounds file parses each distinct token once.  Bounds files start
 `bounds d n` with d >= 1 and n >= 2, then per dimension a row of n-1 lower
 and a row of n-1 upper bounds.
+
+What a load builds is checked in C-level passes, not per token in Python:
+``ErasedFunction`` accepts real values by one pass over their types (all
+Fractions here), and ``LineBoundingPair`` keeps rows of integral Fractions
+and infinities as plain-int prefix sums, built in O(n) by
+``itertools.accumulate``, making a ``Fraction`` only for a sum it returns.
+Any other row, or a value of another type, takes the per-entry checks, so
+every error names the same first bad token.
 """
 from __future__ import annotations
 

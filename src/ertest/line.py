@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .core import (
@@ -59,27 +60,103 @@ def _prefix_with_inf(entries, sign):
     return finite, inf_count
 
 
+_EXACT_KINDS = frozenset((int, Fraction, float))
+
+
+def _integral_side(entries, sign):
+    """A side of step bounds as plain ints, when its entries are all ints,
+    integral Fractions or ``sign``'s infinity; None for any other side.
+
+    It is (keys, sums, infs, frac): per step the numerator, or the infinity
+    itself, to compare; the prefix sums of the numerators (an infinite step
+    adds 0) and the prefix counts of infinite steps, as ``_prefix_with_inf``
+    gives them; and the first prefix index at which that holds a Fraction,
+    one past the first Fraction entry (len + 1 when there is none).  Every
+    pass is C-level, but for a side that mixes finite and infinite steps.
+    """
+    types = list(map(type, entries))
+    kinds = set(types)
+    if not kinds <= _EXACT_KINDS:
+        return None
+    inf, size = sign * INF, len(entries)
+    if kinds == {float}:  # every step infinite, as in ``monotone(n)``
+        if entries.count(inf) != size:
+            return None
+        return entries, [0] * (size + 1), list(range(size + 1)), size + 1
+    nums, flags = entries, None
+    if float in kinds:
+        # float.__eq__ answers True only for an equal number (NotImplemented
+        # for a Fraction), so the flags mark exactly this side's infinities;
+        # any other float (finite, NaN, the other infinity) goes unmarked
+        flags = list(map(operator.is_, map(inf.__eq__, entries), itertools.repeat(True)))
+        if sum(flags) != types.count(float):
+            return None
+        nums = [0 if hit else e for e, hit in zip(entries, flags)]
+    first = size
+    if Fraction in kinds:
+        if any(map((1).__ne__, map(operator.attrgetter("denominator"), nums))):
+            return None
+        nums = list(map(operator.attrgetter("numerator"), nums))
+        first = types.index(Fraction)
+    sums = list(itertools.accumulate(nums, initial=0))
+    if flags is None:
+        return nums, sums, [0] * (size + 1), first + 1
+    keys = [inf if hit else x for x, hit in zip(nums, flags)]
+    return keys, sums, list(itertools.accumulate(flags, initial=0)), first + 1
+
+
+def _steps_ordered(lo, up) -> bool:
+    """lower < upper at every step of two ``_integral_side`` sides, decided
+    as ``value_gt`` decides it, or False when this cannot be decided here.
+    ``value_gt`` turns a finite entry it compares with an infinity into a
+    float; each entry is the difference of two prefix sums, so sums below
+    2^1022 keep it below 2^1023, where that cannot overflow."""
+    (lo_keys, lo_sums, lo_infs, _), (up_keys, up_sums, up_infs, _) = lo, up
+    if lo_infs[-1] or up_infs[-1]:
+        if any(max(max(sums), -min(sums)) >> 1022 for sums in (lo_sums, up_sums)):
+            return False
+    return all(map(operator.gt, up_keys, lo_keys))
+
+
 class LineBoundingPair:
     """Step bounds (lower, upper) on [n-1] with lower(i) < upper(i).
 
     A total g on [n] satisfies the property iff
     lower(i) <= g(i+1) - g(i) <= upper(i) for every step i.
+
+    A side whose entries are all ints, integral Fractions or its own
+    infinity keeps its prefix sums as plain ints, built in O(n) by C-level
+    maps and ``itertools.accumulate``, and its lower < upper check compares
+    numerators.  Segment sums and the G/H maps still return the value and
+    type of Fraction arithmetic on the entries: a sum is a Fraction exactly
+    when a Fraction entry lies before its end (``_lo_frac``/``_up_frac``:
+    the first prefix index that would hold one), an int otherwise.  Any
+    other side, or a pair the numerator check cannot decide, goes through
+    ``_prefix_with_inf`` and ``value_gt`` step by step, with the same error
+    at the same first bad step.
     """
 
-    __slots__ = ("lower", "upper", "_lo_pre", "_lo_inf", "_up_pre", "_up_inf")
+    __slots__ = ("lower", "upper", "_lo_pre", "_lo_inf", "_lo_frac",
+                 "_up_pre", "_up_inf", "_up_frac")
 
     def __init__(self, lower, upper):
         lower = tuple(lower)
         upper = tuple(upper)
         if len(lower) != len(upper):
             raise ValueError("lower and upper must have equal length")
-        for l, u in zip(lower, upper):
-            if not value_gt(u, l):
-                raise ValueError(f"need lower < upper, got {l} vs {u}")
+        lo = _integral_side(lower, -1)
+        up = _integral_side(upper, +1)
+        if not (lo and up and _steps_ordered(lo, up)):
+            for l, u in zip(lower, upper):
+                if not value_gt(u, l):
+                    raise ValueError(f"need lower < upper, got {l} vs {u}")
         self.lower = lower
         self.upper = upper
-        self._lo_pre, self._lo_inf = _prefix_with_inf(lower, -1)
-        self._up_pre, self._up_inf = _prefix_with_inf(upper, +1)
+        never = len(lower) + 1
+        self._lo_pre, self._lo_inf, self._lo_frac = (
+            lo[1:] if lo else (*_prefix_with_inf(lower, -1), never))
+        self._up_pre, self._up_inf, self._up_frac = (
+            up[1:] if up else (*_prefix_with_inf(upper, +1), never))
 
     @property
     def n(self) -> int:
@@ -103,14 +180,16 @@ class LineBoundingPair:
             raise ValueError(f"bad segment [{a}, {b})")
         if self._lo_inf[b - 1] - self._lo_inf[a - 1] > 0:
             return -INF
-        return self._lo_pre[b - 1] - self._lo_pre[a - 1]
+        s = self._lo_pre[b - 1] - self._lo_pre[a - 1]
+        return Fraction(s) if b > self._lo_frac else s
 
     def seg_upper(self, a: int, b: int):
         if not 1 <= a <= b <= self.n:
             raise ValueError(f"bad segment [{a}, {b})")
         if self._up_inf[b - 1] - self._up_inf[a - 1] > 0:
             return INF
-        return self._up_pre[b - 1] - self._up_pre[a - 1]
+        s = self._up_pre[b - 1] - self._up_pre[a - 1]
+        return Fraction(s) if b > self._up_frac else s
 
 
 def pair_violates(bounds: LineBoundingPair, a: int, fa, b: int, fb) -> bool:
@@ -132,13 +211,16 @@ def bdp_to_monotone_transforms(bounds: LineBoundingPair):
     [i, n).  These equal the half-sum recentering followed by the symmetric
     slack subtraction, folded into one shift per side.  Each map is O(1): it
     evaluates the same prefix-sum difference as ``seg_lower(i, n)`` and
-    ``seg_upper(i, n)``, so int, Fraction and float values come out the same.
+    ``seg_upper(i, n)``, with the same value and type, so int, Fraction and
+    float values come out the same.
     Requires finite bounds.
     """
     if not bounds.all_finite:
         raise ValueError("transforms need finite bounds on every step")
     lo_pre, up_pre = bounds._lo_pre, bounds._up_pre
-    lo_total, up_total = lo_pre[-1], up_pre[-1]
+    # the totals carry the segment sums' type: a Fraction total keeps every
+    # shift a Fraction over int prefix sums
+    lo_total, up_total = bounds.seg_lower(1, bounds.n), bounds.seg_upper(1, bounds.n)
 
     def g_map(i, v):
         return v + (lo_total - lo_pre[i - 1])

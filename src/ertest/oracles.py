@@ -858,8 +858,11 @@ def verify_report(fn: ErasedFunction, prop: PropertySpec, report: DistanceReport
 
 def _member_completion(fn: ErasedFunction, prop: PropertySpec, kept_idx):
     """``prop``'s completion that keeps the points at ``kept_idx``, by domain
-    index (erased entries are never read), or None if it is not a member."""
+    index (erased entries are never read), or None if it is not a member
+    or ``prop`` has no kept-set completion (bdp-grid reports are matchings)."""
     values = fn.values
+    if prop.tag == "bdp-grid":
+        return None
     if prop.tag == "monotone-grid":
         filled = complete_monotone_grid(fn, kept_idx)
         return filled if _is_monotone(filled, fn.domain) else None

@@ -8,9 +8,15 @@ bounded-derivative value maps on every call.  The
 cross-check tests in ``test_tester_reference.py`` require the library testers
 to give the same verdict, ``queries_used`` and certificate as these on the
 same seed.
+
+``PrefixBoundingPair`` is the step-bound class as it was while every prefix
+sum was a Python number (Fractions wherever a Fraction entry came first),
+with its O(1) value maps; ``test_line.py`` requires the library class to
+give the same values, types and errors on its whole public surface.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -438,3 +444,105 @@ def classic_monotone_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
     except BudgetExhausted:
         return Verdict.accepted(BUDGET_EXHAUSTED, oracle.count)
     return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)
+
+
+# ---------------------------------------------------------------------------
+# step bounds with Python-number prefix sums
+
+
+def _prefix_with_inf(entries, sign):
+    """Prefix sums of the finite entries plus a prefix count of infinities.
+
+    ``sign`` is the only infinity each side may carry: -1 for lower bounds,
+    +1 for upper bounds.  While every finite entry so far is an integral
+    Fraction, the sum is kept as an int and stored as ``Fraction(acc)``: the
+    value and type ``finite[-1] + e`` gives, without Fraction addition.
+    """
+    finite = [0]
+    inf_count = [0]
+    acc = 0  # None once a finite entry is not an integral Fraction
+    for e in entries:
+        if isinstance(e, float) and math.isinf(e):
+            if (e > 0) != (sign > 0):
+                raise ValueError(f"bound entry {e} has the wrong sign")
+            finite.append(finite[-1])
+            inf_count.append(inf_count[-1] + 1)
+        else:
+            if acc is not None and type(e) is Fraction and e.denominator == 1:
+                acc += e.numerator
+                finite.append(Fraction(acc))
+            else:
+                acc = None
+                finite.append(finite[-1] + e)
+            inf_count.append(inf_count[-1])
+    return finite, inf_count
+
+
+class PrefixBoundingPair:
+    """Step bounds (lower, upper) on [n-1] with lower(i) < upper(i).
+
+    A total g on [n] satisfies the property iff
+    lower(i) <= g(i+1) - g(i) <= upper(i) for every step i.
+    """
+
+    __slots__ = ("lower", "upper", "_lo_pre", "_lo_inf", "_up_pre", "_up_inf")
+
+    def __init__(self, lower, upper):
+        lower = tuple(lower)
+        upper = tuple(upper)
+        if len(lower) != len(upper):
+            raise ValueError("lower and upper must have equal length")
+        for l, u in zip(lower, upper):
+            if not value_gt(u, l):
+                raise ValueError(f"need lower < upper, got {l} vs {u}")
+        self.lower = lower
+        self.upper = upper
+        self._lo_pre, self._lo_inf = _prefix_with_inf(lower, -1)
+        self._up_pre, self._up_inf = _prefix_with_inf(upper, +1)
+
+    @property
+    def n(self) -> int:
+        return len(self.lower) + 1
+
+    @classmethod
+    def monotone(cls, n: int) -> "PrefixBoundingPair":
+        return cls([0] * (n - 1), [INF] * (n - 1))
+
+    @classmethod
+    def lipschitz(cls, n: int, c=1) -> "PrefixBoundingPair":
+        return cls([-c] * (n - 1), [c] * (n - 1))
+
+    @property
+    def all_finite(self) -> bool:
+        return self._lo_inf[-1] == 0 and self._up_inf[-1] == 0
+
+    def seg_lower(self, a: int, b: int):
+        """Sum of lower(t) for t in [a, b); -inf if the segment holds one."""
+        if not 1 <= a <= b <= self.n:
+            raise ValueError(f"bad segment [{a}, {b})")
+        if self._lo_inf[b - 1] - self._lo_inf[a - 1] > 0:
+            return -INF
+        return self._lo_pre[b - 1] - self._lo_pre[a - 1]
+
+    def seg_upper(self, a: int, b: int):
+        if not 1 <= a <= b <= self.n:
+            raise ValueError(f"bad segment [{a}, {b})")
+        if self._up_inf[b - 1] - self._up_inf[a - 1] > 0:
+            return INF
+        return self._up_pre[b - 1] - self._up_pre[a - 1]
+
+
+def prefix_transforms(bounds: PrefixBoundingPair):
+    """The O(1) value maps (G, H) over a ``PrefixBoundingPair``'s sums."""
+    if not bounds.all_finite:
+        raise ValueError("transforms need finite bounds on every step")
+    lo_pre, up_pre = bounds._lo_pre, bounds._up_pre
+    lo_total, up_total = lo_pre[-1], up_pre[-1]
+
+    def g_map(i, v):
+        return v + (lo_total - lo_pre[i - 1])
+
+    def h_map(i, v):
+        return -v - (up_total - up_pre[i - 1])
+
+    return g_map, h_map

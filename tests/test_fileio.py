@@ -167,3 +167,100 @@ def test_bounds_round_trip_loads_fractions(tmp_path_factory, bounds):
             assert w == v and type(w) is float
         else:
             assert type(w) is Fraction and w == Fraction(str(v))
+
+
+# tokens of every kind a file may hold, and number-like text, as one token
+_FILE_TOKENS = st.one_of(
+    st.sampled_from(["-0", "+5", "7/3", "1e-3", "inf", "-inf", "1_000", "_", "2.50",
+                     "1/0", "-", "0x10", str(2 ** 70)]),
+    _NUMBERISH.map(lambda t: t.replace(" ", "")).filter(bool),
+)
+
+
+@SETTINGS
+@given(_FILE_TOKENS)
+def test_loaded_values_are_what_fraction_gives(tmp_path_factory, token):
+    """A token on line 3 of a function file loads as ``Fraction(token)``
+    gives it, by value and type (``_`` as ERASED), or is refused at
+    ``path:3`` as Fraction refuses it."""
+    path = str(tmp_path_factory.mktemp("fn") / "f.fn")
+    with open(path, "w") as fh:
+        fh.write(f"domain line 3\n1 2\n{token}\n")
+    expected = _outcome(lambda t: ERASED if t == "_" else Fraction(t), token)
+    try:
+        got = load_function(path).values[2]
+    except ConfigError as exc:
+        assert not isinstance(expected, tuple)
+        assert str(exc) == f"{path}:3: expected a real value or `_`, got {token!r}"
+    else:
+        assert (type(got), got) == expected
+
+
+@SETTINGS
+@given(_FILE_TOKENS)
+def test_loaded_bounds_are_what_fraction_gives(tmp_path_factory, token):
+    """An upper bound token loads as ``Fraction(token)`` or ``inf`` gives
+    it, or is refused at ``path:3``: as a token Fraction refuses, or as an
+    upper bound not above its lower bound -10."""
+    path = str(tmp_path_factory.mktemp("bounds") / "b.bounds")
+    with open(path, "w") as fh:
+        fh.write(f"bounds 1 3\n-10 -10\n{token} 10\n")
+    expected = _outcome(_reference_bound, token)
+    try:
+        got = load_bounds(path)
+    except ConfigError as exc:
+        if isinstance(expected, tuple):
+            message = f"need lower < upper, got -10 vs {expected[1]}"
+        else:
+            message = f"expected an upper bound, got {token!r}"
+        assert str(exc) == f"{path}:3: {message}"
+    else:
+        assert (type(got.upper[0]), got.upper[0]) == expected
+        assert got.seg_upper(1, 3) == expected[1] + 10
+
+
+class _Int(int):
+    pass
+
+
+_REAL = st.one_of(st.integers(-5, 5), st.integers(-5, 5).map(Fraction),
+                  st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)), st.just(ERASED))
+_MISFITS = st.one_of(st.booleans(), st.just(math.nan), st.floats(-5, 5),
+                     st.sampled_from(["1", None, 1j, (1,), _Int(3)]))
+
+
+def _reference_construction(values, kind, modulus):
+    """What ``ErasedFunction`` does, checking one value at a time: the
+    erased count, or the message of its first refusal."""
+    def fits(v):
+        if kind == "real":
+            if isinstance(v, float):
+                return v == v
+            return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+        ok = isinstance(v, int) and not isinstance(v, bool)
+        return ok and (v in (0, 1) if kind == "bit" else 0 <= v < modulus)
+
+    for v in values:
+        if v is not ERASED and not fits(v):
+            return f"value {v!r} does not fit kind {kind!r}"
+    if all(v is ERASED for v in values):
+        return "function has no nonerased points"
+    return sum(v is ERASED for v in values)
+
+
+@SETTINGS
+@given(st.lists(st.one_of(_REAL, _MISFITS), min_size=1, max_size=8),
+       st.sampled_from([("real", None), ("bit", None), ("field", 5)]))
+def test_erased_function_refuses_misfits_as_before(values, kind_modulus):
+    """bool, NaN, values of another kind and unknown types are refused with
+    the message the first of them gets; every other list is accepted with
+    its erased count."""
+    kind, modulus = kind_modulus
+    try:
+        fn = ErasedFunction(Domain.line(len(values)), values, kind=kind, modulus=modulus)
+    except ValueError as exc:
+        got = str(exc)
+    else:
+        got = fn.erased_count()
+        assert fn.declared_alpha == Fraction(got, len(values))
+    assert got == _reference_construction(values, kind, modulus)

@@ -13,6 +13,7 @@ from ertest.core import (
     Domain,
     ErasedFunction,
     QueryOracle,
+    value_gt,
 )
 from ertest.line import (
     INF,
@@ -35,6 +36,8 @@ from ertest.line import test_convex_line as run_convex
 from ertest.line import test_monotone_line as run_monotone
 from ertest import oracles as O
 from ertest.rng import make_rng
+
+import reference_testers as ref
 
 
 def _plain_prefix_with_inf(entries, sign):
@@ -77,6 +80,75 @@ def test_prefix_sums_equal_plain_accumulation(entries, sign):
         return [(type(x), x) for x in finite], inf_count
 
     assert outcome(_prefix_with_inf) == outcome(_plain_prefix_with_inf)
+
+
+def _surface(build, transforms):
+    """Everything a caller can read of the bounds ``build()`` makes, by repr
+    (so by value and type), or the type and message of the error it raises."""
+    def attempt(f, *args):
+        try:
+            return repr(f(*args))
+        except Exception as exc:  # the outcome under test, whatever it is
+            return type(exc), str(exc)
+
+    try:
+        b = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    n = b.n
+    out = [b.n, b.all_finite, repr(b.lower), repr(b.upper)]
+    out += [(attempt(b.seg_lower, a, c), attempt(b.seg_upper, a, c))
+            for a in range(1, n + 1) for c in range(a, n + 1)]
+    try:
+        g_map, h_map = transforms(b)
+    except ValueError as exc:
+        return out + [str(exc)]
+    for i in range(1, n + 1):
+        for v in (0, -3, Fraction(7, 3), 0.5, 10 ** 20):
+            out.append((attempt(g_map, i, v), attempt(h_map, i, v)))
+    return out
+
+
+# the exact kinds the int prefix sums take, huge magnitudes (beyond a float)
+# included, and the same mix with the kinds that fall back
+_EXACT_ENTRIES = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-9, 9).map(Fraction),
+    st.integers(-2 ** 1100, 2 ** 1100),
+    st.sampled_from([INF, -INF]),
+)
+_STEP_ENTRIES = st.one_of(_EXACT_ENTRIES, _PREFIX_ENTRIES, st.just(True))
+
+
+@st.composite
+def _step_bounds(draw):
+    """(lower, upper) of one length; most often each step is put in order
+    by ``value_gt``, so that most draws construct."""
+    entries = draw(st.sampled_from([_EXACT_ENTRIES, _STEP_ENTRIES]))
+    steps = draw(st.lists(st.tuples(entries, entries), max_size=7))
+    if draw(st.integers(0, 3)):
+        def ordered(l, u):
+            try:
+                return (u, l) if value_gt(l, u) else (l, u)
+            except OverflowError:
+                return l, u
+        steps = [ordered(l, u) for l, u in steps]
+    return [l for l, _ in steps], [u for _, u in steps]
+
+
+@settings(max_examples=600, deadline=None)
+@given(_step_bounds())
+def test_bounding_pair_surface_equals_reference(bounds):
+    lower, upper = bounds
+    assert (_surface(lambda: LineBoundingPair(lower, upper), bdp_to_monotone_transforms)
+            == _surface(lambda: ref.PrefixBoundingPair(lower, upper), ref.prefix_transforms))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 12), st.sampled_from(["monotone", "lipschitz"]))
+def test_named_bounds_surface_equals_reference(n, make):
+    assert (_surface(lambda: getattr(LineBoundingPair, make)(n), bdp_to_monotone_transforms)
+            == _surface(lambda: getattr(ref.PrefixBoundingPair, make)(n), ref.prefix_transforms))
 
 
 def line_fn(values, **kw):

@@ -336,6 +336,14 @@ def test_tampered_bdp_grid_matching_fails():
         assert not O.verify_report(f, prop, bad)
 
 
+def test_bdp_grid_kept_set_report_fails():
+    # bdp-grid reports are matchings: a kept-set one has no completion to check
+    f = ErasedFunction(Domain.grid(2, 2), [0, 1, 1, 2])
+    prop = O.PropertySpec("bdp-grid", bounds=BoundingFamily.lipschitz(2, 2))
+    report = O.DistanceReport("bdp-grid", 0, Fraction(0), ("kept", (1, 1), (2, 1), (1, 2), (2, 2)))
+    assert O.verify_report(f, prop, report) is False
+
+
 def test_float_convex_completions_reverify():
     rng = random.Random(0)
     for _ in range(50):
