@@ -236,12 +236,10 @@ def _far_template(prop: PropertySpec, domain: Domain, rng) -> ErasedFunction:
         start = rng.randint(0, 1)
         vals = [(t + start) % 2 for t in range(n)]
         return ErasedFunction(domain, vals, kind="bit")
-    if tag == "low-degree":
-        p = n
-        low = [rng.randint(0, p - 1) for _ in range(prop.degree + 1)]
-        vals = [poly_eval(low + [1], x, p) for x in range(p)]
-        return ErasedFunction(domain, vals, kind="field", modulus=p)
-    raise ValueError(f"no far template for {tag!r}")
+    p = n  # low-degree, the last tag PropertySpec admits
+    low = [rng.randint(0, p - 1) for _ in range(prop.degree + 1)]
+    vals = [poly_eval(low + [1], x, p) for x in range(p)]
+    return ErasedFunction(domain, vals, kind="field", modulus=p)
 
 
 def generate_far_instance(prop: PropertySpec, domain: Domain, target_eps,
@@ -320,12 +318,10 @@ def _member_template(prop: PropertySpec, domain: Domain, rng) -> ErasedFunction:
             pos = stop
             bit ^= 1
         return ErasedFunction(domain, vals, kind="bit")
-    if tag == "low-degree":
-        p = n
-        coeffs = [rng.randint(0, p - 1) for _ in range(prop.degree + 1)]
-        vals = [poly_eval(coeffs, x, p) for x in range(p)]
-        return ErasedFunction(domain, vals, kind="field", modulus=p)
-    raise ValueError(f"no member template for {tag!r}")
+    p = n  # low-degree, the last tag PropertySpec admits
+    coeffs = [rng.randint(0, p - 1) for _ in range(prop.degree + 1)]
+    vals = [poly_eval(coeffs, x, p) for x in range(p)]
+    return ErasedFunction(domain, vals, kind="field", modulus=p)
 
 
 def generate_member_instance(prop: PropertySpec, domain: Domain, alpha, rng,

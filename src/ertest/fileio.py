@@ -13,11 +13,12 @@ and a row of n-1 upper bounds.
 
 What a load builds is checked in C-level passes, not per token in Python:
 ``ErasedFunction`` accepts real values by one pass over their types (all
-Fractions here), and ``LineBoundingPair`` keeps rows of integral Fractions
-and infinities as plain-int prefix sums, built in O(n) by
-``itertools.accumulate``, making a ``Fraction`` only for a sum it returns.
-Any other row, or a value of another type, takes the per-entry checks, so
-every error names the same first bad token.
+Fractions here), and ``LineBoundingPair`` builds every row with one side
+builder in O(n), keeping a row of integral Fractions and infinities as
+plain-int prefix sums and making a ``Fraction`` only for a sum it returns.
+A value of another type, or a pair of rows whose order the numerators
+cannot decide, takes the per-entry checks, so every error names the same
+first bad token.
 """
 from __future__ import annotations
 

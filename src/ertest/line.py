@@ -32,88 +32,62 @@ from .core import (
 INF = float("inf")
 
 
-def _prefix_with_inf(entries, sign):
-    """Prefix sums of the finite entries plus a prefix count of infinities.
-
-    ``sign`` is the only infinity each side may carry: -1 for lower bounds,
-    +1 for upper bounds.  While every finite entry so far is an integral
-    Fraction, the sum is kept as an int and stored as ``Fraction(acc)``: the
-    value and type ``finite[-1] + e`` gives, without Fraction addition.
-    """
-    finite = [0]
-    inf_count = [0]
-    acc = 0  # None once a finite entry is not an integral Fraction
-    for e in entries:
-        if isinstance(e, float) and math.isinf(e):
-            if (e > 0) != (sign > 0):
-                raise ValueError(f"bound entry {e} has the wrong sign")
-            finite.append(finite[-1])
-            inf_count.append(inf_count[-1] + 1)
-        else:
-            if acc is not None and type(e) is Fraction and e.denominator == 1:
-                acc += e.numerator
-                finite.append(Fraction(acc))
-            else:
-                acc = None
-                finite.append(finite[-1] + e)
-            inf_count.append(inf_count[-1])
-    return finite, inf_count
-
-
 _EXACT_KINDS = frozenset((int, Fraction, float))
 
 
-def _integral_side(entries, sign):
-    """A side of step bounds as plain ints, when its entries are all ints,
-    integral Fractions or ``sign``'s infinity; None for any other side.
+def _step_side(entries, sign):
+    """One side of step bounds from C-level passes: (keys, sums, infs, frac).
 
-    It is (keys, sums, infs, frac): per step the numerator, or the infinity
-    itself, to compare; the prefix sums of the numerators (an infinite step
-    adds 0) and the prefix counts of infinite steps, as ``_prefix_with_inf``
-    gives them; and the first prefix index at which that holds a Fraction,
-    one past the first Fraction entry (len + 1 when there is none).  Every
-    pass is C-level, but for a side that mixes finite and infinite steps.
+    ``sign`` names the side's one allowed infinity: -1 lower, +1 upper.
+    ``sums`` are the prefix sums of the finite steps, ``infs`` the prefix
+    counts of infinite steps.  On a side of ints, integral Fractions and
+    that infinity, ``keys`` holds each step's numerator, or the infinity,
+    the sums add numerators, and ``frac`` is one past the first Fraction
+    entry (len + 1 when there is none).  On any other side ``keys`` is
+    None, the sums are the entries' own left fold and ``frac`` is len + 1.
+    ``sums`` is an unread ``accumulate``, which the caller lists only after
+    its order check: a pair that check refuses raises the check's error,
+    not one from summing.
     """
+    inf, size = sign * INF, len(entries)
     types = list(map(type, entries))
     kinds = set(types)
-    if not kinds <= _EXACT_KINDS:
-        return None
-    inf, size = sign * INF, len(entries)
-    if kinds == {float}:  # every step infinite, as in ``monotone(n)``
-        if entries.count(inf) != size:
-            return None
-        return entries, [0] * (size + 1), list(range(size + 1)), size + 1
-    nums, flags = entries, None
-    if float in kinds:
+    if kinds == {float} and entries.count(inf) == size:  # as in ``monotone(n)``
+        return entries, itertools.repeat(0, size + 1), list(range(size + 1)), size + 1
+    finite, infs, integral = entries, [0] * (size + 1), kinds <= _EXACT_KINDS
+    if kinds - {int, Fraction}:  # a float, or a float subclass such as numpy's
         # float.__eq__ answers True only for an equal number (NotImplemented
         # for a Fraction), so the flags mark exactly this side's infinities;
         # any other float (finite, NaN, the other infinity) goes unmarked
         flags = list(map(operator.is_, map(inf.__eq__, entries), itertools.repeat(True)))
-        if sum(flags) != types.count(float):
-            return None
-        nums = [0 if hit else e for e, hit in zip(entries, flags)]
+        infs = list(itertools.accumulate(flags, initial=0))
+        integral = integral and infs[-1] == types.count(float)
+        if infs[-1]:
+            finite = [0 if hit else e for e, hit in zip(entries, flags)]
+    if integral and Fraction in kinds:
+        integral = not any(map((1).__ne__, map(operator.attrgetter("denominator"), finite)))
+    if not integral:
+        return None, itertools.accumulate(finite, initial=0), infs, size + 1
     first = size
     if Fraction in kinds:
-        if any(map((1).__ne__, map(operator.attrgetter("denominator"), nums))):
-            return None
-        nums = list(map(operator.attrgetter("numerator"), nums))
+        finite = list(map(operator.attrgetter("numerator"), finite))
         first = types.index(Fraction)
-    sums = list(itertools.accumulate(nums, initial=0))
-    if flags is None:
-        return nums, sums, [0] * (size + 1), first + 1
-    keys = [inf if hit else x for x, hit in zip(nums, flags)]
-    return keys, sums, list(itertools.accumulate(flags, initial=0)), first + 1
+    keys = [inf if hit else x for x, hit in zip(finite, flags)] if infs[-1] else finite
+    return keys, itertools.accumulate(finite, initial=0), infs, first + 1
 
 
 def _steps_ordered(lo, up) -> bool:
-    """lower < upper at every step of two ``_integral_side`` sides, decided
-    as ``value_gt`` decides it, or False when this cannot be decided here.
-    ``value_gt`` turns a finite entry it compares with an infinity into a
-    float; each entry is the difference of two prefix sums, so sums below
-    2^1022 keep it below 2^1023, where that cannot overflow."""
-    (lo_keys, lo_sums, lo_infs, _), (up_keys, up_sums, up_infs, _) = lo, up
+    """lower < upper at every step of two ``_step_side`` sides, decided as
+    ``value_gt`` decides it, or False when this cannot be decided here: a
+    side has no keys, or a side holds an infinity while some entry is too
+    large for the float that ``value_gt`` turns it into beside one."""
+    (lo_keys, _, lo_infs, _), (up_keys, _, up_infs, _) = lo, up
+    if lo_keys is None or up_keys is None:
+        return False
     if lo_infs[-1] or up_infs[-1]:
-        if any(max(max(sums), -min(sums)) >> 1022 for sums in (lo_sums, up_sums)):
+        try:
+            sum(map(float, itertools.chain(lo_keys, up_keys)))
+        except OverflowError:
             return False
     return all(map(operator.gt, up_keys, lo_keys))
 
@@ -124,16 +98,17 @@ class LineBoundingPair:
     A total g on [n] satisfies the property iff
     lower(i) <= g(i+1) - g(i) <= upper(i) for every step i.
 
-    A side whose entries are all ints, integral Fractions or its own
-    infinity keeps its prefix sums as plain ints, built in O(n) by C-level
-    maps and ``itertools.accumulate``, and its lower < upper check compares
-    numerators.  Segment sums and the G/H maps still return the value and
-    type of Fraction arithmetic on the entries: a sum is a Fraction exactly
-    when a Fraction entry lies before its end (``_lo_frac``/``_up_frac``:
-    the first prefix index that would hold one), an int otherwise.  Any
-    other side, or a pair the numerator check cannot decide, goes through
-    ``_prefix_with_inf`` and ``value_gt`` step by step, with the same error
-    at the same first bad step.
+    Each side's prefix sums come from ``_step_side`` in O(n) C-level
+    passes.  A side whose entries are all ints, integral Fractions or its
+    own infinity sums plain-int numerators, and lower < upper is then one
+    numerator comparison per step.  Segment sums and the G/H maps still
+    return the value and type of Fraction arithmetic on the entries: a sum
+    is a Fraction exactly when a Fraction entry lies before its end
+    (``_lo_frac``/``_up_frac``: the first prefix index that would hold
+    one), an int otherwise.  Any other side sums its entries themselves,
+    in their own types.  Where the numerator comparison cannot decide,
+    ``value_gt`` checks step by step and raises at the first bad step,
+    before any side is summed.
     """
 
     __slots__ = ("lower", "upper", "_lo_pre", "_lo_inf", "_lo_frac",
@@ -144,19 +119,16 @@ class LineBoundingPair:
         upper = tuple(upper)
         if len(lower) != len(upper):
             raise ValueError("lower and upper must have equal length")
-        lo = _integral_side(lower, -1)
-        up = _integral_side(upper, +1)
-        if not (lo and up and _steps_ordered(lo, up)):
+        lo, up = _step_side(lower, -1), _step_side(upper, +1)
+        if not _steps_ordered(lo, up):
             for l, u in zip(lower, upper):
                 if not value_gt(u, l):
                     raise ValueError(f"need lower < upper, got {l} vs {u}")
         self.lower = lower
         self.upper = upper
-        never = len(lower) + 1
-        self._lo_pre, self._lo_inf, self._lo_frac = (
-            lo[1:] if lo else (*_prefix_with_inf(lower, -1), never))
-        self._up_pre, self._up_inf, self._up_frac = (
-            up[1:] if up else (*_prefix_with_inf(upper, +1), never))
+        _, lo_sums, self._lo_inf, self._lo_frac = lo
+        _, up_sums, self._up_inf, self._up_frac = up
+        self._lo_pre, self._up_pre = list(lo_sums), list(up_sums)
 
     @property
     def n(self) -> int:

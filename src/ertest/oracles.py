@@ -647,14 +647,28 @@ def distance_to_low_degree(fn: ErasedFunction, degree: int) -> DistanceReport:
 # ---------------------------------------------------------------------------
 # restorability and report verification
 
+# each property tag, and the parameter it cannot do without (None: no parameter)
+_NEEDS = {"monotone-line": None, "bdp-line": "bounds", "convex-line": None,
+          "monotone-grid": None, "bdp-grid": "bounds", "k-runs": "k", "low-degree": "degree"}
+
+
 @dataclass(frozen=True)
 class PropertySpec:
-    """Descriptor naming a property and its parameters."""
+    """Descriptor naming a property and its parameters.  An unknown tag, or
+    a property without the parameter it needs, is refused here; a parameter
+    the property does not use is allowed and ignored."""
 
     tag: str
     bounds: Optional[LineBoundingPair] = None
     k: Optional[int] = None
     degree: Optional[int] = None
+
+    def __post_init__(self):
+        if self.tag not in _NEEDS:
+            raise ValueError(f"unknown property {self.tag!r}; known: {sorted(_NEEDS)}")
+        name = _NEEDS[self.tag]
+        if name is not None and getattr(self, name) is None:
+            raise ValueError(f"{self.tag} needs {name}")
 
 
 def compute_distance(fn: ErasedFunction, prop: PropertySpec) -> DistanceReport:
@@ -672,9 +686,7 @@ def compute_distance(fn: ErasedFunction, prop: PropertySpec) -> DistanceReport:
         return bdp_grid_matching_bound(fn, prop.bounds)
     if prop.tag == "k-runs":
         return distance_to_k_runs(fn, prop.k)
-    if prop.tag == "low-degree":
-        return distance_to_low_degree(fn, prop.degree)
-    raise ValueError(f"unknown property {prop.tag!r}")
+    return distance_to_low_degree(fn, prop.degree)  # the last tag PropertySpec admits
 
 
 def is_restorable(fn: ErasedFunction, prop: PropertySpec) -> bool:
@@ -880,11 +892,9 @@ def _member_completion(fn: ErasedFunction, prop: PropertySpec, kept_idx):
     kept_pos = [i + 1 for i in kept_idx]
     if prop.tag == "convex-line":
         filled = complete_convex_line(line_pairs(fn), kept_pos)
-    elif prop.tag in ("monotone-line", "bdp-line"):
+    else:  # monotone-line or bdp-line
         bounds = prop.bounds if prop.tag == "bdp-line" else LineBoundingPair.monotone(fn.domain.n)
         filled = complete_bdp_line(line_pairs(fn), kept_pos, bounds)
-    else:
-        raise ValueError(f"unknown property {prop.tag!r}")
     cells = [filled.get(i + 1, ERASED) for i in range(len(values))]
     if prop.tag == "convex-line":
         return cells if is_member_convex_values(filled) else None

@@ -353,7 +353,20 @@ def test_cli_distance_reports(tmp_path, capsys):
 def test_cli_distance_error(tmp_path, capsys):
     path = sorted_line_file(tmp_path)
     assert main(["distance", "--property", "unheard-of", "--input", path]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("error: unknown property 'unheard-of'; known: [")
+
+
+@pytest.mark.parametrize("prop, text, args, name", [
+    ("k-runs", "domain line 4\n0 0 1 1\n", ["--kind", "bit"], "k"),
+    ("bdp-line", "domain line 4\n1 2 3 4\n", [], "bounds"),
+    ("low-degree", "domain line 5\n0 1 2 3 4\n", ["--kind", "field", "--modulus", "5"],
+     "degree"),
+], ids=["k-runs", "bdp-line", "low-degree"])
+def test_cli_distance_names_a_missing_parameter(tmp_path, capsys, prop, text, args, name):
+    """Refused when the property is named, not by a crash in its oracle."""
+    path = write_lines(tmp_path / "in.fn", text)
+    assert main(["distance", "--property", prop, "--input", path, *args]) == 2
+    assert capsys.readouterr().err == f"error: {prop} needs {name}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +528,21 @@ def test_cli_experiment_with_inline_instance_spec(tmp_path, capsys):
     cells = dict(zip(CSV_COLUMNS, row.split(",")))
     assert cells["alpha"] == "1/8"
     assert float(cells["accept_rate"]) <= 0.4
+
+
+def test_cli_experiment_instance_spec_without_its_parameter_exits_two(tmp_path, capsys):
+    """The tester's ``k`` does not fill in the instance property's."""
+    cfg = {
+        "tester": "k-runs",
+        "k": 2,
+        "instance": {"property": "k-runs", "domain": ["line", 32], "member": True},
+        "trials": 4,
+        "seed": 7,
+        "eps": "1/4",
+    }
+    path = write_lines(tmp_path / "no-k.json", json.dumps(cfg))
+    assert main(["experiment", "--config", path]) == 2
+    assert capsys.readouterr().err == "error: k-runs needs k\n"
 
 
 def test_cli_experiment_bad_config_exits_two(tmp_path, capsys):

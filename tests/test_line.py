@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ertest.core import (
     ALL_CHECKS_PASSED,
@@ -28,7 +28,7 @@ from ertest.line import (
     pair_violates,
     proximity_iterations,
     randomized_binary_search_step_loop,
-    _prefix_with_inf,
+    _step_side,
 )
 # aliased so pytest does not collect the library entry points as tests
 from ertest.line import test_bdp_line as run_bdp
@@ -40,14 +40,13 @@ from ertest.rng import make_rng
 import reference_testers as ref
 
 
-def _plain_prefix_with_inf(entries, sign):
-    """``_prefix_with_inf`` with every finite entry added by plain ``+``."""
+def _plain_prefix_with_inf(entries):
+    """Prefix sums of the finite entries, each added by plain ``+``, and
+    prefix counts of the infinite ones."""
     finite = [0]
     inf_count = [0]
     for e in entries:
         if isinstance(e, float) and math.isinf(e):
-            if (e > 0) != (sign > 0):
-                raise ValueError(f"bound entry {e} has the wrong sign")
             finite.append(finite[-1])
             inf_count.append(inf_count[-1] + 1)
         else:
@@ -69,17 +68,19 @@ _PREFIX_ENTRIES = st.one_of(
 @given(st.lists(st.one_of(st.integers(-9, 9).map(Fraction), _PREFIX_ENTRIES), max_size=12),
        st.sampled_from([-1, 1]))
 def test_prefix_sums_equal_plain_accumulation(entries, sign):
-    """Same values and the same types, element by element, or the same error;
-    integral Fractions come first often, so the int accumulation runs and
-    then hands over to plain addition at every kind of entry."""
-    def outcome(prefix):
-        try:
-            finite, inf_count = prefix(entries, sign)
-        except ValueError as exc:
-            return str(exc)
-        return [(type(x), x) for x in finite], inf_count
-
-    assert outcome(_prefix_with_inf) == outcome(_plain_prefix_with_inf)
+    """``_step_side``'s sums, each read as a Fraction from its ``frac`` on
+    as the segment sums read them, equal plain addition element by element
+    in value and type, and its infinity counts equal plain counting.  Every
+    infinity carries the side's own sign: the order check refuses any other
+    before a side is summed.  Integral Fractions come first often, so the
+    numerator sums run and then meet every other kind of entry."""
+    entries = tuple(sign * INF if isinstance(e, float) and math.isinf(e) else e
+                    for e in entries)
+    _, sums, infs, frac = _step_side(entries, sign)
+    typed = [Fraction(s) if i >= frac else s for i, s in enumerate(sums)]
+    finite, inf_count = _plain_prefix_with_inf(entries)
+    assert [(type(x), x) for x in typed] == [(type(x), x) for x in finite]
+    assert infs == inf_count
 
 
 def _surface(build, transforms):
@@ -138,8 +139,20 @@ def _step_bounds(draw):
 
 @settings(max_examples=600, deadline=None)
 @given(_step_bounds())
+# a huge int beside the wrong infinity: the order check's error, not the sum's
+@example(([2 ** 1024, INF], [0, 0]))
+@example(([Fraction(1), Fraction(1, 3)], [INF, INF]))
+@example(([0, -INF], [INF, Fraction(5)]))
 def test_bounding_pair_surface_equals_reference(bounds):
     lower, upper = bounds
+    assert (_surface(lambda: LineBoundingPair(lower, upper), bdp_to_monotone_transforms)
+            == _surface(lambda: ref.PrefixBoundingPair(lower, upper), ref.prefix_transforms))
+
+
+def test_bounding_pair_counts_infinities_of_a_float_subclass():
+    """A side of numpy floats alone holds its infinity as a float side does."""
+    np = pytest.importorskip("numpy")
+    lower, upper = [0, 0, 0], list(np.array([1.5, np.inf, 2.0]))
     assert (_surface(lambda: LineBoundingPair(lower, upper), bdp_to_monotone_transforms)
             == _surface(lambda: ref.PrefixBoundingPair(lower, upper), ref.prefix_transforms))
 

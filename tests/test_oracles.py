@@ -377,6 +377,25 @@ def test_compute_distance_routes_grids_to_any_size_oracles():
         O.distance_to_monotone_grid_exact(big)
 
 
+@pytest.mark.parametrize("tag, name", [("bdp-line", "bounds"), ("bdp-grid", "bounds"),
+                                       ("k-runs", "k"), ("low-degree", "degree")])
+def test_property_spec_refuses_a_missing_parameter(tag, name):
+    with pytest.raises(ValueError) as err:
+        O.PropertySpec(tag)
+    assert str(err.value) == f"{tag} needs {name}"
+
+
+def test_property_spec_refuses_an_unknown_tag_and_allows_unused_parameters():
+    with pytest.raises(ValueError) as err:
+        O.PropertySpec("no-such-tag", k=2)
+    assert str(err.value) == (
+        "unknown property 'no-such-tag'; known: ['bdp-grid', 'bdp-line', 'convex-line', "
+        "'k-runs', 'low-degree', 'monotone-grid', 'monotone-line']")
+    spec = O.PropertySpec("monotone-line", bounds=LineBoundingPair.lipschitz(4), k=2, degree=1)
+    fn = line_fn([1, 3, 2, 4])
+    assert O.compute_distance(fn, spec) == O.distance_to_monotone_line(fn)
+
+
 def _all_kept(fn, prop):
     """A report that claims ``fn`` is already a member."""
     return O.DistanceReport(prop.tag, 0, Fraction(0),
