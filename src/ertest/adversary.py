@@ -271,8 +271,8 @@ def _member_walk(bounds: LineBoundingPair, n: int, rng) -> list:
         u = bounds.seg_upper(t, t + 1)
         lo = float(l) if l != -INF else -span
         hi = float(u) if u != INF else max(span, lo + 2 * span)
-        if lo > hi:
-            hi = lo + 1.0
+        if lo > hi:  # an unbounded lower side under an upper bound below -span
+            lo = hi - 2 * span
         step = lo + (hi - lo) * (0.25 + 0.5 * rng.random())
         vals.append(vals[-1] + step)
     return vals

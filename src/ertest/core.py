@@ -81,10 +81,6 @@ def value_gt(a, b) -> bool:
     return a > b
 
 
-def value_lt(a, b) -> bool:
-    return value_gt(b, a)
-
-
 def exact_fraction(x) -> Fraction:
     """Exact rational for a parameter given as float/str/Fraction.
 

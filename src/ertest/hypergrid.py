@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    ERASED,
     Domain,
     ErasedFunction,
     PreconditionViolated,
@@ -31,7 +30,8 @@ from .line import (
     _bdp_check,
     _descends,
     _log_budget,
-    _search_driver,
+    _run_searches,
+    _searches,
     bdp_to_monotone_transforms,  # noqa: F401  unused here; bench/tracing.py wraps it
     pair_violates,
     randomized_binary_search_step_loop,  # noqa: F401  likewise
@@ -173,29 +173,34 @@ def hypergrid_iterations(d: int, eps, alpha, factor: int) -> int:
     return ceil_frac(Fraction(factor * d) / denom)
 
 
-def _axis_searches(oracle: QueryOracle, iterations: int, checks, rng):
-    """Per iteration: a uniform axis line, then a uniform nonerased start on
-    it, searched with the pair check of its axis (``checks[axis - 1]``).
+class _BoxDraws:
+    """The random source a grid start is drawn from: the draw a box sampler
+    over the axis line's points makes, ``rng.randint(c, c)`` for each fixed
+    coordinate c, in coordinate order, around the draw on the axis.  Those
+    calls look redundant but consume random bits, so they keep the seeded
+    stream; the pivots are drawn from ``rng`` itself and make none of them."""
 
-    A start draw is the draw a box sampler over the line's points makes:
-    ``rng.randint(c, c)`` for each fixed coordinate c, in coordinate order,
-    around the draw on the axis.  Those calls look redundant but consume
-    random bits, so they keep the seeded stream; the line sampler, which
-    draws the pivots, makes none of them."""
+    __slots__ = ("rng", "head", "tail")
+
+    def __init__(self, rng, view: _AxisLineView):
+        self.rng, self.head, self.tail = rng, view.head, view.tail
+
+    def randint(self, lo: int, hi: int) -> int:
+        for c in self.head:
+            self.rng.randint(c, c)
+        m = self.rng.randint(lo, hi)
+        for c in self.tail:
+            self.rng.randint(c, c)
+        return m
+
+
+def _axis_searches(oracle: QueryOracle, iterations: int, checks, rng):
+    """Per iteration: a uniform axis line, the random source its start is
+    drawn from, and the pair check of its axis (``checks[axis - 1]``)."""
     domain = oracle.fn.domain
-    n = domain.n
     for _ in range(iterations):
         view = _AxisLineView(oracle, sample_axis_line(domain, rng))
-        while True:
-            for c in view.head:
-                rng.randint(c, c)
-            s = rng.randint(1, n)
-            for c in view.tail:
-                rng.randint(c, c)
-            fs = view.query((s,))
-            if fs is not ERASED:
-                break
-        yield view, s, fs, checks[view.line.axis - 1]
+        yield view, _BoxDraws(rng, view), checks[view.line.axis - 1]
 
 
 def test_monotone_hypergrid(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
@@ -207,8 +212,9 @@ def test_monotone_hypergrid(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
     def certify(view, pa, fa, pb, fb):
         return ("monotone-violation", (view.line.point(pa), fa), (view.line.point(pb), fb))
 
-    searches = _axis_searches(oracle, hypergrid_iterations(d, e, a, 12), (_descends,) * d, rng)
-    return _search_driver(oracle, monotone_hypergrid_budget(n, d, e, a), searches, certify, rng)
+    lines = _axis_searches(oracle, hypergrid_iterations(d, e, a, 12), (_descends,) * d, rng)
+    return _run_searches(oracle, monotone_hypergrid_budget(n, d, e, a),
+                         _searches(lines, n, rng, certify))
 
 
 def test_bdp_hypergrid(oracle: QueryOracle, family: BoundingFamily,
@@ -227,8 +233,9 @@ def test_bdp_hypergrid(oracle: QueryOracle, family: BoundingFamily,
         return None
 
     checks = [_bdp_check(bounds) for bounds in family.per_dim]
-    searches = _axis_searches(oracle, hypergrid_iterations(d, e, a, 48), checks, rng)
-    return _search_driver(oracle, bdp_hypergrid_budget(n, d, e, a), searches, certify, rng)
+    lines = _axis_searches(oracle, hypergrid_iterations(d, e, a, 48), checks, rng)
+    return _run_searches(oracle, bdp_hypergrid_budget(n, d, e, a),
+                         _searches(lines, n, rng, certify))
 
 
 def check_grid_certificate(fn: ErasedFunction, certificate,

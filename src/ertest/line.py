@@ -304,32 +304,17 @@ def _run_searches(oracle: QueryOracle, budget: int, searches, stats=None) -> Ver
     return Verdict.accepted(reason, oracle.count, stats)
 
 
-def _search_driver(oracle: QueryOracle, budget: int, searches, certify, rng) -> Verdict:
-    """The loop every line and hypergrid search tester runs.
-
-    ``searches`` yields one (line, s, fs, violated) per iteration, drawing
-    lazily: ``line`` is the line oracle to search (``oracle`` itself or an
-    axis line of a grid), s a nonerased start position on it with value fs,
-    and ``violated(a, fa, b, fb)`` the check for a pair with a < b.  The
-    search runs over [1, n] and stops at the first violated pair, which
-    ``certify(line, a, fa, b, fb)`` turns into a reject certificate, or into
-    None to go on with the next iteration.
-    """
-    n = oracle.fn.domain.n
-
-    def certificates():
-        for line, s, fs, violated in searches:
-            hit = randomized_binary_search_step_loop(line, 1, n, s, fs, rng, violated)
-            yield None if hit is None else certify(line, *hit)
-
-    return _run_searches(oracle, budget, certificates())
-
-
-def _line_searches(oracle: QueryOracle, iterations: int, violated, rng):
-    n = oracle.fn.domain.n
-    for _ in range(iterations):
-        s, fs = sample_nonerased_uniform(oracle, 1, n, rng)
-        yield oracle, s, fs, violated
+def _searches(lines, n: int, rng, certify):
+    """One randomized binary search over [1, n] per ``(line, draws,
+    violated)`` of ``lines``, drawn lazily: its nonerased start from
+    ``draws``, its pivots from ``rng``.  ``line`` is the oracle itself or an
+    axis line of a grid, and ``violated(a, fa, b, fb)`` checks a pair with
+    a < b.  Yields None after a clean pass, else ``certify(line, a, fa, b,
+    fb)`` for the first violated pair, itself None to go on searching."""
+    for line, draws, violated in lines:
+        s, fs = sample_nonerased_uniform(line, 1, n, draws)
+        hit = randomized_binary_search_step_loop(line, 1, n, s, fs, rng, violated)
+        yield None if hit is None else certify(line, *hit)
 
 
 def _descends(a, fa, b, fb) -> bool:
@@ -359,10 +344,9 @@ def test_monotone_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
     probability at least 2/3.  Reject verdicts carry the violated pair."""
     n = _line_domain(oracle)
     e, a = check_params(eps, alpha)
-    return _search_driver(
-        oracle, monotone_line_budget(n, e, a),
-        _line_searches(oracle, proximity_iterations(e), _descends, rng),
-        lambda line, pa, fa, pb, fb: ("monotone-violation", (pa, fa), (pb, fb)), rng)
+    lines = itertools.repeat((oracle, rng, _descends), proximity_iterations(e))
+    return _run_searches(oracle, monotone_line_budget(n, e, a), _searches(
+        lines, n, rng, lambda line, pa, fa, pb, fb: ("monotone-violation", (pa, fa), (pb, fb))))
 
 
 def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng) -> Verdict:
@@ -387,13 +371,14 @@ def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng
         return None
 
     if not bounds.all_finite:
-        searches = _line_searches(oracle, proximity_iterations(e), _bdp_check(bounds), rng)
+        lines = itertools.repeat((oracle, rng, _bdp_check(bounds)), proximity_iterations(e))
     else:
         g_map, h_map = bdp_to_monotone_transforms(bounds)
         reps = one_sixth_iterations(e)
-        searches = itertools.chain(_line_searches(oracle, reps, _view_descends(g_map), rng),
-                                   _line_searches(oracle, reps, _view_descends(h_map), rng))
-    return _search_driver(oracle, bdp_line_tester_budget(bounds, e, a), searches, certify, rng)
+        lines = itertools.chain(itertools.repeat((oracle, rng, _view_descends(g_map)), reps),
+                                itertools.repeat((oracle, rng, _view_descends(h_map)), reps))
+    return _run_searches(oracle, bdp_line_tester_budget(bounds, e, a),
+                         _searches(lines, n, rng, certify))
 
 
 # ---------------------------------------------------------------------------

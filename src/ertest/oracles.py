@@ -24,10 +24,9 @@ from .core import (
     InvalidField,
     SizeLimit,
     grid_descends,
-    grid_le,  # noqa: F401 - still read as oracles.grid_le
     value_gt,
 )
-from .hypergrid import grid_pair_violates
+from .hypergrid import BoundingFamily, grid_pair_violates
 from .line import INF, LineBoundingPair, _slope, pair_violates
 
 FIELD_EXHAUSTIVE_GATE = 64
@@ -118,8 +117,6 @@ def distance_to_bdp_line(fn: ErasedFunction, bounds: LineBoundingPair) -> Distan
     if bounds.n != fn.domain.n:
         raise ValueError("bounds length does not match the domain")
     m = len(pairs)
-    if m == 0:
-        raise ValueError("no nonerased points")
     parent = [None] * m
     by_len = [None, []]   # by_len[L] = points ending a chain of length L, in order
     for i in range(m):
@@ -208,13 +205,11 @@ def distance_to_convex_line(fn: ErasedFunction) -> DistanceReport:
 # ---------------------------------------------------------------------------
 # monotonicity over grids and posets
 
-def _max_bipartite_matching(m: int, edges) -> dict:
-    """Kuhn's augmenting paths; returns {left: right} over node ids 0..m-1.
+def _max_bipartite_matching(adj) -> dict:
+    """Kuhn's augmenting paths; returns {left: right} over node ids
+    0..len(adj)-1, where ``adj[a]`` lists the right nodes of left node a.
     The depth-first search keeps its own stack, so a long augmenting path
     cannot overflow Python's; it visits edges in adjacency order."""
-    adj = [[] for _ in range(m)]
-    for a, b in edges:
-        adj[a].append(b)
     match_right = {}
 
     def augment(root):
@@ -240,7 +235,7 @@ def _max_bipartite_matching(m: int, edges) -> dict:
                 if via:
                     via.pop()
 
-    for a in range(m):
+    for a in range(len(adj)):
         augment(a)
     return {a: b for b, a in match_right.items()}
 
@@ -252,11 +247,11 @@ def _min_changes_poset(m: int, edges):
     strict partial order, so its comparability graph is perfect and a
     largest antichain of it (via matching and the alternating-reachability
     cover) is the largest violation-free subset."""
-    match_lr = _max_bipartite_matching(m, edges)
-    match_rl = {b: a for a, b in match_lr.items()}
     adj = [[] for _ in range(m)]
     for a, b in edges:
         adj[a].append(b)
+    match_lr = _max_bipartite_matching(adj)
+    match_rl = {b: a for a, b in match_lr.items()}
     # alternating reachability from unmatched left nodes
     reach_left = set(a for a in range(m) if a not in match_lr)
     reach_right = set()
@@ -453,7 +448,7 @@ def _bdp_violation_free(domain, cells, per_dim) -> bool:
 
 def bdp_grid_matching_bound(fn: ErasedFunction, family) -> DistanceReport:
     """Matching lower bound on the grid distance to a bounded-derivative
-    property; ``family`` is a ``BoundingFamily``.
+    property; ``family`` is a ``BoundingFamily`` of the domain's n and d.
 
     ``_bdp_violation_free`` first tests for a violated pair in O(2^d·d·N)
     over the N grid points.  It accepts exactly, and only where that implies
@@ -465,6 +460,8 @@ def bdp_grid_matching_bound(fn: ErasedFunction, family) -> DistanceReport:
     violates with.  Only pairs of two free points are checked, O(m^2) in the
     worst case.
     """
+    if (family.n, family.d) != (fn.domain.n, fn.domain.d):
+        raise ValueError("bounding family does not match the domain")
     items = _grid_items(fn)
     m = len(items)
     matching = []
@@ -650,16 +647,19 @@ def distance_to_low_degree(fn: ErasedFunction, degree: int) -> DistanceReport:
 # each property tag, and the parameter it cannot do without (None: no parameter)
 _NEEDS = {"monotone-line": None, "bdp-line": "bounds", "convex-line": None,
           "monotone-grid": None, "bdp-grid": "bounds", "k-runs": "k", "low-degree": "degree"}
+# the type of ``bounds`` each property that needs them takes
+_BOUNDS_TYPE = {"bdp-line": LineBoundingPair, "bdp-grid": BoundingFamily}
 
 
 @dataclass(frozen=True)
 class PropertySpec:
-    """Descriptor naming a property and its parameters.  An unknown tag, or
-    a property without the parameter it needs, is refused here; a parameter
-    the property does not use is allowed and ignored."""
+    """Descriptor naming a property and its parameters.  An unknown tag, a
+    property without the parameter it needs, or bounds of the wrong type for
+    it, is refused here; a parameter the property does not use is allowed
+    and ignored."""
 
     tag: str
-    bounds: Optional[LineBoundingPair] = None
+    bounds: Optional[LineBoundingPair | BoundingFamily] = None
     k: Optional[int] = None
     degree: Optional[int] = None
 
@@ -669,6 +669,10 @@ class PropertySpec:
         name = _NEEDS[self.tag]
         if name is not None and getattr(self, name) is None:
             raise ValueError(f"{self.tag} needs {name}")
+        want = _BOUNDS_TYPE.get(self.tag)
+        if want is not None and not isinstance(self.bounds, want):
+            raise ValueError(f"{self.tag} needs {want.__name__} bounds, "
+                             f"got {type(self.bounds).__name__}")
 
 
 def compute_distance(fn: ErasedFunction, prop: PropertySpec) -> DistanceReport:

@@ -16,6 +16,7 @@ from ertest.core import (
     ErasedFunction,
     QueryOracle,
     erased_fraction,
+    grid_le,
     restrict_to_line,
 )
 from ertest.line import LineBoundingPair, bdp_to_monotone_transforms, pair_violates
@@ -417,7 +418,7 @@ def test_criterion_05_middle_layer():
         pairs = middle_layer_matching(d)
         touched = set()
         for x, y in pairs:
-            assert O.grid_le(x, y) and x != y
+            assert grid_le(x, y) and x != y
             assert fn.value_at(x) == 1 and fn.value_at(y) == 0
             touched.update((x, y))
         assert len(touched) == 2 * len(pairs)

@@ -14,6 +14,7 @@ from ertest.core import (
     GenerationFailed,
     QueryOracle,
     erased_fraction,
+    grid_le,
 )
 from ertest.adversary import (
     InstanceSpec,
@@ -200,7 +201,7 @@ def test_middle_layer_unviolated_but_far():
         assert len(pairs) == live // 2
         mates = set()
         for x, y in pairs:
-            assert O.grid_le(x, y) and x != y
+            assert grid_le(x, y) and x != y
             assert fn.value_at(x) == 1 and fn.value_at(y) == 0
             mates.add(y)
         assert len(mates) == len(pairs)
@@ -316,6 +317,17 @@ def test_bdp_member_satisfies_edge_characterization():
     fn = generate_member_instance(prop, Domain.grid(4, 2), 0, make_rng(5302))
     table = {fn.domain.point_at(i): fn.values[i] for i in range(fn.domain.size)}
     assert is_member_bdp(table, prop.bounds)
+
+
+def test_member_walk_fits_an_upper_bound_below_its_span():
+    # every step window is (-inf, -10]: below the walk's default span of 8
+    steep = LineBoundingPair([-INF] * 7, [-10] * 7)
+    cases = ((PropertySpec("bdp-line", bounds=steep), Domain.line(8)),
+             (PropertySpec("bdp-grid", bounds=BoundingFamily((steep, steep))), Domain.grid(8, 2)))
+    for prop, domain in cases:
+        for seed in range(20):
+            fn = generate_member_instance(prop, domain, 0, make_rng(5303, seed))
+            assert O.is_restorable(fn, prop)
 
 
 # ---------------------------------------------------------------------------

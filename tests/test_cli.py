@@ -369,6 +369,38 @@ def test_cli_distance_names_a_missing_parameter(tmp_path, capsys, prop, text, ar
     assert capsys.readouterr().err == f"error: {prop} needs {name}\n"
 
 
+def test_cli_distance_reports_a_matching(tmp_path, capsys):
+    path = write_lines(tmp_path / "g.fn", "domain grid 2 2\n0 9\n9 0\n")
+    bounds = write_lines(tmp_path / "lip.bounds", "bounds 2 2\n-1\n1\n-1\n1\n")
+    assert main(["distance", "--property", "bdp-grid", "--input", path,
+                 "--bounds", bounds]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "property": "bdp-grid", "absolute": 2, "relative": "1/2", "is_lower_bound": True,
+        "certificate_kind": "matching", "pairs": [[[1, 1], [2, 1]], [[1, 2], [2, 2]]],
+        "matching_bound": 2}
+
+
+GRID_3x3 = "domain grid 3 2\n0 1 2\n1 2 3\n2 3 4\n"
+
+
+@pytest.mark.parametrize("prop, fn_text, bounds_text, message", [
+    ("bdp-grid", GRID_3x3, "bounds 1 3\n-1 -1\n1 1\n",
+     "bdp-grid needs BoundingFamily bounds, got LineBoundingPair"),
+    ("bdp-line", "domain line 3\n0 1 2\n", "bounds 2 3\n0 0\n1 1\n0 0\n1 1\n",
+     "bdp-line needs LineBoundingPair bounds, got BoundingFamily"),
+    ("bdp-grid", GRID_3x3, "bounds 2 4\n-1 -1 -1\n1 1 1\n-1 -1 -1\n1 1 1\n",
+     "bounding family does not match the domain"),
+    ("bdp-grid", GRID_3x3, "bounds 3 3\n-1 -1\n1 1\n-1 -1\n1 1\n-1 -1\n1 1\n",
+     "bounding family does not match the domain"),
+], ids=["line-bounds-on-grid", "grid-bounds-on-line", "grid-side", "grid-dimension"])
+def test_cli_distance_refuses_bounds_of_another_shape(tmp_path, capsys, prop, fn_text,
+                                                     bounds_text, message):
+    path = write_lines(tmp_path / "f.fn", fn_text)
+    bounds = write_lines(tmp_path / "b.bounds", bounds_text)
+    assert main(["distance", "--property", prop, "--input", path, "--bounds", bounds]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # adversary subcommand
 
@@ -450,6 +482,24 @@ def test_cli_generate_member(tmp_path, capsys):
     assert fn.erased_count() == 4
     sidecar = json.loads((tmp_path / "member.fn.cert.json").read_text())
     assert sidecar["member"] and "distance" not in sidecar
+
+
+def test_cli_generate_on_a_grid_and_an_unknown_shape(tmp_path, capsys):
+    out = tmp_path / "grid.fn"
+    spec = {"property": "monotone-grid", "domain": ["grid", 3, 2], "target_eps": "1/4",
+            "seed": 5, "out": str(out)}
+    assert main(["generate", "--spec", write_lines(tmp_path / "g.json", json.dumps(spec))]) == 0
+    capsys.readouterr()
+    fn = load_function(str(out))
+    assert fn.domain == Domain.grid(3, 2)
+    sidecar = json.loads((tmp_path / "grid.fn.cert.json").read_text())
+    assert sidecar["distance"] == report_to_dict(
+        certify_distance(fn, PropertySpec("monotone-grid")))
+
+    spec = {"property": "monotone-line", "domain": ["torus", 4], "out": str(tmp_path / "t.fn")}
+    assert main(["generate", "--spec", write_lines(tmp_path / "t.json", json.dumps(spec))]) == 2
+    assert capsys.readouterr().err == "error: unknown domain shape 'torus'\n"
+    assert not (tmp_path / "t.fn").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from ertest.core import (
     grid_le,
     restrict_to_line,
     value_gt,
-    value_lt,
 )
 from ertest import line
 from ertest.hypergrid import check_grid_certificate
@@ -68,7 +67,7 @@ def test_ceil_frac():
 def test_value_comparisons():
     assert value_gt(2, 1)
     assert not value_gt(1, 1)
-    assert value_lt(1, 2)
+    assert not value_gt(1, 2)
     assert not value_gt(1.0 + 1e-12, 1.0)  # float noise tolerated
     assert value_gt(Fraction(1, 3), Fraction(1, 4))
 
@@ -155,6 +154,17 @@ def test_declared_alpha_must_cover_actual():
         ErasedFunction(Domain.line(4), vals, declared_alpha=Fraction(1, 4))
     g = ErasedFunction(Domain.line(4), vals)
     assert g.declared_alpha == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"kind": "complex"}, "unknown value kind 'complex'"),
+    ({"modulus": 5}, "modulus only applies to field functions"),
+    ({"declared_alpha": 1}, "declared_alpha must lie in [0, 1)"),
+], ids=["unknown-kind", "modulus-on-reals", "declared-alpha-one"])
+def test_erased_function_refuses_bad_parameters(kwargs, message):
+    with pytest.raises(ValueError) as err:
+        ErasedFunction(Domain.line(3), [0, 1, 2], **kwargs)
+    assert str(err.value) == message
 
 
 def test_erased_fraction_examples():
@@ -274,6 +284,8 @@ def test_set_budget_keeps_count():
         o.query((4,))
     with pytest.raises(ValueError):
         o.set_budget(-1)
+    with pytest.raises(ValueError, match="^budget must be nonnegative$"):
+        QueryOracle(f, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,13 @@ def test_family_must_match_domain():
                      Fraction(1, 5), 0, random.Random(0))
 
 
+def test_iteration_count_refuses_an_erasure_bound_past_its_precondition():
+    # eps (1 - alpha) - 4 d alpha = 7/32 - 1 is not positive
+    with pytest.raises(PreconditionViolated) as err:
+        hypergrid_iterations(2, Fraction(1, 4), Fraction(1, 8), 12)
+    assert str(err.value) == "erasure bound too large for the iteration count"
+
+
 # ---------------------------------------------------------------------------
 # dimension reduction, exactly
 

@@ -212,6 +212,36 @@ def test_parameter_validation():
         monotone_line_budget(16, 0.5, 1)
 
 
+def _line_oracle(values, **kw):
+    return QueryOracle(ErasedFunction(Domain.line(len(values)), values, **kw))
+
+
+_LINE_REFUSALS = {
+    "monotone-on-grid": (
+        lambda: run_monotone(QueryOracle(ErasedFunction(Domain.grid(2, 2), [0, 1, 1, 2])),
+                             Fraction(1, 4), 0, make_rng(1)),
+        "this tester runs on line domains"),
+    "convex-on-bits": (
+        lambda: run_convex(_line_oracle([0, 1, 1], kind="bit"), Fraction(1, 4), 0, make_rng(1)),
+        "convexity is tested for real-valued functions"),
+    "bdp-bounds-length": (
+        lambda: run_bdp(_line_oracle([0, 1, 2, 3]), LineBoundingPair.lipschitz(3),
+                        Fraction(1, 4), 0, make_rng(1)),
+        "bounds length does not match the domain"),
+    "unequal-sides": (lambda: LineBoundingPair([0, 0], [1]),
+                      "lower and upper must have equal length"),
+    "bad-segment": (lambda: LineBoundingPair.lipschitz(4).seg_lower(3, 2), "bad segment [3, 2)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LINE_REFUSALS))
+def test_line_testers_and_bounds_refuse_bad_input(case):
+    call, message = _LINE_REFUSALS[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # the g/h value maps
 

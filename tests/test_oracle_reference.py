@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ertest import oracles as O
-from ertest.core import ERASED, Domain, ErasedFunction
+from ertest.core import ERASED, Domain, ErasedFunction, grid_le
 from ertest.hypergrid import BoundingFamily
 from ertest.line import INF, LineBoundingPair
 
@@ -273,14 +273,17 @@ def test_monotone_grid_matches_reference(fn):
     items = O._grid_items(fn)
     cells = [None if v is ERASED else v for v in fn.values]
     assert O._violated_grid_edges(cells, fn.domain) == \
-        ref.violated_order_edges(items, O.grid_le)
+        ref.violated_order_edges(items, grid_le)
     fast = O.distance_to_monotone_grid_exact(fn)
 
     def reference_edges(cells, domain):
-        return ref.violated_order_edges(items, O.grid_le)
+        return ref.violated_order_edges(items, grid_le)
+
+    def reference_matching(adj):
+        return ref.max_bipartite_matching(len(adj), _edges_of(adj))
 
     with mock.patch.object(O, "_violated_grid_edges", reference_edges), \
-            mock.patch.object(O, "_max_bipartite_matching", ref.max_bipartite_matching):
+            mock.patch.object(O, "_max_bipartite_matching", reference_matching):
         assert fast == O.distance_to_monotone_grid_exact(fn)
 
 
@@ -289,7 +292,7 @@ def test_monotone_grid_matches_reference(fn):
 def test_grid_edge_enumeration_matches_reference(fn):
     cells = [None if v is ERASED else v for v in fn.values]
     assert O._violated_grid_edges(cells, fn.domain) == \
-        ref.violated_order_edges(O._grid_items(fn), O.grid_le)
+        ref.violated_order_edges(O._grid_items(fn), grid_le)
 
 
 @SETTINGS
@@ -331,12 +334,24 @@ def test_low_degree_matches_reference(data):
     assert O.distance_to_low_degree(fn, degree) == ref.distance_to_low_degree(fn, degree)
 
 
+def _adjacency(m, edges):
+    """The right nodes of each left node 0..m-1, in edge order."""
+    adj = [[] for _ in range(m)]
+    for a, b in edges:
+        adj[a].append(b)
+    return adj
+
+
+def _edges_of(adj):
+    return [(a, b) for a, right in enumerate(adj) for b in right]
+
+
 @SETTINGS
 @given(st.integers(1, 12), st.data())
 def test_matching_search_matches_reference(m, data):
     edges = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
                                max_size=3 * m))
-    fast = O._max_bipartite_matching(m, edges)
+    fast = O._max_bipartite_matching(_adjacency(m, edges))
     assert list(fast.items()) == list(ref.max_bipartite_matching(m, edges).items())
 
 
@@ -349,7 +364,7 @@ def _augmenting_chain(length):
 
 def test_matching_survives_a_long_augmenting_chain():
     m, edges = _augmenting_chain(1200)
-    match = O._max_bipartite_matching(m, edges)
+    match = O._max_bipartite_matching(_adjacency(m, edges))
     assert len(match) == m
     assert sorted(match.values()) == list(range(m))
     assert all((a, b) in set(edges) for a, b in match.items())
@@ -363,4 +378,4 @@ def test_matching_size_agrees_with_scipy():
     rows, cols = zip(*edges)
     graph = sparse.csr_matrix(([1] * len(edges), (rows, cols)), shape=(m, m))
     theirs = csgraph.maximum_bipartite_matching(graph, perm_type="column")
-    assert len(O._max_bipartite_matching(m, edges)) == int((theirs >= 0).sum()) == m
+    assert len(O._max_bipartite_matching(_adjacency(m, edges))) == int((theirs >= 0).sum()) == m

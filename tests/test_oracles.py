@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 
 from ertest.adversary import erase_random
-from ertest.core import ERASED, Domain, ErasedFunction, InvalidField, SizeLimit
+from ertest.core import ERASED, Domain, ErasedFunction, InvalidField, SizeLimit, grid_le
 from ertest.hypergrid import BoundingFamily
 from ertest.line import INF, LineBoundingPair, pair_violates
 from ertest import oracles as O
@@ -206,7 +206,7 @@ def test_grid_small_matches_exhaustive():
         items = [(p, f.value_at(p)) for p in f.nonerased_points()]
 
         def ok(sub):
-            return all(not (O.grid_le(p, q) and p != q and v > w)
+            return all(not (grid_le(p, q) and p != q and v > w)
                        for (p, v), (q, w) in itertools.permutations(sub, 2))
 
         expect = brute_distance(items, ok)
@@ -396,6 +396,28 @@ def test_property_spec_refuses_an_unknown_tag_and_allows_unused_parameters():
     assert O.compute_distance(fn, spec) == O.distance_to_monotone_line(fn)
 
 
+@pytest.mark.parametrize("tag, bounds, want, got", [
+    ("bdp-grid", LineBoundingPair.lipschitz(3), "BoundingFamily", "LineBoundingPair"),
+    ("bdp-line", BoundingFamily.lipschitz(3, 2), "LineBoundingPair", "BoundingFamily"),
+], ids=["line-bounds-on-grid", "grid-bounds-on-line"])
+def test_property_spec_refuses_bounds_of_another_type(tag, bounds, want, got):
+    with pytest.raises(ValueError) as err:
+        O.PropertySpec(tag, bounds=bounds)
+    assert str(err.value) == f"{tag} needs {want} bounds, got {got}"
+
+
+@pytest.mark.parametrize("family", [BoundingFamily.lipschitz(4, 2),
+                                    BoundingFamily.lipschitz(3, 3)], ids=["side", "dimension"])
+def test_bdp_grid_matching_bound_refuses_a_family_of_another_shape(family):
+    fn = grid_fn(3, 2, lambda p: 9 * (sum(p) % 2))
+    prop = O.PropertySpec("bdp-grid", bounds=family)
+    for call in (lambda: O.bdp_grid_matching_bound(fn, family),
+                 lambda: O.compute_distance(fn, prop)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "bounding family does not match the domain"
+
+
 def _all_kept(fn, prop):
     """A report that claims ``fn`` is already a member."""
     return O.DistanceReport(prop.tag, 0, Fraction(0),
@@ -548,6 +570,61 @@ def test_bad_certificates_fail_without_raising(case):
     report = O.DistanceReport(prop.tag, absolute, Fraction(absolute, 4), cert,
                               is_lower_bound=cert[0] == "matching")
     assert O.verify_report(f, prop, report) is False
+
+
+def test_verify_report_fails_a_certificate_kind_that_disagrees_with_the_report():
+    fn = line_fn([1, 2, 3])
+    prop = O.PropertySpec("monotone-line")
+    honest = O.compute_distance(fn, prop)
+    assert O.verify_report(fn, prop, honest)
+    assert not O.verify_report(fn, prop, replace(honest, is_lower_bound=True))
+    grid = grid_fn(2, 2, lambda p: -sum(p))
+    prop = O.PropertySpec("bdp-grid", bounds=BoundingFamily.lipschitz(2, 2))
+    bound = O.compute_distance(grid, prop)
+    assert bound.is_lower_bound and O.verify_report(grid, prop, bound)
+    assert not O.verify_report(grid, prop, replace(bound, is_lower_bound=False))
+
+
+def test_verify_report_fails_a_k_runs_kept_set_with_too_many_runs():
+    fn = line_fn([0, 1, 0, 1], kind="bit")
+    prop = O.PropertySpec("k-runs", k=3)
+    # three alternations make four runs: one more than k allows
+    assert not O.verify_report(fn, prop, _all_kept(fn, prop))
+    assert O.verify_report(fn, O.PropertySpec("k-runs", k=4),
+                           _all_kept(fn, O.PropertySpec("k-runs", k=4)))
+
+
+def test_verify_report_fails_a_matching_on_a_line_property():
+    fn = line_fn([2, 1])
+    report = O.DistanceReport("monotone-line", 1, Fraction(1, 2),
+                              ("matching", ((1,), (2,))), is_lower_bound=True)
+    assert not O.verify_report(fn, O.PropertySpec("monotone-line"), report)
+
+
+_ORACLE_REFUSALS = {
+    "line-pairs-on-grid": (lambda: O.line_pairs(grid_fn(2, 2, sum)),
+                           ValueError, "expected a line domain"),
+    "k-runs-k-zero": (lambda: O.distance_to_k_runs(line_fn([0, 1], kind="bit"), 0),
+                      ValueError, "k must be at least 1"),
+    "k-runs-real": (lambda: O.distance_to_k_runs(line_fn([0, 1]), 2),
+                    ValueError, "runs are defined for bit-valued functions"),
+    "low-degree-real": (lambda: O.distance_to_low_degree(line_fn([0, 1]), 1),
+                        ValueError, "low-degree distance needs a field-valued function"),
+    "low-degree-large-field": (
+        lambda: O.distance_to_low_degree(line_fn([0, 1], kind="field", modulus=67), 1),
+        SizeLimit, "beyond the exhaustive coefficient regime"),
+    "low-degree-many-coefficients": (
+        lambda: O.distance_to_low_degree(line_fn([0, 1], kind="field", modulus=61), 3),
+        SizeLimit, "beyond the exhaustive coefficient regime"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_REFUSALS))
+def test_oracles_refuse_inputs_outside_their_scope(case):
+    call, error, message = _ORACLE_REFUSALS[case]
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

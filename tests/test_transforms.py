@@ -163,6 +163,18 @@ def test_distinct_draws_need_enough_points():
         erasure_resilient_pot_run(pot, QueryOracle(fn), make_rng(4105))
 
 
+def test_draws_with_replacement_by_default():
+    pot = POTSpec(q=6, completeness=1.0, rho=lambda x: x, decide=lambda s: False)
+    assert not pot.distinct
+    fn = line_fn([10, 20, 30])
+    verdict = erasure_resilient_pot_run(pot, QueryOracle(fn), make_rng(4108))
+    # q independent uniform draws, so more points than the domain holds
+    replay = make_rng(4108)
+    positions = [replay.randint(0, 2) + 1 for _ in range(6)]
+    assert verdict.is_reject and verdict.queries_used == 6
+    assert verdict.certificate == ("pot-sample", tuple(((p,), 10 * p) for p in positions))
+
+
 def test_detection_rate_meets_wrapped_bound():
     # one erased point of x^2 over GF(17): the oracle certifies the distance
     # on nonerased points, the measured rejection rate must clear
@@ -286,6 +298,10 @@ def test_poset_uniform_spec_sample_size():
     chain = poset_monotone_uniform_spec(Poset(3, [(1, 2), (2, 3)]))
     assert chain.decide([((3,), 1), ((3,), 1), ((1,), 0)])
     assert not chain.decide([((1,), 1), ((3,), 0)])
+    # an order against the element numbering: 2 lies below 1
+    reversed_pair = poset_monotone_uniform_spec(Poset(2, [(2, 1)]))
+    assert reversed_pair.decide([((1,), 5), ((2,), 0)])
+    assert not reversed_pair.decide([((1,), 0), ((2,), 5)])
 
 
 def test_chain_monotone_labels_accept():
