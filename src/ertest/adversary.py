@@ -326,10 +326,12 @@ def _member_template(prop: PropertySpec, domain: Domain, rng) -> ErasedFunction:
 
 def generate_member_instance(prop: PropertySpec, domain: Domain, alpha, rng,
                              eraser: Callable = erase_random) -> ErasedFunction:
-    """Random member, then erasures; restorability is asserted, not assumed."""
+    """Random member, then erasures; restorability is checked, not assumed,
+    and a member that fails the check raises GenerationFailed."""
     total = _member_template(prop, domain, rng)
     fn = eraser(total, alpha, rng) if exact_fraction(alpha) > 0 else total
-    assert is_restorable(fn, prop)
+    if not is_restorable(fn, prop):
+        raise GenerationFailed(f"the {prop.tag} member instance is not restorable")
     return fn
 
 

@@ -332,6 +332,21 @@ class QueryOracle:
             return fn.values[pt[0] - 1]
         return fn.values[fn.domain.index_of(pt)]
 
+    def query_index(self, idx: int):
+        """``query`` for the point at flat index ``idx`` (``Domain.index_of``
+        order), with the same budget check and charge, but no point to
+        validate: an axis-line view reads a grid this way.  An index outside
+        [0, size) raises ValueError once charged, as an outside point does."""
+        if self.budget is None:
+            raise RuntimeError("query before any budget was set")
+        if self.count >= self.budget:
+            raise BudgetExhausted(self.count)
+        self.count += 1
+        values = self.fn.values
+        if 0 <= idx < len(values):
+            return values[idx]
+        raise ValueError(f"index {idx} outside domain of size {len(values)}")
+
     @property
     def remaining(self) -> int:
         if self.budget is None:

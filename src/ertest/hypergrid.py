@@ -127,20 +127,47 @@ def sample_axis_line(domain: Domain, rng) -> AxisLine:
 
 
 class _AxisLineView:
-    """Presents one axis line of a grid oracle as a line oracle: queries at
-    line position p hit the underlying grid point, budget shared."""
+    """One axis line of a grid oracle, presented as a line oracle and as the
+    random source its start is drawn from; the budget is the grid's.
 
-    __slots__ = ("oracle", "line", "head", "tail")
+    The line's points sit at flat indices ``base + (p - 1) * stride`` for
+    positions p = 1..n, with ``stride = n ** (axis - 1)``, so ``query((p,))``
+    checks 1 <= p <= n and reads ``oracle.query_index`` without building or
+    validating a point.  ``randint`` is ``rng.randint`` with the draws a box
+    sampler over the line's points once made for its fixed coordinates: one
+    ``rng.randint(c, c)`` for each coordinate c before the axis and one for
+    each after it.  Each of those is replayed as ``while
+    rng.getrandbits(1): pass``, which consumes the same Mersenne Twister
+    output, so the seeded stream is unchanged."""
 
-    def __init__(self, oracle: QueryOracle, line: AxisLine):
-        self.oracle = oracle
-        self.line = line
-        # the fixed coordinates before and after the axis, in order
-        self.head = line.fixed[:line.axis - 1]
-        self.tail = line.fixed[line.axis - 1:]
+    __slots__ = ("oracle", "line", "rng", "n", "base", "stride", "before", "after")
+
+    def __init__(self, oracle: QueryOracle, line: AxisLine, rng):
+        domain = oracle.fn.domain
+        n, axis = domain.n, line.axis
+        base = 0
+        for c in reversed(line.point(1)):  # Domain.index_of's order, unchecked
+            base = base * n + c - 1
+        self.oracle, self.line, self.rng = oracle, line, rng
+        self.n, self.base, self.stride = n, base, n ** (axis - 1)
+        self.before, self.after = range(axis - 1), range(domain.d - axis)
 
     def query(self, pt):
-        return self.oracle.query(self.head + pt + self.tail)
+        (p,) = pt
+        if not 1 <= p <= self.n:
+            raise ValueError(f"position {p} outside the axis line [1, {self.n}]")
+        return self.oracle.query_index(self.base + (p - 1) * self.stride)
+
+    def randint(self, lo: int, hi: int) -> int:
+        getrandbits = self.rng.getrandbits
+        for _ in self.before:
+            while getrandbits(1):
+                pass
+        m = self.rng.randint(lo, hi)
+        for _ in self.after:
+            while getrandbits(1):
+                pass
+        return m
 
 
 # ---------------------------------------------------------------------------
@@ -173,34 +200,14 @@ def hypergrid_iterations(d: int, eps, alpha, factor: int) -> int:
     return ceil_frac(Fraction(factor * d) / denom)
 
 
-class _BoxDraws:
-    """The random source a grid start is drawn from: the draw a box sampler
-    over the axis line's points makes, ``rng.randint(c, c)`` for each fixed
-    coordinate c, in coordinate order, around the draw on the axis.  Those
-    calls look redundant but consume random bits, so they keep the seeded
-    stream; the pivots are drawn from ``rng`` itself and make none of them."""
-
-    __slots__ = ("rng", "head", "tail")
-
-    def __init__(self, rng, view: _AxisLineView):
-        self.rng, self.head, self.tail = rng, view.head, view.tail
-
-    def randint(self, lo: int, hi: int) -> int:
-        for c in self.head:
-            self.rng.randint(c, c)
-        m = self.rng.randint(lo, hi)
-        for c in self.tail:
-            self.rng.randint(c, c)
-        return m
-
-
 def _axis_searches(oracle: QueryOracle, iterations: int, checks, rng):
-    """Per iteration: a uniform axis line, the random source its start is
-    drawn from, and the pair check of its axis (``checks[axis - 1]``)."""
+    """Per iteration: a uniform axis line's view, twice (as the line searched
+    and as the random source its start is drawn from), and the pair check of
+    its axis (``checks[axis - 1]``)."""
     domain = oracle.fn.domain
     for _ in range(iterations):
-        view = _AxisLineView(oracle, sample_axis_line(domain, rng))
-        yield view, _BoxDraws(rng, view), checks[view.line.axis - 1]
+        view = _AxisLineView(oracle, sample_axis_line(domain, rng), rng)
+        yield view, view, checks[view.line.axis - 1]
 
 
 def test_monotone_hypergrid(oracle: QueryOracle, eps, alpha, rng) -> Verdict:

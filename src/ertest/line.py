@@ -248,11 +248,20 @@ def _line_domain(oracle: QueryOracle) -> int:
     return oracle.fn.domain.n
 
 
+def _check_bounds_length(bounds: LineBoundingPair, domain) -> None:
+    """Refuses bounds of another length than the domain's, naming both."""
+    if bounds.n != domain.n:
+        raise ValueError(f"bdp-line bounds have n={bounds.n}, d=1; "
+                         f"the domain has n={domain.n}, d={domain.d}")
+
+
 def sample_nonerased_uniform(line, lo: int, hi: int, rng):
     """A uniform nonerased position of [lo, hi] on a line oracle (or an axis
     line of a grid), with its value.  Each draw is one ``rng.randint(lo, hi)``
     and one query, so erasures are paid for in budget; a fully erased range
-    ends only through ``BudgetExhausted``."""
+    ends only through ``BudgetExhausted``.  A grid search's start passes its
+    axis-line view as ``rng``: each draw is then the view's ``randint``,
+    with the replays of the fixed coordinates' draws around it."""
     while True:
         m = rng.randint(lo, hi)
         v = line.query((m,))
@@ -308,9 +317,10 @@ def _searches(lines, n: int, rng, certify):
     """One randomized binary search over [1, n] per ``(line, draws,
     violated)`` of ``lines``, drawn lazily: its nonerased start from
     ``draws``, its pivots from ``rng``.  ``line`` is the oracle itself or an
-    axis line of a grid, and ``violated(a, fa, b, fb)`` checks a pair with
-    a < b.  Yields None after a clean pass, else ``certify(line, a, fa, b,
-    fb)`` for the first violated pair, itself None to go on searching."""
+    axis line of a grid (which is then its own ``draws``), and
+    ``violated(a, fa, b, fb)`` checks a pair with a < b.  Yields None after
+    a clean pass, else ``certify(line, a, fa, b, fb)`` for the first
+    violated pair, itself None to go on searching."""
     for line, draws, violated in lines:
         s, fs = sample_nonerased_uniform(line, 1, n, draws)
         hit = randomized_binary_search_step_loop(line, 1, n, s, fs, rng, violated)
@@ -360,8 +370,7 @@ def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng
     """
     n = _line_domain(oracle)
     e, a = check_params(eps, alpha)
-    if bounds.n != n:
-        raise ValueError("bounds length does not match the domain")
+    _check_bounds_length(bounds, oracle.fn.domain)
 
     def certify(line, pa, fa, pb, fb):
         # reject on the original values, not the view: certificates

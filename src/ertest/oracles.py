@@ -27,7 +27,7 @@ from .core import (
     value_gt,
 )
 from .hypergrid import BoundingFamily, grid_pair_violates
-from .line import INF, LineBoundingPair, _slope, pair_violates
+from .line import INF, LineBoundingPair, _check_bounds_length, _slope, pair_violates
 
 FIELD_EXHAUSTIVE_GATE = 64
 _ENUM_CAP = 1 << 20
@@ -114,8 +114,7 @@ def distance_to_bdp_line(fn: ErasedFunction, bounds: LineBoundingPair) -> Distan
     on near-members.
     """
     pairs = line_pairs(fn)
-    if bounds.n != fn.domain.n:
-        raise ValueError("bounds length does not match the domain")
+    _check_bounds_length(bounds, fn.domain)
     m = len(pairs)
     parent = [None] * m
     by_len = [None, []]   # by_len[L] = points ending a chain of length L, in order

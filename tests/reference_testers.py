@@ -3,11 +3,12 @@ search driver and its budget shell.
 
 Each tester here runs its own search loop, draws every pivot and start point
 through ``sample_nonerased_uniform`` over a freshly built ``Box`` (the
-box sampler the library once had, kept here verbatim), and rebuilds the O(n)
-bounded-derivative value maps on every call.  The
-cross-check tests in ``test_tester_reference.py`` require the library testers
-to give the same verdict, ``queries_used`` and certificate as these on the
-same seed.
+box sampler the library once had, kept here verbatim), reads a grid's axis
+line through ``AxisLineView``, which builds and validates every point it
+asks for, and rebuilds the O(n) bounded-derivative value maps on every
+call.  The cross-check tests in ``test_tester_reference.py`` require the
+library testers to give the same verdict, ``queries_used`` and certificate
+as these on the same seed.
 
 ``PrefixBoundingPair`` is the step-bound class as it was while every prefix
 sum was a Python number (Fractions wherever a Fraction entry came first),
@@ -33,7 +34,6 @@ from ertest.core import (
 )
 from ertest.hypergrid import (
     BoundingFamily,
-    _AxisLineView,
     _grid_params,
     bdp_hypergrid_budget,
     hypergrid_iterations,
@@ -213,6 +213,22 @@ def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng
     return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)
 
 
+class AxisLineView:
+    """The library's axis-line view as it was before its flat-index reads:
+    each query builds the grid point and reads it through
+    ``QueryOracle.query``, which validates it."""
+
+    __slots__ = ("oracle", "head", "tail")
+
+    def __init__(self, oracle: QueryOracle, line):
+        self.oracle = oracle
+        self.head = line.fixed[:line.axis - 1]
+        self.tail = line.fixed[line.axis - 1:]
+
+    def query(self, pt):
+        return self.oracle.query(self.head + pt + self.tail)
+
+
 def _sample_on_line(oracle, line, n: int, rng):
     lopt = line.point(1)
     hipt = line.point(n)
@@ -228,7 +244,7 @@ def test_monotone_hypergrid(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
     try:
         for _ in range(hypergrid_iterations(d, e, a, 12)):
             line = sample_axis_line(oracle.fn.domain, rng)
-            view = _AxisLineView(oracle, line)
+            view = AxisLineView(oracle, line)
             s, fs = _sample_on_line(oracle, line, n, rng)
 
             def on_pivot(m, fm, side):
@@ -258,7 +274,7 @@ def test_bdp_hypergrid(oracle: QueryOracle, family: BoundingFamily,
         for _ in range(hypergrid_iterations(d, e, a, 48)):
             line = sample_axis_line(oracle.fn.domain, rng)
             bounds = family.per_dim[line.axis - 1]
-            view = _AxisLineView(oracle, line)
+            view = AxisLineView(oracle, line)
             s, fs = _sample_on_line(oracle, line, n, rng)
 
             if bounds.all_finite:

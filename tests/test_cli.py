@@ -21,6 +21,7 @@ from ertest.harness import TesterEntry as RegistryEntry
 from ertest.line import INF, LineBoundingPair
 from ertest.hypergrid import BoundingFamily
 from ertest.oracles import PropertySpec, distance_to_monotone_line
+from ertest import adversary
 from ertest.adversary import certify_distance
 
 
@@ -388,11 +389,14 @@ GRID_3x3 = "domain grid 3 2\n0 1 2\n1 2 3\n2 3 4\n"
      "bdp-grid needs BoundingFamily bounds, got LineBoundingPair"),
     ("bdp-line", "domain line 3\n0 1 2\n", "bounds 2 3\n0 0\n1 1\n0 0\n1 1\n",
      "bdp-line needs LineBoundingPair bounds, got BoundingFamily"),
+    ("bdp-line", "domain line 4\n0 1 2 3\n", "bounds 1 3\n0 0\n1 1\n",
+     "bdp-line bounds have n=3, d=1; the domain has n=4, d=1"),
     ("bdp-grid", GRID_3x3, "bounds 2 4\n-1 -1 -1\n1 1 1\n-1 -1 -1\n1 1 1\n",
      "bounding family does not match the domain"),
     ("bdp-grid", GRID_3x3, "bounds 3 3\n-1 -1\n1 1\n-1 -1\n1 1\n-1 -1\n1 1\n",
      "bounding family does not match the domain"),
-], ids=["line-bounds-on-grid", "grid-bounds-on-line", "grid-side", "grid-dimension"])
+], ids=["line-bounds-on-grid", "grid-bounds-on-line", "line-length", "grid-side",
+        "grid-dimension"])
 def test_cli_distance_refuses_bounds_of_another_shape(tmp_path, capsys, prop, fn_text,
                                                      bounds_text, message):
     path = write_lines(tmp_path / "f.fn", fn_text)
@@ -482,6 +486,17 @@ def test_cli_generate_member(tmp_path, capsys):
     assert fn.erased_count() == 4
     sidecar = json.loads((tmp_path / "member.fn.cert.json").read_text())
     assert sidecar["member"] and "distance" not in sidecar
+
+
+def test_cli_generate_names_a_member_that_is_not_restorable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(adversary, "is_restorable", lambda fn, prop: False)
+    out = tmp_path / "member.fn"
+    spec = {"property": "monotone-line", "domain": ["line", 8], "member": True,
+            "seed": 3, "out": str(out)}
+    assert main(["generate", "--spec", write_lines(tmp_path / "m.json", json.dumps(spec))]) == 2
+    assert capsys.readouterr().err == (
+        "error: the monotone-line member instance is not restorable\n")
+    assert not out.exists()
 
 
 def test_cli_generate_on_a_grid_and_an_unknown_shape(tmp_path, capsys):

@@ -273,6 +273,28 @@ def test_budget_boundary_is_exact():
     assert o.count == 3  # the failed query is not charged
 
 
+def test_index_budget_boundary_is_exact():
+    f = ErasedFunction(Domain.grid(2, 2), [0, 1, 2, 3])
+    o = QueryOracle(f, budget=3)
+    for idx in (0, 1, 2):
+        assert o.query_index(idx) == idx
+    assert o.count == 3 and o.remaining == 0
+    with pytest.raises(BudgetExhausted):
+        o.query_index(3)
+    assert o.count == 3  # the failed query is not charged
+
+
+def test_index_query_refuses_an_index_outside_the_domain():
+    f = ErasedFunction(Domain.grid(2, 2), [0, 1, 2, 3])
+    o = QueryOracle(f, budget=5)
+    for idx in (-1, 4):
+        with pytest.raises(ValueError, match=f"^index {idx} outside domain of size 4$"):
+            o.query_index(idx)
+    assert o.count == 2  # charged, as an outside point is
+    with pytest.raises(RuntimeError, match="before any budget"):
+        QueryOracle(f).query_index(0)
+
+
 def test_set_budget_keeps_count():
     f = ErasedFunction(Domain.line(4), [0, 1, 2, 3])
     o = QueryOracle(f, budget=2)

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ertest.core import (
     ALL_CHECKS_PASSED,
@@ -22,6 +23,7 @@ from ertest.line import (INF, LineBoundingPair, bdp_line_budget, convex_line_bud
 from ertest.hypergrid import (
     AxisLine,
     BoundingFamily,
+    _AxisLineView,
     all_axis_lines,
     bdp_hypergrid_budget,
     check_grid_certificate,
@@ -178,6 +180,37 @@ def test_single_line_domain():
     rng = random.Random(74)
     for _ in range(20):
         assert sample_axis_line(dom, rng) == AxisLine(1, ())
+
+
+def test_axis_line_view_reads_every_point_of_its_line():
+    dom = Domain.grid(4, 3)
+    fn = ErasedFunction(dom, [ERASED if i % 7 == 3 else i * i for i in range(dom.size)])
+    oracle = QueryOracle(fn, budget=dom.size * dom.d)
+    for line in all_axis_lines(dom):
+        view = _AxisLineView(oracle, line, random.Random(0))
+        for p in range(1, dom.n + 1):
+            assert view.query((p,)) == fn.value_at(line.point(p))
+    assert oracle.count == oracle.budget
+
+
+@pytest.mark.parametrize("pos", [0, 5, -1])
+def test_axis_line_view_refuses_a_position_off_its_line(pos):
+    oracle = QueryOracle(grid_fn(4, 3, lambda p: sum(p)), budget=10)
+    view = _AxisLineView(oracle, AxisLine(2, (1, 4)), random.Random(0))
+    with pytest.raises(ValueError, match=f"^position {pos} outside the axis line \\[1, 4\\]$"):
+        view.query((pos,))
+    assert oracle.count == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 64 - 1), st.integers(-2 ** 70, 2 ** 70))
+def test_a_start_replay_consumes_what_randint_c_c_consumes(seed, c):
+    # the axis-line view replays each rng.randint(c, c) as this loop
+    drawn, replayed = random.Random(seed), random.Random(seed)
+    assert drawn.randint(c, c) == c
+    while replayed.getrandbits(1):
+        pass
+    assert drawn.getstate() == replayed.getstate()
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,7 @@ _LINE_REFUSALS = {
     "bdp-bounds-length": (
         lambda: run_bdp(_line_oracle([0, 1, 2, 3]), LineBoundingPair.lipschitz(3),
                         Fraction(1, 4), 0, make_rng(1)),
-        "bounds length does not match the domain"),
+        "bdp-line bounds have n=3, d=1; the domain has n=4, d=1"),
     "unequal-sides": (lambda: LineBoundingPair([0, 0], [1]),
                       "lower and upper must have equal length"),
     "bad-segment": (lambda: LineBoundingPair.lipschitz(4).seg_lower(3, 2), "bad segment [3, 2)"),

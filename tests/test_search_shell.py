@@ -32,7 +32,8 @@ ALPHAS = st.sampled_from([0, Fraction(1, 8), 0.5])
 
 
 class RecordingOracle(QueryOracle):
-    """A query oracle that logs every point asked for, in order."""
+    """A query oracle that logs every point asked for, in order, whether
+    asked by point or, as an axis-line view asks, by flat index."""
 
     __slots__ = ("log",)
 
@@ -43,6 +44,10 @@ class RecordingOracle(QueryOracle):
     def query(self, pt):
         self.log.append(pt)
         return super().query(pt)
+
+    def query_index(self, idx):
+        self.log.append(self.fn.domain.point_at(idx))
+        return super().query_index(idx)
 
 
 def _same_queries(lib_tester, ref_tester, fn, seed, *args):
