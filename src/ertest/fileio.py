@@ -174,13 +174,11 @@ def _misfit(values, kind, modulus, start):
 
 
 def _format_value(v) -> str:
+    """A value's or bound's token: a float, or a float subclass such as
+    numpy's, as the plain float's repr (``inf`` and ``-inf`` included)."""
     if v is ERASED:
         return "_"
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 def save_function(fn: ErasedFunction, path: str) -> None:
@@ -231,24 +229,14 @@ def load_bounds(path: str):
     return reader.build(lambda: BoundingFamily(tuple(pairs)), lambda: 1)
 
 
-def _format_bound(v) -> str:
-    if v == INF:
-        return "inf"
-    if v == -INF:
-        return "-inf"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def save_bounds(obj, path: str) -> None:
     pairs = obj.per_dim if isinstance(obj, BoundingFamily) else (obj,)
     n = pairs[0].n
     with open(path, "w") as fh:
         fh.write(f"bounds {len(pairs)} {n}\n")
         for pair in pairs:
-            fh.write(" ".join(_format_bound(v) for v in pair.lower) + "\n")
-            fh.write(" ".join(_format_bound(v) for v in pair.upper) + "\n")
+            fh.write(" ".join(_format_value(v) for v in pair.lower) + "\n")
+            fh.write(" ".join(_format_value(v) for v in pair.upper) + "\n")
 
 
 def load_poset(path: str) -> Poset:

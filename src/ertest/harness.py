@@ -28,6 +28,7 @@ from .rng import make_rng
 from .line import (
     LineBoundingPair,
     bdp_line_tester_budget,
+    check_bounds,
     check_line_certificate,
     convex_line_budget,
     monotone_line_budget,
@@ -210,20 +211,9 @@ def validate_config(cfg: ExperimentConfig) -> tuple[TesterEntry, ErasedFunction]
     if entry.kind is not None and fn.kind != entry.kind:
         raise ConfigError(f"{cfg.tester} expects {entry.kind} values")
     if "bounds" in entry.needs:
-        _check_bounds(cfg.tester, entry.shape, cfg.bounds, fn.domain)
+        check_bounds(cfg.tester, cfg.bounds,
+                     LineBoundingPair if entry.shape == "line" else BoundingFamily, fn.domain)
     return entry, fn
-
-
-def _check_bounds(tester: str, shape: str, bounds, domain) -> None:
-    """Bounds of the tester's domain shape, with the domain's n and d."""
-    want = LineBoundingPair if shape == "line" else BoundingFamily
-    if not isinstance(bounds, want):
-        raise ConfigError(f"{tester} needs {shape} bounds ({want.__name__}), "
-                          f"got {type(bounds).__name__}")
-    d = bounds.d if shape == "grid" else 1
-    if (bounds.n, d) != (domain.n, domain.d):
-        raise ConfigError(f"{tester} bounds have n={bounds.n}, d={d}; "
-                          f"the domain has n={domain.n}, d={domain.d}")
 
 
 def _worker_count() -> int:

@@ -33,6 +33,7 @@ from .line import (
     _run_searches,
     _searches,
     bdp_to_monotone_transforms,  # noqa: F401  unused here; bench/tracing.py wraps it
+    check_bounds,
     pair_violates,
     randomized_binary_search_step_loop,  # noqa: F401  likewise
     sample_nonerased_uniform,  # noqa: F401  likewise
@@ -230,8 +231,7 @@ def test_bdp_hypergrid(oracle: QueryOracle, family: BoundingFamily,
     transformed views of the sampled dimension's bounds (or the direct
     segment-sum check when that dimension has an infinite bound)."""
     n, d, e, a = _grid_params(oracle, eps, alpha, 970)
-    if family.d != d or family.n != n:
-        raise ValueError("bounding family does not match the domain")
+    check_bounds("bdp-grid", family, BoundingFamily, oracle.fn.domain)
 
     def certify(view, pa, fa, pb, fb):
         # reject only when the raw pair violates under exact recheck

@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 
 from .core import (
@@ -19,6 +20,7 @@ from .core import (
     ALL_CHECKS_PASSED,
     BUDGET_EXHAUSTED,
     BudgetExhausted,
+    ConfigError,
     ErasedFunction,
     QueryOracle,
     Verdict,
@@ -92,6 +94,15 @@ def _steps_ordered(lo, up) -> bool:
     return all(map(operator.gt, up_keys, lo_keys))
 
 
+def _shown(v) -> str:
+    """``str(v)``, or, for a number with more digits than CPython's int
+    conversion limit lets ``str`` write, its type and that limit."""
+    try:
+        return str(v)
+    except ValueError:
+        return f"a {type(v).__name__} of over {sys.get_int_max_str_digits()} digits"
+
+
 class LineBoundingPair:
     """Step bounds (lower, upper) on [n-1] with lower(i) < upper(i).
 
@@ -123,7 +134,7 @@ class LineBoundingPair:
         if not _steps_ordered(lo, up):
             for l, u in zip(lower, upper):
                 if not value_gt(u, l):
-                    raise ValueError(f"need lower < upper, got {l} vs {u}")
+                    raise ValueError(f"need lower < upper, got {_shown(l)} vs {_shown(u)}")
         self.lower = lower
         self.upper = upper
         _, lo_sums, self._lo_inf, self._lo_frac = lo
@@ -248,11 +259,16 @@ def _line_domain(oracle: QueryOracle) -> int:
     return oracle.fn.domain.n
 
 
-def _check_bounds_length(bounds: LineBoundingPair, domain) -> None:
-    """Refuses bounds of another length than the domain's, naming both."""
-    if bounds.n != domain.n:
-        raise ValueError(f"bdp-line bounds have n={bounds.n}, d=1; "
-                         f"the domain has n={domain.n}, d={domain.d}")
+def check_bounds(tag: str, bounds, want, domain=None) -> None:
+    """The one refusal of step bounds that do not fit, for every caller:
+    ``bounds`` must be a ``want`` (``LineBoundingPair`` or
+    ``BoundingFamily``) and, given a domain, share its n and d."""
+    if not isinstance(bounds, want):
+        raise ConfigError(f"{tag} needs {want.__name__} bounds, got {type(bounds).__name__}")
+    d = getattr(bounds, "d", 1)  # a LineBoundingPair spans one dimension
+    if domain is not None and (bounds.n, d) != (domain.n, domain.d):
+        raise ConfigError(f"{tag} bounds have n={bounds.n}, d={d}; "
+                          f"the domain has n={domain.n}, d={domain.d}")
 
 
 def sample_nonerased_uniform(line, lo: int, hi: int, rng):
@@ -370,7 +386,7 @@ def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng
     """
     n = _line_domain(oracle)
     e, a = check_params(eps, alpha)
-    _check_bounds_length(bounds, oracle.fn.domain)
+    check_bounds("bdp-line", bounds, LineBoundingPair, oracle.fn.domain)
 
     def certify(line, pa, fa, pb, fb):
         # reject on the original values, not the view: certificates

@@ -27,7 +27,7 @@ from .core import (
     value_gt,
 )
 from .hypergrid import BoundingFamily, grid_pair_violates
-from .line import INF, LineBoundingPair, _check_bounds_length, _slope, pair_violates
+from .line import INF, LineBoundingPair, _slope, check_bounds, pair_violates
 
 FIELD_EXHAUSTIVE_GATE = 64
 _ENUM_CAP = 1 << 20
@@ -114,7 +114,7 @@ def distance_to_bdp_line(fn: ErasedFunction, bounds: LineBoundingPair) -> Distan
     on near-members.
     """
     pairs = line_pairs(fn)
-    _check_bounds_length(bounds, fn.domain)
+    check_bounds("bdp-line", bounds, LineBoundingPair, fn.domain)
     m = len(pairs)
     parent = [None] * m
     by_len = [None, []]   # by_len[L] = points ending a chain of length L, in order
@@ -395,7 +395,8 @@ def _exact_ints(values, sums):
 
 def _bdp_violation_free(domain, cells, per_dim) -> bool:
     """True only when no two valued cells violate the bounded-derivative
-    bounds ``per_dim`` (one ``LineBoundingPair`` per axis); False when a
+    bounds ``per_dim`` (one ``LineBoundingPair`` of the domain's n per
+    axis, as ``check_bounds`` ensures for every caller); False when a
     pair does or when the exact test does not apply.  ``cells`` lists the
     grid in index order, ERASED where a cell has no value.
 
@@ -416,8 +417,6 @@ def _bdp_violation_free(domain, cells, per_dim) -> bool:
     the caller runs its pairwise check, so verdicts are the pairwise ones.
     """
     n, d = domain.n, domain.d
-    if len(per_dim) != d or any(b.n != n for b in per_dim):
-        return False
     valued = [i for i, v in enumerate(cells) if v is not ERASED]
     # side 2r holds axis r's lower bounds, 2r + 1 its upper ones
     sums = [pre for b in per_dim for pre in (b._lo_pre, b._up_pre)]
@@ -459,8 +458,7 @@ def bdp_grid_matching_bound(fn: ErasedFunction, family) -> DistanceReport:
     violates with.  Only pairs of two free points are checked, O(m^2) in the
     worst case.
     """
-    if (family.n, family.d) != (fn.domain.n, fn.domain.d):
-        raise ValueError("bounding family does not match the domain")
+    check_bounds("bdp-grid", family, BoundingFamily, fn.domain)
     items = _grid_items(fn)
     m = len(items)
     matching = []
@@ -643,11 +641,20 @@ def distance_to_low_degree(fn: ErasedFunction, degree: int) -> DistanceReport:
 # ---------------------------------------------------------------------------
 # restorability and report verification
 
-# each property tag, and the parameter it cannot do without (None: no parameter)
-_NEEDS = {"monotone-line": None, "bdp-line": "bounds", "convex-line": None,
-          "monotone-grid": None, "bdp-grid": "bounds", "k-runs": "k", "low-degree": "degree"}
-# the type of ``bounds`` each property that needs them takes
-_BOUNDS_TYPE = {"bdp-line": LineBoundingPair, "bdp-grid": BoundingFamily}
+# each property tag: the parameter it cannot do without (None: no parameter),
+# the type its bounds take (None: it takes none), and its distance oracle,
+# which the lambda looks up by name when called, so a patched oracle is seen
+_PROPERTIES = {
+    "monotone-line": (None, None, lambda fn, prop: distance_to_monotone_line(fn)),
+    "bdp-line": ("bounds", LineBoundingPair,
+                 lambda fn, prop: distance_to_bdp_line(fn, prop.bounds)),
+    "convex-line": (None, None, lambda fn, prop: distance_to_convex_line(fn)),
+    "monotone-grid": (None, None, lambda fn, prop: distance_to_monotone_grid_exact(fn)),
+    "bdp-grid": ("bounds", BoundingFamily,
+                 lambda fn, prop: bdp_grid_matching_bound(fn, prop.bounds)),
+    "k-runs": ("k", None, lambda fn, prop: distance_to_k_runs(fn, prop.k)),
+    "low-degree": ("degree", None, lambda fn, prop: distance_to_low_degree(fn, prop.degree)),
+}
 
 
 @dataclass(frozen=True)
@@ -663,33 +670,20 @@ class PropertySpec:
     degree: Optional[int] = None
 
     def __post_init__(self):
-        if self.tag not in _NEEDS:
-            raise ValueError(f"unknown property {self.tag!r}; known: {sorted(_NEEDS)}")
-        name = _NEEDS[self.tag]
+        if self.tag not in _PROPERTIES:
+            raise ValueError(f"unknown property {self.tag!r}; known: {sorted(_PROPERTIES)}")
+        name, want, _ = _PROPERTIES[self.tag]
         if name is not None and getattr(self, name) is None:
             raise ValueError(f"{self.tag} needs {name}")
-        want = _BOUNDS_TYPE.get(self.tag)
-        if want is not None and not isinstance(self.bounds, want):
-            raise ValueError(f"{self.tag} needs {want.__name__} bounds, "
-                             f"got {type(self.bounds).__name__}")
+        if want is not None:
+            check_bounds(self.tag, self.bounds, want)
 
 
 def compute_distance(fn: ErasedFunction, prop: PropertySpec) -> DistanceReport:
     """The one distance dispatch: the exact oracle for each property, and the
-    certified matching lower bound for bounded-derivative grids."""
-    if prop.tag == "monotone-line":
-        return distance_to_monotone_line(fn)
-    if prop.tag == "bdp-line":
-        return distance_to_bdp_line(fn, prop.bounds)
-    if prop.tag == "convex-line":
-        return distance_to_convex_line(fn)
-    if prop.tag == "monotone-grid":
-        return distance_to_monotone_grid_exact(fn)
-    if prop.tag == "bdp-grid":
-        return bdp_grid_matching_bound(fn, prop.bounds)
-    if prop.tag == "k-runs":
-        return distance_to_k_runs(fn, prop.k)
-    return distance_to_low_degree(fn, prop.degree)  # the last tag PropertySpec admits
+    certified matching lower bound for bounded-derivative grids.  Bounds
+    that do not fit ``fn``'s domain are refused by ``check_bounds``."""
+    return _PROPERTIES[prop.tag][2](fn, prop)
 
 
 def is_restorable(fn: ErasedFunction, prop: PropertySpec) -> bool:
@@ -851,8 +845,12 @@ def verify_report(fn: ErasedFunction, prop: PropertySpec, report: DistanceReport
     ``is_member_bdp_values`` wherever it does not accept, so the verdict is
     the pairwise one; prefix-max sweeps on the monotone grid, O(d·N), exact
     by plain ``>``; consecutive slopes for convexity, O(m log m).  No check
-    calls a distance oracle.
+    calls a distance oracle.  Bounds that do not fit ``fn``'s domain are
+    refused, as ``compute_distance`` refuses them.
     """
+    want = _PROPERTIES[prop.tag][1]
+    if want is not None:
+        check_bounds(prop.tag, prop.bounds, want, fn.domain)
     cert = report.certificate
     if not isinstance(cert, tuple) or cert[:1] != (
             ("matching",) if report.is_lower_bound else ("kept",)):

@@ -180,23 +180,28 @@ def test_invalid_file_values_name_the_file(tmp_path, capsys, name, text, args, m
     assert capsys.readouterr().err == f"error: {path}{message}\n"
 
 
-# (tester, function file contents, bounds file contents, message)
+GRID_3x3 = "domain grid 3 2\n0 1 2\n1 2 3\n2 3 4\n"
+
+# (tester or property, function file contents, bounds file contents, message):
+# ``ertest test`` and ``ertest distance`` refuse each pair with the same line
 BOUNDS_MISFITS = [
-    ("bdp-grid", "domain grid 3 2\n0 1 2\n1 2 3\n2 3 4\n", "bounds 1 3\n0 0\n1 1\n",
-     "bdp-grid needs grid bounds (BoundingFamily), got LineBoundingPair"),
+    ("bdp-grid", GRID_3x3, "bounds 1 3\n-1 -1\n1 1\n",
+     "bdp-grid needs BoundingFamily bounds, got LineBoundingPair"),
     ("bdp-line", "domain line 3\n0 1 2\n", "bounds 2 3\n0 0\n1 1\n0 0\n1 1\n",
-     "bdp-line needs line bounds (LineBoundingPair), got BoundingFamily"),
+     "bdp-line needs LineBoundingPair bounds, got BoundingFamily"),
     ("bdp-line", "domain line 4\n0 1 2 3\n", "bounds 1 3\n0 0\n1 1\n",
      "bdp-line bounds have n=3, d=1; the domain has n=4, d=1"),
-    ("bdp-grid", "domain grid 3 2\n0 1 2\n1 2 3\n2 3 4\n",
-     "bounds 3 3\n0 0\n1 1\n0 0\n1 1\n0 0\n1 1\n",
+    ("bdp-grid", GRID_3x3, "bounds 2 4\n-1 -1 -1\n1 1 1\n-1 -1 -1\n1 1 1\n",
+     "bdp-grid bounds have n=4, d=2; the domain has n=3, d=2"),
+    ("bdp-grid", GRID_3x3, "bounds 3 3\n-1 -1\n1 1\n-1 -1\n1 1\n-1 -1\n1 1\n",
      "bdp-grid bounds have n=3, d=3; the domain has n=3, d=2"),
 ]
+MISFIT_IDS = ["line-bounds-on-grid", "grid-bounds-on-line", "line-length", "grid-side",
+              "grid-dimension"]
 
 
 @pytest.mark.parametrize("tester, fn_text, bounds_text, message", BOUNDS_MISFITS,
-                         ids=["line-bounds-on-grid", "grid-bounds-on-line",
-                              "line-length", "grid-dimension"])
+                         ids=MISFIT_IDS)
 def test_bounds_that_do_not_fit_the_tester_name_it(tmp_path, capsys, tester, fn_text,
                                                    bounds_text, message):
     fn_path = write_lines(tmp_path / "f.fn", fn_text)
@@ -381,22 +386,8 @@ def test_cli_distance_reports_a_matching(tmp_path, capsys):
         "matching_bound": 2}
 
 
-GRID_3x3 = "domain grid 3 2\n0 1 2\n1 2 3\n2 3 4\n"
-
-
-@pytest.mark.parametrize("prop, fn_text, bounds_text, message", [
-    ("bdp-grid", GRID_3x3, "bounds 1 3\n-1 -1\n1 1\n",
-     "bdp-grid needs BoundingFamily bounds, got LineBoundingPair"),
-    ("bdp-line", "domain line 3\n0 1 2\n", "bounds 2 3\n0 0\n1 1\n0 0\n1 1\n",
-     "bdp-line needs LineBoundingPair bounds, got BoundingFamily"),
-    ("bdp-line", "domain line 4\n0 1 2 3\n", "bounds 1 3\n0 0\n1 1\n",
-     "bdp-line bounds have n=3, d=1; the domain has n=4, d=1"),
-    ("bdp-grid", GRID_3x3, "bounds 2 4\n-1 -1 -1\n1 1 1\n-1 -1 -1\n1 1 1\n",
-     "bounding family does not match the domain"),
-    ("bdp-grid", GRID_3x3, "bounds 3 3\n-1 -1\n1 1\n-1 -1\n1 1\n-1 -1\n1 1\n",
-     "bounding family does not match the domain"),
-], ids=["line-bounds-on-grid", "grid-bounds-on-line", "line-length", "grid-side",
-        "grid-dimension"])
+@pytest.mark.parametrize("prop, fn_text, bounds_text, message", BOUNDS_MISFITS,
+                         ids=MISFIT_IDS)
 def test_cli_distance_refuses_bounds_of_another_shape(tmp_path, capsys, prop, fn_text,
                                                      bounds_text, message):
     path = write_lines(tmp_path / "f.fn", fn_text)

@@ -1,6 +1,7 @@
 """Token parsing in the flat-file loaders: every loaded real value and bound
 is the Fraction that ``Fraction(token)`` gives, with the same refusals."""
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -169,6 +170,26 @@ def test_bounds_round_trip_loads_fractions(tmp_path_factory, bounds):
             assert type(w) is Fraction and w == Fraction(str(v))
 
 
+def test_numpy_floats_save_as_plain_floats(tmp_path):
+    np = pytest.importorskip("numpy")
+    values, lower, upper = [0.5, ERASED, -0.0, 1e300], [-INF, -0.0, 0.5], [1.5, 1e300, INF]
+
+    def numpy(vs):
+        return [v if v is ERASED else np.float64(v) for v in vs]
+
+    line = Domain.line(4)
+    for save, load, plain, wrapped in [
+            (save_function, load_function, ErasedFunction(line, values),
+             ErasedFunction(line, numpy(values))),
+            (save_bounds, load_bounds, LineBoundingPair(lower, upper),
+             LineBoundingPair(numpy(lower), numpy(upper)))]:
+        want, got = tmp_path / "plain", tmp_path / "numpy"
+        save(plain, str(want))
+        save(wrapped, str(got))
+        assert got.read_bytes() == want.read_bytes()
+        load(str(got))
+
+
 # tokens of every kind a file may hold, and number-like text, as one token
 _FILE_TOKENS = st.one_of(
     st.sampled_from(["-0", "+5", "7/3", "1e-3", "inf", "-inf", "1_000", "_", "2.50",
@@ -196,8 +217,18 @@ def test_loaded_values_are_what_fraction_gives(tmp_path_factory, token):
         assert (type(got), got) == expected
 
 
+def _shown(v):
+    """A number as an error message shows it: past CPython's int-digit
+    limit, where ``str`` refuses it, by its type and that limit."""
+    try:
+        return str(v)
+    except ValueError:
+        return f"a {type(v).__name__} of over {sys.get_int_max_str_digits()} digits"
+
+
 @SETTINGS
 @given(_FILE_TOKENS)
+@example("-1E4300")  # a refused bound too long for str
 def test_loaded_bounds_are_what_fraction_gives(tmp_path_factory, token):
     """An upper bound token loads as ``Fraction(token)`` or ``inf`` gives
     it, or is refused at ``path:3``: as a token Fraction refuses, or as an
@@ -210,7 +241,7 @@ def test_loaded_bounds_are_what_fraction_gives(tmp_path_factory, token):
         got = load_bounds(path)
     except ConfigError as exc:
         if isinstance(expected, tuple):
-            message = f"need lower < upper, got -10 vs {expected[1]}"
+            message = f"need lower < upper, got -10 vs {_shown(expected[1])}"
         else:
             message = f"expected an upper bound, got {token!r}"
         assert str(exc) == f"{path}:3: {message}"

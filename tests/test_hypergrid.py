@@ -269,9 +269,18 @@ def test_bdp_gate_is_tighter():
 
 def test_family_must_match_domain():
     f = grid_fn(8, 2, lambda p: p[0] + p[1])
-    with pytest.raises(ValueError):
-        run_grid_bdp(QueryOracle(f), BoundingFamily.lipschitz(8, 3),
-                     Fraction(1, 5), 0, random.Random(0))
+    for bounds, message in [
+            (BoundingFamily.lipschitz(8, 3),
+             "bdp-grid bounds have n=8, d=3; the domain has n=8, d=2"),
+            (LineBoundingPair.lipschitz(8),
+             "bdp-grid needs BoundingFamily bounds, got LineBoundingPair")]:
+        with pytest.raises(ValueError) as err:
+            run_grid_bdp(QueryOracle(f), bounds, Fraction(1, 5), 0, random.Random(0))
+        assert str(err.value) == message
+        # the erasure-bound gate still comes first
+        with pytest.raises(PreconditionViolated):
+            run_grid_bdp(QueryOracle(f), bounds, Fraction(1, 5), Fraction(1, 2500),
+                         random.Random(0))
 
 
 def test_iteration_count_refuses_an_erasure_bound_past_its_precondition():

@@ -15,6 +15,7 @@ from ertest.core import (
     QueryOracle,
     value_gt,
 )
+from ertest.hypergrid import BoundingFamily
 from ertest.line import (
     INF,
     LineBoundingPair,
@@ -228,6 +229,14 @@ _LINE_REFUSALS = {
         lambda: run_bdp(_line_oracle([0, 1, 2, 3]), LineBoundingPair.lipschitz(3),
                         Fraction(1, 4), 0, make_rng(1)),
         "bdp-line bounds have n=3, d=1; the domain has n=4, d=1"),
+    "bdp-bounds-type": (
+        lambda: run_bdp(_line_oracle([0, 1, 2, 3]), BoundingFamily.lipschitz(4, 2),
+                        Fraction(1, 4), 0, make_rng(1)),
+        "bdp-line needs LineBoundingPair bounds, got BoundingFamily"),
+    "bdp-alpha-before-bounds": (
+        lambda: run_bdp(_line_oracle([0, 1, 2, 3]), BoundingFamily.lipschitz(4, 2),
+                        Fraction(1, 4), 1, make_rng(1)),
+        "erasure bound 1 outside [0,1)"),
     "unequal-sides": (lambda: LineBoundingPair([0, 0], [1]),
                       "lower and upper must have equal length"),
     "bad-segment": (lambda: LineBoundingPair.lipschitz(4).seg_lower(3, 2), "bad segment [3, 2)"),

@@ -406,16 +406,17 @@ def test_property_spec_refuses_bounds_of_another_type(tag, bounds, want, got):
     assert str(err.value) == f"{tag} needs {want} bounds, got {got}"
 
 
-@pytest.mark.parametrize("family", [BoundingFamily.lipschitz(4, 2),
-                                    BoundingFamily.lipschitz(3, 3)], ids=["side", "dimension"])
-def test_bdp_grid_matching_bound_refuses_a_family_of_another_shape(family):
+@pytest.mark.parametrize("family, sizes", [(BoundingFamily.lipschitz(4, 2), "n=4, d=2"),
+                                           (BoundingFamily.lipschitz(3, 3), "n=3, d=3")],
+                         ids=["side", "dimension"])
+def test_bdp_grid_matching_bound_refuses_a_family_of_another_shape(family, sizes):
     fn = grid_fn(3, 2, lambda p: 9 * (sum(p) % 2))
     prop = O.PropertySpec("bdp-grid", bounds=family)
     for call in (lambda: O.bdp_grid_matching_bound(fn, family),
                  lambda: O.compute_distance(fn, prop)):
         with pytest.raises(ValueError) as err:
             call()
-        assert str(err.value) == "bounding family does not match the domain"
+        assert str(err.value) == f"bdp-grid bounds have {sizes}; the domain has n=3, d=2"
 
 
 def _all_kept(fn, prop):
@@ -599,6 +600,36 @@ def test_verify_report_fails_a_matching_on_a_line_property():
     report = O.DistanceReport("monotone-line", 1, Fraction(1, 2),
                               ("matching", ((1,), (2,))), is_lower_bound=True)
     assert not O.verify_report(fn, O.PropertySpec("monotone-line"), report)
+
+
+_LIP_3x3 = grid_fn(3, 2, lambda p: sum(p))
+_MISFIT_REPORTS = {
+    # name: (function, property, report, the sizes the bounds have)
+    "one-dimension-family-on-a-grid": (
+        _LIP_3x3, O.PropertySpec("bdp-grid", bounds=BoundingFamily.lipschitz(3, 1)),
+        O.DistanceReport("bdp-grid", 1, Fraction(1, 9), ("matching", ((1, 1), (3, 1))),
+                         is_lower_bound=True), "n=3, d=1; the domain has n=3, d=2"),
+    "three-dimension-family-on-a-grid": (
+        _LIP_3x3, O.PropertySpec("bdp-grid", bounds=BoundingFamily.lipschitz(3, 3)),
+        O.DistanceReport("bdp-grid", 0, Fraction(0), ("matching",), is_lower_bound=True),
+        "n=3, d=3; the domain has n=3, d=2"),
+    "longer-bounds-on-a-line": (
+        line_fn([0, 1, 2, 3]), O.PropertySpec("bdp-line", bounds=LineBoundingPair.lipschitz(6)),
+        O.DistanceReport("bdp-line", 0, Fraction(0), ("kept", (1,), (2,), (3,), (4,))),
+        "n=6, d=1; the domain has n=4, d=1"),
+    "shorter-bounds-on-a-line": (
+        line_fn([0, 1, 2, 3]), O.PropertySpec("bdp-line", bounds=LineBoundingPair.lipschitz(3)),
+        O.DistanceReport("bdp-line", 0, Fraction(0), ("kept", (1,), (2,), (3,), (4,))),
+        "n=3, d=1; the domain has n=4, d=1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISFIT_REPORTS))
+def test_verify_report_refuses_bounds_that_do_not_fit_the_function(case):
+    fn, prop, report, sizes = _MISFIT_REPORTS[case]
+    with pytest.raises(ValueError) as err:
+        O.verify_report(fn, prop, report)
+    assert str(err.value) == f"{prop.tag} bounds have {sizes}"
 
 
 _ORACLE_REFUSALS = {
