@@ -181,16 +181,18 @@ def _format_value(v) -> str:
     return repr(float(v)) if isinstance(v, float) else str(v)
 
 
+def _write_lines(path: str, lines) -> None:
+    """Formats every line before the file is opened: a failed save writes nothing."""
+    text = "".join(line + "\n" for line in lines)
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def save_function(fn: ErasedFunction, path: str) -> None:
     dom = fn.domain
-    header = (f"domain line {dom.n}" if dom.is_line
-              else f"domain grid {dom.n} {dom.d}")
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        row = dom.n
-        for start in range(0, dom.size, row):
-            fh.write(" ".join(_format_value(v)
-                              for v in fn.values[start:start + row]) + "\n")
+    header = f"domain line {dom.n}" if dom.is_line else f"domain grid {dom.n} {dom.d}"
+    rows = (fn.values[start:start + dom.n] for start in range(0, dom.size, dom.n))
+    _write_lines(path, [header, *(" ".join(map(_format_value, row)) for row in rows)])
 
 
 def _parse_bound(token: str):
@@ -231,12 +233,9 @@ def load_bounds(path: str):
 
 def save_bounds(obj, path: str) -> None:
     pairs = obj.per_dim if isinstance(obj, BoundingFamily) else (obj,)
-    n = pairs[0].n
-    with open(path, "w") as fh:
-        fh.write(f"bounds {len(pairs)} {n}\n")
-        for pair in pairs:
-            fh.write(" ".join(_format_value(v) for v in pair.lower) + "\n")
-            fh.write(" ".join(_format_value(v) for v in pair.upper) + "\n")
+    rows = (side for pair in pairs for side in (pair.lower, pair.upper))
+    _write_lines(path, [f"bounds {len(pairs)} {pairs[0].n}",
+                        *(" ".join(map(_format_value, row)) for row in rows)])
 
 
 def load_poset(path: str) -> Poset:
@@ -253,10 +252,7 @@ def load_poset(path: str) -> Poset:
 
 
 def save_poset(size: int, edges, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"poset {size}\n")
-        for u, v in edges:
-            fh.write(f"{u} {v}\n")
+    _write_lines(path, [f"poset {size}", *(f"{u} {v}" for u, v in edges)])
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ oracle.
 """
 from __future__ import annotations
 
-import functools
 import math
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict, astuple, fields
+from dataclasses import dataclass, asdict
 from typing import Callable, Optional
 
 from .core import (
@@ -57,6 +57,7 @@ from .transforms import (
     test_k_runs,
 )
 from .adversary import InstanceSpec, classic_monotone_line
+from .oracles import check_field_line
 
 WORKERS_ENV = "ERTEST_WORKERS"
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -210,6 +211,8 @@ def validate_config(cfg: ExperimentConfig) -> tuple[TesterEntry, ErasedFunction]
                           f"got d={fn.domain.d}")
     if entry.kind is not None and fn.kind != entry.kind:
         raise ConfigError(f"{cfg.tester} expects {entry.kind} values")
+    if entry.kind == "field":
+        check_field_line(fn)
     if "bounds" in entry.needs:
         check_bounds(cfg.tester, cfg.bounds,
                      LineBoundingPair if entry.shape == "line" else BoundingFamily, fn.domain)
@@ -270,80 +273,50 @@ def run_trial(cfg: ExperimentConfig, entry: TesterEntry, fn: ErasedFunction,
     return verdict, cap
 
 
-@dataclass(frozen=True)
-class _PartialSums:
-    """Commutative partial sums over a span of trials.  Module-level, so the
-    pool's workers can pickle it."""
-
-    rejections: int = 0
-    sum_q: int = 0
-    sum_q2: int = 0
-    max_q: int = 0
-    budget_q: int = 0
-    sum_sampling: int = 0
-    sum_walking: int = 0
-    have_stats: int = 0
-
-    def merge(self, other: "_PartialSums") -> "_PartialSums":
-        """``max_q`` and ``budget_q`` take the max; every other field adds."""
-        pairs = zip(fields(self), astuple(self), astuple(other))
-        return _PartialSums(*(max(a, b) if f.name in ("max_q", "budget_q") else a + b
-                              for f, a, b in pairs))
-
-
-def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int, fn0=None) -> _PartialSums:
-    """Trials [lo, hi); returns their partial sums.  ``fn0``, when
-    given, is trial 0's instance, already realized."""
+def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int, fn0: ErasedFunction) -> tuple:
+    """Trials [lo, hi): (sums, stats, max_q, max_cap).  ``stats`` sums each
+    ``verdict.stats`` counter apart from ``sums``, so no key can collide.
+    ``fn0`` is trial 0's instance, already realized."""
     entry = TESTERS[cfg.tester]
-    rejections = 0
-    sum_q = 0
-    sum_q2 = 0
-    max_q = 0
-    budget_q = 0
-    sum_sampling = 0
-    sum_walking = 0
-    have_stats = 0
+    sums, stats = Counter(), Counter()
+    max_q = max_cap = 0
     for i in range(lo, hi):
-        fn = fn0 if i == 0 and fn0 is not None else _trial_fn(cfg, i)
+        fn = fn0 if i == 0 else _trial_fn(cfg, i)
         verdict, cap = run_trial(cfg, entry, fn, i)
-        rejections += verdict.is_reject
         q = verdict.queries_used
-        sum_q += q
-        sum_q2 += q * q
-        max_q = max(max_q, q)
-        budget_q = max(budget_q, cap)
+        sums["rejections"] += verdict.is_reject  # a missing key is 0, and 0 + True is 1
+        sums["q"] += q
+        sums["q2"] += q * q
+        sums["with_stats"] += bool(verdict.stats)
         if verdict.stats:
-            have_stats += 1
-            sum_sampling += verdict.stats.get("sampling", 0)
-            sum_walking += verdict.stats.get("walking", 0)
-    return _PartialSums(rejections, sum_q, sum_q2, max_q, budget_q,
-                        sum_sampling, sum_walking, have_stats)
+            stats.update(verdict.stats)
+        max_q, max_cap = max(max_q, q), max(max_cap, cap)
+    return sums, stats, max_q, max_cap
 
 
 def run_experiment(cfg: ExperimentConfig) -> TrialSummary:
     workers = _worker_count()
     _, fn0 = validate_config(cfg)
-    start = time.perf_counter()
-    if workers > 1 and cfg.trials > 1:
-        chunk = -(-cfg.trials // workers)
-        spans = [(i, min(i + chunk, cfg.trials))
-                 for i in range(0, cfg.trials, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk, [cfg] * len(spans),
-                                  [s[0] for s in spans], [s[1] for s in spans],
-                                  [fn0] + [None] * (len(spans) - 1)))
-        totals = functools.reduce(_PartialSums.merge, parts)
-    else:
-        totals = _run_chunk(cfg, 0, cfg.trials, fn0)
-    wall = time.perf_counter() - start
-
     t = cfg.trials
-    accepts = t - totals.rejections
+    start = time.perf_counter()
+    if workers > 1 and t > 1:
+        chunk = -(-t // workers)
+        los = range(0, t, chunk)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_chunk, [cfg] * len(los), los,
+                                  [min(lo + chunk, t) for lo in los], [fn0] * len(los)))
+    else:
+        parts = [_run_chunk(cfg, 0, t, fn0)]
+    wall = time.perf_counter() - start
+    # a Counter sum drops zero counts: read each with [], where a missing key is 0
+    sums, stats, max_qs, caps = zip(*parts)
+    sums, stats = sum(sums, Counter()), sum(stats, Counter())
+
+    accepts = t - sums["rejections"]
     phat = accepts / t
     ci_low, ci_high = _wilson_interval(accepts, t)
-    mean_q = totals.sum_q / t
-    stats = totals.have_stats
-    var = totals.sum_q2 / t - mean_q * mean_q
+    mean_q = sums["q"] / t
+    var = sums["q2"] / t - mean_q * mean_q
     return TrialSummary(
         tester=cfg.tester,
         n=fn0.domain.n,
@@ -352,17 +325,17 @@ def run_experiment(cfg: ExperimentConfig) -> TrialSummary:
         alpha=str(_cfg_alpha(cfg, fn0)),
         trials=t,
         seed=cfg.seed,
-        rejections=totals.rejections,
+        rejections=sums["rejections"],
         accept_rate=phat,
         ci_low=ci_low,
         ci_high=ci_high,
         ci_flagged=t < 100,
         mean_q=mean_q,
-        max_q=totals.max_q,
+        max_q=max(max_qs),
         stddev_q=math.sqrt(max(0.0, var)),
-        budget_Q=totals.budget_q,
-        mean_sampling=totals.sum_sampling / stats if stats else None,
-        mean_walking=totals.sum_walking / stats if stats else None,
+        budget_Q=max(caps),
+        mean_sampling=stats["sampling"] / sums["with_stats"] if sums["with_stats"] else None,
+        mean_walking=stats["walking"] / sums["with_stats"] if sums["with_stats"] else None,
         wall_time=wall,
     )
 

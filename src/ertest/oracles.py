@@ -20,6 +20,7 @@ from typing import Optional
 
 from .core import (
     ERASED,
+    ConfigError,
     ErasedFunction,
     InvalidField,
     SizeLimit,
@@ -593,6 +594,13 @@ def interpolate(points, p: int) -> list:
     return coeffs
 
 
+def check_field_line(fn: ErasedFunction) -> None:
+    """Position i names field element i-1, so no two positions may share one."""
+    if fn.domain.size > fn.modulus:
+        raise ConfigError(f"low-degree needs a line of at most p={fn.modulus} points, "
+                          f"got n={fn.domain.size}")
+
+
 def distance_to_low_degree(fn: ErasedFunction, degree: int) -> DistanceReport:
     """p minus the best agreement over every coefficient vector (erased points
     reduce both sides: distance and |N| count only nonerased points).
@@ -606,6 +614,7 @@ def distance_to_low_degree(fn: ErasedFunction, degree: int) -> DistanceReport:
     """
     if fn.kind != "field":
         raise ValueError("low-degree distance needs a field-valued function")
+    check_field_line(fn)
     p = fn.modulus
     if not is_prime(p):
         raise InvalidField(f"{p} is not prime")
@@ -887,9 +896,9 @@ def _member_completion(fn: ErasedFunction, prop: PropertySpec, kept_idx):
         kept, bit = set(kept_idx), values[order[0]]
         return [bit := (v if i in kept else bit) for i, v in enumerate(values)]
     if prop.tag == "low-degree":
-        p = fn.modulus
-        coeffs = interpolate([(i, values[i]) for i in kept_idx[:prop.degree + 1]], p)
-        return [poly_eval(coeffs, x, p) for x in range(len(values))]
+        check_field_line(fn)
+        coeffs = interpolate([(i, values[i]) for i in kept_idx[:prop.degree + 1]], fn.modulus)
+        return [poly_eval(coeffs, x, fn.modulus) for x in range(len(values))]
     kept_pos = [i + 1 for i in kept_idx]
     if prop.tag == "convex-line":
         filled = complete_convex_line(line_pairs(fn), kept_pos)

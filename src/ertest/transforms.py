@@ -95,21 +95,18 @@ def pot_amplify(pot: POTSpec, alpha, detection_lower_bound,
         raise ValueError("detection bound must be in (0,1]")
     reps = ceil_frac(Fraction(LN3) / bound)
     oracle.set_budget(reps * pot.q)
-    queries = 0
     for _ in range(reps):
-        inner = QueryOracle(oracle.fn, pot.q)
-        verdict = erasure_resilient_pot_run(pot, inner, rng)
-        queries += verdict.queries_used
-        oracle.count = queries
+        verdict = erasure_resilient_pot_run(pot, QueryOracle(oracle.fn, pot.q), rng)
+        oracle.count += verdict.queries_used
         if verdict.is_reject:
-            return Verdict.rejected(verdict.certificate, queries)
-    return Verdict.accepted(ALL_CHECKS_PASSED, queries)
+            return Verdict.rejected(verdict.certificate, oracle.count)
+    return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)
 
 
 def low_degree_pot(p: int, degree: int) -> POTSpec:
     """Degree-at-most-``degree`` test over GF(p): d+2 distinct uniform points
     must fit one polynomial.  Domain position i holds the value at field
-    element i-1."""
+    element i-1, so the line has n <= p points (``check_field_line``)."""
     if not is_prime(p):
         raise InvalidField(f"{p} is not prime")
     if degree < 0:
@@ -189,20 +186,18 @@ def erasure_resilient_extendable(spec: UniformTesterSpec, alpha, eps,
     domain = oracle.fn.domain
     need, draws, reps = extendable_plan(spec, domain.size, eps, alpha)
     oracle.set_budget(reps * draws)
-    queries = 0
     for _ in range(reps):
         sample = []
         for _ in range(draws):
             pt = domain.point_at(rng.randint(0, domain.size - 1))
             v = oracle.query(pt)
-            queries += 1
             if v is not ERASED:
                 sample.append((pt, v))
         if len(sample) < need:
             continue
         if not spec.decide(sample):
-            return Verdict.rejected(("extendable-sample", tuple(sample)), queries)
-    return Verdict.accepted(ALL_CHECKS_PASSED, queries)
+            return Verdict.rejected(("extendable-sample", tuple(sample)), oracle.count)
+    return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)
 
 
 def check_extendable_certificate(fn: ErasedFunction, spec: UniformTesterSpec,

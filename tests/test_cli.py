@@ -283,6 +283,20 @@ def test_cli_test_k_runs_and_low_degree(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_line_longer_than_the_field_is_refused_alike(tmp_path, capsys):
+    """(3x+2) mod 7 on 14 points: positions 2 and 9 name elements 1 and
+    8 = 1 (mod 7), so the tester's interpolation nodes would coincide and it
+    would reject this member.  Both commands refuse the file with one line."""
+    path = write_lines(tmp_path / "gf7.fn", "domain line 14\n" + " ".join(
+        str((3 * x + 2) % 7) for x in range(14)) + "\n")
+    field = ["--input", path, "--kind", "field", "--modulus", "7", "--degree", "1"]
+    for command in (["test", "--tester", "low-degree", "--seed", "30"],
+                    ["distance", "--property", "low-degree"]):
+        assert main(command + field) == 2
+        assert capsys.readouterr().err == (
+            "error: low-degree needs a line of at most p=7 points, got n=14\n")
+
+
 def test_cli_error_paths_exit_two(tmp_path, capsys):
     path = sorted_line_file(tmp_path)
     assert main(["test", "--tester", "monotone-line",

@@ -190,6 +190,32 @@ def test_numpy_floats_save_as_plain_floats(tmp_path):
         load(str(got))
 
 
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default int-to-str digit limit, whatever the environment set."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_a_failed_save_writes_nothing(tmp_path, default_digit_limit):
+    """A value past the digit limit has no token; the save raises before the
+    file is opened, so it creates no file and leaves an existing one as it was."""
+    huge = Fraction(10 ** 4300)
+    for save, obj in [(save_function, ErasedFunction(Domain.line(2), [1, huge])),
+                      (save_bounds, LineBoundingPair([0], [huge]))]:
+        fresh, kept = tmp_path / f"{save.__name__}.new", tmp_path / f"{save.__name__}.old"
+        kept.write_text("kept\n")
+        for path in (fresh, kept):
+            with pytest.raises(ValueError):
+                save(obj, str(path))
+        assert not fresh.exists()
+        assert kept.read_text() == "kept\n"
+
+
 # tokens of every kind a file may hold, and number-like text, as one token
 _FILE_TOKENS = st.one_of(
     st.sampled_from(["-0", "+5", "7/3", "1e-3", "inf", "-inf", "1_000", "_", "2.50",

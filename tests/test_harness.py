@@ -2,6 +2,7 @@
 determinism, and report emission."""
 import itertools
 import json
+import math
 import os
 from dataclasses import asdict, fields, replace
 from fractions import Fraction
@@ -116,6 +117,18 @@ def test_config_checks_domain_and_kind():
         validate_config(cfg_for("low-degree", bits, degree=1))
 
 
+def test_config_refuses_a_line_longer_than_the_field():
+    """A 14-point line over GF(7) holding (3x+2) mod 7 is a member on the
+    oracle's reading, but the tester's interpolation nodes coincide on it,
+    so it rejected 8 of 200 trials at seed 1 before it was refused."""
+    wrapped = line_fn([(3 * x + 2) % 7 for x in range(14)], kind="field", modulus=7)
+    cfg = cfg_for("low-degree", wrapped, trials=200, seed=1, degree=1)
+    for call in (validate_config, run_experiment):
+        with pytest.raises(ConfigError) as err:
+            call(cfg)
+        assert str(err.value) == "low-degree needs a line of at most p=7 points, got n=14"
+
+
 # ---------------------------------------------------------------------------
 # running experiments
 
@@ -191,6 +204,74 @@ def test_parallel_equals_serial(monkeypatch):
     assert summary_rows([serial]) == summary_rows([parallel])
     assert serial.rejections == parallel.rejections
     assert serial.max_q == parallel.max_q
+
+
+def _far_monotone_config():
+    spec = InstanceSpec(Domain.line(32), PropertySpec("monotone-line"),
+                        member=False, target_eps=Fraction(1, 4),
+                        alpha=Fraction(1, 8))
+    return cfg_for("monotone-line", spec, trials=23, seed=41, eps=Fraction(1, 4))
+
+
+def _far_convex_config():
+    spec = InstanceSpec(Domain.line(32), PropertySpec("convex-line"),
+                        member=False, target_eps=Fraction(1, 4),
+                        alpha=Fraction(1, 8))
+    return cfg_for("convex-line", spec, trials=23, seed=43, eps=Fraction(1, 4))
+
+
+def _member_convex_config():
+    member = generate_member_instance(PropertySpec("convex-line"),
+                                      Domain.line(32), Fraction(1, 8),
+                                      make_rng(400))
+    return cfg_for("convex-line", member, trials=23, eps=Fraction(1, 4))
+
+
+@pytest.mark.parametrize("make", [_far_monotone_config, _far_convex_config,
+                                  _member_convex_config],
+                         ids=["far-monotone-line", "far-convex-line", "member-convex-line"])
+def test_summary_is_the_per_trial_sums_serial_or_pooled(monkeypatch, make):
+    """Serial and pooled runs give one summary, and it is what the trials'
+    own verdicts and budget caps add up to: all rejecting, none rejecting,
+    with and without stats."""
+    cfg = make()
+    summaries = []
+    for workers in ("1", "4"):
+        monkeypatch.setenv(WORKERS_ENV, workers)
+        record = asdict(run_experiment(cfg))
+        record.pop("wall_time")
+        summaries.append(record)
+    assert summaries[0] == summaries[1]
+
+    entry, _ = validate_config(cfg)
+    fixed = isinstance(cfg.instance, ErasedFunction)
+    runs = [run_trial(cfg, entry, cfg.instance if fixed else
+                      cfg.instance.realize(make_rng(cfg.seed, "inst", i))[0], i)
+            for i in range(cfg.trials)]
+    qs = [v.queries_used for v, _ in runs]
+    stats = [v.stats for v, _ in runs if v.stats]
+    t = cfg.trials
+    mean_q = sum(qs) / t
+    expected = {
+        "rejections": sum(v.is_reject for v, _ in runs),
+        "mean_q": mean_q,
+        "max_q": max(qs),
+        "stddev_q": math.sqrt(max(0.0, sum(q * q for q in qs) / t - mean_q * mean_q)),
+        "budget_Q": max(cap for _, cap in runs),
+        "mean_sampling": sum(s["sampling"] for s in stats) / len(stats) if stats else None,
+        "mean_walking": sum(s["walking"] for s in stats) / len(stats) if stats else None,
+    }
+    assert {key: summaries[0][key] for key in expected} == expected
+    assert type(summaries[0]["rejections"]) is int
+    assert expected["rejections"] in (0, t)
+    assert (expected["mean_sampling"] is not None) == (cfg.tester == "convex-line")
+
+
+def test_one_rejecting_trial_counts_as_an_int(monkeypatch):
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    summary = run_experiment(cfg_for("monotone-line", REVERSED_64, trials=1,
+                                     seed=23, eps=Fraction(1, 4)))
+    assert summary.rejections == 1 and type(summary.rejections) is int
 
 
 @pytest.mark.parametrize("raw", ["0", "-3", "two", "1.5", ""])

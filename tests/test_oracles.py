@@ -680,6 +680,20 @@ def test_low_degree_rejects_degree_beyond_field():
         O.distance_to_low_degree(f, 3)
 
 
+def test_low_degree_refuses_a_line_longer_than_the_field():
+    """Position i names field element i-1, so 14 points over GF(7) name
+    each element twice; the oracle and the verifier refuse the line."""
+    f = line_fn([(3 * x + 2) % 7 for x in range(14)], kind="field", modulus=7)
+    prop = O.PropertySpec("low-degree", degree=1)
+    kept = O.DistanceReport("low-degree", 0, Fraction(0), ("kept",) + tuple((i,) for i in range(1, 15)))
+    message = "low-degree needs a line of at most p=7 points, got n=14"
+    for call in (lambda: O.distance_to_low_degree(f, 1), lambda: O.compute_distance(f, prop),
+                 lambda: O.verify_report(f, prop, kept)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
 def test_restorable_vs_not():
     assert O.is_restorable(line_fn([0, ERASED, 1]), O.PropertySpec("monotone-line"))
     assert not O.is_restorable(line_fn([1, ERASED, 0]), O.PropertySpec("monotone-line"))

@@ -234,6 +234,28 @@ def test_amplify_repetition_count_and_budget():
     assert check_pot_certificate(far, pot, verdict.certificate)
 
 
+def test_wrappers_report_their_oracles_count():
+    """On a fresh oracle, ``queries_used`` is the oracle's count, for accepts
+    and rejects alike."""
+    pot = low_degree_pot(17, 1)
+    outcomes = set()
+    for fn, seed in [(affine_fn(1, 0, 17), 4110), (parabola_fn(17), 4111)]:
+        oracle = QueryOracle(fn)
+        verdict = pot_amplify(pot, 0, Fraction(1, 10), oracle, make_rng(seed))
+        assert verdict.queries_used == oracle.count
+        outcomes.add(verdict.outcome)
+    chain = Poset(64, [(i, i + 1) for i in range(1, 64)])
+    stars = [1 if (i - 1) % 4 == 0 else 0 for i in range(1, 65)]
+    for poset, fn, seed in [(chain, line_fn(list(range(1, 65))), 4112),
+                            (_star_forest(), line_fn(stars, kind="bit"), 4113)]:
+        oracle = QueryOracle(fn)
+        verdict = erasure_resilient_extendable(poset_monotone_uniform_spec(poset), 0,
+                                               Fraction(1, 4), oracle, make_rng(seed))
+        assert verdict.queries_used == oracle.count
+        outcomes.add(("extendable", verdict.outcome))
+    assert len(outcomes) == 4
+
+
 def test_amplify_parameter_gates():
     pot = low_degree_pot(17, 1)
     fn = affine_fn(1, 0, 17)
