@@ -18,6 +18,7 @@ from .core import (
     GenerationFailed,
     QueryOracle,
     Verdict,
+    draw,
     exact_fraction,
 )
 from .line import (INF, LineBoundingPair, _descends, _run_searches,
@@ -105,7 +106,7 @@ def classic_monotone_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
 
     def searches():
         for _ in range(proximity_iterations(eps)):
-            s = rng.randint(1, n)
+            s = draw(rng, 1, n)
             fs = oracle.query((s,))
             lo, hi = 1, n
             while fs is not ERASED and lo <= hi:

@@ -13,6 +13,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from random import Random
 from typing import Iterator, Optional
 
 REL_TOL = 1e-9
@@ -79,6 +80,27 @@ def value_gt(a, b) -> bool:
             return fa > fb
         return fa - fb > REL_TOL * max(1.0, abs(fa), abs(fb))
     return a > b
+
+
+def draw(rng, lo: int, hi: int) -> int:
+    """``rng.randint(lo, hi)``, the one draw rule of every tester.  On a
+    plain ``random.Random`` it takes ``span.bit_length()`` random bits and
+    redraws while they reach ``span = hi - lo + 1``, which is what
+    ``randint`` does on CPython 3.10-3.13 (``_randbelow_with_getrandbits``)
+    three Python frames deeper: the same value and the same ``getstate()``.
+    Any other object, a ``Random`` subclass or an axis-line view among
+    them, gets its own ``randint``.  An empty range raises ValueError, as
+    ``randint`` does, where the loop would never end."""
+    if type(rng) is not Random:
+        return rng.randint(lo, hi)
+    span = hi - lo + 1
+    if span < 1:
+        raise ValueError(f"empty range for draw({lo}, {hi})")
+    k = span.bit_length()
+    r = rng.getrandbits(k)
+    while r >= span:
+        r = rng.getrandbits(k)
+    return lo + r
 
 
 def exact_fraction(x) -> Fraction:

@@ -8,6 +8,7 @@ lines.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +21,7 @@ from .core import (
     Verdict,
     ceil_frac,
     check_params,
+    draw,
     grid_descends,
     holds_values,
     value_gt,
@@ -121,9 +123,9 @@ def all_axis_lines(domain: Domain):
 
 
 def sample_axis_line(domain: Domain, rng) -> AxisLine:
-    """Uniform over all d * n^(d-1) axis-parallel lines."""
-    axis = rng.randint(1, domain.d)
-    fixed = tuple(rng.randint(1, domain.n) for _ in range(domain.d - 1))
+    """Uniform over all d * n^(d-1) axis-parallel lines, by ``draw``."""
+    axis = draw(rng, 1, domain.d)
+    fixed = tuple(draw(rng, 1, domain.n) for _ in range(domain.d - 1))
     return AxisLine(axis, fixed)
 
 
@@ -134,7 +136,8 @@ class _AxisLineView:
     The line's points sit at flat indices ``base + (p - 1) * stride`` for
     positions p = 1..n, with ``stride = n ** (axis - 1)``, so ``query((p,))``
     checks 1 <= p <= n and reads ``oracle.query_index`` without building or
-    validating a point.  ``randint`` is ``rng.randint`` with the draws a box
+    validating a point.  ``randint`` is ``draw(rng, lo, hi)`` (the
+    ``getrandbits`` rule on a plain ``Random``) with the draws a box
     sampler over the line's points once made for its fixed coordinates: one
     ``rng.randint(c, c)`` for each coordinate c before the axis and one for
     each after it.  Each of those is replayed as ``while
@@ -164,7 +167,7 @@ class _AxisLineView:
         for _ in self.before:
             while getrandbits(1):
                 pass
-        m = self.rng.randint(lo, hi)
+        m = draw(self.rng, lo, hi)
         for _ in self.after:
             while getrandbits(1):
                 pass
@@ -193,8 +196,13 @@ def bdp_hypergrid_budget(n: int, d: int, eps, alpha) -> int:
 
 def hypergrid_iterations(d: int, eps, alpha, factor: int) -> int:
     """ceil(factor * d / (eps(1-alpha) - 4 d alpha)); the precondition keeps
-    the denominator positive."""
-    e, a = check_params(eps, alpha)
+    the denominator positive.  Cached, as ``line._log_budget`` is, on the
+    exact (eps, alpha) that ``check_params`` returns."""
+    return _exact_iterations(d, *check_params(eps, alpha), factor)
+
+
+@functools.lru_cache(maxsize=1024)
+def _exact_iterations(d: int, e: Fraction, a: Fraction, factor: int) -> int:
     denom = e * (1 - a) - 4 * d * a
     if denom <= 0:
         raise PreconditionViolated("erasure bound too large for the iteration count")

@@ -26,6 +26,7 @@ from .core import (
     Verdict,
     ceil_frac,
     check_params,
+    draw,
     exact_log2,
     holds_values,
     value_gt,
@@ -218,7 +219,15 @@ def bdp_to_monotone_transforms(bounds: LineBoundingPair):
 # testers
 
 def _log_budget(factor, n: int, eps, alpha) -> int:
-    e, a = check_params(eps, alpha)
+    """ceil(factor * log2(n) / (eps (1 - alpha))), worked out once per
+    ``factor``, n and exact (eps, alpha): the cache is keyed on what
+    ``check_params`` returns, never on the raw arguments, since the float
+    0.3 and ``Fraction(0.3)`` hash equal but check to different rationals."""
+    return _exact_log_budget(factor, n, *check_params(eps, alpha))
+
+
+@functools.lru_cache(maxsize=1024)
+def _exact_log_budget(factor, n: int, e: Fraction, a: Fraction) -> int:
     return ceil_frac(factor * exact_log2(n) / (e * (1 - a)))
 
 
@@ -273,13 +282,14 @@ def check_bounds(tag: str, bounds, want, domain=None) -> None:
 
 def sample_nonerased_uniform(line, lo: int, hi: int, rng):
     """A uniform nonerased position of [lo, hi] on a line oracle (or an axis
-    line of a grid), with its value.  Each draw is one ``rng.randint(lo, hi)``
-    and one query, so erasures are paid for in budget; a fully erased range
+    line of a grid), with its value.  Each draw is one ``draw(rng, lo, hi)``
+    (``getrandbits`` on a plain ``Random``, ``rng.randint`` otherwise) and
+    one query, so erasures are paid for in budget; a fully erased range
     ends only through ``BudgetExhausted``.  A grid search's start passes its
     axis-line view as ``rng``: each draw is then the view's ``randint``,
     with the replays of the fixed coordinates' draws around it."""
     while True:
-        m = rng.randint(lo, hi)
+        m = draw(rng, lo, hi)
         v = line.query((m,))
         if v is not ERASED:
             return m, v
@@ -347,21 +357,44 @@ def _descends(a, fa, b, fb) -> bool:
     return value_gt(fa, fb)
 
 
-def _view_descends(vmap):
-    """Monotonicity violation under the value map ``vmap``."""
-    def violated(a, fa, b, fb):
-        return value_gt(vmap(a, fa), vmap(b, fb))
-    return violated
+def _bdp_views(bounds: LineBoundingPair):
+    """The pair checks of finite ``bounds``' views: (G, H, either).  A pair
+    a < b violates monotonicity under G iff f(a) - f(b) > lo_pre[a-1] -
+    lo_pre[b-1], and under H iff f(b) - f(a) > up_pre[b-1] - up_pre[a-1].
+    When both sides sum plain ints (``_step_side``'s integral sides) and
+    both values are ints, a check is that int comparison, exact as
+    ``value_gt`` on the maps' exact values is.  Any other value or side
+    compares the maps' values with ``value_gt`` and its float tolerance.
+    ``bdp_to_monotone_transforms`` is called once here either way."""
+    g_map, h_map = bdp_to_monotone_transforms(bounds)
+    lo_pre, up_pre = bounds._lo_pre, bounds._up_pre
+    ints = type(lo_pre[-1]) is int and type(up_pre[-1]) is int  # no Fraction or float sum
+
+    def g_view(a, fa, b, fb):
+        if ints and type(fa) is int and type(fb) is int:
+            return fa - fb > lo_pre[a - 1] - lo_pre[b - 1]
+        return value_gt(g_map(a, fa), g_map(b, fb))
+
+    def h_view(a, fa, b, fb):
+        if ints and type(fa) is int and type(fb) is int:
+            return fb - fa > up_pre[b - 1] - up_pre[a - 1]
+        return value_gt(h_map(a, fa), h_map(b, fb))
+
+    def either(a, fa, b, fb):  # one frame for both int tests on every grid pivot
+        if ints and type(fa) is int and type(fb) is int:
+            return (fa - fb > lo_pre[a - 1] - lo_pre[b - 1]
+                    or fb - fa > up_pre[b - 1] - up_pre[a - 1])
+        return g_view(a, fa, b, fb) or h_view(a, fa, b, fb)
+
+    return g_view, h_view, either
 
 
 def _bdp_check(bounds: LineBoundingPair):
-    """The pair check a bounded-derivative search runs: both transformed
-    views with finite bounds, the directed segment sums otherwise."""
+    """The pair check a bounded-derivative search runs: either view of
+    ``_bdp_views`` with finite bounds, the directed segment sums otherwise."""
     if not bounds.all_finite:
         return functools.partial(pair_violates, bounds)
-    g_map, h_map = bdp_to_monotone_transforms(bounds)
-    return lambda a, fa, b, fb: (value_gt(g_map(a, fa), g_map(b, fb))
-                                 or value_gt(h_map(a, fa), h_map(b, fb)))
+    return _bdp_views(bounds)[2]
 
 
 def test_monotone_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
@@ -398,10 +431,10 @@ def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng
     if not bounds.all_finite:
         lines = itertools.repeat((oracle, rng, _bdp_check(bounds)), proximity_iterations(e))
     else:
-        g_map, h_map = bdp_to_monotone_transforms(bounds)
+        g_view, h_view, _ = _bdp_views(bounds)
         reps = one_sixth_iterations(e)
-        lines = itertools.chain(itertools.repeat((oracle, rng, _view_descends(g_map)), reps),
-                                itertools.repeat((oracle, rng, _view_descends(h_map)), reps))
+        lines = itertools.chain(itertools.repeat((oracle, rng, g_view), reps),
+                                itertools.repeat((oracle, rng, h_view), reps))
     return _run_searches(oracle, bdp_line_tester_budget(bounds, e, a),
                          _searches(lines, n, rng, certify))
 
@@ -417,6 +450,28 @@ def _slope(p, q):
     if isinstance(num, (int, Fraction)):
         return Fraction(num, b - a)
     return num / (b - a)
+
+
+def _link(p, q):
+    """The slope key of the chord from p to q: (rise, run) when both values
+    are ints, else ``_slope(p, q)``, computed once."""
+    (a, fa), (b, fb) = p, q
+    if type(fa) is int and type(fb) is int:
+        return fb - fa, b - a
+    return _slope(p, q)
+
+
+def _link_gt(s1, s2) -> bool:
+    """Slope s1 > slope s2 for two ``_link`` keys: by cross products when
+    both are (rise, run), else by ``value_gt`` with a (rise, run) key as
+    ``Fraction(rise, run)``, the value ``_slope`` gives it."""
+    if type(s1) is tuple:
+        if type(s2) is tuple:
+            return s1[0] * s2[1] > s2[0] * s1[1]  # runs are positive
+        s1 = Fraction(*s1)
+    if type(s2) is tuple:
+        s2 = Fraction(*s2)
+    return value_gt(s1, s2)
 
 
 def _walk_nonerased(oracle, start, stop, step):
@@ -444,7 +499,9 @@ def convex_search(oracle: QueryOracle, s: int, rng, counters) -> object:
     into the anchors, and test that the chord slopes over them fit between
     the bounds.  Then descend toward s, keeping the anchors on its side and
     taking the chord (z,x) or (x,y) as the new bound.  ``counters`` gains
-    the queries each phase spends.
+    the queries each phase spends.  A chord between two int values keeps
+    its slope as (rise, run) and compares by cross products; any other
+    chord's slope is one ``_slope``, compared by ``value_gt`` (``_link``).
 
     Returns None (accept) or a certificate ("convex-violation", chord_a,
     chord_b) where chord_a sits left of chord_b but has the larger slope.
@@ -470,11 +527,11 @@ def convex_search(oracle: QueryOracle, s: int, rng, counters) -> object:
         points = sorted(merged.items())
 
         chain = [] if low is None else [low]
-        chain += [(_slope(p, q), (p, q)) for p, q in zip(points, points[1:])]
+        chain += [(_link(p, q), (p, q)) for p, q in zip(points, points[1:])]
         if high is not None:
             chain.append(high)
         for (s1, c1), (s2, c2) in zip(chain, chain[1:]):
-            if value_gt(s1, s2):
+            if _link_gt(s1, s2):
                 return ("convex-violation", c1, c2)
 
         if s == x:

@@ -690,8 +690,12 @@ class PropertySpec:
 
 def compute_distance(fn: ErasedFunction, prop: PropertySpec) -> DistanceReport:
     """The one distance dispatch: the exact oracle for each property, and the
-    certified matching lower bound for bounded-derivative grids.  Bounds
-    that do not fit ``fn``'s domain are refused by ``check_bounds``."""
+    certified matching lower bound for bounded-derivative grids.  A line
+    property on a grid is refused in the words ``validate_config`` uses for
+    a line tester there; bounds that do not fit ``fn``'s domain are refused
+    by ``check_bounds``."""
+    if not fn.domain.is_line and prop.tag not in ("monotone-grid", "bdp-grid"):
+        raise ConfigError(f"{prop.tag} runs on line domains, got d={fn.domain.d}")
     return _PROPERTIES[prop.tag][2](fn, prop)
 
 

@@ -10,7 +10,9 @@ approximator into a tester by filling erasures with a default value.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -26,6 +28,7 @@ from .core import (
     Verdict,
     ceil_frac,
     check_params,
+    draw,
     exact_fraction,
     exact_log2,
     holds_values,
@@ -33,6 +36,8 @@ from .core import (
 from .oracles import interpolate, is_prime, poly_eval, count_alternations
 
 LN3 = math.log(3)
+
+_by_value = operator.itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,7 @@ def erasure_resilient_pot_run(pot: POTSpec, oracle: QueryOracle, rng) -> Verdict
             raise ValueError("cannot draw more distinct points than the domain has")
         idxs = rng.sample(range(domain.size), pot.q)
     else:
-        idxs = [rng.randint(0, domain.size - 1) for _ in range(pot.q)]
+        idxs = [draw(rng, 0, domain.size - 1) for _ in range(pot.q)]
     sample = []
     for i in idxs:
         pt = domain.point_at(i)
@@ -189,7 +194,7 @@ def erasure_resilient_extendable(spec: UniformTesterSpec, alpha, eps,
     for _ in range(reps):
         sample = []
         for _ in range(draws):
-            pt = domain.point_at(rng.randint(0, domain.size - 1))
+            pt = domain.point_at(draw(rng, 0, domain.size - 1))
             v = oracle.query(pt)
             if v is not ERASED:
                 sample.append((pt, v))
@@ -257,19 +262,28 @@ class Poset:
 
 def poset_monotone_uniform_spec(poset: Poset) -> UniformTesterSpec:
     """Uniform tester: about sqrt(size/eps) points, reject on any sampled
-    comparable pair with inverted values."""
+    comparable pair with inverted values.
+
+    ``decide`` visits the sampled elements by value, largest first, one
+    group of equal values at a time, and keeps the bitmask ``higher`` of
+    the elements seen in earlier groups, whose values are larger by ``>``.
+    The sample is violated iff some element has one of them below it in
+    the poset: ``below & higher`` nonzero.  O(s log s) for s sampled
+    points, where the pairwise rule took O(s^2)."""
+    below = poset._below
 
     def q(size, eps):
         return math.ceil(8 * math.sqrt(size / float(eps)))
 
     def decide(sample) -> bool:
-        pairs = sorted(set((pt[0], v) for pt, v in sample))
-        for i, (a, fa) in enumerate(pairs):
-            for b, fb in pairs[i + 1:]:
-                if poset.le(a, b) and fa > fb:
-                    return False
-                if poset.le(b, a) and fb > fa:
-                    return False
+        values = {pt[0]: v for pt, v in sample}
+        higher = 0
+        for _, group in itertools.groupby(sorted(values.items(), key=_by_value, reverse=True),
+                                          key=_by_value):
+            elements = [a for a, _ in group]
+            if any(below[a - 1] & higher for a in elements):
+                return False
+            higher |= sum(1 << (a - 1) for a in elements)  # distinct, so the sum is the union
         return True
 
     return UniformTesterSpec(q=q, decide=decide)
@@ -299,7 +313,7 @@ def test_k_runs(oracle: QueryOracle, k: int, eps, rng) -> Verdict:
     oracle.set_budget(draws)
     seen = {}
     for _ in range(draws):
-        pos = rng.randint(1, n)
+        pos = draw(rng, 1, n)
         v = oracle.query((pos,))
         if v is not ERASED:
             seen[pos] = v

@@ -183,7 +183,8 @@ def test_invalid_file_values_name_the_file(tmp_path, capsys, name, text, args, m
 GRID_3x3 = "domain grid 3 2\n0 1 2\n1 2 3\n2 3 4\n"
 
 # (tester or property, function file contents, bounds file contents, message):
-# ``ertest test`` and ``ertest distance`` refuse each pair with the same line
+# ``ertest test`` and ``ertest distance`` refuse each pair, and each line
+# property on a grid, with the same line
 BOUNDS_MISFITS = [
     ("bdp-grid", GRID_3x3, "bounds 1 3\n-1 -1\n1 1\n",
      "bdp-grid needs BoundingFamily bounds, got LineBoundingPair"),
@@ -195,9 +196,12 @@ BOUNDS_MISFITS = [
      "bdp-grid bounds have n=4, d=2; the domain has n=3, d=2"),
     ("bdp-grid", GRID_3x3, "bounds 3 3\n-1 -1\n1 1\n-1 -1\n1 1\n-1 -1\n1 1\n",
      "bdp-grid bounds have n=3, d=3; the domain has n=3, d=2"),
+    *((tag, GRID_3x3, "bounds 1 3\n-1 -1\n1 1\n", f"{tag} runs on line domains, got d=2")
+      for tag in ("bdp-line", "monotone-line", "convex-line")),
 ]
 MISFIT_IDS = ["line-bounds-on-grid", "grid-bounds-on-line", "line-length", "grid-side",
-              "grid-dimension"]
+              "grid-dimension", "bdp-line-on-grid", "monotone-line-on-grid",
+              "convex-line-on-grid"]
 
 
 @pytest.mark.parametrize("tester, fn_text, bounds_text, message", BOUNDS_MISFITS,

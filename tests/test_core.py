@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ertest.core import (
     ACCEPT,
@@ -19,6 +20,7 @@ from ertest.core import (
     SizeLimit,
     Verdict,
     ceil_frac,
+    draw,
     erased_fraction,
     exact_fraction,
     exact_log2,
@@ -386,6 +388,52 @@ def test_line_sampler_draws_what_the_box_sampler_draws():
         (m_ref,), v_ref = sample_nonerased_uniform(ref, Box((lo,), (hi,)), rng_ref)
         assert (m, v, ours.count) == (m_ref, v_ref, ref.count)
         assert rng_ours.getstate() == rng_ref.getstate()
+
+
+# spans of one, at powers of two and one either side of them, and above 2^32,
+# where getrandbits takes more than one 32-bit word
+_SPANS = st.one_of(
+    st.just(1),
+    st.integers(1, 70).flatmap(lambda e: st.sampled_from((2 ** e - 1, 2 ** e, 2 ** e + 1))),
+    st.integers(2 ** 32 + 1, 2 ** 80))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2 ** 64 - 1), st.integers(-2 ** 70, 2 ** 70), _SPANS)
+def test_draw_gives_what_randint_gives(seed, lo, span):
+    ours, ref = random.Random(seed), random.Random(seed)
+    for _ in range(4):
+        assert draw(ours, lo, lo + span - 1) == ref.randint(lo, lo + span - 1)
+        assert ours.getstate() == ref.getstate()
+
+
+def test_draw_leaves_other_sources_to_their_randint():
+    class Counting(random.Random):
+        calls = 0
+
+        def randint(self, lo, hi):
+            self.calls += 1
+            return super().randint(lo, hi)
+
+    class Top:
+        def randint(self, lo, hi):
+            return hi
+
+    sub, plain = Counting(3), random.Random(3)
+    assert [draw(sub, 1, 6) for _ in range(5)] == [plain.randint(1, 6) for _ in range(5)]
+    assert sub.calls == 5
+    assert draw(Top(), 3, 9) == 9
+
+
+def test_draw_refuses_an_empty_range():
+    rng = random.Random(0)
+    state = rng.getstate()
+    for lo, hi in [(5, 4), (0, -1), (3, -10)]:
+        with pytest.raises(ValueError, match=r"^empty range for draw"):
+            draw(rng, lo, hi)
+        with pytest.raises(ValueError):
+            rng.randint(lo, hi)
+    assert rng.getstate() == state
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from ertest.hypergrid import (
     AxisLine,
     BoundingFamily,
     _AxisLineView,
+    _exact_iterations,
     all_axis_lines,
     bdp_hypergrid_budget,
     check_grid_certificate,
@@ -224,6 +225,15 @@ def test_budget_worked_examples():
 def test_iteration_worked_examples():
     assert hypergrid_iterations(2, Fraction(1, 5), 0, 12) == 120
     assert hypergrid_iterations(2, Fraction(2, 5), 0, 48) == 240
+
+
+def test_iteration_cache_keys_on_the_checked_parameters():
+    # 0.3 means 3/10; Fraction(0.3), equal and of equal hash, is the binary
+    # double just below it, so 24 / eps is just above 80
+    for order in ([0.3, Fraction(0.3)], [Fraction(0.3), 0.3]):
+        _exact_iterations.cache_clear()
+        got = [hypergrid_iterations(2, eps, 0, 12) for eps in order * 2]
+        assert got == [80 if type(eps) is float else 81 for eps in order * 2]
 
 
 @pytest.mark.parametrize("helper", [

@@ -29,6 +29,12 @@ from ertest.line import (
     pair_violates,
     proximity_iterations,
     randomized_binary_search_step_loop,
+    _bdp_check,
+    _bdp_views,
+    _exact_log_budget,
+    _link,
+    _link_gt,
+    _slope,
     _step_side,
 )
 # aliased so pytest does not collect the library entry points as tests
@@ -197,6 +203,16 @@ def test_budgets_accept_float_parameters_exactly():
     assert convex_line_budget(1024, 0.1, 0) == 18000
 
 
+def test_budget_cache_keys_on_the_checked_parameters():
+    # 0.3 and Fraction(0.3) compare and hash equal, but 0.3 means 3/10 and
+    # Fraction(0.3) is the binary double: each keeps its own budget,
+    # whichever is asked first
+    for order in ([0.3, Fraction(0.3)], [Fraction(0.3), 0.3]):
+        _exact_log_budget.cache_clear()
+        got = [monotone_line_budget(1024, eps, 0) for eps in order * 2]
+        assert got == [2000 if type(eps) is float else 2001 for eps in order * 2]
+
+
 def test_iteration_counts():
     assert proximity_iterations(Fraction(1, 10)) == 20
     assert proximity_iterations(Fraction(1, 4)) == 8
@@ -261,6 +277,82 @@ def test_transform_worked_example():
     assert [h_map(i + 1, v) for i, v in enumerate(f)] == [-2, -3, -1]
     # pair (1,2) breaks the Lipschitz bound and shows up in the h view
     assert h_map(1, f[0]) > h_map(2, f[1])
+
+
+_BIG = 2 ** 70  # past 2^53, where a float no longer holds every int
+# ints take the int paths; integral and other Fractions and floats, alone or
+# beside an int, must take the value_gt fallback
+_PAIR_VALUES = st.one_of(
+    st.integers(-_BIG, _BIG),
+    st.integers(-9, 9),
+    st.integers(-_BIG, _BIG).map(Fraction),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 6)),
+    st.floats(-1e22, 1e22, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _finite_bounds(draw):
+    """Finite step bounds of ints (small or past 2^53), integral Fractions,
+    other Fractions, or ints with one float step."""
+    n = draw(st.integers(2, 7))
+    mag = draw(st.sampled_from([9, _BIG]))
+    lower = draw(st.lists(st.integers(-mag, mag), min_size=n - 1, max_size=n - 1))
+    gaps = draw(st.lists(st.integers(1, mag), min_size=n - 1, max_size=n - 1))
+    upper = [l + g for l, g in zip(lower, gaps)]
+    kind = draw(st.sampled_from(["int", "integral-fraction", "fraction", "float"]))
+    if kind == "integral-fraction":
+        lower, upper = list(map(Fraction, lower)), list(map(Fraction, upper))
+    elif kind == "fraction":
+        lower, upper = [Fraction(l, 3) for l in lower], [Fraction(u, 3) for u in upper]
+    elif kind == "float":
+        lower[0], upper[0] = float(lower[0] % 64), float(lower[0] % 64 + 1)
+    return LineBoundingPair(lower, upper)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_finite_bounds(), st.data())
+def test_view_checks_decide_as_value_gt_on_the_maps(bounds, data):
+    """The G and H view checks and ``_bdp_check`` (the grid's check too)
+    give the bool of ``value_gt`` on the maps' values, on the int path and
+    on the fallback; values often sit at a segment sum, give or take 2."""
+    g_map, h_map = bdp_to_monotone_transforms(bounds)
+    g_view, h_view, either = _bdp_views(bounds)
+    check = _bdp_check(bounds)
+    for _ in range(6):
+        a = data.draw(st.integers(1, bounds.n - 1))
+        b = data.draw(st.integers(a + 1, bounds.n))
+        fa = data.draw(_PAIR_VALUES)
+        edge = data.draw(st.sampled_from([bounds.seg_lower(a, b), bounds.seg_upper(a, b)]))
+        if isinstance(edge, float):
+            edge = int(edge)  # int values beside a float sum: the fallback's tolerance decides
+        fb = data.draw(st.one_of(_PAIR_VALUES, st.integers(-2, 2).map(lambda k: fa + edge + k)))
+        g = value_gt(g_map(a, fa), g_map(b, fb))
+        h = value_gt(h_map(a, fa), h_map(b, fb))
+        assert ((g_view(a, fa, b, fb), h_view(a, fa, b, fb), either(a, fa, b, fb),
+                 check(a, fa, b, fb)) == (g, h, g or h, g or h))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_link_comparison_decides_as_value_gt_on_slopes(data):
+    """Two chords compare by ``_link_gt`` on their ``_link`` keys as
+    ``value_gt`` compares their ``_slope``s: by cross products when every
+    value is an int, by the fallback when any is not.  The second chord's
+    far value often puts its slope at the first's, give or take a little."""
+    a, b, c, d = sorted(data.draw(st.lists(st.integers(-_BIG, _BIG), min_size=4,
+                                           max_size=4, unique=True)))
+    if data.draw(st.booleans()):
+        b, c = c, b  # overlapping chords
+    fa, fb, fc = (data.draw(_PAIR_VALUES) for _ in range(3))
+    rise = fb - fa
+    near = st.integers(-2, 2).map(lambda k: fc + rise * (d - c) // (b - a) + k)
+    fd = data.draw(st.one_of(_PAIR_VALUES, near) if isinstance(rise, int) else _PAIR_VALUES)
+    p, q, r, s = (a, fa), (b, fb), (c, fc), (d, fd)
+    assert _link_gt(_link(p, q), _link(r, s)) == value_gt(_slope(p, q), _slope(r, s))
+    assert _link_gt(_link(r, s), _link(p, q)) == value_gt(_slope(r, s), _slope(p, q))
+    assert _link(p, q) == ((rise, b - a) if type(fa) is int and type(fb) is int
+                           else _slope(p, q))
 
 
 def test_transforms_require_finite_bounds():

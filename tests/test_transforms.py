@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ertest.core import (
     ALL_CHECKS_PASSED,
@@ -324,6 +325,41 @@ def test_poset_uniform_spec_sample_size():
     reversed_pair = poset_monotone_uniform_spec(Poset(2, [(2, 1)]))
     assert reversed_pair.decide([((1,), 5), ((2,), 0)])
     assert not reversed_pair.decide([((1,), 0), ((2,), 5)])
+
+
+def _pairwise_decide(poset, sample) -> bool:
+    """The O(s^2) rule the bitmask decide replaced: no sampled comparable
+    pair has its values inverted by ``>``."""
+    pairs = sorted(set((pt[0], v) for pt, v in sample))
+    for i, (a, fa) in enumerate(pairs):
+        for b, fb in pairs[i + 1:]:
+            if poset.le(a, b) and fa > fb or poset.le(b, a) and fb > fa:
+                return False
+    return True
+
+
+@st.composite
+def _poset_and_sample(draw):
+    """A random DAG on 1..size (edges from a shuffled order) and a sample of
+    its elements, repeats allowed, holding one value each: small ints, so
+    ties are common, or Fractions and floats beside them."""
+    size = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(1, size + 1)))
+    pairs = [(order[i], order[j]) for i in range(size) for j in range(i + 1, size)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * size)) if pairs else []
+    values = st.one_of(st.integers(0, 3), st.builds(Fraction, st.integers(-8, 8),
+                                                    st.integers(1, 4)),
+                       st.floats(-3, 3, allow_nan=False))
+    label = draw(st.lists(values, min_size=size, max_size=size))
+    picked = draw(st.lists(st.integers(1, size), min_size=1, max_size=2 * size))
+    return Poset(size, edges), [((e,), label[e - 1]) for e in picked]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_poset_and_sample())
+def test_poset_decide_equals_the_pairwise_rule(case):
+    poset, sample = case
+    assert poset_monotone_uniform_spec(poset).decide(sample) == _pairwise_decide(poset, sample)
 
 
 def test_chain_monotone_labels_accept():
