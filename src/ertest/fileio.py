@@ -4,21 +4,24 @@ Function files are line-oriented text: a `domain` header, then one token
 per point in canonical index order, `_` for an erased value.  Real tokens
 load as exact rationals so downstream slope comparisons stay exact; they
 accept plain decimals, fractions like 7/3, and scientific notation.  Every
-real value and finite bound is the ``Fraction`` that ``Fraction(token)``
-gives, and the same tokens are refused; plain integer tokens (an optional
-``-``, then decimal digits) are read by ``int`` instead of Fraction's regex,
-and a bounds file parses each distinct token once.  Bounds files start
-`bounds d n` with d >= 1 and n >= 2, then per dimension a row of n-1 lower
-and a row of n-1 upper bounds.
+real value is the ``Fraction`` that ``Fraction(token)`` gives.  A finite
+bound has the same value: ``int(token)`` for a plain integer token (an
+optional ``-``, then decimal digits), ``Fraction(token)`` for any other.
+Values stay Fractions because ``cli._jsonable`` writes a Fraction as a
+string but an int as a number, so int values would change a verdict's
+JSON.  Both refuse exactly the tokens Fraction refuses; plain integer
+tokens are read by ``int`` instead of Fraction's regex, and a bounds file
+parses each distinct token once.  Bounds files start `bounds d n` with
+d >= 1 and n >= 2, then per dimension a row of n-1 lower and a row of n-1
+upper bounds.
 
 What a load builds is checked in C-level passes, not per token in Python:
 ``ErasedFunction`` accepts real values by one pass over their types (all
 Fractions here), and ``LineBoundingPair`` builds every row with one side
-builder in O(n), keeping a row of integral Fractions and infinities as
-plain-int prefix sums and making a ``Fraction`` only for a sum it returns.
-A value of another type, or a pair of rows whose order the numerators
-cannot decide, takes the per-entry checks, so every error names the same
-first bad token.
+builder in O(n), summing a row of ints and its infinity as plain ints.
+A row with a Fraction sums in Fraction arithmetic, and a pair of rows
+whose order the int comparison cannot decide takes the per-entry checks,
+so every error names the same first bad token.
 """
 from __future__ import annotations
 
@@ -81,14 +84,7 @@ class _Reader:
             raise self.error(at(), str(exc)) from None
 
     def take(self, what: str, parse=str):
-        tok = next(self.tokens, None)
-        if tok is None:
-            raise self.error(self.taken, f"expected {what}, got end of file")
-        self.taken += 1
-        try:
-            return parse(tok)
-        except _PARSE_ERRORS:
-            raise self.error(self.taken - 1, f"expected {what}, got {tok!r}") from None
+        return self.take_many(1, what, parse)[0]
 
     def header(self, keyword: str) -> None:
         head = next(self.tokens, None)
@@ -98,8 +94,7 @@ class _Reader:
 
     def take_many(self, count, what: str, parse) -> list:
         """The next ``count`` tokens (None: every remaining token), parsed.
-        Errors are those of ``count`` calls to ``take``: the first bad token,
-        else the end of the file."""
+        Errors name the first bad token, else the end of the file."""
         start = self.taken
         toks = list(self.tokens if count is None else islice(self.tokens, count))
         self.taken += len(toks)
@@ -200,7 +195,9 @@ def _parse_bound(token: str):
         return INF
     if token == "-inf":
         return -INF
-    return _parse_exact(token)
+    if token.removeprefix("-").isdecimal():  # as in ``_parse_exact``
+        return int(token)
+    return Fraction(token)
 
 
 def load_bounds(path: str):

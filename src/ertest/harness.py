@@ -216,6 +216,9 @@ def validate_config(cfg: ExperimentConfig) -> tuple[TesterEntry, ErasedFunction]
     if "bounds" in entry.needs:
         check_bounds(cfg.tester, cfg.bounds,
                      LineBoundingPair if entry.shape == "line" else BoundingFamily, fn.domain)
+    if "poset" in entry.needs and cfg.poset.size != fn.domain.size:
+        raise ConfigError(f"{cfg.tester} needs a poset of {fn.domain.size} elements, "
+                          f"got {cfg.poset.size}")
     return entry, fn
 
 

@@ -35,19 +35,15 @@ from .core import (
 INF = float("inf")
 
 
-_EXACT_KINDS = frozenset((int, Fraction, float))
-
-
 def _step_side(entries, sign):
-    """One side of step bounds from C-level passes: (keys, sums, infs, frac).
+    """One side of step bounds from C-level passes: (keys, sums, infs).
 
     ``sign`` names the side's one allowed infinity: -1 lower, +1 upper.
     ``sums`` are the prefix sums of the finite steps, ``infs`` the prefix
-    counts of infinite steps.  On a side of ints, integral Fractions and
-    that infinity, ``keys`` holds each step's numerator, or the infinity,
-    the sums add numerators, and ``frac`` is one past the first Fraction
-    entry (len + 1 when there is none).  On any other side ``keys`` is
-    None, the sums are the entries' own left fold and ``frac`` is len + 1.
+    counts of infinite steps.  A side is integral exactly when every entry
+    is an int or that infinity: ``keys`` is then the entries themselves and
+    the sums are plain ints.  On any other side ``keys`` is None and the
+    sums are the entries' own left fold, in the types their arithmetic gives.
     ``sums`` is an unread ``accumulate``, which the caller lists only after
     its order check: a pair that check refuses raises the check's error,
     not one from summing.
@@ -56,27 +52,18 @@ def _step_side(entries, sign):
     types = list(map(type, entries))
     kinds = set(types)
     if kinds == {float} and entries.count(inf) == size:  # as in ``monotone(n)``
-        return entries, itertools.repeat(0, size + 1), list(range(size + 1)), size + 1
-    finite, infs, integral = entries, [0] * (size + 1), kinds <= _EXACT_KINDS
+        return entries, itertools.repeat(0, size + 1), list(range(size + 1))
+    finite, infs, integral = entries, [0] * (size + 1), kinds <= {int}
     if kinds - {int, Fraction}:  # a float, or a float subclass such as numpy's
         # float.__eq__ answers True only for an equal number (NotImplemented
         # for a Fraction), so the flags mark exactly this side's infinities;
         # any other float (finite, NaN, the other infinity) goes unmarked
         flags = list(map(operator.is_, map(inf.__eq__, entries), itertools.repeat(True)))
         infs = list(itertools.accumulate(flags, initial=0))
-        integral = integral and infs[-1] == types.count(float)
+        integral = kinds <= {int, float} and infs[-1] == types.count(float)
         if infs[-1]:
             finite = [0 if hit else e for e, hit in zip(entries, flags)]
-    if integral and Fraction in kinds:
-        integral = not any(map((1).__ne__, map(operator.attrgetter("denominator"), finite)))
-    if not integral:
-        return None, itertools.accumulate(finite, initial=0), infs, size + 1
-    first = size
-    if Fraction in kinds:
-        finite = list(map(operator.attrgetter("numerator"), finite))
-        first = types.index(Fraction)
-    keys = [inf if hit else x for x, hit in zip(finite, flags)] if infs[-1] else finite
-    return keys, itertools.accumulate(finite, initial=0), infs, first + 1
+    return entries if integral else None, itertools.accumulate(finite, initial=0), infs
 
 
 def _steps_ordered(lo, up) -> bool:
@@ -84,7 +71,7 @@ def _steps_ordered(lo, up) -> bool:
     ``value_gt`` decides it, or False when this cannot be decided here: a
     side has no keys, or a side holds an infinity while some entry is too
     large for the float that ``value_gt`` turns it into beside one."""
-    (lo_keys, _, lo_infs, _), (up_keys, _, up_infs, _) = lo, up
+    (lo_keys, _, lo_infs), (up_keys, _, up_infs) = lo, up
     if lo_keys is None or up_keys is None:
         return False
     if lo_infs[-1] or up_infs[-1]:
@@ -111,20 +98,15 @@ class LineBoundingPair:
     lower(i) <= g(i+1) - g(i) <= upper(i) for every step i.
 
     Each side's prefix sums come from ``_step_side`` in O(n) C-level
-    passes.  A side whose entries are all ints, integral Fractions or its
-    own infinity sums plain-int numerators, and lower < upper is then one
-    numerator comparison per step.  Segment sums and the G/H maps still
-    return the value and type of Fraction arithmetic on the entries: a sum
-    is a Fraction exactly when a Fraction entry lies before its end
-    (``_lo_frac``/``_up_frac``: the first prefix index that would hold
-    one), an int otherwise.  Any other side sums its entries themselves,
-    in their own types.  Where the numerator comparison cannot decide,
-    ``value_gt`` checks step by step and raises at the first bad step,
-    before any side is summed.
+    passes.  A side is integral exactly when every entry is an int or its
+    own infinity: it sums plain ints, and lower < upper is then one int
+    comparison per step.  Any other side sums its entries themselves, in
+    their own types, so a segment sum is the difference of two such prefix
+    sums.  Where the int comparison cannot decide, ``value_gt`` checks step
+    by step and raises at the first bad step, before any side is summed.
     """
 
-    __slots__ = ("lower", "upper", "_lo_pre", "_lo_inf", "_lo_frac",
-                 "_up_pre", "_up_inf", "_up_frac")
+    __slots__ = ("lower", "upper", "_lo_pre", "_lo_inf", "_up_pre", "_up_inf")
 
     def __init__(self, lower, upper):
         lower = tuple(lower)
@@ -138,8 +120,8 @@ class LineBoundingPair:
                     raise ValueError(f"need lower < upper, got {_shown(l)} vs {_shown(u)}")
         self.lower = lower
         self.upper = upper
-        _, lo_sums, self._lo_inf, self._lo_frac = lo
-        _, up_sums, self._up_inf, self._up_frac = up
+        _, lo_sums, self._lo_inf = lo
+        _, up_sums, self._up_inf = up
         self._lo_pre, self._up_pre = list(lo_sums), list(up_sums)
 
     @property
@@ -164,16 +146,14 @@ class LineBoundingPair:
             raise ValueError(f"bad segment [{a}, {b})")
         if self._lo_inf[b - 1] - self._lo_inf[a - 1] > 0:
             return -INF
-        s = self._lo_pre[b - 1] - self._lo_pre[a - 1]
-        return Fraction(s) if b > self._lo_frac else s
+        return self._lo_pre[b - 1] - self._lo_pre[a - 1]
 
     def seg_upper(self, a: int, b: int):
         if not 1 <= a <= b <= self.n:
             raise ValueError(f"bad segment [{a}, {b})")
         if self._up_inf[b - 1] - self._up_inf[a - 1] > 0:
             return INF
-        s = self._up_pre[b - 1] - self._up_pre[a - 1]
-        return Fraction(s) if b > self._up_frac else s
+        return self._up_pre[b - 1] - self._up_pre[a - 1]
 
 
 def pair_violates(bounds: LineBoundingPair, a: int, fa, b: int, fb) -> bool:
@@ -202,9 +182,7 @@ def bdp_to_monotone_transforms(bounds: LineBoundingPair):
     if not bounds.all_finite:
         raise ValueError("transforms need finite bounds on every step")
     lo_pre, up_pre = bounds._lo_pre, bounds._up_pre
-    # the totals carry the segment sums' type: a Fraction total keeps every
-    # shift a Fraction over int prefix sums
-    lo_total, up_total = bounds.seg_lower(1, bounds.n), bounds.seg_upper(1, bounds.n)
+    lo_total, up_total = lo_pre[-1], up_pre[-1]
 
     def g_map(i, v):
         return v + (lo_total - lo_pre[i - 1])

@@ -335,6 +335,19 @@ def test_cli_test_range_errors_print_the_value(tmp_path, capsys):
     assert capsys.readouterr().err == "error: erasure bound 1 outside [0,1)\n"
 
 
+@pytest.mark.parametrize("size", [4, 16])
+def test_cli_test_refuses_a_poset_that_does_not_fit(tmp_path, capsys, size):
+    """A poset of another size than the domain is refused with one named
+    line, not an IndexError (smaller) or a verdict on part of it (larger)."""
+    bits = write_lines(tmp_path / "b.fn", "domain line 8\n0 0 1 1 0 1 1 1\n")
+    edges = "".join(f"{i} {i + 1}\n" for i in range(1, size))
+    poset = write_lines(tmp_path / "chain.poset", f"poset {size}\n{edges}")
+    assert main(["test", "--tester", "poset-monotone", "--kind", "bit",
+                 "--input", bits, "--poset", poset, "--eps", "1/4"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: poset-monotone needs a poset of 8 elements, got {size}\n")
+
+
 def test_cli_test_enforces_the_budget(tmp_path, capsys):
     def run(cfg, oracle, alpha, rng):
         oracle.set_budget(5)

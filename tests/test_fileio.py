@@ -1,6 +1,9 @@
 """Token parsing in the flat-file loaders: every loaded real value and bound
-is the Fraction that ``Fraction(token)`` gives, with the same refusals."""
+has the value ``Fraction(token)`` gives, with the same refusals.  A value is
+that Fraction; a finite bound is ``int(token)`` for a plain integer token
+and that Fraction for any other."""
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -19,7 +22,7 @@ from ertest.fileio import (
     save_function,
 )
 from ertest.hypergrid import BoundingFamily
-from ertest.line import INF, LineBoundingPair
+from ertest.line import INF, LineBoundingPair, _step_side, pair_violates
 
 SETTINGS = settings(max_examples=300, deadline=None)
 
@@ -34,7 +37,9 @@ def _outcome(parse, token):
 
 
 def _reference_bound(token):
-    return INF if token == "inf" else -INF if token == "-inf" else Fraction(token)
+    if token in ("inf", "-inf"):
+        return float(token)
+    return int(token) if re.fullmatch(r"-?\d+", token) else Fraction(token)
 
 
 # number-like text: signs, digits (ASCII and not), separators, points,
@@ -164,10 +169,7 @@ def test_bounds_round_trip_loads_fractions(tmp_path_factory, bounds):
     back = load_bounds(path)
     assert type(back) is type(bounds)
     for v, w in zip(_entries(bounds), _entries(back), strict=True):
-        if isinstance(v, float) and math.isinf(v):
-            assert w == v and type(w) is float
-        else:
-            assert type(w) is Fraction and w == Fraction(str(v))
+        assert (type(w), w) == _outcome(_reference_bound, str(v))
 
 
 def test_numpy_floats_save_as_plain_floats(tmp_path):
@@ -256,9 +258,9 @@ def _shown(v):
 @given(_FILE_TOKENS)
 @example("-1E4300")  # a refused bound too long for str
 def test_loaded_bounds_are_what_fraction_gives(tmp_path_factory, token):
-    """An upper bound token loads as ``Fraction(token)`` or ``inf`` gives
-    it, or is refused at ``path:3``: as a token Fraction refuses, or as an
-    upper bound not above its lower bound -10."""
+    """An upper bound token loads as ``_reference_bound`` gives it, by value
+    and type, or is refused at ``path:3``: as a token Fraction refuses, or
+    as an upper bound not above its lower bound -10."""
     path = str(tmp_path_factory.mktemp("bounds") / "b.bounds")
     with open(path, "w") as fh:
         fh.write(f"bounds 1 3\n-10 -10\n{token} 10\n")
@@ -274,6 +276,59 @@ def test_loaded_bounds_are_what_fraction_gives(tmp_path_factory, token):
     else:
         assert (type(got.upper[0]), got.upper[0]) == expected
         assert got.seg_upper(1, 3) == expected[1] + 10
+
+
+# bound tokens of every kind: plain and signed integers, fractions,
+# decimals and the infinities
+_BOUND_TOKENS = st.one_of(
+    st.integers(-30, 30).map(str),
+    st.integers(0, 30).map(lambda k: f"+{k}"),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-30, 30), st.integers(1, 4)),
+    st.integers(-120, 120).map(lambda k: str(k / 4)),
+    st.sampled_from(["inf", "-inf"]),
+)
+_PAIR_VALUES = st.one_of(st.integers(-90, 90),
+                         st.builds(Fraction, st.integers(-90, 90), st.integers(1, 4)),
+                         st.floats(-90, 90))
+
+
+def _fraction_bound(token):
+    return float(token) if token in ("inf", "-inf") else Fraction(token)
+
+
+@st.composite
+def _bound_rows(draw):
+    """Lower and upper token rows of one length, each step in order."""
+    steps = draw(st.lists(st.tuples(_BOUND_TOKENS, _BOUND_TOKENS).filter(
+        lambda s: _fraction_bound(s[0]) != _fraction_bound(s[1])), min_size=1, max_size=6))
+    steps = [sorted(s, key=_fraction_bound) for s in steps]
+    return [l for l, _ in steps], [u for _, u in steps]
+
+
+@SETTINGS
+@given(_bound_rows(), st.data())
+def test_loaded_bounds_sum_and_check_as_fraction_bounds(tmp_path_factory, rows, data):
+    """A loaded pair gives every segment sum and every pair verdict that the
+    pair of the tokens' ``Fraction`` entries gives; a side of plain
+    integers and its own infinity takes the int path."""
+    lower, upper = rows
+    n = len(lower) + 1
+    path = str(tmp_path_factory.mktemp("bounds") / "b.bounds")
+    with open(path, "w") as fh:
+        fh.write(f"bounds 1 {n}\n{' '.join(lower)}\n{' '.join(upper)}\n")
+    got = load_bounds(path)
+    want = LineBoundingPair(list(map(_fraction_bound, lower)), list(map(_fraction_bound, upper)))
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            assert got.seg_lower(a, b) == want.seg_lower(a, b)
+            assert got.seg_upper(a, b) == want.seg_upper(a, b)
+    for _ in range(8):
+        a, b = sorted(data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)))
+        fa, fb = data.draw(_PAIR_VALUES), data.draw(_PAIR_VALUES)
+        assert pair_violates(got, a, fa, b, fb) == pair_violates(want, a, fa, b, fb)
+    for side, sign, tokens, own in ((got.lower, -1, lower, "-inf"), (got.upper, 1, upper, "inf")):
+        if all(t == own or re.fullmatch(r"-?\d+", t) for t in tokens):
+            assert _step_side(side, sign)[0] is not None
 
 
 class _Int(int):

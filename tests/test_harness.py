@@ -89,6 +89,16 @@ def test_config_requires_property_parameters():
         validate_config(cfg_for("poset-monotone", SORTED_64, eps=Fraction(1, 4)))
 
 
+@pytest.mark.parametrize("size", [4, 16])
+def test_config_refuses_a_poset_of_another_size(size):
+    chain = Poset(size, [(i, i + 1) for i in range(1, size)])
+    cfg = cfg_for("poset-monotone", line_fn([0, 0, 1, 1, 0, 1, 1, 1], kind="bit"),
+                  eps=Fraction(1, 4), poset=chain)
+    with pytest.raises(ConfigError) as info:
+        run_experiment(cfg)
+    assert str(info.value) == f"poset-monotone needs a poset of 8 elements, got {size}"
+
+
 def _member_config(tester):
     return next(cfg for cfg in member_configs() if cfg.tester == tester)
 

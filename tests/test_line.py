@@ -75,18 +75,16 @@ _PREFIX_ENTRIES = st.one_of(
 @given(st.lists(st.one_of(st.integers(-9, 9).map(Fraction), _PREFIX_ENTRIES), max_size=12),
        st.sampled_from([-1, 1]))
 def test_prefix_sums_equal_plain_accumulation(entries, sign):
-    """``_step_side``'s sums, each read as a Fraction from its ``frac`` on
-    as the segment sums read them, equal plain addition element by element
-    in value and type, and its infinity counts equal plain counting.  Every
+    """``_step_side``'s sums equal plain addition element by element in
+    value and type, and its infinity counts equal plain counting.  Every
     infinity carries the side's own sign: the order check refuses any other
-    before a side is summed.  Integral Fractions come first often, so the
-    numerator sums run and then meet every other kind of entry."""
+    before a side is summed.  Integral Fractions come first often, so their
+    Fraction sums then meet every other kind of entry."""
     entries = tuple(sign * INF if isinstance(e, float) and math.isinf(e) else e
                     for e in entries)
-    _, sums, infs, frac = _step_side(entries, sign)
-    typed = [Fraction(s) if i >= frac else s for i, s in enumerate(sums)]
+    _, sums, infs = _step_side(entries, sign)
     finite, inf_count = _plain_prefix_with_inf(entries)
-    assert [(type(x), x) for x in typed] == [(type(x), x) for x in finite]
+    assert [(type(x), x) for x in sums] == [(type(x), x) for x in finite]
     assert infs == inf_count
 
 
