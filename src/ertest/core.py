@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -231,6 +233,56 @@ def _check_kind(kind: str, value, modulus) -> bool:
 _EXACT_REAL_TYPES = frozenset((int, Fraction, _Erased))
 
 
+class LazyValues(Sequence):
+    """The real values of a file whose every token is ``_`` or a plain
+    integer (an optional ``-``, then ``str.isdecimal`` digits) no longer
+    than the int digit limit; any other token list raises ValueError.  A
+    read builds its value, the ``Fraction(int(token))`` (or ERASED) that an
+    eager parse gives, and keeps it.  Iterating, slicing and ``==`` build
+    every value once, so they see the eager parse's list.  Read-only; it
+    pickles as its tokens."""
+
+    __slots__ = ("tokens", "erased", "_values", "_built")
+
+    def __init__(self, tokens: list):
+        self.erased = tokens.count("_")
+        plain = sum(map(str.isdecimal, map(str.removeprefix, tokens, itertools.repeat("-"))))
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+        if plain + self.erased != len(tokens) or limit and max(map(len, tokens), default=0) > limit:
+            raise ValueError("a token is not `_` or a plain integer within the digit limit")
+        self.tokens = tokens
+        self._values = [None] * len(tokens)
+        self._built = False
+
+    def __len__(self):
+        return len(self.tokens)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._all()[i]
+        v = self._values[i]
+        if v is None:
+            token = self.tokens[i]
+            v = self._values[i] = ERASED if token == "_" else Fraction(int(token))
+        return v
+
+    def _all(self) -> list:
+        if not self._built:
+            self._values = [(ERASED if t == "_" else Fraction(int(t))) if v is None else v
+                            for v, t in zip(self._values, self.tokens)]
+            self._built = True
+        return self._values
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def __eq__(self, other):
+        return self._all() == (other._all() if isinstance(other, LazyValues) else other)
+
+    def __reduce__(self):
+        return (LazyValues, (self.tokens,))
+
+
 class ErasedFunction:
     """A function on a domain where some points carry ERASED instead of a value.
 
@@ -240,6 +292,8 @@ class ErasedFunction:
     construction.  Real values whose types are only int and Fraction are
     accepted by one pass over their types; any other type sends every value
     through ``_check_kind`` in order, so the first misfit is the one named.
+    Real ``LazyValues`` are kept as they are, unbuilt: every token builds a
+    Fraction or ERASED, so only their erased count is taken.
     """
 
     __slots__ = ("domain", "values", "kind", "modulus", "declared_alpha", "_nonerased")
@@ -253,10 +307,14 @@ class ErasedFunction:
                 raise ValueError("field functions need a modulus")
         elif modulus is not None:
             raise ValueError("modulus only applies to field functions")
-        values = list(values)
+        lazy = kind == "real" and type(values) is LazyValues
+        if not lazy:
+            values = list(values)
         if len(values) != domain.size:
             raise ValueError(f"expected {domain.size} values, got {len(values)}")
-        if kind == "real" and set(map(type, values)) <= _EXACT_REAL_TYPES:
+        if lazy:
+            erased = values.erased
+        elif kind == "real" and set(map(type, values)) <= _EXACT_REAL_TYPES:
             # every value fits: an exact type can be neither bool nor NaN
             erased = sum(map(operator.is_, values, itertools.repeat(ERASED)))
         else:

@@ -15,33 +15,50 @@ parses each distinct token once.  Bounds files start `bounds d n` with
 d >= 1 and n >= 2, then per dimension a row of n-1 lower and a row of n-1
 upper bounds.
 
-What a load builds is checked in C-level passes, not per token in Python:
-``ErasedFunction`` accepts real values by one pass over their types (all
-Fractions here), and ``LineBoundingPair`` builds every row with one side
-builder in O(n), summing a row of ints and its infinity as plain ints.
-A row with a Fraction sums in Fraction arithmetic, and a pair of rows
-whose order the int comparison cannot decide takes the per-entry checks,
-so every error names the same first bad token.
+Every loader reads its file whole and splits it with one ``str.split``;
+comments (``#`` to the end of a line) are cut line by line only when the
+text holds a ``#``.  A real function file whose every value token is ``_``
+or a plain integer, with one token per point, loads lazily: its values
+are a ``core.LazyValues`` over the tokens, which builds a point's
+Fraction the first time it is read, so a tester pays only for the points
+it queries.  A token longer than CPython's int digit limit
+(``sys.get_int_max_str_digits()``) keeps a file off that path, so the
+parser refuses it at load, at its line, as it does any other bad token.
+Every other file (a ``7/3`` or ``2e1`` token, a token count that does
+not match the domain, a ``bit`` or ``field`` kind) is parsed token by
+token as before, with the same values and errors.
+
+What a parsed load builds is checked in C-level passes, not per token in
+Python: ``ErasedFunction`` accepts real values by one pass over their
+types (all Fractions here), and ``LineBoundingPair`` builds every row with
+one side builder in O(n), summing a row of ints and its infinity as plain
+ints.  A row with a Fraction sums in Fraction arithmetic, and a pair of
+rows whose order the int comparison cannot decide takes the per-entry
+checks, so every error names the same first bad token.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 from fractions import Fraction
-from itertools import islice
 
-from .core import ERASED, ConfigError, Domain, ErasedFunction, _check_kind, value_gt
+from .core import (ERASED, ConfigError, Domain, ErasedFunction, LazyValues, _check_kind,
+                   value_gt)
 from .line import INF, LineBoundingPair
 from .hypergrid import BoundingFamily
 from .oracles import DistanceReport
 from .transforms import Poset
 
 
-def _tokens(path: str):
+def _tokens(path: str) -> list:
+    """Every token of the file, by one ``str.split`` of its text; a ``#``
+    starts a comment that runs to the end of its line."""
     with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0]
-            yield from line.split()
+        text = fh.read()
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0] for line in text.split("\n"))
+    return text.split()
 
 
 def _line_of(path: str, index: int) -> int:
@@ -87,7 +104,7 @@ class _Reader:
         return self.take_many(1, what, parse)[0]
 
     def header(self, keyword: str) -> None:
-        head = next(self.tokens, None)
+        head = self.tokens[0] if self.tokens else None
         self.taken += 1
         if head != keyword:
             raise self.error(0, f"expected `{keyword}` header, got {head!r}")
@@ -96,7 +113,7 @@ class _Reader:
         """The next ``count`` tokens (None: every remaining token), parsed.
         Errors name the first bad token, else the end of the file."""
         start = self.taken
-        toks = list(self.tokens if count is None else islice(self.tokens, count))
+        toks = self.tokens[start:None if count is None else start + count]
         self.taken += len(toks)
         try:
             out = list(map(parse, toks))
@@ -144,8 +161,13 @@ def load_function(path: str, kind: str = "real", modulus=None) -> ErasedFunction
         raise reader.error(reader.taken - 1, f"unknown domain shape {shape!r}")
     start = reader.taken
     domain = reader.build(lambda: Domain(*sides), lambda: start - 1)
-    values = reader.take_many(None, f"a {kind} value or `_`",
-                              _parse_real if kind == "real" else _parse_int)
+    values = None
+    if kind == "real" and len(reader.tokens) - start == domain.size:
+        with contextlib.suppress(ValueError):  # a token LazyValues refuses: parsed below
+            values = LazyValues(reader.tokens[start:])
+    if values is None:
+        values = reader.take_many(None, f"a {kind} value or `_`",
+                                  _parse_real if kind == "real" else _parse_int)
     if len(values) != domain.size:
         raise reader.error(start + domain.size,
                            f"{domain.size} points expected, {len(values)} tokens found")
@@ -221,7 +243,7 @@ def load_bounds(path: str):
         pairs.append(reader.build(
             lambda: LineBoundingPair(lower, upper),
             lambda: _first(first_upper, (not value_gt(u, l) for l, u in zip(lower, upper)))))
-    if next(reader.tokens, None) is not None:
+    if reader.taken < len(reader.tokens):
         raise reader.error(reader.taken, f"trailing tokens after {d} bound pairs")
     if d == 1:
         return pairs[0]

@@ -21,6 +21,7 @@ from .core import (
     ALL_CHECKS_PASSED,
     ERASED,
     ERASED_SAMPLE_ACCEPT,
+    ConfigError,
     ErasedFunction,
     InvalidField,
     PreconditionViolated,
@@ -111,7 +112,9 @@ def pot_amplify(pot: POTSpec, alpha, detection_lower_bound,
 def low_degree_pot(p: int, degree: int) -> POTSpec:
     """Degree-at-most-``degree`` test over GF(p): d+2 distinct uniform points
     must fit one polynomial.  Domain position i holds the value at field
-    element i-1, so the line has n <= p points (``check_field_line``)."""
+    element i-1, so the line has n <= p points (``check_field_line``); a
+    sample with a position past p raises ConfigError, and a certificate
+    holding one checks False."""
     if not is_prime(p):
         raise InvalidField(f"{p} is not prime")
     if degree < 0:
@@ -121,6 +124,9 @@ def low_degree_pot(p: int, degree: int) -> POTSpec:
 
     def decide(sample) -> bool:
         pts = sorted(set((pt[0] - 1, v) for pt, v in sample))
+        if pts and pts[-1][0] >= p:  # two positions would name one field element
+            raise ConfigError(f"low-degree needs a line of at most p={p} points, "
+                              f"got position {pts[-1][0] + 1}")
         if len(pts) <= degree + 1:
             return True
         coeffs = interpolate(pts[:degree + 1], p)
@@ -140,7 +146,10 @@ def _check_sample_certificate(fn: ErasedFunction, tag: str, decide, certificate)
         sample = list(sample)
     except (TypeError, ValueError):  # not (tag, sample)
         return False
-    return kind == tag and holds_values(fn, sample) and not decide(sample)
+    try:
+        return kind == tag and holds_values(fn, sample) and not decide(sample)
+    except ConfigError:  # a sample the decide rule cannot read
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from ertest.cli import main
 from ertest.core import (ALL_CHECKS_PASSED, ERASED, ConfigError, Domain, ErasedFunction,
-                         Verdict, erased_fraction)
+                         LazyValues, Verdict, erased_fraction)
 from ertest.fileio import (
     load_bounds,
     load_function,
@@ -16,7 +16,7 @@ from ertest.fileio import (
     save_function,
     save_poset,
 )
-from ertest.harness import CSV_COLUMNS, TESTERS
+from ertest.harness import CSV_COLUMNS, TESTERS, WORKERS_ENV
 from ertest.harness import TesterEntry as RegistryEntry
 from ertest.line import INF, LineBoundingPair
 from ertest.hypergrid import BoundingFamily
@@ -591,6 +591,25 @@ def test_cli_experiment_json_and_stdout(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == ",".join(CSV_COLUMNS)
     assert len(out) == 2
+
+
+def test_cli_experiment_on_a_file_writes_the_serial_bytes_pooled(tmp_path, capsys, monkeypatch):
+    """A plain-integer file instance loads lazily and crosses the worker
+    pool by pickle; the pooled CSV is the serial one, byte for byte."""
+    src = write_lines(tmp_path / "far.fn", "domain line 64\n" + " ".join(
+        "_" if i % 9 == 4 else str(((i * 37) % 64) - 20) for i in range(64)) + "\n")
+    assert type(load_function(src).values) is LazyValues
+    out = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv(WORKERS_ENV, workers)
+        cfg = {"tester": "monotone-line", "instance": {"file": src}, "trials": 23,
+               "seed": 41, "eps": "1/4", "output": str(tmp_path / f"{workers}.csv")}
+        assert main(["experiment", "--config",
+                     write_lines(tmp_path / f"{workers}.json", json.dumps(cfg))]) == 0
+        out[workers] = (tmp_path / f"{workers}.csv").read_bytes()
+    capsys.readouterr()
+    assert out["1"] == out["2"]
+    assert out["1"].decode().splitlines()[1].startswith("monotone-line,64,1,")
 
 
 def test_cli_experiment_with_inline_instance_spec(tmp_path, capsys):

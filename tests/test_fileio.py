@@ -3,15 +3,17 @@ has the value ``Fraction(token)`` gives, with the same refusals.  A value is
 that Fraction; a finite bound is ``int(token)`` for a plain integer token
 and that Fraction for any other."""
 import math
+import pickle
 import re
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ertest import fileio
-from ertest.core import ERASED, ConfigError, Domain, ErasedFunction
+from ertest import core, fileio
+from ertest.core import ERASED, ConfigError, Domain, ErasedFunction, LazyValues, QueryOracle
 from ertest.fileio import (
     _parse_bound,
     _parse_exact,
@@ -376,3 +378,154 @@ def test_erased_function_refuses_misfits_as_before(values, kind_modulus):
         got = fn.erased_count()
         assert fn.declared_alpha == Fraction(got, len(values))
     assert got == _reference_construction(values, kind, modulus)
+
+
+# ---------------------------------------------------------------------------
+# plain-integer function files load lazily
+
+
+def _no_lazy(tokens):
+    raise ValueError("every file takes the token parser")
+
+
+def _load(path, lazy=True):
+    """The loaded function, or the message of the loader's refusal; with
+    ``lazy=False`` every file goes through the token parser."""
+    with mock.patch.object(fileio, "LazyValues", LazyValues if lazy else _no_lazy):
+        try:
+            return load_function(path)
+        except ConfigError as exc:
+            return str(exc)
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+# what each check reads of a freshly loaded function's values
+_READS = {
+    "index": lambda vs: [vs[i] for i in range(len(vs))],
+    "negative-index": lambda vs: [vs[i] for i in range(-len(vs), 0)],
+    "iteration": list,
+    "slice": lambda vs: vs[1:-1] + vs[::-1],
+    "pickle": lambda vs: list(pickle.loads(pickle.dumps(vs))),
+}
+
+_PLAIN_TOKENS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.integers(-2 ** 80, 2 ** 80).map(str),
+    st.just("_"),
+    st.sampled_from(["-0", "0", "007", "-007", "٣", "-٣٤", "𝟓", "0" * 30]),
+)
+_NOT_PLAIN_TOKENS = st.sampled_from(["7/3", "+5", "1_0", "x", "2e1", "-", "--5", "-_", "²"])
+
+
+@st.composite
+def _plain_files(draw):
+    """(text, lazy): a function file of plain-integer tokens, perhaps with
+    one token too few or too many, one token that is not plain, a token at
+    or one past the int digit limit, or every point erased; ``lazy`` says
+    whether it should load lazily."""
+    if draw(st.booleans()):
+        n, d = draw(st.integers(1, 12)), 1
+        header = f"domain line {n}"
+    else:
+        n, d = draw(st.integers(1, 4)), draw(st.integers(2, 3))
+        header = f"domain grid {n} {d}"
+    tokens = draw(st.lists(_PLAIN_TOKENS, min_size=n ** d, max_size=n ** d))
+    lazy = True
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit and draw(st.booleans()):
+        long_token = draw(st.sampled_from(
+            ["7" * limit, "-" + "7" * limit, "1" * (limit + 1), "0" * limit + "1"]))
+        tokens[draw(st.integers(0, len(tokens) - 1))] = long_token
+        lazy = len(long_token) <= limit
+    change = draw(st.sampled_from(["none", "short", "extra", "not-plain", "all-erased"]))
+    if change == "short":
+        tokens.pop(draw(st.integers(0, len(tokens) - 1)))
+    elif change == "extra":
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(_PLAIN_TOKENS))
+    elif change == "not-plain":
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_NOT_PLAIN_TOKENS)
+    elif change == "all-erased":
+        tokens = ["_"] * len(tokens)
+    lazy = lazy and change in ("none", "all-erased")
+    lines = [header + draw(st.sampled_from(["", " # header", "#"]))]
+    line = []
+    for token in tokens:
+        line.append(token)
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(" ".join(line) + draw(st.sampled_from(["", " # 1 2 x", "#_"])))
+            line = []
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from(["# 5 6", "", "  "])))
+    lines.append(" ".join(line))
+    return "\n".join(lines) + "\n", lazy
+
+
+@SETTINGS
+@given(_plain_files())
+def test_plain_integer_files_load_lazily_as_the_parser_loads_them(tmp_path_factory, file):
+    """A real function file of ``_`` and plain integer tokens, of the
+    domain's size and within the digit limit, loads lazily; every read of
+    it gives the parser's values and types, and every other file goes
+    through the parser, with the same refusal at the same ``path:line``."""
+    text, lazy = file
+    path = str(tmp_path_factory.mktemp("fn") / "f.fn")
+    with open(path, "w") as fh:
+        fh.write(text)
+    eager = _load(path, lazy=False)
+    got = _load(path)
+    if isinstance(eager, str):
+        assert got == eager
+        return
+    assert type(eager.values) is list
+    assert type(got.values) is (LazyValues if lazy else list)
+    assert got.domain == eager.domain and got.kind == eager.kind
+    for name, read in _READS.items():
+        fresh = _load(path)
+        assert _typed(read(fresh.values)) == _typed(read(eager.values)), name
+    fresh = _load(path)
+    again = pickle.loads(pickle.dumps(fresh))
+    assert type(again.values) is type(fresh.values)
+    for fn in (_load(path), again):
+        assert fn.values == eager.values and eager.values == fn.values
+        assert fn.values == _load(path).values
+        assert not fn.values != eager.values
+    for fn in (_load(path), again):
+        assert fn.erased_count() == eager.erased_count()
+        assert (type(fn.declared_alpha), fn.declared_alpha) == (
+            type(eager.declared_alpha), eager.declared_alpha)
+        assert fn.nonerased_indices() == eager.nonerased_indices()
+
+
+def test_one_query_builds_one_value(tmp_path, monkeypatch):
+    """Loading builds no value, and one query builds the one value it reads."""
+    path = tmp_path / "big.fn"
+    path.write_text("domain line 1024\n" + " ".join(map(str, range(1024))) + "\n")
+    fn = load_function(str(path))
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(core, "Fraction", Counted)
+    oracle = QueryOracle(fn, budget=2)
+    for _ in range(2):
+        assert oracle.query((700,)) == 699
+    assert built == [(699,)]
+
+
+@pytest.mark.parametrize("token", ["x", "--5", "1" * 4301, "0" * 4300 + "1"],
+                         ids=["x", "double-minus", "4301-digits", "4301-digits-leading-zeros"])
+def test_a_bad_token_in_an_integer_file_is_refused_at_its_line(tmp_path, token,
+                                                               default_digit_limit):
+    """A token past the digit limit is refused at load, at its line, as any
+    other token the parser refuses: no value is left to fail at a query."""
+    path = tmp_path / "bad.fn"
+    path.write_text(f"domain line 4\n1 2\n{token} 4\n")
+    with pytest.raises(ConfigError) as info:
+        load_function(str(path))
+    assert str(info.value) == f"{path}:3: expected a real value or `_`, got {token!r}"

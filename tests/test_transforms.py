@@ -13,6 +13,7 @@ from ertest.core import (
     ALL_CHECKS_PASSED,
     ERASED,
     ERASED_SAMPLE_ACCEPT,
+    ConfigError,
     Domain,
     ErasedFunction,
     InvalidField,
@@ -143,6 +144,28 @@ def test_parabola_rejects_every_clean_run():
         assert verdict.is_reject
         assert verdict.queries_used == 3
         assert check_pot_certificate(fn, pot, verdict.certificate)
+
+
+def test_a_line_longer_than_its_field_is_refused_not_rejected():
+    """On the 14-point (3x+2) mod 7 line over GF(7), two positions name one
+    field element, so a library caller who skips ``validate_config`` gets a
+    ConfigError from any run that samples a position past p, never a reject;
+    a certificate naming such a position checks False."""
+    fn = field_fn([(3 * x + 2) % 7 for x in range(14)], 7)
+    pot = low_degree_pot(7, 1)
+    refused = 0
+    for seed in range(200):
+        try:
+            verdict = erasure_resilient_pot_run(pot, QueryOracle(fn), make_rng(seed))
+        except ConfigError as exc:
+            assert str(exc).startswith("low-degree needs a line of at most p=7 points, got position ")
+            refused += 1
+        else:
+            assert not verdict.is_reject
+    assert refused > 0
+    bogus = ("pot-sample", (((13,), 3), ((1,), 2), ((8,), 2)))
+    assert check_pot_certificate(fn, pot, bogus) is False
+    assert check_pot_certificate(fn, pot, ("pot-sample", ())) is False
 
 
 def test_erased_draw_accepts_immediately():
