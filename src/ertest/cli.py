@@ -9,6 +9,7 @@ success, 1 means reject, 2 means any error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -233,8 +234,15 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first call and reused: a parse
+    leaves the parser as it was, and a build costs about twenty parses."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
     except BrokenPipeError:

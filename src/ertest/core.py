@@ -237,10 +237,10 @@ class LazyValues(Sequence):
     """The real values of a file whose every token is ``_`` or a plain
     integer (an optional ``-``, then ``str.isdecimal`` digits) no longer
     than the int digit limit; any other token list raises ValueError.  A
-    read builds its value, the ``Fraction(int(token))`` (or ERASED) that an
-    eager parse gives, and keeps it.  Iterating, slicing and ``==`` build
-    every value once, so they see the eager parse's list.  Read-only; it
-    pickles as its tokens."""
+    read builds its value, the ``int(token)`` (or ERASED) that an eager
+    parse gives by ``fileio``'s one number rule, and keeps it.  Iterating,
+    slicing and ``==`` build every value once, so they see the eager
+    parse's list.  Read-only; it pickles as its tokens."""
 
     __slots__ = ("tokens", "erased", "_values", "_built")
 
@@ -263,12 +263,12 @@ class LazyValues(Sequence):
         v = self._values[i]
         if v is None:
             token = self.tokens[i]
-            v = self._values[i] = ERASED if token == "_" else Fraction(int(token))
+            v = self._values[i] = ERASED if token == "_" else int(token)
         return v
 
     def _all(self) -> list:
         if not self._built:
-            self._values = [(ERASED if t == "_" else Fraction(int(t))) if v is None else v
+            self._values = [(ERASED if t == "_" else int(t)) if v is None else v
                             for v, t in zip(self._values, self.tokens)]
             self._built = True
         return self._values
@@ -292,8 +292,10 @@ class ErasedFunction:
     construction.  Real values whose types are only int and Fraction are
     accepted by one pass over their types; any other type sends every value
     through ``_check_kind`` in order, so the first misfit is the one named.
-    Real ``LazyValues`` are kept as they are, unbuilt: every token builds a
-    Fraction or ERASED, so only their erased count is taken.
+    Real ``LazyValues`` are kept as they are, unbuilt: every token builds an
+    int or ERASED, so only their erased count is taken.  A loaded file's
+    values follow one rule: a plain integer token is an int, any other
+    finite token a Fraction.
     """
 
     __slots__ = ("domain", "values", "kind", "modulus", "declared_alpha", "_nonerased")
@@ -355,9 +357,6 @@ class ErasedFunction:
         if self._nonerased is None:
             self._nonerased = [i for i, v in enumerate(self.values) if v is not ERASED]
         return self._nonerased
-
-    def nonerased_points(self):
-        return [self.domain.point_at(i) for i in self.nonerased_indices()]
 
     def __repr__(self):
         return (f"ErasedFunction(n={self.domain.n}, d={self.domain.d}, "
@@ -426,12 +425,6 @@ class QueryOracle:
         if 0 <= idx < len(values):
             return values[idx]
         raise ValueError(f"index {idx} outside domain of size {len(values)}")
-
-    @property
-    def remaining(self) -> int:
-        if self.budget is None:
-            return 0
-        return self.budget - self.count
 
 
 def restrict_to_line(fn: ErasedFunction, axis: int, fixed: tuple) -> ErasedFunction:

@@ -1,45 +1,41 @@
 """Flat-file formats: functions, step bounds, posets, and certificates.
 
 Function files are line-oriented text: a `domain` header, then one token
-per point in canonical index order, `_` for an erased value.  Real tokens
-load as exact rationals so downstream slope comparisons stay exact; they
-accept plain decimals, fractions like 7/3, and scientific notation.  Every
-real value is the ``Fraction`` that ``Fraction(token)`` gives.  A finite
-bound has the same value: ``int(token)`` for a plain integer token (an
-optional ``-``, then decimal digits), ``Fraction(token)`` for any other.
-Values stay Fractions because ``cli._jsonable`` writes a Fraction as a
-string but an int as a number, so int values would change a verdict's
-JSON.  Both refuse exactly the tokens Fraction refuses; plain integer
-tokens are read by ``int`` instead of Fraction's regex, and a bounds file
-parses each distinct token once.  Bounds files start `bounds d n` with
-d >= 1 and n >= 2, then per dimension a row of n-1 lower and a row of n-1
-upper bounds.
+per point in canonical index order, `_` for an erased value.  Bounds files
+start `bounds d n` with d >= 1 and n >= 2, then per dimension a row of n-1
+lower and a row of n-1 upper bounds; a bound may also be `inf` or `-inf`.
+
+Every number token, value or bound, follows one rule (``_parse_number``):
+a plain integer token (an optional ``-``, then decimal digits) loads as
+``int(token)``, and any other finite token (``7/3``, ``2.50``, ``1e-3``,
+``+5``) as ``Fraction(token)``.  Both are exact, so slope comparisons stay
+exact, and both refuse exactly the tokens Fraction refuses; ``int`` only
+skips Fraction's regex.  A bounds file parses each distinct token once.
 
 Every loader reads its file whole and splits it with one ``str.split``;
 comments (``#`` to the end of a line) are cut line by line only when the
 text holds a ``#``.  A real function file whose every value token is ``_``
 or a plain integer, with one token per point, loads lazily: its values
-are a ``core.LazyValues`` over the tokens, which builds a point's
-Fraction the first time it is read, so a tester pays only for the points
-it queries.  A token longer than CPython's int digit limit
+are a ``core.LazyValues`` over the tokens, which builds a point's int the
+first time it is read, so a tester pays only for the points it queries.
+A token longer than CPython's int digit limit
 (``sys.get_int_max_str_digits()``) keeps a file off that path, so the
 parser refuses it at load, at its line, as it does any other bad token.
 Every other file (a ``7/3`` or ``2e1`` token, a token count that does
 not match the domain, a ``bit`` or ``field`` kind) is parsed token by
-token as before, with the same values and errors.
+token, with the same values and errors.
 
 What a parsed load builds is checked in C-level passes, not per token in
 Python: ``ErasedFunction`` accepts real values by one pass over their
-types (all Fractions here), and ``LineBoundingPair`` builds every row with
-one side builder in O(n), summing a row of ints and its infinity as plain
-ints.  A row with a Fraction sums in Fraction arithmetic, and a pair of
-rows whose order the int comparison cannot decide takes the per-entry
+types (ints and Fractions here), and ``LineBoundingPair`` builds every row
+with one side builder in O(n), summing a row of ints and its infinity as
+plain ints.  A row with a Fraction sums in Fraction arithmetic, and a pair
+of rows whose order the int comparison cannot decide takes the per-entry
 checks, so every error names the same first bad token.
 """
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 from fractions import Fraction
 
@@ -129,20 +125,23 @@ class _Reader:
         return out
 
 
-def _parse_exact(token: str) -> Fraction:
-    """``Fraction(token)``: the same value and type, and the same tokens
-    refused.  A plain integer token (an optional ``-``, then decimal digits)
-    skips Fraction's regex by way of ``int``, which takes every such token
-    and gives it Fraction's value.  Every other token goes to Fraction
-    directly: a failed ``int`` would cost more than the regex saves, and
-    ``int`` accepts digit separators, which CPython 3.10's Fraction refuses."""
+def _parse_number(token: str):
+    """The one rule of every number token: ``int(token)`` for a plain
+    integer token (an optional ``-``, then decimal digits), and
+    ``Fraction(token)`` for any other.  It gives Fraction's value and
+    refuses exactly the tokens Fraction refuses: ``int`` takes every plain
+    integer token and skips Fraction's regex.  Every other token goes to
+    Fraction directly: a failed ``int`` would cost more than the regex
+    saves, and ``int`` accepts digit separators, which CPython 3.10's
+    Fraction refuses."""
     if token.removeprefix("-").isdecimal():
-        return Fraction(int(token))
+        return int(token)
     return Fraction(token)
 
 
 def _parse_real(token: str):
-    return ERASED if token == "_" else _parse_exact(token)
+    """A function value token: ERASED for ``_``, else ``_parse_number``."""
+    return ERASED if token == "_" else _parse_number(token)
 
 
 def _parse_int(token: str):
@@ -213,13 +212,13 @@ def save_function(fn: ErasedFunction, path: str) -> None:
 
 
 def _parse_bound(token: str):
+    """A bound token: the infinities for ``inf`` and ``-inf``, else
+    ``_parse_number``."""
     if token == "inf":
         return INF
     if token == "-inf":
         return -INF
-    if token.removeprefix("-").isdecimal():  # as in ``_parse_exact``
-        return int(token)
-    return Fraction(token)
+    return _parse_number(token)
 
 
 def load_bounds(path: str):
@@ -233,7 +232,13 @@ def load_bounds(path: str):
     n = reader.take("a side length", int)
     if n < 2:
         raise reader.error(2, f"bounds need a side length >= 2, got {n}")
-    parse = functools.cache(_parse_bound)  # per call; Fractions are immutable
+    # each distinct token parsed once, by a C-level map; a file holding a
+    # bad token parses token by token, so the error names its own line
+    distinct = set(reader.tokens[reader.taken:])
+    try:
+        parse = dict(zip(distinct, map(_parse_bound, distinct))).__getitem__
+    except _PARSE_ERRORS:
+        parse = _parse_bound
     pairs = []
     for _ in range(d):
         lower = reader.take_many(n - 1, "a lower bound", parse)

@@ -9,7 +9,6 @@ lines.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -114,12 +113,6 @@ class AxisLine:
 
     def point(self, pos: int) -> tuple:
         return self.fixed[:self.axis - 1] + (pos,) + self.fixed[self.axis - 1:]
-
-
-def all_axis_lines(domain: Domain):
-    for axis in range(1, domain.d + 1):
-        for fixed in itertools.product(range(1, domain.n + 1), repeat=domain.d - 1):
-            yield AxisLine(axis, fixed)
 
 
 def sample_axis_line(domain: Domain, rng) -> AxisLine:

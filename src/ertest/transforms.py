@@ -257,17 +257,6 @@ class Poset:
             raise ValueError("edge list contains a cycle")
         self._below = below
 
-    def le(self, a: int, b: int) -> bool:
-        """a is below-or-equal b."""
-        return bool(self._below[b - 1] >> (a - 1) & 1)
-
-    def comparable_pairs(self):
-        for b in range(1, self.size + 1):
-            mask = self._below[b - 1]
-            for a in range(1, self.size + 1):
-                if a != b and mask >> (a - 1) & 1:
-                    yield (a, b)
-
 
 def poset_monotone_uniform_spec(poset: Poset) -> UniformTesterSpec:
     """Uniform tester: about sqrt(size/eps) points, reject on any sampled
@@ -278,14 +267,20 @@ def poset_monotone_uniform_spec(poset: Poset) -> UniformTesterSpec:
     the elements seen in earlier groups, whose values are larger by ``>``.
     The sample is violated iff some element has one of them below it in
     the poset: ``below & higher`` nonzero.  O(s log s) for s sampled
-    points, where the pairwise rule took O(s^2)."""
-    below = poset._below
+    points, where the pairwise rule took O(s^2).  A sampled element past
+    ``poset.size`` raises ConfigError, and a certificate holding one
+    checks False."""
+    below, poset_size = poset._below, poset.size
 
     def q(size, eps):
         return math.ceil(8 * math.sqrt(size / float(eps)))
 
     def decide(sample) -> bool:
         values = {pt[0]: v for pt, v in sample}
+        top = max(values, default=0)
+        if top > poset_size:
+            raise ConfigError(f"poset-monotone sampled element {top}, "
+                              f"past the poset's {poset_size} elements")
         higher = 0
         for _, group in itertools.groupby(sorted(values.items(), key=_by_value, reverse=True),
                                           key=_by_value):

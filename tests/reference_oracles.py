@@ -8,7 +8,7 @@ and ``verify_report`` to return the same verdict as the pairwise
 ``verify_report`` kept here, and ``_point_indices`` the same indices as
 the dict lookup ``point_indices``.  The branch-and-bound grid oracle, the
 greedy grid matching and the pairwise grid membership check serve only as
-references for tests.
+references for tests, and ``nonerased_points`` only as a test helper.
 """
 from __future__ import annotations
 
@@ -40,6 +40,11 @@ from ertest.oracles import (
 )
 
 GRID_EXACT_GATE = 20
+
+
+def nonerased_points(fn: ErasedFunction) -> list:
+    """The function's nonerased points, in canonical index order."""
+    return [fn.domain.point_at(i) for i in fn.nonerased_indices()]
 
 
 def distance_to_bdp_line(fn, bounds: LineBoundingPair) -> DistanceReport:

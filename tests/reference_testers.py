@@ -14,9 +14,13 @@ as these on the same seed.
 sum was a Python number (Fractions wherever a Fraction entry came first),
 with its O(1) value maps; ``test_line.py`` requires the library class to
 give the same values, types and errors on its whole public surface.
+
+``all_axis_lines``, ``remaining``, ``poset_le`` and ``comparable_pairs``
+are helpers that only tests use, kept here rather than in the library.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +37,7 @@ from ertest.core import (
     value_gt,
 )
 from ertest.hypergrid import (
+    AxisLine,
     BoundingFamily,
     _grid_params,
     bdp_hypergrid_budget,
@@ -93,6 +98,34 @@ def sample_nonerased_uniform(oracle: QueryOracle, box: Box, rng):
         v = oracle.query(pt)
         if v is not ERASED:
             return pt, v
+
+
+def remaining(oracle: QueryOracle) -> int:
+    """The queries left in the oracle's budget; 0 before any budget is set."""
+    if oracle.budget is None:
+        return 0
+    return oracle.budget - oracle.count
+
+
+def all_axis_lines(domain: Domain):
+    """Every axis line of the domain, axis by axis."""
+    for axis in range(1, domain.d + 1):
+        for fixed in itertools.product(range(1, domain.n + 1), repeat=domain.d - 1):
+            yield AxisLine(axis, fixed)
+
+
+def poset_le(poset, a: int, b: int) -> bool:
+    """a is below-or-equal b in the poset."""
+    return bool(poset._below[b - 1] >> (a - 1) & 1)
+
+
+def comparable_pairs(poset):
+    """Every (a, b) with a strictly below b in the poset."""
+    for b in range(1, poset.size + 1):
+        mask = poset._below[b - 1]
+        for a in range(1, poset.size + 1):
+            if a != b and mask >> (a - 1) & 1:
+                yield (a, b)
 
 
 def bdp_to_monotone_transforms(bounds: LineBoundingPair):

@@ -49,6 +49,7 @@ from ertest.harness import ExperimentConfig, emit_report, run_experiment
 from ertest.rng import make_rng
 
 from reference_oracles import distance_to_monotone_grid_small, is_member_bdp
+from reference_testers import poset_le
 
 MASTER = 739411
 
@@ -94,7 +95,7 @@ def _poset_restorable(fn, poset):
     live = [(i + 1, v) for i, v in enumerate(fn.values) if v is not ERASED]
     for a, fa in live:
         for b, fb in live:
-            if a != b and poset.le(a, b) and fa > fb:
+            if a != b and poset_le(poset, a, b) and fa > fb:
                 return False
     return True
 

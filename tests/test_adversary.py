@@ -31,12 +31,13 @@ from ertest.adversary import (
 )
 from ertest.line import INF, LineBoundingPair
 from ertest.line import test_monotone_line as run_monotone
-from ertest.hypergrid import BoundingFamily, all_axis_lines
+from ertest.hypergrid import BoundingFamily
 from ertest import oracles as O
 from ertest.oracles import PropertySpec
 from ertest.rng import make_rng
 
 from reference_oracles import distance_to_monotone_grid_small, is_member_bdp
+from reference_testers import all_axis_lines
 
 
 def line_fn(values, **kw):

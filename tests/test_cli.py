@@ -24,6 +24,8 @@ from ertest.oracles import PropertySpec, distance_to_monotone_line
 from ertest import adversary
 from ertest.adversary import certify_distance
 
+from reference_testers import poset_le
+
 
 def write_lines(path, text):
     path.write_text(text)
@@ -245,8 +247,8 @@ def test_poset_file_round_trip(tmp_path):
     path = tmp_path / "p.poset"
     save_poset(4, [(1, 2), (1, 3), (3, 4)], str(path))
     poset = load_poset(str(path))
-    assert poset.le(1, 4)  # through 3
-    assert not poset.le(2, 3)
+    assert poset_le(poset, 1, 4)  # through 3
+    assert not poset_le(poset, 2, 3)
     noheader = write_lines(tmp_path / "z.poset", "4\n1 2\n")
     with pytest.raises(ValueError, match="expected `poset` header"):
         load_poset(noheader)
@@ -273,6 +275,24 @@ def test_cli_test_rejects_far_input(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["outcome"] == "reject"
     assert out["certificate"][0] == "monotone-violation"
+
+
+def test_cli_test_prints_integer_values_as_json_numbers(tmp_path, capsys):
+    """A plain integer token loads as an int, so a certificate prints its
+    value as a JSON number; a ``3/2`` token loads as a Fraction and prints
+    as a string."""
+    path = reversed_line_file(tmp_path)
+    assert main(["test", "--tester", "monotone-line", "--input", path,
+                 "--eps", "1/4", "--seed", "0"]) == 1
+    tag, *named = json.loads(capsys.readouterr().out)["certificate"]
+    assert tag == "monotone-violation" and len(named) == 2
+    for pos, value in named:
+        assert type(value) is int and value == 65 - pos
+    mixed = write_lines(tmp_path / "mixed.fn", "domain line 4\n1 2 3/2 4\n")
+    assert main(["test", "--tester", "monotone-line", "--input", mixed,
+                 "--eps", "1/4", "--seed", "0"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["certificate"] == ["monotone-violation", [2, 2], [3, "3/2"]]
 
 
 def test_cli_test_k_runs_and_low_degree(tmp_path, capsys):

@@ -39,7 +39,7 @@ from ertest.transforms import (
     low_degree_pot,
 )
 
-from reference_testers import Box, sample_nonerased_uniform
+from reference_testers import Box, remaining, sample_nonerased_uniform
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +269,7 @@ def test_budget_boundary_is_exact():
     o = QueryOracle(f, budget=3)
     for pos in (1, 2, 3):
         o.query((pos,))
-    assert o.count == 3 and o.remaining == 0
+    assert o.count == 3 and remaining(o) == 0
     with pytest.raises(BudgetExhausted):
         o.query((4,))
     assert o.count == 3  # the failed query is not charged
@@ -280,7 +280,7 @@ def test_index_budget_boundary_is_exact():
     o = QueryOracle(f, budget=3)
     for idx in (0, 1, 2):
         assert o.query_index(idx) == idx
-    assert o.count == 3 and o.remaining == 0
+    assert o.count == 3 and remaining(o) == 0
     with pytest.raises(BudgetExhausted):
         o.query_index(3)
     assert o.count == 3  # the failed query is not charged

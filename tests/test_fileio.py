@@ -1,7 +1,7 @@
-"""Token parsing in the flat-file loaders: every loaded real value and bound
-has the value ``Fraction(token)`` gives, with the same refusals.  A value is
-that Fraction; a finite bound is ``int(token)`` for a plain integer token
-and that Fraction for any other."""
+"""Token parsing in the flat-file loaders: every loaded real value and
+finite bound has the value ``Fraction(token)`` gives, with the same
+refusals, by one number rule: ``int(token)`` for a plain integer token (an
+optional ``-``, then decimal digits) and ``Fraction(token)`` for any other."""
 import math
 import pickle
 import re
@@ -16,7 +16,7 @@ from ertest import core, fileio
 from ertest.core import ERASED, ConfigError, Domain, ErasedFunction, LazyValues, QueryOracle
 from ertest.fileio import (
     _parse_bound,
-    _parse_exact,
+    _parse_number,
     _parse_real,
     load_bounds,
     load_function,
@@ -38,10 +38,19 @@ def _outcome(parse, token):
     return type(value), value
 
 
+def _reference_number(token):
+    """The number rule by a regex: int for a plain integer token, else Fraction."""
+    return int(token) if re.fullmatch(r"-?\d+", token) else Fraction(token)
+
+
+def _reference_value(token):
+    return ERASED if token == "_" else _reference_number(token)
+
+
 def _reference_bound(token):
     if token in ("inf", "-inf"):
         return float(token)
-    return int(token) if re.fullmatch(r"-?\d+", token) else Fraction(token)
+    return _reference_number(token)
 
 
 # number-like text: signs, digits (ASCII and not), separators, points,
@@ -68,15 +77,20 @@ def _with_listed(test):
 @given(_TOKENS)
 @_with_listed
 def test_parse_exact_equals_fraction(token):
-    assert _outcome(_parse_exact, token) == _outcome(Fraction, token)
+    """``_parse_number`` gives the number rule's type and value, refuses
+    exactly the tokens Fraction refuses, and gives Fraction's value."""
+    got, fraction = _outcome(_parse_number, token), _outcome(Fraction, token)
+    assert got == _outcome(_reference_number, token)
+    assert isinstance(got, tuple) == isinstance(fraction, tuple)
+    if isinstance(got, tuple):
+        assert got[1] == fraction[1]
 
 
 @SETTINGS
 @given(_TOKENS)
 @_with_listed
 def test_parse_real_and_bound_equal_their_references(token):
-    assert _outcome(_parse_real, token) == _outcome(
-        lambda t: ERASED if t == "_" else Fraction(t), token)
+    assert _outcome(_parse_real, token) == _outcome(_reference_value, token)
     assert _outcome(_parse_bound, token) == _outcome(_reference_bound, token)
 
 
@@ -95,7 +109,7 @@ def test_int_path_refuses_what_fraction_refuses(monkeypatch, tmp_path, token):
     token's line, although ``int`` would take the token."""
     monkeypatch.setattr(fileio, "Fraction", _Fraction310)
     with pytest.raises(ValueError):
-        _parse_exact(token)
+        _parse_number(token)
     path = tmp_path / "sep.fn"
     path.write_text(f"domain line 3\n1 2\n{token}\n")
     with pytest.raises(ConfigError) as info:
@@ -124,15 +138,31 @@ def _erased_functions(draw):
 @SETTINGS
 @given(_erased_functions())
 def test_function_round_trip_loads_fractions(tmp_path_factory, fn):
+    """A saved value loads back by the number rule from its token: an int
+    for an integral int or Fraction, a Fraction for any other, and a float
+    as the Fraction of its repr."""
     path = str(tmp_path_factory.mktemp("fn") / "f.fn")
     save_function(fn, path)
     back = load_function(path)
     assert back.domain == fn.domain
-    for v, w in zip(fn.values, back.values):
-        if v is ERASED:
-            assert w is ERASED
-        else:
-            assert type(w) is Fraction and w == Fraction(str(v))
+    for v, w in zip(fn.values, back.values, strict=True):
+        assert (type(w), w) == _outcome(_reference_value, "_" if v is ERASED else str(v))
+        if not isinstance(v, float):
+            assert w is ERASED if v is ERASED else w == v
+
+
+def test_integral_fractions_load_back_as_ints(tmp_path):
+    """An integral Fraction saves as a plain integer token and loads back as
+    an int of equal value; any other Fraction loads back as itself."""
+    values = [Fraction(6, 3), Fraction(-4), Fraction(0), ERASED, Fraction(10 ** 30),
+              Fraction(7, 3), Fraction(-1, 2)]
+    path = str(tmp_path / "f.fn")
+    save_function(ErasedFunction(Domain.line(len(values)), values), path)
+    back = load_function(path)
+    assert _typed(back.values) == [(int, 2), (int, -4), (int, 0), (type(ERASED), ERASED),
+                                   (int, 10 ** 30), (Fraction, Fraction(7, 3)),
+                                   (Fraction, Fraction(-1, 2))]
+    assert back.values == values
 
 
 @st.composite
@@ -231,13 +261,13 @@ _FILE_TOKENS = st.one_of(
 @SETTINGS
 @given(_FILE_TOKENS)
 def test_loaded_values_are_what_fraction_gives(tmp_path_factory, token):
-    """A token on line 3 of a function file loads as ``Fraction(token)``
-    gives it, by value and type (``_`` as ERASED), or is refused at
-    ``path:3`` as Fraction refuses it."""
+    """A token on line 3 of a function file loads by the number rule, by
+    value and type (``_`` as ERASED), or is refused at ``path:3`` as
+    Fraction refuses it."""
     path = str(tmp_path_factory.mktemp("fn") / "f.fn")
     with open(path, "w") as fh:
         fh.write(f"domain line 3\n1 2\n{token}\n")
-    expected = _outcome(lambda t: ERASED if t == "_" else Fraction(t), token)
+    expected = _outcome(_reference_value, token)
     try:
         got = load_function(path).values[2]
     except ConfigError as exc:
@@ -500,22 +530,23 @@ def test_plain_integer_files_load_lazily_as_the_parser_loads_them(tmp_path_facto
 
 
 def test_one_query_builds_one_value(tmp_path, monkeypatch):
-    """Loading builds no value, and one query builds the one value it reads."""
+    """Loading builds no value, and one query builds the one int it reads."""
     path = tmp_path / "big.fn"
     path.write_text("domain line 1024\n" + " ".join(map(str, range(1024))) + "\n")
     fn = load_function(str(path))
     built = []
 
-    class Counted(Fraction):
-        def __new__(cls, *args):
-            built.append(args)
-            return Fraction(*args)
+    def counted(*args):
+        built.append(args)
+        return int(*args)
 
-    monkeypatch.setattr(core, "Fraction", Counted)
+    # ``core`` looks ``int`` up in its globals before the builtins
+    monkeypatch.setattr(core, "int", counted, raising=False)
     oracle = QueryOracle(fn, budget=2)
     for _ in range(2):
-        assert oracle.query((700,)) == 699
-    assert built == [(699,)]
+        value = oracle.query((700,))
+        assert (type(value), value) == (int, 699)
+    assert built == [("699",)]
 
 
 @pytest.mark.parametrize("token", ["x", "--5", "1" * 4301, "0" * 4300 + "1"],

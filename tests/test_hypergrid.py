@@ -25,7 +25,6 @@ from ertest.hypergrid import (
     BoundingFamily,
     _AxisLineView,
     _exact_iterations,
-    all_axis_lines,
     bdp_hypergrid_budget,
     check_grid_certificate,
     grid_pair_violates,
@@ -41,6 +40,7 @@ from ertest.transforms import k_runs_sample_size
 from ertest.rng import make_rng
 
 from reference_oracles import is_member_bdp
+from reference_testers import all_axis_lines
 
 
 def grid_fn(n, d, mapping, erase=None, rng=None):

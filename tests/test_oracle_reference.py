@@ -164,7 +164,7 @@ def monotone_families(n, d):
 def _report_variants(fn, report):
     """The report, a claim that every point is kept, and the report with one
     kept point dropped: all checkable by the pairwise reference."""
-    points = fn.nonerased_points()
+    points = ref.nonerased_points(fn)
     kept = report.certificate[1:]
     yield report
     yield replace(report, absolute=0, relative=Fraction(0),

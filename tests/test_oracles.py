@@ -203,7 +203,7 @@ def test_grid_small_matches_exhaustive():
         if sum(v is not ERASED for v in vals) > 12:
             continue
         f = ErasedFunction(dom, vals)
-        items = [(p, f.value_at(p)) for p in f.nonerased_points()]
+        items = [(p, f.value_at(p)) for p in ref.nonerased_points(f)]
 
         def ok(sub):
             return all(not (grid_le(p, q) and p != q and v > w)
@@ -324,7 +324,7 @@ def test_tampered_bdp_grid_matching_fails():
     r = O.bdp_grid_matching_bound(f, prop.bounds)
     (a, b), rest = r.certificate[1], r.certificate[2:]
     # two equal values are no violation, though the pair is disjoint and counted
-    p, q = [x for x in f.nonerased_points() if f.value_at(x) == f.value_at(a)][:2]
+    p, q = [x for x in ref.nonerased_points(f) if f.value_at(x) == f.value_at(a)][:2]
     tampered = [
         replace(r, certificate=("matching", (p, q)), absolute=1),
         replace(r, certificate=("matching", (a, b), (a, b)) + rest,
@@ -422,7 +422,7 @@ def test_bdp_grid_matching_bound_refuses_a_family_of_another_shape(family, sizes
 def _all_kept(fn, prop):
     """A report that claims ``fn`` is already a member."""
     return O.DistanceReport(prop.tag, 0, Fraction(0),
-                            ("kept",) + tuple(fn.nonerased_points()))
+                            ("kept",) + tuple(ref.nonerased_points(fn)))
 
 
 def test_float_chain_passing_consecutive_checks_falls_back_to_pairwise():

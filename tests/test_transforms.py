@@ -42,6 +42,8 @@ from ertest.transforms import tester_from_distance_approx as run_distance_adapte
 from ertest import oracles as O
 from ertest.rng import make_rng
 
+from reference_testers import comparable_pairs, poset_le
+
 
 def line_fn(values, **kw):
     return ErasedFunction(Domain.line(len(values)), values, **kw)
@@ -319,10 +321,10 @@ def test_extendable_plan_and_budget():
 
 def test_poset_closure_and_reflexivity():
     chain = Poset(3, [(1, 2), (2, 3)])
-    assert chain.le(1, 3)  # through 2
-    assert chain.le(2, 2)
-    assert not chain.le(3, 1)
-    assert sorted(chain.comparable_pairs()) == [(1, 2), (1, 3), (2, 3)]
+    assert poset_le(chain, 1, 3)  # through 2
+    assert poset_le(chain, 2, 2)
+    assert not poset_le(chain, 3, 1)
+    assert sorted(comparable_pairs(chain)) == [(1, 2), (1, 3), (2, 3)]
 
 
 def test_poset_rejects_bad_input():
@@ -333,7 +335,29 @@ def test_poset_rejects_bad_input():
     with pytest.raises(ValueError):
         Poset(3, [(1, 2), (2, 3), (3, 1)])
     # self-loops are ignored, not cycles
-    assert Poset(2, [(1, 1), (1, 2)]).le(1, 2)
+    assert poset_le(Poset(2, [(1, 1), (1, 2)]), 1, 2)
+
+
+def _chain(size):
+    return Poset(size, [(i, i + 1) for i in range(1, size)])
+
+
+def test_poset_decide_refuses_an_element_past_the_poset():
+    """Called from the library, past the size check of ``validate_config``:
+    a 4-element chain on an 8-point line is refused by name, a certificate
+    naming element 5 of it checks False, and a 16-element chain, which
+    holds every point, gives a verdict."""
+    fn = ErasedFunction(Domain.line(8), [0, 0, 1, 1, 0, 1, 1, 1], kind="bit")
+    small = poset_monotone_uniform_spec(_chain(4))
+    with pytest.raises(ConfigError, match=r"sampled element \d+, past the poset's 4 elements"):
+        erasure_resilient_extendable(small, 0, Fraction(1, 4), QueryOracle(fn), make_rng(1))
+    sample = (((4,), 1), ((5,), 0))
+    assert not check_extendable_certificate(fn, small, ("extendable-sample", sample))
+    big = poset_monotone_uniform_spec(_chain(16))
+    assert not big.decide(sample)
+    assert check_extendable_certificate(fn, big, ("extendable-sample", sample))
+    verdict = erasure_resilient_extendable(big, 0, Fraction(1, 4), QueryOracle(fn), make_rng(1))
+    assert verdict.outcome in ("accept", "reject")
 
 
 def test_poset_uniform_spec_sample_size():
@@ -356,7 +380,7 @@ def _pairwise_decide(poset, sample) -> bool:
     pairs = sorted(set((pt[0], v) for pt, v in sample))
     for i, (a, fa) in enumerate(pairs):
         for b, fb in pairs[i + 1:]:
-            if poset.le(a, b) and fa > fb or poset.le(b, a) and fb > fa:
+            if poset_le(poset, a, b) and fa > fb or poset_le(poset, b, a) and fb > fa:
                 return False
     return True
 
@@ -530,7 +554,7 @@ def test_poset_restriction_membership_and_distance():
     for _ in range(40):
         size = rng.randint(2, 6)
         poset = _random_poset(rng, size)
-        pairs = list(poset.comparable_pairs())
+        pairs = list(comparable_pairs(poset))
         assignments = list(itertools.product((0, 1), repeat=size))
         monotone = [g for g in assignments
                     if all(g[a - 1] <= g[b - 1] for a, b in pairs)]
