@@ -286,8 +286,8 @@ class LazyValues(Sequence):
 class ErasedFunction:
     """A function on a domain where some points carry ERASED instead of a value.
 
-    ``declared_alpha`` is the erasure bound the instance promises; testers
-    trust it, the harness validates it against ``erased_fraction``.  All
+    ``declared_alpha`` is the erasure bound the instance promises, which
+    testers trust; construction refuses an erased fraction above it.  All
     nonerased values must share one kind; mixing is rejected here, at
     construction.  Real values whose types are only int and Fraction are
     accepted by one pass over their types; any other type sends every value

@@ -51,8 +51,6 @@ def _step_side(entries, sign):
     inf, size = sign * INF, len(entries)
     types = list(map(type, entries))
     kinds = set(types)
-    if kinds == {float} and entries.count(inf) == size:  # as in ``monotone(n)``
-        return entries, itertools.repeat(0, size + 1), list(range(size + 1))
     finite, infs, integral = entries, [0] * (size + 1), kinds <= {int}
     if kinds - {int, Fraction}:  # a float, or a float subclass such as numpy's
         # float.__eq__ answers True only for an equal number (NotImplemented

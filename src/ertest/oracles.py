@@ -4,8 +4,12 @@ Distance here is the least number of nonerased points whose values must change
 so that the restriction extends to a member of the property.  Every report
 carries an optimal kept-set; the complement is exactly the set of points an
 explicit completion changes, and ``verify_report`` re-checks that completion
-for membership.  Oracles compare values exactly: feed ints or Fractions when
-a certified distance matters.
+for membership.  One float rule per check: the monotone oracles and kept-set
+checks, at every d, and the convex-line oracle compare by plain ``>``, exact
+on any mix of ints, floats and Fractions; the bounded-derivative oracles and
+checks, the matching checks and the convexity check use ``value_gt``,
+tolerant of float noise as the testers are.  Feed ints or Fractions when a
+certified distance matters.
 """
 from __future__ import annotations
 
@@ -315,8 +319,7 @@ def _dominance_sweep(cells, domain, better, signs=None, cuts=None) -> list:
 
 
 def _is_monotone(cells, domain) -> bool:
-    """No valued cell lies below a cell with a smaller value, by plain ``>``:
-    a prefix-max sweep, exact for any mix of ints, floats and Fractions."""
+    """No valued cell lies below a cell with a smaller value, by plain ``>``."""
     top = _dominance_sweep(cells, domain, operator.gt)
     return not any(t > v for t, v in zip(top, cells) if v is not None)
 
@@ -358,10 +361,9 @@ def distance_to_monotone_grid_exact(fn: ErasedFunction) -> DistanceReport:
     """Exact grid distance at any size via the matching route.
 
     A prefix-max sweep first tests for a violated pair in O(d·N) over the
-    N grid points.  It compares by plain ``>``, as the edge enumeration
-    does, so it is exact for any mix of ints, floats and Fractions.  With no
-    violated pair, the matching is empty and every point is kept, which is
-    the report the matching route returns; otherwise the edges come from
+    N grid points, by plain ``>`` as the edge enumeration.  With no violated
+    pair, the matching is empty and every point is kept, which is the
+    report the matching route returns; otherwise the edges come from
     ``_violated_grid_edges`` and Kuhn's matching runs on them.
     """
     items = _grid_items(fn)
@@ -396,10 +398,11 @@ def _exact_ints(values, sums):
 
 def _bdp_violation_free(domain, cells, per_dim) -> bool:
     """True only when no two valued cells violate the bounded-derivative
-    bounds ``per_dim`` (one ``LineBoundingPair`` of the domain's n per
-    axis, as ``check_bounds`` ensures for every caller); False when a
-    pair does or when the exact test does not apply.  ``cells`` lists the
-    grid in index order, ERASED where a cell has no value.
+    bounds ``per_dim`` (one ``LineBoundingPair`` of the domain's n per axis,
+    as ``check_bounds`` ensures for the two callers, bdp-line verification
+    and the bdp-grid bound); False when a pair does or when the exact test
+    does not apply.  ``cells`` lists the grid in index order, ERASED where a
+    cell has no value.
 
     For an orthant pattern sigma, let H(p) sum, over each axis r, the upper
     prefix sum at p_r where sigma_r = +1 and the lower one where it is -1.
@@ -688,14 +691,20 @@ class PropertySpec:
             check_bounds(self.tag, self.bounds, want)
 
 
-def compute_distance(fn: ErasedFunction, prop: PropertySpec) -> DistanceReport:
-    """The one distance dispatch: the exact oracle for each property, and the
-    certified matching lower bound for bounded-derivative grids.  A line
-    property on a grid is refused in the words ``validate_config`` uses for
-    a line tester there; bounds that do not fit ``fn``'s domain are refused
-    by ``check_bounds``."""
+def _check_fit(fn: ErasedFunction, prop: PropertySpec) -> None:
+    """Refuse a line property on a grid, as ``validate_config`` words it, and
+    bounds that do not fit ``fn``'s domain."""
     if not fn.domain.is_line and prop.tag not in ("monotone-grid", "bdp-grid"):
         raise ConfigError(f"{prop.tag} runs on line domains, got d={fn.domain.d}")
+    want = _PROPERTIES[prop.tag][1]
+    if want is not None:
+        check_bounds(prop.tag, prop.bounds, want, fn.domain)
+
+
+def compute_distance(fn: ErasedFunction, prop: PropertySpec) -> DistanceReport:
+    """The one distance dispatch, after ``_check_fit``: the exact oracle for
+    each property, and the matching lower bound for bounded-derivative grids."""
+    _check_fit(fn, prop)
     return _PROPERTIES[prop.tag][2](fn, prop)
 
 
@@ -796,9 +805,9 @@ def is_member_convex_values(points_values) -> bool:
 
 
 def complete_monotone_grid(fn: ErasedFunction, kept_idx) -> list:
-    """Monotone extension over the nonerased points, by domain index (None
-    at erased points): each point takes the max kept value below it,
-    defaulting to the overall minimum kept value.  One prefix-max sweep."""
+    """Monotone extension over the nonerased points of a line or grid, by
+    domain index (None at erased points): each point takes the max kept
+    value below it, by ``>``, else the least kept value.  O(d·N)."""
     kept = [None] * fn.domain.size
     for i in kept_idx:
         kept[i] = fn.values[i]
@@ -853,17 +862,13 @@ def verify_report(fn: ErasedFunction, prop: PropertySpec, report: DistanceReport
     and it changes exactly the nonerased points the certificate leaves out,
     which number ``absolute``.  Matching reports go to ``_verify_matching``.
 
-    Membership is checked by sweeps: ``_bdp_violation_free`` on monotone
-    and bounded-derivative lines, O(n), with the pairwise O(m^2)
-    ``is_member_bdp_values`` wherever it does not accept, so the verdict is
-    the pairwise one; prefix-max sweeps on the monotone grid, O(d·N), exact
-    by plain ``>``; consecutive slopes for convexity, O(m log m).  No check
-    calls a distance oracle.  Bounds that do not fit ``fn``'s domain are
-    refused, as ``compute_distance`` refuses them.
+    Membership is checked by sweeps: prefix max by plain ``>`` on monotone
+    lines and grids alike, O(d·N); on bdp lines ``_bdp_violation_free``,
+    O(n), then the tolerant pairwise O(m^2) ``is_member_bdp_values`` where
+    it does not accept; consecutive slopes for convexity, O(m log m).  No
+    check calls an oracle.  Misfits are refused as ``compute_distance`` does.
     """
-    want = _PROPERTIES[prop.tag][1]
-    if want is not None:
-        check_bounds(prop.tag, prop.bounds, want, fn.domain)
+    _check_fit(fn, prop)
     cert = report.certificate
     if not isinstance(cert, tuple) or cert[:1] != (
             ("matching",) if report.is_lower_bound else ("kept",)):
@@ -871,10 +876,8 @@ def verify_report(fn: ErasedFunction, prop: PropertySpec, report: DistanceReport
     if report.is_lower_bound:
         return _verify_matching(fn, prop, report)
     kept_idx = _point_indices(fn, cert[1:])
-    if not kept_idx:
-        return False
-    filled = _member_completion(fn, prop, kept_idx)
-    if filled is None:
+    filled = kept_idx and _member_completion(fn, prop, kept_idx)
+    if not filled:  # no point named, or the completion is no member
         return False
     kept = set(kept_idx)
     left_out = [i for i, v in enumerate(fn.values) if v is not ERASED and i not in kept]
@@ -889,7 +892,7 @@ def _member_completion(fn: ErasedFunction, prop: PropertySpec, kept_idx):
     values = fn.values
     if prop.tag == "bdp-grid":
         return None
-    if prop.tag == "monotone-grid":
+    if prop.tag in ("monotone-line", "monotone-grid"):
         filled = complete_monotone_grid(fn, kept_idx)
         return filled if _is_monotone(filled, fn.domain) else None
     if prop.tag == "k-runs":
@@ -906,14 +909,12 @@ def _member_completion(fn: ErasedFunction, prop: PropertySpec, kept_idx):
     kept_pos = [i + 1 for i in kept_idx]
     if prop.tag == "convex-line":
         filled = complete_convex_line(line_pairs(fn), kept_pos)
-    else:  # monotone-line or bdp-line
-        bounds = prop.bounds if prop.tag == "bdp-line" else LineBoundingPair.monotone(fn.domain.n)
-        filled = complete_bdp_line(line_pairs(fn), kept_pos, bounds)
+    else:  # bdp-line
+        filled = complete_bdp_line(line_pairs(fn), kept_pos, prop.bounds)
     cells = [filled.get(i + 1, ERASED) for i in range(len(values))]
-    if prop.tag == "convex-line":
-        return cells if is_member_convex_values(filled) else None
-    member = (_bdp_violation_free(fn.domain, cells, (bounds,))
-              or is_member_bdp_values(filled, bounds))
+    member = (is_member_convex_values(filled) if prop.tag == "convex-line"
+              else _bdp_violation_free(fn.domain, cells, (prop.bounds,))
+              or is_member_bdp_values(filled, prop.bounds))
     return cells if member else None
 
 

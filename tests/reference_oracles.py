@@ -387,7 +387,8 @@ def point_indices(fn: ErasedFunction, points):
 def verify_report(fn: ErasedFunction, prop: PropertySpec, report: DistanceReport) -> bool:
     """Independent re-check: the completion that keeps exactly the certified
     kept-set is a member, and it changes exactly ``absolute`` points.
-    Every membership check is pairwise."""
+    Every membership check is pairwise: by plain ``>`` on monotone lines and
+    grids, through ``value_gt`` on the other properties."""
     if report.is_lower_bound:
         return _verify_matching(fn, prop, report)
     kept_pts = report.certificate[1:]
@@ -404,10 +405,12 @@ def verify_report(fn: ErasedFunction, prop: PropertySpec, report: DistanceReport
             return ok and changed == report.absolute
         elif prop.tag == "low-degree":
             return _verify_low_degree(fn, prop, kept_pos, report)
-        else:
-            bounds = prop.bounds if prop.tag == "bdp-line" else LineBoundingPair.monotone(fn.domain.n)
-            filled = complete_bdp_line(pairs, kept_pos, bounds)
-            ok = is_member_bdp_values(filled, bounds)
+        elif prop.tag == "bdp-line":
+            filled = complete_bdp_line(pairs, kept_pos, prop.bounds)
+            ok = is_member_bdp_values(filled, prop.bounds)
+        else:  # monotone-line: exact pairwise >, as on the grid
+            filled = complete_bdp_line(pairs, kept_pos, LineBoundingPair.monotone(fn.domain.n))
+            ok = not any(v > w for (_, v), (_, w) in itertools.combinations(sorted(filled.items()), 2))
         changed = sum(1 for pos, v in pairs if filled[pos] != v)
         return ok and changed == report.absolute == len(pairs) - len(kept_pos)
     if prop.tag == "monotone-grid":

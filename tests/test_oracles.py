@@ -8,11 +8,14 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ertest.adversary import erase_random
-from ertest.core import ERASED, Domain, ErasedFunction, InvalidField, SizeLimit, grid_le
+from ertest.core import (ERASED, ConfigError, Domain, ErasedFunction, InvalidField, QueryOracle,
+                         SizeLimit, grid_le)
 from ertest.hypergrid import BoundingFamily
-from ertest.line import INF, LineBoundingPair, pair_violates
+from ertest.line import INF, LineBoundingPair, pair_violates, test_monotone_line as run_monotone
+from ertest.rng import make_rng
 from ertest import oracles as O
 
 import reference_oracles as ref
@@ -427,7 +430,9 @@ def _all_kept(fn, prop):
 
 def test_float_chain_passing_consecutive_checks_falls_back_to_pairwise():
     # each step drops 6e-10, inside value_gt's 1e-9 tolerance, but two
-    # steps drop 1.2e-9: the consecutive checks pass and a pairwise one fails
+    # steps drop 1.2e-9: the consecutive checks pass and a pairwise one fails.
+    # bdp-line takes that tolerant pairwise fallback; monotone-line checks
+    # its kept set exactly by >, as on a grid, and never reaches it
     f = line_fn([1.0, 1.0 - 6e-10, 1.0 - 1.2e-9])
     for prop in (O.PropertySpec("monotone-line"),
                  O.PropertySpec("bdp-line", bounds=LineBoundingPair.monotone(3))):
@@ -435,8 +440,40 @@ def test_float_chain_passing_consecutive_checks_falls_back_to_pairwise():
         with mock.patch.object(O, "is_member_bdp_values",
                                wraps=O.is_member_bdp_values) as pairwise:
             assert O.verify_report(f, prop, report) is False
-        assert pairwise.called
+        assert pairwise.called is (prop.tag == "bdp-line")
         assert ref.verify_report(f, prop, report) is False
+
+
+@st.composite
+def _nudged_nondecreasing(draw):
+    """A nondecreasing walk of int steps in [0, 2] as floats, each value
+    moved by at most 1e-12, with random erasures (one point always stays)."""
+    n = draw(st.integers(1, 16))
+    steps = draw(st.lists(st.integers(0, 2), min_size=n - 1, max_size=n - 1))
+    walk = itertools.accumulate(steps, initial=draw(st.integers(-3, 3)))
+    values = [v + draw(st.floats(-1e-12, 1e-12)) for v in walk]
+    erased = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    erased[draw(st.integers(0, n - 1))] = False
+    return [ERASED if e else v for v, e in zip(values, erased)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nudged_nondecreasing(), st.integers(0, 2 ** 16))
+def test_nudged_monotone_members_pass_the_tester_and_verify_exactly_at_every_d(values, seed):
+    # the tester is tolerant: float noise on a member is never evidence;
+    # kept sets verify exactly by >, on the line as on the grid
+    fn = line_fn(values)
+    prop = O.PropertySpec("monotone-line")
+    verdict = run_monotone(QueryOracle(fn), Fraction(1, 2), fn.declared_alpha, make_rng(seed))
+    assert not verdict.is_reject
+    assert O.verify_report(fn, prop, O.distance_to_monotone_line(fn))
+    kept = [v for v in values if v is not ERASED]
+    nondecreasing = not any(a > b for a, b in zip(kept, kept[1:]))
+    assert O.verify_report(fn, prop, _all_kept(fn, prop)) is nondecreasing
+    dom = Domain.grid(len(values), 2)
+    grid = ErasedFunction(dom, [values[x - 1] for x, _ in dom.points()])
+    grid_prop = O.PropertySpec("monotone-grid")
+    assert O.verify_report(grid, grid_prop, _all_kept(grid, grid_prop)) is nondecreasing
 
 
 _MEMBER = [0.0, 0.5, 1.5, 2.0]
@@ -630,6 +667,18 @@ def test_verify_report_refuses_bounds_that_do_not_fit_the_function(case):
     with pytest.raises(ValueError) as err:
         O.verify_report(fn, prop, report)
     assert str(err.value) == f"{prop.tag} bounds have {sizes}"
+
+
+@pytest.mark.parametrize("tag", ["monotone-line", "convex-line"])
+def test_verify_report_refuses_a_line_property_on_a_grid(tag):
+    # a monotone-line kept set on a grid is refused, not checked as a
+    # monotone-grid one, in the words compute_distance uses
+    fn, prop = grid_fn(2, 2, sum), O.PropertySpec(tag)
+    for call in (lambda: O.compute_distance(fn, prop),
+                 lambda: O.verify_report(fn, prop, _all_kept(fn, prop))):
+        with pytest.raises(ConfigError) as err:
+            call()
+        assert str(err.value) == f"{tag} runs on line domains, got d=2"
 
 
 _ORACLE_REFUSALS = {
