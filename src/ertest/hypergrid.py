@@ -127,7 +127,9 @@ class _AxisLineView:
     random source its start is drawn from; the budget is the grid's.
 
     The line's points sit at flat indices ``base + (p - 1) * stride`` for
-    positions p = 1..n, with ``stride = n ** (axis - 1)``, so ``query((p,))``
+    positions p = 1..n, with ``stride = n ** (axis - 1)`` and ``base`` the
+    sum of (c - 1) * n ** (r - 1) over the fixed coordinates c of the other
+    dimensions r (``Domain.index_of``'s order), so ``query((p,))``
     checks 1 <= p <= n and reads ``oracle.query_index`` without building or
     validating a point.  ``randint`` is ``draw(rng, lo, hi)`` (the
     ``getrandbits`` rule on a plain ``Random``) with the draws a box
@@ -135,19 +137,16 @@ class _AxisLineView:
     ``rng.randint(c, c)`` for each coordinate c before the axis and one for
     each after it.  Each of those is replayed as ``while
     rng.getrandbits(1): pass``, which consumes the same Mersenne Twister
-    output, so the seeded stream is unchanged."""
+    output, so the seeded stream is unchanged.  ``_axis_searches`` sets
+    every slot; the view keeps ``axis`` and ``fixed``, and ``line`` builds
+    the ``AxisLine`` only when asked, as a certificate naming a point
+    does."""
 
-    __slots__ = ("oracle", "line", "rng", "n", "base", "stride", "before", "after")
+    __slots__ = ("oracle", "axis", "fixed", "rng", "n", "base", "stride", "before", "after")
 
-    def __init__(self, oracle: QueryOracle, line: AxisLine, rng):
-        domain = oracle.fn.domain
-        n, axis = domain.n, line.axis
-        base = 0
-        for c in reversed(line.point(1)):  # Domain.index_of's order, unchecked
-            base = base * n + c - 1
-        self.oracle, self.line, self.rng = oracle, line, rng
-        self.n, self.base, self.stride = n, base, n ** (axis - 1)
-        self.before, self.after = range(axis - 1), range(domain.d - axis)
+    @property
+    def line(self) -> AxisLine:
+        return AxisLine(self.axis, self.fixed)
 
     def query(self, pt):
         (p,) = pt
@@ -205,11 +204,41 @@ def _exact_iterations(d: int, e: Fraction, a: Fraction, factor: int) -> int:
 def _axis_searches(oracle: QueryOracle, iterations: int, checks, rng):
     """Per iteration: a uniform axis line's view, twice (as the line searched
     and as the random source its start is drawn from), and the pair check of
-    its axis (``checks[axis - 1]``)."""
+    its axis (``checks[axis - 1]``).
+
+    One frame draws the axis and then each fixed coordinate, in increasing
+    dimension order, by ``draw``'s plain-``Random`` rule with
+    ``sample_axis_line``'s spans, and sums the base index from the strides
+    ``n ** r``, as ``Domain.index_of`` would: the draws, ``getstate()`` and
+    line of ``sample_axis_line`` on a ``Random``.  The draws take
+    ``rng.getrandbits`` on any ``rng``, so a subclass's own ``randint`` is
+    not asked.  This is the one place a view is built."""
     domain = oracle.fn.domain
+    n, d = domain.n, domain.d
+    getrandbits, kd, kn = rng.getrandbits, d.bit_length(), n.bit_length()
+    strides = [n ** r for r in range(d)]
+    # per 0-based axis: the other dimensions' strides, the axis stride, and
+    # the ranges of the start's replays before and after its draw
+    table = [(strides[:r] + strides[r + 1:], strides[r], range(r), range(d - 1 - r))
+             for r in range(d)]
+    new = object.__new__
     for _ in range(iterations):
-        view = _AxisLineView(oracle, sample_axis_line(domain, rng), rng)
-        yield view, view, checks[view.line.axis - 1]
+        r = getrandbits(kd)
+        while r >= d:
+            r = getrandbits(kd)
+        others, stride, before, after = table[r]
+        fixed, base = [], 0
+        for s in others:
+            c = getrandbits(kn)
+            while c >= n:
+                c = getrandbits(kn)
+            fixed.append(c + 1)
+            base += c * s
+        view = new(_AxisLineView)
+        view.oracle, view.axis, view.fixed, view.rng = oracle, r + 1, tuple(fixed), rng
+        view.n, view.base, view.stride = n, base, stride
+        view.before, view.after = before, after
+        yield view, view, checks[r]
 
 
 def test_monotone_hypergrid(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
@@ -219,7 +248,8 @@ def test_monotone_hypergrid(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
     n, d, e, a = _grid_params(oracle, eps, alpha, 250)
 
     def certify(view, pa, fa, pb, fb):
-        return ("monotone-violation", (view.line.point(pa), fa), (view.line.point(pb), fb))
+        line = view.line
+        return ("monotone-violation", (line.point(pa), fa), (line.point(pb), fb))
 
     lines = _axis_searches(oracle, hypergrid_iterations(d, e, a, 12), (_descends,) * d, rng)
     return _run_searches(oracle, monotone_hypergrid_budget(n, d, e, a),
@@ -236,8 +266,9 @@ def test_bdp_hypergrid(oracle: QueryOracle, family: BoundingFamily,
 
     def certify(view, pa, fa, pb, fb):
         # reject only when the raw pair violates under exact recheck
-        if pair_violates(family.per_dim[view.line.axis - 1], pa, fa, pb, fb):
-            return ("bdp-violation", (view.line.point(pa), fa), (view.line.point(pb), fb))
+        if pair_violates(family.per_dim[view.axis - 1], pa, fa, pb, fb):
+            line = view.line
+            return ("bdp-violation", (line.point(pa), fa), (line.point(pb), fb))
         return None
 
     checks = [_bdp_check(bounds) for bounds in family.per_dim]

@@ -727,7 +727,9 @@ def complete_bdp_line(pairs, kept_pos, bounds: LineBoundingPair) -> dict:
     """Assign values to the dropped points so every consecutive nonerased pair
     fits its directed segment sums; keeps the kept points untouched.  Greedy
     left-to-right inside the corridor spanned by the previous point and the
-    next kept point."""
+    next kept point: its finite lower end, else its finite upper end; with
+    both ends infinite, the one infinity they share (so the oracle's report
+    on a line holding ``inf`` verifies), else 0."""
     kept = set(kept_pos)
     kept_list = [p for p, _ in pairs if p in kept]
     vals = dict(pairs)
@@ -756,7 +758,7 @@ def complete_bdp_line(pairs, kept_pos, bounds: LineBoundingPair) -> dict:
         elif hi not in (INF, -INF):
             out[pos] = hi
         else:
-            out[pos] = 0
+            out[pos] = lo if lo == hi else 0
         prev = pos
     return out
 

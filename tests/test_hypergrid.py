@@ -23,7 +23,7 @@ from ertest.line import (INF, LineBoundingPair, bdp_line_budget, convex_line_bud
 from ertest.hypergrid import (
     AxisLine,
     BoundingFamily,
-    _AxisLineView,
+    _axis_searches,
     _exact_iterations,
     bdp_hypergrid_budget,
     check_grid_certificate,
@@ -184,20 +184,26 @@ def test_single_line_domain():
 
 
 def test_axis_line_view_reads_every_point_of_its_line():
+    # the views _axis_searches builds reach every axis line; each reads its
+    # line's points, every line once
     dom = Domain.grid(4, 3)
     fn = ErasedFunction(dom, [ERASED if i % 7 == 3 else i * i for i in range(dom.size)])
     oracle = QueryOracle(fn, budget=dom.size * dom.d)
-    for line in all_axis_lines(dom):
-        view = _AxisLineView(oracle, line, random.Random(0))
+    seen = set()
+    for view, _, _ in _axis_searches(oracle, 2000, (None,) * dom.d, random.Random(0)):
+        if view.line in seen:
+            continue
+        seen.add(view.line)
         for p in range(1, dom.n + 1):
-            assert view.query((p,)) == fn.value_at(line.point(p))
+            assert view.query((p,)) == fn.value_at(view.line.point(p))
+    assert seen == set(all_axis_lines(dom))
     assert oracle.count == oracle.budget
 
 
 @pytest.mark.parametrize("pos", [0, 5, -1])
 def test_axis_line_view_refuses_a_position_off_its_line(pos):
     oracle = QueryOracle(grid_fn(4, 3, lambda p: sum(p)), budget=10)
-    view = _AxisLineView(oracle, AxisLine(2, (1, 4)), random.Random(0))
+    ((view, _, _),) = _axis_searches(oracle, 1, (None,) * 3, random.Random(0))
     with pytest.raises(ValueError, match=f"^position {pos} outside the axis line \\[1, 4\\]$"):
         view.query((pos,))
     assert oracle.count == 0
@@ -212,6 +218,36 @@ def test_a_start_replay_consumes_what_randint_c_c_consumes(seed, c):
     while replayed.getrandbits(1):
         pass
     assert drawn.getstate() == replayed.getstate()
+
+
+class _SubRandom(random.Random):
+    pass
+
+
+_FOLD_SHAPES = [(d, n) for d in (1, 2, 3, 4) for n in (1, 2, 3, 5, 16)]
+
+
+@pytest.mark.parametrize("rng_type", [random.Random, _SubRandom])
+@pytest.mark.parametrize("d, n", _FOLD_SHAPES)
+def test_folded_axis_draws_build_the_view_of_sample_axis_line(d, n, rng_type):
+    # _axis_searches draws each line in its own frame; its view, and the
+    # stream after it, match sample_axis_line's line on a plain Random and
+    # the base, stride and replay ranges Domain.index_of's order gives it
+    dom = Domain.grid(n, d)
+    oracle = QueryOracle(ErasedFunction(dom, list(range(dom.size))))
+    checks = tuple(object() for _ in range(d))
+    for seed in range(6):
+        folded, plain = rng_type(seed), random.Random(seed)
+        for view, draws, check in _axis_searches(oracle, 30, checks, folded):
+            line = sample_axis_line(dom, plain)
+            assert (view.axis, view.fixed) == (line.axis, line.fixed)
+            assert view.line == line
+            assert (view.oracle, view.rng, view.n) == (oracle, folded, n)
+            assert view.base == dom.index_of(line.point(1))
+            assert view.stride == n ** (line.axis - 1)
+            assert (view.before, view.after) == (range(line.axis - 1), range(d - line.axis))
+            assert draws is view and check is checks[line.axis - 1]
+            assert folded.getstate() == plain.getstate()
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,19 @@ def test_bdp_matches_exhaustive_pairwise():
         assert O.distance_to_bdp_line(f, bounds).absolute == expect
 
 
+@pytest.mark.parametrize("values", [[INF, 5.0], [5.0, -INF], [INF, 5.0, 7.0], [-INF, 1.0, -INF]])
+@pytest.mark.parametrize("bounds", ["monotone", "steps-0-1"])
+def test_bdp_line_reports_verify_beside_infinite_values(values, bounds):
+    # a dropped point whose corridor has the same infinity at both ends is
+    # filled with that infinity, not 0, so the oracle's own report verifies
+    n = len(values)
+    pair = (LineBoundingPair.monotone(n) if bounds == "monotone"
+            else LineBoundingPair([0] * (n - 1), [1] * (n - 1)))
+    f, prop = line_fn(values), O.PropertySpec("bdp-line", bounds=pair)
+    report = O.compute_distance(f, prop)
+    assert O.verify_report(f, prop, report) is True
+
+
 def test_convex_matches_exhaustive():
     rng = random.Random(13)
     for _ in range(250):
