@@ -27,7 +27,9 @@ from .core import (
 )
 from .line import (
     INF,
+    AxisLine,
     LineBoundingPair,
+    _AxisLineView,
     _bdp_check,
     _descends,
     _log_budget,
@@ -103,67 +105,11 @@ def grid_pair_violates(family: BoundingFamily, x: tuple, fx, y: tuple, fy) -> bo
 # ---------------------------------------------------------------------------
 # axis lines
 
-@dataclass(frozen=True)
-class AxisLine:
-    """The line along ``axis`` (1-based) with the other coordinates fixed,
-    listed in increasing dimension order."""
-
-    axis: int
-    fixed: tuple
-
-    def point(self, pos: int) -> tuple:
-        return self.fixed[:self.axis - 1] + (pos,) + self.fixed[self.axis - 1:]
-
-
 def sample_axis_line(domain: Domain, rng) -> AxisLine:
     """Uniform over all d * n^(d-1) axis-parallel lines, by ``draw``."""
     axis = draw(rng, 1, domain.d)
     fixed = tuple(draw(rng, 1, domain.n) for _ in range(domain.d - 1))
     return AxisLine(axis, fixed)
-
-
-class _AxisLineView:
-    """One axis line of a grid oracle, presented as a line oracle and as the
-    random source its start is drawn from; the budget is the grid's.
-
-    The line's points sit at flat indices ``base + (p - 1) * stride`` for
-    positions p = 1..n, with ``stride = n ** (axis - 1)`` and ``base`` the
-    sum of (c - 1) * n ** (r - 1) over the fixed coordinates c of the other
-    dimensions r (``Domain.index_of``'s order), so ``query((p,))``
-    checks 1 <= p <= n and reads ``oracle.query_index`` without building or
-    validating a point.  ``randint`` is ``draw(rng, lo, hi)`` (the
-    ``getrandbits`` rule on a plain ``Random``) with the draws a box
-    sampler over the line's points once made for its fixed coordinates: one
-    ``rng.randint(c, c)`` for each coordinate c before the axis and one for
-    each after it.  Each of those is replayed as ``while
-    rng.getrandbits(1): pass``, which consumes the same Mersenne Twister
-    output, so the seeded stream is unchanged.  ``_axis_searches`` sets
-    every slot; the view keeps ``axis`` and ``fixed``, and ``line`` builds
-    the ``AxisLine`` only when asked, as a certificate naming a point
-    does."""
-
-    __slots__ = ("oracle", "axis", "fixed", "rng", "n", "base", "stride", "before", "after")
-
-    @property
-    def line(self) -> AxisLine:
-        return AxisLine(self.axis, self.fixed)
-
-    def query(self, pt):
-        (p,) = pt
-        if not 1 <= p <= self.n:
-            raise ValueError(f"position {p} outside the axis line [1, {self.n}]")
-        return self.oracle.query_index(self.base + (p - 1) * self.stride)
-
-    def randint(self, lo: int, hi: int) -> int:
-        getrandbits = self.rng.getrandbits
-        for _ in self.before:
-            while getrandbits(1):
-                pass
-        m = draw(self.rng, lo, hi)
-        for _ in self.after:
-            while getrandbits(1):
-                pass
-        return m
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ import itertools
 import math
 import operator
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from random import Random
 
 from .core import (
     ERASED,
@@ -256,6 +258,64 @@ def check_bounds(tag: str, bounds, want, domain=None) -> None:
                           f"the domain has n={domain.n}, d={domain.d}")
 
 
+@dataclass(frozen=True)
+class AxisLine:
+    """The line along ``axis`` (1-based) of a grid, with the other
+    coordinates fixed, listed in increasing dimension order."""
+
+    axis: int
+    fixed: tuple
+
+    def point(self, pos: int) -> tuple:
+        return self.fixed[:self.axis - 1] + (pos,) + self.fixed[self.axis - 1:]
+
+
+class _AxisLineView:
+    """One axis line of a grid oracle, presented as a line oracle and as the
+    random source its start is drawn from; the budget is the grid's.
+
+    The line's points sit at flat indices ``base + (p - 1) * stride`` for
+    positions p = 1..n, with ``stride = n ** (axis - 1)`` and ``base`` the
+    sum of (c - 1) * n ** (r - 1) over the fixed coordinates c of the other
+    dimensions r (``Domain.index_of``'s order), so ``query((p,))``
+    checks 1 <= p <= n and reads ``oracle.query_index`` without building or
+    validating a point.  ``randint`` is ``draw(rng, lo, hi)`` (the
+    ``getrandbits`` rule on a plain ``Random``) with the draws a box
+    sampler over the line's points once made for its fixed coordinates: one
+    ``rng.randint(c, c)`` for each coordinate c before the axis and one for
+    each after it.  Each of those is replayed as ``while
+    rng.getrandbits(1): pass``, which consumes the same Mersenne Twister
+    output, so the seeded stream is unchanged.  ``hypergrid._axis_searches``
+    sets every slot and is the one place a view is built; the view keeps
+    ``axis`` and ``fixed``, and ``line`` builds the ``AxisLine`` only when
+    asked, as a certificate naming a point does.  Both classes live here,
+    not in ``hypergrid``, so that ``randomized_binary_search_step_loop``
+    can tell a view by its type."""
+
+    __slots__ = ("oracle", "axis", "fixed", "rng", "n", "base", "stride", "before", "after")
+
+    @property
+    def line(self) -> AxisLine:
+        return AxisLine(self.axis, self.fixed)
+
+    def query(self, pt):
+        (p,) = pt
+        if not 1 <= p <= self.n:
+            raise ValueError(f"position {p} outside the axis line [1, {self.n}]")
+        return self.oracle.query_index(self.base + (p - 1) * self.stride)
+
+    def randint(self, lo: int, hi: int) -> int:
+        getrandbits = self.rng.getrandbits
+        for _ in self.before:
+            while getrandbits(1):
+                pass
+        m = draw(self.rng, lo, hi)
+        for _ in self.after:
+            while getrandbits(1):
+                pass
+        return m
+
+
 def sample_nonerased_uniform(line, lo: int, hi: int, rng):
     """A uniform nonerased position of [lo, hi] on a line oracle (or an axis
     line of a grid), with its value.  Each draw is one ``draw(rng, lo, hi)``
@@ -263,12 +323,43 @@ def sample_nonerased_uniform(line, lo: int, hi: int, rng):
     one query, so erasures are paid for in budget; a fully erased range
     ends only through ``BudgetExhausted``.  A grid search's start passes its
     axis-line view as ``rng``: each draw is then the view's ``randint``,
-    with the replays of the fixed coordinates' draws around it."""
+    with the replays of the fixed coordinates' draws around it.
+
+    Every start and the convexity search's pivots come through here.  The
+    pivots of ``randomized_binary_search_step_loop`` do too, unless its
+    fused loop runs; that loop draws and reads as this function does, draw
+    for draw, and steps aside whenever this module-global name is bound to
+    anything else (a tracer's counting wrapper, say)."""
     while True:
         m = draw(rng, lo, hi)
         v = line.query((m,))
         if v is not ERASED:
             return m, v
+
+
+_SAMPLER = sample_nonerased_uniform  # the library's own, to tell a rebound name by
+
+
+def _flat_reads(oracle, lo: int, hi: int, rng):
+    """``(oracle, base, stride)`` when a search of ``oracle`` over [lo, hi]
+    with pivots from ``rng`` can run fused: position p then reads flat
+    index ``base + p * stride`` of ``oracle.fn.values``, charged to
+    ``oracle``.  That holds for a plain ``QueryOracle`` on a line, or an
+    ``_AxisLineView`` over one, with its budget set and [lo, hi] on the
+    line, a plain ``Random`` and ``sample_nonerased_uniform`` unbound.
+    Otherwise None."""
+    if type(rng) is not Random or sample_nonerased_uniform is not _SAMPLER:
+        return None
+    kind = type(oracle)
+    if kind is QueryOracle and oracle.fn.domain.d == 1:
+        flat, base, stride, n = oracle, -1, 1, oracle.fn.domain.n
+    elif kind is _AxisLineView and type(oracle.oracle) is QueryOracle:
+        flat, base, stride, n = oracle.oracle, oracle.base - oracle.stride, oracle.stride, oracle.n
+    else:
+        return None
+    if flat.budget is None or lo < 1 or hi > n:
+        return None
+    return flat, base, stride
 
 
 def randomized_binary_search_step_loop(oracle, lo, hi, s, fs, rng, violated):
@@ -278,19 +369,59 @@ def randomized_binary_search_step_loop(oracle, lo, hi, s, fs, rng, violated):
     a < b, which ``violated(a, fa, b, fb)`` flags, or None for a clean pass.
 
     The interval always contains s, so a singleton is s itself; drawing the
-    forced pivot would add a query and check nothing."""
+    forced pivot would add a query and check nothing.
+
+    When ``_flat_reads`` allows it, one fused loop runs in this frame: it
+    draws by ``draw``'s ``getrandbits`` rule, reads the flat values list
+    and keeps the query count in a local, written back when the loop ends,
+    raising ``BudgetExhausted(count)`` at the query ``query`` would raise
+    it at, after that query's draw.  It matches the loop through
+    ``sample_nonerased_uniform`` draw for draw: the same pivots, pairs,
+    result, ``oracle.count`` and ``rng.getstate()``.  Any other oracle
+    (a recording subclass, say), RNG or rebound sampler runs that loop.
+    ``violated`` reads no oracle."""
     l, r = lo, hi
-    while l < r:
-        m, fm = sample_nonerased_uniform(oracle, l, r, rng)
-        if m == s:
-            return None
-        if s < m:
-            r, pair = m - 1, (s, fs, m, fm)
-        else:
-            l, pair = m + 1, (m, fm, s, fs)
-        if violated(*pair):
-            return pair
-    return None
+    reads = _flat_reads(oracle, lo, hi, rng)
+    if reads is None:
+        while l < r:
+            m, fm = sample_nonerased_uniform(oracle, l, r, rng)
+            if m == s:
+                return None
+            if s < m:
+                r, pair = m - 1, (s, fs, m, fm)
+            else:
+                l, pair = m + 1, (m, fm, s, fs)
+            if violated(*pair):
+                return pair
+        return None
+    flat, base, stride = reads
+    getrandbits, values, budget, count = rng.getrandbits, flat.fn.values, flat.budget, flat.count
+    try:
+        while l < r:
+            span = r - l + 1
+            k = span.bit_length()
+            while True:
+                x = getrandbits(k)
+                while x >= span:
+                    x = getrandbits(k)
+                if count >= budget:
+                    raise BudgetExhausted(count)
+                count += 1
+                m = l + x
+                fm = values[base + m * stride]
+                if fm is not ERASED:
+                    break
+            if m == s:
+                return None
+            if s < m:
+                r, pair = m - 1, (s, fs, m, fm)
+            else:
+                l, pair = m + 1, (m, fm, s, fs)
+            if violated(*pair):
+                return pair
+        return None
+    finally:
+        flat.count = count
 
 
 def _run_searches(oracle: QueryOracle, budget: int, searches, stats=None) -> Verdict:

@@ -196,17 +196,19 @@ def erasure_resilient_extendable(spec: UniformTesterSpec, alpha, eps,
     """Oversample by 2/(1-alpha); a sample with fewer than q nonerased
     points accepts outright, otherwise the base decide sees every nonerased
     labeled point.  Repeated three times (rejecting on any reject) when q is
-    small, to keep the shortfall probability comfortably under 1/3."""
+    small, to keep the shortfall probability comfortably under 1/3.  Each
+    draw is a flat index read by ``oracle.query_index``; only a nonerased
+    draw builds its point."""
     domain = oracle.fn.domain
     need, draws, reps = extendable_plan(spec, domain.size, eps, alpha)
     oracle.set_budget(reps * draws)
     for _ in range(reps):
         sample = []
         for _ in range(draws):
-            pt = domain.point_at(draw(rng, 0, domain.size - 1))
-            v = oracle.query(pt)
+            idx = draw(rng, 0, domain.size - 1)
+            v = oracle.query_index(idx)
             if v is not ERASED:
-                sample.append((pt, v))
+                sample.append((domain.point_at(idx), v))
         if len(sample) < need:
             continue
         if not spec.decide(sample):
