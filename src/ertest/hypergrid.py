@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    Domain,
     ErasedFunction,
     PreconditionViolated,
     QueryOracle,
@@ -27,14 +26,14 @@ from .core import (
 )
 from .line import (
     INF,
-    AxisLine,
     LineBoundingPair,
-    _AxisLineView,
     _bdp_check,
     _descends,
+    _fused_search,
+    _fuses,
     _log_budget,
     _run_searches,
-    _searches,
+    _sampled_search,
     bdp_to_monotone_transforms,  # noqa: F401  unused here; bench/tracing.py wraps it
     check_bounds,
     pair_violates,
@@ -105,11 +104,62 @@ def grid_pair_violates(family: BoundingFamily, x: tuple, fx, y: tuple, fy) -> bo
 # ---------------------------------------------------------------------------
 # axis lines
 
-def sample_axis_line(domain: Domain, rng) -> AxisLine:
-    """Uniform over all d * n^(d-1) axis-parallel lines, by ``draw``."""
-    axis = draw(rng, 1, domain.d)
-    fixed = tuple(draw(rng, 1, domain.n) for _ in range(domain.d - 1))
-    return AxisLine(axis, fixed)
+@dataclass(frozen=True)
+class AxisLine:
+    """The line along ``axis`` (1-based) of a grid, with the other
+    coordinates fixed, listed in increasing dimension order."""
+
+    axis: int
+    fixed: tuple
+
+    def point(self, pos: int) -> tuple:
+        return self.fixed[:self.axis - 1] + (pos,) + self.fixed[self.axis - 1:]
+
+
+class _AxisLineView:
+    """One axis line of a grid oracle, presented as a line oracle and as the
+    random source its start is drawn from; the budget is the grid's.
+
+    The line's points sit at flat indices ``base + (p - 1) * stride`` for
+    positions p = 1..n, with ``stride = n ** (axis - 1)`` and ``base`` the
+    sum of (c - 1) * n ** (r - 1) over the fixed coordinates c of the other
+    dimensions r (``Domain.index_of``'s order), so ``query((p,))``
+    checks 1 <= p <= n and reads ``oracle.query_index`` without building or
+    validating a point.  ``randint`` is ``draw(rng, lo, hi)`` (the
+    ``getrandbits`` rule on a plain ``Random``) with the draws a box
+    sampler over the line's points once made for its fixed coordinates: one
+    ``rng.randint(c, c)`` for each coordinate c before the axis and one for
+    each after it.  Each of those is replayed as ``while
+    rng.getrandbits(1): pass``, which consumes the same Mersenne Twister
+    output, so the seeded stream is unchanged.  ``_axis_searches`` sets
+    every slot: for each line it draws on the sampler path, and on the
+    fused path only for a line whose search hands a violated pair to
+    ``certify``.  The view keeps ``axis`` and ``fixed``, and ``line``
+    builds the ``AxisLine`` only when asked, as a certificate naming a
+    point does."""
+
+    __slots__ = ("oracle", "axis", "fixed", "rng", "n", "base", "stride", "before", "after")
+
+    @property
+    def line(self) -> AxisLine:
+        return AxisLine(self.axis, self.fixed)
+
+    def query(self, pt):
+        (p,) = pt
+        if not 1 <= p <= self.n:
+            raise ValueError(f"position {p} outside the axis line [1, {self.n}]")
+        return self.oracle.query_index(self.base + (p - 1) * self.stride)
+
+    def randint(self, lo: int, hi: int) -> int:
+        getrandbits = self.rng.getrandbits
+        for _ in self.before:
+            while getrandbits(1):
+                pass
+        m = draw(self.rng, lo, hi)
+        for _ in self.after:
+            while getrandbits(1):
+                pass
+        return m
 
 
 # ---------------------------------------------------------------------------
@@ -147,18 +197,22 @@ def _exact_iterations(d: int, e: Fraction, a: Fraction, factor: int) -> int:
     return ceil_frac(Fraction(factor * d) / denom)
 
 
-def _axis_searches(oracle: QueryOracle, iterations: int, checks, rng):
-    """Per iteration: a uniform axis line's view, twice (as the line searched
-    and as the random source its start is drawn from), and the pair check of
-    its axis (``checks[axis - 1]``).
+def _axis_searches(oracle: QueryOracle, iterations: int, checks, rng, certify):
+    """Per iteration, one randomized binary search along a uniform axis
+    line, with the pair check of its axis (``checks[axis - 1]``).  Yields
+    None after a clean pass, else ``certify(view, a, fa, b, fb)`` for the
+    first violated pair, itself None to go on searching.
 
-    One frame draws the axis and then each fixed coordinate, in increasing
-    dimension order, by ``draw``'s plain-``Random`` rule with
-    ``sample_axis_line``'s spans, and sums the base index from the strides
-    ``n ** r``, as ``Domain.index_of`` would: the draws, ``getstate()`` and
-    line of ``sample_axis_line`` on a ``Random``.  The draws take
-    ``rng.getrandbits`` on any ``rng``, so a subclass's own ``randint`` is
-    not asked.  This is the one place a view is built."""
+    This frame draws the axis and then each fixed coordinate, in increasing
+    dimension order, by ``draw``'s plain-``Random`` rule with spans d and
+    then n, and sums the base index from the strides ``n ** r``, as
+    ``Domain.index_of`` would; a view reads its fixed coordinates back from
+    that base.  The draws take ``rng.getrandbits`` on any ``rng``, so a
+    subclass's own ``randint`` is not asked.  ``_fuses`` decides once, at
+    the first search, how every search runs: by ``_fused_search``, with an
+    ``_AxisLineView`` built only for a pair that goes to ``certify``, or by
+    ``_sampled_search`` over a view built for each line, its start drawn
+    through the view's ``randint``."""
     domain = oracle.fn.domain
     n, d = domain.n, domain.d
     getrandbits, kd, kn = rng.getrandbits, d.bit_length(), n.bit_length()
@@ -167,24 +221,30 @@ def _axis_searches(oracle: QueryOracle, iterations: int, checks, rng):
     # the ranges of the start's replays before and after its draw
     table = [(strides[:r] + strides[r + 1:], strides[r], range(r), range(d - 1 - r))
              for r in range(d)]
-    new = object.__new__
+    fused, new = _fuses(oracle, rng), object.__new__
     for _ in range(iterations):
         r = getrandbits(kd)
         while r >= d:
             r = getrandbits(kd)
         others, stride, before, after = table[r]
-        fixed, base = [], 0
+        base = 0
         for s in others:
             c = getrandbits(kn)
             while c >= n:
                 c = getrandbits(kn)
-            fixed.append(c + 1)
             base += c * s
+        if fused:
+            hit = _fused_search(oracle, base - stride, stride, n, before, after, rng, checks[r])
+            if hit is None:
+                yield None
+                continue
         view = new(_AxisLineView)
-        view.oracle, view.axis, view.fixed, view.rng = oracle, r + 1, tuple(fixed), rng
-        view.n, view.base, view.stride = n, base, stride
-        view.before, view.after = before, after
-        yield view, view, checks[r]
+        view.oracle, view.axis, view.rng, view.n = oracle, r + 1, rng, n
+        view.fixed = tuple(base // s % n + 1 for s in others)  # each c < n
+        view.base, view.stride, view.before, view.after = base, stride, before, after
+        if not fused:
+            hit = _sampled_search(view, n, view, rng, checks[r])
+        yield None if hit is None else certify(view, *hit)
 
 
 def test_monotone_hypergrid(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
@@ -197,9 +257,8 @@ def test_monotone_hypergrid(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
         line = view.line
         return ("monotone-violation", (line.point(pa), fa), (line.point(pb), fb))
 
-    lines = _axis_searches(oracle, hypergrid_iterations(d, e, a, 12), (_descends,) * d, rng)
-    return _run_searches(oracle, monotone_hypergrid_budget(n, d, e, a),
-                         _searches(lines, n, rng, certify))
+    return _run_searches(oracle, monotone_hypergrid_budget(n, d, e, a), _axis_searches(
+        oracle, hypergrid_iterations(d, e, a, 12), (_descends,) * d, rng, certify))
 
 
 def test_bdp_hypergrid(oracle: QueryOracle, family: BoundingFamily,
@@ -218,9 +277,8 @@ def test_bdp_hypergrid(oracle: QueryOracle, family: BoundingFamily,
         return None
 
     checks = [_bdp_check(bounds) for bounds in family.per_dim]
-    lines = _axis_searches(oracle, hypergrid_iterations(d, e, a, 48), checks, rng)
-    return _run_searches(oracle, bdp_hypergrid_budget(n, d, e, a),
-                         _searches(lines, n, rng, certify))
+    return _run_searches(oracle, bdp_hypergrid_budget(n, d, e, a), _axis_searches(
+        oracle, hypergrid_iterations(d, e, a, 48), checks, rng, certify))
 
 
 def check_grid_certificate(fn: ErasedFunction, certificate,

@@ -13,7 +13,6 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
@@ -258,64 +257,6 @@ def check_bounds(tag: str, bounds, want, domain=None) -> None:
                           f"the domain has n={domain.n}, d={domain.d}")
 
 
-@dataclass(frozen=True)
-class AxisLine:
-    """The line along ``axis`` (1-based) of a grid, with the other
-    coordinates fixed, listed in increasing dimension order."""
-
-    axis: int
-    fixed: tuple
-
-    def point(self, pos: int) -> tuple:
-        return self.fixed[:self.axis - 1] + (pos,) + self.fixed[self.axis - 1:]
-
-
-class _AxisLineView:
-    """One axis line of a grid oracle, presented as a line oracle and as the
-    random source its start is drawn from; the budget is the grid's.
-
-    The line's points sit at flat indices ``base + (p - 1) * stride`` for
-    positions p = 1..n, with ``stride = n ** (axis - 1)`` and ``base`` the
-    sum of (c - 1) * n ** (r - 1) over the fixed coordinates c of the other
-    dimensions r (``Domain.index_of``'s order), so ``query((p,))``
-    checks 1 <= p <= n and reads ``oracle.query_index`` without building or
-    validating a point.  ``randint`` is ``draw(rng, lo, hi)`` (the
-    ``getrandbits`` rule on a plain ``Random``) with the draws a box
-    sampler over the line's points once made for its fixed coordinates: one
-    ``rng.randint(c, c)`` for each coordinate c before the axis and one for
-    each after it.  Each of those is replayed as ``while
-    rng.getrandbits(1): pass``, which consumes the same Mersenne Twister
-    output, so the seeded stream is unchanged.  ``hypergrid._axis_searches``
-    sets every slot and is the one place a view is built; the view keeps
-    ``axis`` and ``fixed``, and ``line`` builds the ``AxisLine`` only when
-    asked, as a certificate naming a point does.  Both classes live here,
-    not in ``hypergrid``, so that ``randomized_binary_search_step_loop``
-    can tell a view by its type."""
-
-    __slots__ = ("oracle", "axis", "fixed", "rng", "n", "base", "stride", "before", "after")
-
-    @property
-    def line(self) -> AxisLine:
-        return AxisLine(self.axis, self.fixed)
-
-    def query(self, pt):
-        (p,) = pt
-        if not 1 <= p <= self.n:
-            raise ValueError(f"position {p} outside the axis line [1, {self.n}]")
-        return self.oracle.query_index(self.base + (p - 1) * self.stride)
-
-    def randint(self, lo: int, hi: int) -> int:
-        getrandbits = self.rng.getrandbits
-        for _ in self.before:
-            while getrandbits(1):
-                pass
-        m = draw(self.rng, lo, hi)
-        for _ in self.after:
-            while getrandbits(1):
-                pass
-        return m
-
-
 def sample_nonerased_uniform(line, lo: int, hi: int, rng):
     """A uniform nonerased position of [lo, hi] on a line oracle (or an axis
     line of a grid), with its value.  Each draw is one ``draw(rng, lo, hi)``
@@ -325,11 +266,11 @@ def sample_nonerased_uniform(line, lo: int, hi: int, rng):
     axis-line view as ``rng``: each draw is then the view's ``randint``,
     with the replays of the fixed coordinates' draws around it.
 
-    Every start and the convexity search's pivots come through here.  The
-    pivots of ``randomized_binary_search_step_loop`` do too, unless its
-    fused loop runs; that loop draws and reads as this function does, draw
-    for draw, and steps aside whenever this module-global name is bound to
-    anything else (a tracer's counting wrapper, say)."""
+    The convexity search's starts and pivots come through here.  The starts
+    and pivots of the binary searches do too whenever ``_fuses`` refuses
+    the fused search: ``_fused_search`` draws and reads as this function
+    does, draw for draw, and steps aside whenever this module-global name
+    is bound to anything else (a tracer's counting wrapper, say)."""
     while True:
         m = draw(rng, lo, hi)
         v = line.query((m,))
@@ -340,63 +281,86 @@ def sample_nonerased_uniform(line, lo: int, hi: int, rng):
 _SAMPLER = sample_nonerased_uniform  # the library's own, to tell a rebound name by
 
 
-def _flat_reads(oracle, lo: int, hi: int, rng):
-    """``(oracle, base, stride)`` when a search of ``oracle`` over [lo, hi]
-    with pivots from ``rng`` can run fused: position p then reads flat
-    index ``base + p * stride`` of ``oracle.fn.values``, charged to
-    ``oracle``.  That holds for a plain ``QueryOracle`` on a line, or an
-    ``_AxisLineView`` over one, with its budget set and [lo, hi] on the
-    line, a plain ``Random`` and ``sample_nonerased_uniform`` unbound.
-    Otherwise None."""
-    if type(rng) is not Random or sample_nonerased_uniform is not _SAMPLER:
-        return None
-    kind = type(oracle)
-    if kind is QueryOracle and oracle.fn.domain.d == 1:
-        flat, base, stride, n = oracle, -1, 1, oracle.fn.domain.n
-    elif kind is _AxisLineView and type(oracle.oracle) is QueryOracle:
-        flat, base, stride, n = oracle.oracle, oracle.base - oracle.stride, oracle.stride, oracle.n
-    else:
-        return None
-    if flat.budget is None or lo < 1 or hi > n:
-        return None
-    return flat, base, stride
+def _fuses(oracle, rng) -> bool:
+    """Whether the searches of one tester call on ``oracle`` with ``rng``
+    may run ``_fused_search``: ``rng`` a plain ``Random``, ``oracle`` a
+    plain ``QueryOracle`` with its budget set, and
+    ``sample_nonerased_uniform`` still the library's own function.  Any
+    other oracle (a recording subclass, say), RNG or rebound sampler name
+    takes ``_sampled_search``."""
+    return (type(rng) is Random and type(oracle) is QueryOracle
+            and oracle.budget is not None and sample_nonerased_uniform is _SAMPLER)
 
 
 def randomized_binary_search_step_loop(oracle, lo, hi, s, fs, rng, violated):
     """One random search path for s: sample a nonerased pivot m from the
-    current interval, halve toward s, stop when the pivot is s itself.
-    Returns the first pair (a, fa, b, fb) of s and a pivot, ordered so that
-    a < b, which ``violated(a, fa, b, fb)`` flags, or None for a clean pass.
+    current interval through ``sample_nonerased_uniform``, halve toward s,
+    stop when the pivot is s itself.  Returns the first pair (a, fa, b, fb)
+    of s and a pivot, ordered so that a < b, which ``violated(a, fa, b,
+    fb)`` flags, or None for a clean pass.  ``violated`` reads no oracle.
 
     The interval always contains s, so a singleton is s itself; drawing the
-    forced pivot would add a query and check nothing.
-
-    When ``_flat_reads`` allows it, one fused loop runs in this frame: it
-    draws by ``draw``'s ``getrandbits`` rule, reads the flat values list
-    and keeps the query count in a local, written back when the loop ends,
-    raising ``BudgetExhausted(count)`` at the query ``query`` would raise
-    it at, after that query's draw.  It matches the loop through
-    ``sample_nonerased_uniform`` draw for draw: the same pivots, pairs,
-    result, ``oracle.count`` and ``rng.getstate()``.  Any other oracle
-    (a recording subclass, say), RNG or rebound sampler runs that loop.
-    ``violated`` reads no oracle."""
+    forced pivot would add a query and check nothing.  ``_fused_search``
+    runs this loop in its own frame when ``_fuses`` allows it."""
     l, r = lo, hi
-    reads = _flat_reads(oracle, lo, hi, rng)
-    if reads is None:
-        while l < r:
-            m, fm = sample_nonerased_uniform(oracle, l, r, rng)
-            if m == s:
-                return None
-            if s < m:
-                r, pair = m - 1, (s, fs, m, fm)
-            else:
-                l, pair = m + 1, (m, fm, s, fs)
-            if violated(*pair):
-                return pair
-        return None
-    flat, base, stride = reads
-    getrandbits, values, budget, count = rng.getrandbits, flat.fn.values, flat.budget, flat.count
+    while l < r:
+        m, fm = sample_nonerased_uniform(oracle, l, r, rng)
+        if m == s:
+            return None
+        if s < m:
+            r, pair = m - 1, (s, fs, m, fm)
+        else:
+            l, pair = m + 1, (m, fm, s, fs)
+        if violated(*pair):
+            return pair
+    return None
+
+
+def _sampled_search(line, n: int, draws, rng, violated):
+    """One search over [1, n] of ``line`` (the oracle, or an axis-line view
+    of a grid): its nonerased start from ``draws`` (the view itself on a
+    grid) through ``sample_nonerased_uniform``, its pivots from ``rng``
+    through ``randomized_binary_search_step_loop``, each by its
+    module-global name.  Returns what the step loop returns."""
+    s, fs = sample_nonerased_uniform(line, 1, n, draws)
+    return randomized_binary_search_step_loop(line, 1, n, s, fs, rng, violated)
+
+
+def _fused_search(oracle, base: int, stride: int, n: int, before, after, rng, violated):
+    """``_sampled_search`` in one frame, for the searches ``_fuses`` allows:
+    the line's position p is flat index ``base + p * stride`` of
+    ``oracle.fn.values`` (``base = -1, stride = 1`` on a line oracle).
+
+    The start takes ``draw``'s ``getrandbits`` rule on [1, n], with
+    ``before`` and ``after`` replays of ``while getrandbits(1): pass``
+    around each draw, as the axis-line view's ``randint`` has them (both
+    empty on a line).  The pivots then halve toward it as the step loop
+    does.  The query count stays in a local, written back in a ``finally``;
+    ``BudgetExhausted(count)`` is raised at the query ``query`` raises it
+    at, after that query's draw and replays, in the start as among the
+    pivots.  It matches ``_sampled_search`` draw for draw: the same start,
+    pivots, pairs checked, result, ``oracle.count`` and ``rng.getstate()``."""
+    getrandbits, values, k = rng.getrandbits, oracle.fn.values, n.bit_length()
+    budget, count = oracle.budget, oracle.count
     try:
+        while True:
+            for _ in before:
+                while getrandbits(1):
+                    pass
+            x = getrandbits(k)
+            while x >= n:
+                x = getrandbits(k)
+            for _ in after:
+                while getrandbits(1):
+                    pass
+            if count >= budget:
+                raise BudgetExhausted(count)
+            count += 1
+            s = 1 + x
+            fs = values[base + s * stride]
+            if fs is not ERASED:
+                break
+        l, r = 1, n
         while l < r:
             span = r - l + 1
             k = span.bit_length()
@@ -421,7 +385,7 @@ def randomized_binary_search_step_loop(oracle, lo, hi, s, fs, rng, violated):
                 return pair
         return None
     finally:
-        flat.count = count
+        oracle.count = count
 
 
 def _run_searches(oracle: QueryOracle, budget: int, searches, stats=None) -> Verdict:
@@ -446,18 +410,21 @@ def _run_searches(oracle: QueryOracle, budget: int, searches, stats=None) -> Ver
     return Verdict.accepted(reason, oracle.count, stats)
 
 
-def _searches(lines, n: int, rng, certify):
-    """One randomized binary search over [1, n] per ``(line, draws,
-    violated)`` of ``lines``, drawn lazily: its nonerased start from
-    ``draws``, its pivots from ``rng``.  ``line`` is the oracle itself or an
-    axis line of a grid (which is then its own ``draws``), and
-    ``violated(a, fa, b, fb)`` checks a pair with a < b.  Yields None after
-    a clean pass, else ``certify(line, a, fa, b, fb)`` for the first
-    violated pair, itself None to go on searching."""
-    for line, draws, violated in lines:
-        s, fs = sample_nonerased_uniform(line, 1, n, draws)
-        hit = randomized_binary_search_step_loop(line, 1, n, s, fs, rng, violated)
-        yield None if hit is None else certify(line, *hit)
+def _searches(oracle: QueryOracle, checks, rng, certify):
+    """One randomized binary search over the line [1, n] of ``oracle`` per
+    pair check ``violated(a, fa, b, fb)`` of ``checks`` (a < b), drawn
+    lazily from ``rng``.  Yields None after a clean pass, else
+    ``certify(a, fa, b, fb)`` for the first violated pair, itself None to
+    go on searching.  ``_fuses`` decides once, at the first search, whether
+    every search runs ``_fused_search`` or ``_sampled_search``."""
+    n = oracle.fn.domain.n
+    fused = _fuses(oracle, rng)
+    for violated in checks:
+        if fused:
+            hit = _fused_search(oracle, -1, 1, n, (), (), rng, violated)
+        else:
+            hit = _sampled_search(oracle, n, rng, rng, violated)
+        yield None if hit is None else certify(*hit)
 
 
 def _descends(a, fa, b, fb) -> bool:
@@ -514,9 +481,9 @@ def test_monotone_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
     probability at least 2/3.  Reject verdicts carry the violated pair."""
     n = _line_domain(oracle)
     e, a = check_params(eps, alpha)
-    lines = itertools.repeat((oracle, rng, _descends), proximity_iterations(e))
+    checks = itertools.repeat(_descends, proximity_iterations(e))
     return _run_searches(oracle, monotone_line_budget(n, e, a), _searches(
-        lines, n, rng, lambda line, pa, fa, pb, fb: ("monotone-violation", (pa, fa), (pb, fb))))
+        oracle, checks, rng, lambda pa, fa, pb, fb: ("monotone-violation", (pa, fa), (pb, fb))))
 
 
 def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng) -> Verdict:
@@ -532,7 +499,7 @@ def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng
     e, a = check_params(eps, alpha)
     check_bounds("bdp-line", bounds, LineBoundingPair, oracle.fn.domain)
 
-    def certify(line, pa, fa, pb, fb):
+    def certify(pa, fa, pb, fb):
         # reject on the original values, not the view: certificates
         # must hold against the raw function under exact recheck
         if pair_violates(bounds, pa, fa, pb, fb):
@@ -540,14 +507,13 @@ def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng
         return None
 
     if not bounds.all_finite:
-        lines = itertools.repeat((oracle, rng, _bdp_check(bounds)), proximity_iterations(e))
+        checks = itertools.repeat(_bdp_check(bounds), proximity_iterations(e))
     else:
         g_view, h_view, _ = _bdp_views(bounds)
         reps = one_sixth_iterations(e)
-        lines = itertools.chain(itertools.repeat((oracle, rng, g_view), reps),
-                                itertools.repeat((oracle, rng, h_view), reps))
+        checks = itertools.chain(itertools.repeat(g_view, reps), itertools.repeat(h_view, reps))
     return _run_searches(oracle, bdp_line_tester_budget(bounds, e, a),
-                         _searches(lines, n, rng, certify))
+                         _searches(oracle, checks, rng, certify))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ sum was a Python number (Fractions wherever a Fraction entry came first),
 with its O(1) value maps; ``test_line.py`` requires the library class to
 give the same values, types and errors on its whole public surface.
 
-``all_axis_lines``, ``remaining``, ``poset_le`` and ``comparable_pairs``
-are helpers that only tests use, kept here rather than in the library.
+``sample_axis_line``, ``all_axis_lines``, ``axis_line_views``,
+``remaining``, ``poset_le`` and ``comparable_pairs`` are helpers that only
+tests use, kept here rather than in the library.
 """
 from __future__ import annotations
 
@@ -24,7 +25,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
+from ertest import hypergrid as HG
+from ertest import line as L
 from ertest.core import (
     ALL_CHECKS_PASSED,
     BUDGET_EXHAUSTED,
@@ -34,6 +38,7 @@ from ertest.core import (
     QueryOracle,
     Verdict,
     check_params as _params,
+    draw,
     value_gt,
 )
 from ertest.hypergrid import (
@@ -43,7 +48,6 @@ from ertest.hypergrid import (
     bdp_hypergrid_budget,
     hypergrid_iterations,
     monotone_hypergrid_budget,
-    sample_axis_line,
 )
 from ertest.line import (
     INF,
@@ -105,6 +109,36 @@ def remaining(oracle: QueryOracle) -> int:
     if oracle.budget is None:
         return 0
     return oracle.budget - oracle.count
+
+
+def sample_axis_line(domain: Domain, rng) -> AxisLine:
+    """Uniform over all d * n^(d-1) axis-parallel lines, by ``draw``."""
+    axis = draw(rng, 1, domain.d)
+    fixed = tuple(draw(rng, 1, domain.n) for _ in range(domain.d - 1))
+    return AxisLine(axis, fixed)
+
+
+def axis_line_views(oracle: QueryOracle, iterations: int, checks, rng) -> list:
+    """What ``hypergrid._axis_searches`` hands each line's search on its
+    sampler path: ``(view, draws, violated, state)``, with ``draws`` the
+    source the start is drawn from, ``violated`` the pair check and
+    ``state`` the ``rng.getstate()`` once the line is drawn.  The sampler
+    and the step loop are rebound by name, as the bench's tracer rebinds
+    them, to record and draw nothing, so every search is a clean pass."""
+    seen = []
+
+    def start(line, lo, hi, draws):
+        seen.append((line, draws))
+        return lo, None
+
+    def search(line, lo, hi, s, fs, search_rng, violated):
+        seen[-1] += (violated, search_rng.getstate())
+
+    with mock.patch.object(L, "sample_nonerased_uniform", start), \
+            mock.patch.object(L, "randomized_binary_search_step_loop", search):
+        out = list(HG._axis_searches(oracle, iterations, checks, rng, None))
+    assert out == [None] * iterations
+    return seen
 
 
 def all_axis_lines(domain: Domain):

@@ -1,19 +1,23 @@
-"""The fused pivot loop of ``randomized_binary_search_step_loop`` against the
-loop through ``sample_nonerased_uniform``, and what a counting wrapper of
-the sampler sees.
+"""The fused search of ``line._searches`` and ``hypergrid._axis_searches``
+against the path through ``sample_nonerased_uniform`` and the step loop, and
+what a counting wrapper of the sampler sees.
 
-A plain ``random.Random`` with a plain ``QueryOracle`` (a line oracle, or an
-axis-line view of a grid oracle) runs the fused loop.  A ``Random`` subclass
-draws the same values through its inherited ``randint`` and runs the loop
-through the sampler, as a rebound sampler name does.  Both must return the
-same pair, check the same pairs, charge the same queries, leave the same
-``getstate()`` and run out of budget at the same query.
+A plain ``random.Random`` with a plain ``QueryOracle`` (a line oracle or a
+grid oracle) runs ``line._fused_search``: each search's start, on a grid
+with the replays of its axis line's fixed-coordinate draws, and its pivots
+in one frame.  A ``Random`` subclass draws the same values through its
+inherited ``randint`` and takes the sampler path, as a rebound sampler name
+does.  Both must find the same pairs, certify the same, charge the same
+queries, leave the same ``getstate()`` and run out of budget at the same
+query.
 """
 import functools
+import itertools
 import random
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ertest import hypergrid as HG
@@ -22,27 +26,33 @@ from ertest.core import ERASED, BudgetExhausted, Domain, ErasedFunction, LazyVal
 from ertest.hypergrid import BoundingFamily
 from ertest.line import LineBoundingPair
 
+from reference_testers import axis_line_views
 from test_tester_reference import values_with_erasures
 
 FUSED_SETTINGS = settings(max_examples=400, deadline=None)
 
 
 class _Unfused(random.Random):
-    """A ``Random`` in all but its type, so the step loop samples its pivots
-    through ``sample_nonerased_uniform``."""
+    """A ``Random`` in all but its type, so every search takes the sampler
+    path."""
 
 
 def _no_draw(*args):
-    raise AssertionError("the fused loop went through the sampler's draw")
+    raise AssertionError("the fused search went through the sampler's draw")
+
+
+def _rebound_sampler():
+    """The sampler's name bound to a wrapper of itself, as a tracer binds
+    it: a plain ``Random`` then takes the sampler path too."""
+    return mock.patch.object(L, "sample_nonerased_uniform",
+                             functools.partial(L.sample_nonerased_uniform))
 
 
 @st.composite
 def search_cases(draw):
     """A line or a d = 2, 3 grid of int, Fraction, float or lazily parsed
-    int values with up to 95% erased; the seed of the axis line a grid
-    search runs on; a start s in a range [lo, hi] of the searched line,
-    nonerased when the line has a nonerased point; a pair check; a spent
-    count and a budget small enough to run out mid-search."""
+    int values with up to 95% erased; a pair check; a spent count and a
+    budget small enough to run out inside a start or among the pivots."""
     d = draw(st.sampled_from([1, 1, 2, 3]))
     n = draw(st.integers(1, 40) if d == 1 else st.integers(2, 6 if d == 2 else 4))
     dom = Domain.grid(n, d)
@@ -50,80 +60,142 @@ def search_cases(draw):
     if all(type(v) is int for v in values if v is not ERASED) and draw(st.booleans()):
         values = LazyValues(["_" if v is ERASED else str(v) for v in values])
     fn = ErasedFunction(dom, values)
-    line_seed = draw(st.integers(0, 2 ** 32 - 1))
-    _, read = _target(QueryOracle(fn), line_seed)
-    flat = [read(p) for p in range(1, n + 1)]
-    kept = [p for p in range(1, n + 1) if flat[p - 1] is not ERASED]
-    s = draw(st.sampled_from(kept)) if kept else draw(st.integers(1, n))
-    fs = flat[s - 1] if kept else 0
-    lo, hi = draw(st.integers(1, s)), draw(st.integers(s, n))
     check = draw(st.sampled_from(["descends", "lipschitz"]))
     check = L._descends if check == "descends" else L._bdp_check(LineBoundingPair.lipschitz(n))
     spent = draw(st.integers(0, 4))
     budget = spent + draw(st.integers(0, 60))
-    return fn, line_seed, lo, hi, s, fs, check, spent, budget
+    return fn, check, spent, budget
 
 
-def _target(oracle, line_seed):
-    """What a search runs on: the line oracle itself, or the view of one
-    axis line drawn from ``line_seed``; and an uncharged read of position p."""
-    values = oracle.fn.values
-    if oracle.fn.domain.d == 1:
-        return oracle, lambda p: values[p - 1]
-    ((view, _, _),) = HG._axis_searches(oracle, 1, (None,) * oracle.fn.domain.d,
-                                        random.Random(line_seed))
-    return view, lambda p: values[view.base + (p - 1) * view.stride]
-
-
-def _search(rng_type, seed, case):
-    fn, line_seed, lo, hi, s, fs, check, spent, budget = case
-    oracle = QueryOracle(fn, budget)
+def _search(rng, case, fused):
+    """One search on ``case``'s line, or on the axis line ``rng`` draws
+    first: ``_fused_search`` when ``fused``, else ``_sampled_search``.
+    Returns the outcome, the pairs checked, ``oracle.count`` and
+    ``rng.getstate()``."""
+    fn, check, spent, budget = case
+    oracle, n, pairs = QueryOracle(fn, budget), fn.domain.n, []
     oracle.count = spent
-    target, _ = _target(oracle, line_seed)
-    rng, pairs = rng_type(seed), []
 
     def violated(*pair):
         pairs.append(pair)
         return check(*pair)
 
     try:
-        out = ("found", L.randomized_binary_search_step_loop(target, lo, hi, s, fs, rng,
-                                                              violated))
+        if fn.domain.d == 1 and fused:
+            hit = L._fused_search(oracle, -1, 1, n, (), (), rng, violated)
+        elif fn.domain.d == 1:
+            hit = L._sampled_search(oracle, n, rng, rng, violated)
+        else:
+            ((view, *_),) = axis_line_views(oracle, 1, (None,) * fn.domain.d, rng)
+            if fused:
+                hit = L._fused_search(oracle, view.base - view.stride, view.stride, n,
+                                      view.before, view.after, rng, violated)
+            else:
+                hit = L._sampled_search(view, n, view, rng, violated)
+        out = ("found", hit)
     except BudgetExhausted as e:
         out = ("budget", e.args)
-    return out, oracle.count, rng.getstate(), pairs
+    return out, pairs, oracle.count, rng.getstate()
 
 
 @FUSED_SETTINGS
 @given(search_cases(), st.integers(0, 2 ** 32 - 1))
 def test_fused_loop_matches_the_sampler_loop_draw_for_draw(case, seed):
     with mock.patch.object(L, "draw", _no_draw):
-        fused = _search(random.Random, seed, case)
-    assert fused == _search(_Unfused, seed, case)
-    (kind, got), count, _, _ = fused
+        fused = _search(random.Random(seed), case, True)
+    assert fused == _search(_Unfused(seed), case, False)
+    (kind, got), _, count, _ = fused
     if kind == "budget":
         # raised at the query that passes the budget, with the count written back
         assert got == (count,) and count == case[-1]
 
 
+def _run(case, iterations, rng, fused):
+    """The searches of ``iterations`` lines of ``case``, as a tester runs
+    them but with every certificate recorded, one in three passed over:
+    per search, what it yields, the pairs it checked, ``oracle.count`` and
+    ``rng.getstate()``; then how the searches ended."""
+    fn, check, spent, budget = case
+    oracle, d, pairs = QueryOracle(fn, budget), fn.domain.d, []
+    oracle.count = spent
+
+    def violated(*pair):
+        pairs.append(pair)
+        return check(*pair)
+
+    def certify(*hit):
+        if d > 1:
+            view, pa, fa, pb, fb = hit
+            hit = (view.line, (view.line.point(pa), fa), (view.line.point(pb), fb))
+        return None if len(pairs) % 3 == 0 else hit
+
+    if d == 1:  # two checks in turn, as bdp-line's views take turns
+        checks = itertools.islice(itertools.cycle([violated, L._descends]), iterations)
+        searches = L._searches(oracle, checks, rng, certify)
+    else:
+        searches = HG._axis_searches(oracle, iterations, (violated,) * d, rng, certify)
+    log = []
+    try:
+        for got in searches:
+            log.append((got, list(pairs), oracle.count, rng.getstate()))
+        end = "done"
+    except BudgetExhausted as e:
+        end = ("budget", e.args)
+    return log, end, oracle.count, rng.getstate()
+
+
+@FUSED_SETTINGS
+@given(search_cases(), st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.booleans())
+def test_fused_searches_match_the_sampler_path_search_for_search(case, seed, iterations,
+                                                                 rebound):
+    with mock.patch.object(L, "draw", _no_draw):
+        fused = _run(case, iterations, random.Random(seed), True)
+    if rebound:
+        with _rebound_sampler():
+            unfused = _run(case, iterations, random.Random(seed), False)
+    else:
+        unfused = _run(case, iterations, _Unfused(seed), False)
+    assert fused == unfused
+    _, end, count, _ = fused
+    if end != "done":
+        assert end == ("budget", (count,)) and count == case[-1]
+
+
+@pytest.mark.parametrize("budget", [0, 1, 5])
+@pytest.mark.parametrize("d, n", [(1, 9), (2, 5), (3, 4)])
+def test_a_budget_spent_inside_a_start_is_raised_after_its_replays(d, n, budget):
+    # nothing nonerased: every start draws until the budget runs out, and
+    # on a grid the query that raises comes after that draw's replays
+    dom = Domain.grid(n, d)
+    case = (ErasedFunction(dom, [ERASED] * (dom.size - 1) + [0]), L._descends, 0, budget)
+    spent = 0
+    for seed in range(12):
+        with mock.patch.object(L, "draw", _no_draw):
+            fused = _search(random.Random(seed), case, True)
+        assert fused == _search(_Unfused(seed), case, False)
+        with _rebound_sampler():
+            assert fused == _search(random.Random(seed), case, False)
+        (kind, got), pairs, count, _ = fused
+        if kind == "budget":
+            assert got == (budget,) and count == budget and pairs == []
+            spent += 1
+    assert spent >= 6
+
+
 def test_fused_loop_runs_only_with_the_library_sampler():
     # a rebound sampler name, a recording oracle subclass, a Random subclass
-    # and an unset budget each run the loop through the sampler
+    # and an unset budget each take the sampler path
     fn = ErasedFunction(Domain.line(8), [1, ERASED, 3, 4, 5, ERASED, 7, 8])
     plain = QueryOracle(fn, 50)
-    assert L._flat_reads(plain, 1, 8, random.Random(0)) == (plain, -1, 1)
-    assert L._flat_reads(plain, 0, 8, random.Random(0)) is None
-    assert L._flat_reads(plain, 1, 9, random.Random(0)) is None
-    assert L._flat_reads(plain, 1, 8, _Unfused(0)) is None
-    assert L._flat_reads(QueryOracle(fn), 1, 8, random.Random(0)) is None
-    assert L._flat_reads(type("Sub", (QueryOracle,), {})(fn, 50), 1, 8, random.Random(0)) is None
-    with mock.patch.object(L, "sample_nonerased_uniform",
-                           functools.partial(L.sample_nonerased_uniform)):
-        assert L._flat_reads(plain, 1, 8, random.Random(0)) is None
+    assert L._fuses(plain, random.Random(0))
+    assert not L._fuses(plain, _Unfused(0))
+    assert not L._fuses(QueryOracle(fn), random.Random(0))
+    assert not L._fuses(type("Sub", (QueryOracle,), {})(fn, 50), random.Random(0))
+    with _rebound_sampler():
+        assert not L._fuses(plain, random.Random(0))
     grid = QueryOracle(ErasedFunction(Domain.grid(3, 2), list(range(9))), 50)
-    ((view, _, _),) = HG._axis_searches(grid, 1, (None, None), random.Random(3))
-    assert L._flat_reads(view, 1, 3, random.Random(0)) == (
-        grid, view.base - view.stride, view.stride)
+    assert L._fuses(grid, random.Random(0))
+    assert not L._fuses(grid, _Unfused(0))
 
 
 class _CountingSampler:
@@ -185,7 +257,7 @@ _CASES = [
 
 def test_a_rebound_sampler_sees_every_start_and_pivot(monkeypatch):
     # the bench's tracer reads pivots and erased draws through these names;
-    # the fused loop steps aside for it and the verdicts stay the same
+    # the fused search steps aside for it and the verdicts stay the same
     for name, make_fn, run in _CASES:
         for erase_every in (0, 5):
             fn = make_fn(erase_every)

@@ -23,7 +23,6 @@ from ertest.line import (INF, LineBoundingPair, bdp_line_budget, convex_line_bud
 from ertest.hypergrid import (
     AxisLine,
     BoundingFamily,
-    _axis_searches,
     _exact_iterations,
     bdp_hypergrid_budget,
     check_grid_certificate,
@@ -31,7 +30,6 @@ from ertest.hypergrid import (
     hypergrid_iterations,
     monotone_hypergrid_budget,
     quasi_metric,
-    sample_axis_line,
 )
 from ertest.hypergrid import test_bdp_hypergrid as run_grid_bdp
 from ertest.hypergrid import test_monotone_hypergrid as run_grid_monotone
@@ -40,7 +38,7 @@ from ertest.transforms import k_runs_sample_size
 from ertest.rng import make_rng
 
 from reference_oracles import is_member_bdp
-from reference_testers import all_axis_lines
+from reference_testers import all_axis_lines, axis_line_views, sample_axis_line
 
 
 def grid_fn(n, d, mapping, erase=None, rng=None):
@@ -190,7 +188,7 @@ def test_axis_line_view_reads_every_point_of_its_line():
     fn = ErasedFunction(dom, [ERASED if i % 7 == 3 else i * i for i in range(dom.size)])
     oracle = QueryOracle(fn, budget=dom.size * dom.d)
     seen = set()
-    for view, _, _ in _axis_searches(oracle, 2000, (None,) * dom.d, random.Random(0)):
+    for view, *_ in axis_line_views(oracle, 2000, (None,) * dom.d, random.Random(0)):
         if view.line in seen:
             continue
         seen.add(view.line)
@@ -203,7 +201,7 @@ def test_axis_line_view_reads_every_point_of_its_line():
 @pytest.mark.parametrize("pos", [0, 5, -1])
 def test_axis_line_view_refuses_a_position_off_its_line(pos):
     oracle = QueryOracle(grid_fn(4, 3, lambda p: sum(p)), budget=10)
-    ((view, _, _),) = _axis_searches(oracle, 1, (None,) * 3, random.Random(0))
+    ((view, *_),) = axis_line_views(oracle, 1, (None,) * 3, random.Random(0))
     with pytest.raises(ValueError, match=f"^position {pos} outside the axis line \\[1, 4\\]$"):
         view.query((pos,))
     assert oracle.count == 0
@@ -238,7 +236,7 @@ def test_folded_axis_draws_build_the_view_of_sample_axis_line(d, n, rng_type):
     checks = tuple(object() for _ in range(d))
     for seed in range(6):
         folded, plain = rng_type(seed), random.Random(seed)
-        for view, draws, check in _axis_searches(oracle, 30, checks, folded):
+        for view, draws, check, state in axis_line_views(oracle, 30, checks, folded):
             line = sample_axis_line(dom, plain)
             assert (view.axis, view.fixed) == (line.axis, line.fixed)
             assert view.line == line
@@ -247,7 +245,7 @@ def test_folded_axis_draws_build_the_view_of_sample_axis_line(d, n, rng_type):
             assert view.stride == n ** (line.axis - 1)
             assert (view.before, view.after) == (range(line.axis - 1), range(d - line.axis))
             assert draws is view and check is checks[line.axis - 1]
-            assert folded.getstate() == plain.getstate()
+            assert state == plain.getstate()
 
 
 # ---------------------------------------------------------------------------
