@@ -90,9 +90,9 @@ def draw(rng, lo: int, hi: int) -> int:
     redraws while they reach ``span = hi - lo + 1``, which is what
     ``randint`` does on CPython 3.10-3.13 (``_randbelow_with_getrandbits``)
     three Python frames deeper: the same value and the same ``getstate()``.
-    Any other object, a ``Random`` subclass or an axis-line view among
-    them, gets its own ``randint``.  An empty range raises ValueError, as
-    ``randint`` does, where the loop would never end."""
+    Any other object, a ``Random`` subclass among them, gets its own
+    ``randint``.  An empty range raises ValueError, as ``randint`` does,
+    where the loop would never end."""
     if type(rng) is not Random:
         return rng.randint(lo, hi)
     span = hi - lo + 1

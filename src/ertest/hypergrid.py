@@ -19,7 +19,6 @@ from .core import (
     Verdict,
     ceil_frac,
     check_params,
-    draw,
     grid_descends,
     holds_values,
     value_gt,
@@ -104,45 +103,21 @@ def grid_pair_violates(family: BoundingFamily, x: tuple, fx, y: tuple, fy) -> bo
 # ---------------------------------------------------------------------------
 # axis lines
 
-@dataclass(frozen=True)
-class AxisLine:
-    """The line along ``axis`` (1-based) of a grid, with the other
-    coordinates fixed, listed in increasing dimension order."""
-
-    axis: int
-    fixed: tuple
-
-    def point(self, pos: int) -> tuple:
-        return self.fixed[:self.axis - 1] + (pos,) + self.fixed[self.axis - 1:]
-
-
 class _AxisLineView:
-    """One axis line of a grid oracle, presented as a line oracle and as the
-    random source its start is drawn from; the budget is the grid's.
+    """One axis line of a grid oracle, presented as a line oracle; the
+    budget is the grid's.
 
-    The line's points sit at flat indices ``base + (p - 1) * stride`` for
-    positions p = 1..n, with ``stride = n ** (axis - 1)`` and ``base`` the
-    sum of (c - 1) * n ** (r - 1) over the fixed coordinates c of the other
-    dimensions r (``Domain.index_of``'s order), so ``query((p,))``
-    checks 1 <= p <= n and reads ``oracle.query_index`` without building or
-    validating a point.  ``randint`` is ``draw(rng, lo, hi)`` (the
-    ``getrandbits`` rule on a plain ``Random``) with the draws a box
-    sampler over the line's points once made for its fixed coordinates: one
-    ``rng.randint(c, c)`` for each coordinate c before the axis and one for
-    each after it.  Each of those is replayed as ``while
-    rng.getrandbits(1): pass``, which consumes the same Mersenne Twister
-    output, so the seeded stream is unchanged.  ``_axis_searches`` sets
-    every slot: for each line it draws on the sampler path, and on the
-    fused path only for a line whose search hands a violated pair to
-    ``certify``.  The view keeps ``axis`` and ``fixed``, and ``line``
-    builds the ``AxisLine`` only when asked, as a certificate naming a
-    point does."""
+    Position p of the line along ``axis`` (1-based) is flat index
+    ``base + (p - 1) * stride`` (``Domain.index_of``'s order, with
+    ``stride = n ** (axis - 1)`` and ``base`` the index of the line's first
+    point), so ``query((p,))`` checks 1 <= p <= n and reads
+    ``oracle.query_index`` without building or validating a point, and
+    ``point(p)`` builds the grid point only when a certificate names it."""
 
-    __slots__ = ("oracle", "axis", "fixed", "rng", "n", "base", "stride", "before", "after")
+    __slots__ = ("oracle", "axis", "n", "base", "stride")
 
-    @property
-    def line(self) -> AxisLine:
-        return AxisLine(self.axis, self.fixed)
+    def __init__(self, oracle: QueryOracle, axis: int, n: int, base: int, stride: int):
+        self.oracle, self.axis, self.n, self.base, self.stride = oracle, axis, n, base, stride
 
     def query(self, pt):
         (p,) = pt
@@ -150,16 +125,8 @@ class _AxisLineView:
             raise ValueError(f"position {p} outside the axis line [1, {self.n}]")
         return self.oracle.query_index(self.base + (p - 1) * self.stride)
 
-    def randint(self, lo: int, hi: int) -> int:
-        getrandbits = self.rng.getrandbits
-        for _ in self.before:
-            while getrandbits(1):
-                pass
-        m = draw(self.rng, lo, hi)
-        for _ in self.after:
-            while getrandbits(1):
-                pass
-        return m
+    def point(self, p: int) -> tuple:
+        return self.oracle.fn.domain.point_at(self.base + (p - 1) * self.stride)
 
 
 # ---------------------------------------------------------------------------
@@ -203,47 +170,40 @@ def _axis_searches(oracle: QueryOracle, iterations: int, checks, rng, certify):
     None after a clean pass, else ``certify(view, a, fa, b, fb)`` for the
     first violated pair, itself None to go on searching.
 
-    This frame draws the axis and then each fixed coordinate, in increasing
-    dimension order, by ``draw``'s plain-``Random`` rule with spans d and
-    then n, and sums the base index from the strides ``n ** r``, as
-    ``Domain.index_of`` would; a view reads its fixed coordinates back from
-    that base.  The draws take ``rng.getrandbits`` on any ``rng``, so a
-    subclass's own ``randint`` is not asked.  ``_fuses`` decides once, at
-    the first search, how every search runs: by ``_fused_search``, with an
-    ``_AxisLineView`` built only for a pair that goes to ``certify``, or by
-    ``_sampled_search`` over a view built for each line, its start drawn
-    through the view's ``randint``."""
+    Each line is one draw of its index x in [0, d * n ** (d - 1)), by
+    ``draw``'s plain-``Random`` rule on ``rng.getrandbits`` (on any
+    ``rng``, so a subclass's own ``randint`` is not asked).  ``divmod(x, n
+    ** (d - 1))`` gives the 0-based axis r and the line's index j among
+    that axis' lines, whose base-n digits, lowest first, are the other
+    dimensions' coordinates less 1 in increasing dimension order; the
+    line's first point is then flat index ``j % n ** r + j // n ** r * n **
+    (r + 1)``, as ``Domain.index_of`` would give it.  ``_fuses`` decides
+    once, at the first search, how every search runs: by ``_fused_search``,
+    with an ``_AxisLineView`` built only for a pair that goes to
+    ``certify``, or by ``_sampled_search`` over a view built for each
+    line."""
     domain = oracle.fn.domain
     n, d = domain.n, domain.d
-    getrandbits, kd, kn = rng.getrandbits, d.bit_length(), n.bit_length()
+    lines = n ** (d - 1)
+    span = d * lines
+    getrandbits, k = rng.getrandbits, span.bit_length()
     strides = [n ** r for r in range(d)]
-    # per 0-based axis: the other dimensions' strides, the axis stride, and
-    # the ranges of the start's replays before and after its draw
-    table = [(strides[:r] + strides[r + 1:], strides[r], range(r), range(d - 1 - r))
-             for r in range(d)]
-    fused, new = _fuses(oracle, rng), object.__new__
+    fused = _fuses(oracle, rng)
     for _ in range(iterations):
-        r = getrandbits(kd)
-        while r >= d:
-            r = getrandbits(kd)
-        others, stride, before, after = table[r]
-        base = 0
-        for s in others:
-            c = getrandbits(kn)
-            while c >= n:
-                c = getrandbits(kn)
-            base += c * s
+        x = getrandbits(k)
+        while x >= span:
+            x = getrandbits(k)
+        r, j = divmod(x, lines)
+        stride = strides[r]
+        base = j % stride + j // stride * stride * n
         if fused:
-            hit = _fused_search(oracle, base - stride, stride, n, before, after, rng, checks[r])
+            hit = _fused_search(oracle, base - stride, stride, n, rng, checks[r])
             if hit is None:
                 yield None
                 continue
-        view = new(_AxisLineView)
-        view.oracle, view.axis, view.rng, view.n = oracle, r + 1, rng, n
-        view.fixed = tuple(base // s % n + 1 for s in others)  # each c < n
-        view.base, view.stride, view.before, view.after = base, stride, before, after
+        view = _AxisLineView(oracle, r + 1, n, base, stride)
         if not fused:
-            hit = _sampled_search(view, n, view, rng, checks[r])
+            hit = _sampled_search(view, n, rng, checks[r])
         yield None if hit is None else certify(view, *hit)
 
 
@@ -254,8 +214,7 @@ def test_monotone_hypergrid(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
     n, d, e, a = _grid_params(oracle, eps, alpha, 250)
 
     def certify(view, pa, fa, pb, fb):
-        line = view.line
-        return ("monotone-violation", (line.point(pa), fa), (line.point(pb), fb))
+        return ("monotone-violation", (view.point(pa), fa), (view.point(pb), fb))
 
     return _run_searches(oracle, monotone_hypergrid_budget(n, d, e, a), _axis_searches(
         oracle, hypergrid_iterations(d, e, a, 12), (_descends,) * d, rng, certify))
@@ -272,8 +231,7 @@ def test_bdp_hypergrid(oracle: QueryOracle, family: BoundingFamily,
     def certify(view, pa, fa, pb, fb):
         # reject only when the raw pair violates under exact recheck
         if pair_violates(family.per_dim[view.axis - 1], pa, fa, pb, fb):
-            line = view.line
-            return ("bdp-violation", (line.point(pa), fa), (line.point(pb), fb))
+            return ("bdp-violation", (view.point(pa), fa), (view.point(pb), fb))
         return None
 
     checks = [_bdp_check(bounds) for bounds in family.per_dim]

@@ -262,9 +262,7 @@ def sample_nonerased_uniform(line, lo: int, hi: int, rng):
     line of a grid), with its value.  Each draw is one ``draw(rng, lo, hi)``
     (``getrandbits`` on a plain ``Random``, ``rng.randint`` otherwise) and
     one query, so erasures are paid for in budget; a fully erased range
-    ends only through ``BudgetExhausted``.  A grid search's start passes its
-    axis-line view as ``rng``: each draw is then the view's ``randint``,
-    with the replays of the fixed coordinates' draws around it.
+    ends only through ``BudgetExhausted``.
 
     The convexity search's starts and pivots come through here.  The starts
     and pivots of the binary searches do too whenever ``_fuses`` refuses
@@ -316,43 +314,34 @@ def randomized_binary_search_step_loop(oracle, lo, hi, s, fs, rng, violated):
     return None
 
 
-def _sampled_search(line, n: int, draws, rng, violated):
+def _sampled_search(line, n: int, rng, violated):
     """One search over [1, n] of ``line`` (the oracle, or an axis-line view
-    of a grid): its nonerased start from ``draws`` (the view itself on a
-    grid) through ``sample_nonerased_uniform``, its pivots from ``rng``
-    through ``randomized_binary_search_step_loop``, each by its
+    of a grid): its nonerased start through ``sample_nonerased_uniform``,
+    its pivots through ``randomized_binary_search_step_loop``, each by its
     module-global name.  Returns what the step loop returns."""
-    s, fs = sample_nonerased_uniform(line, 1, n, draws)
+    s, fs = sample_nonerased_uniform(line, 1, n, rng)
     return randomized_binary_search_step_loop(line, 1, n, s, fs, rng, violated)
 
 
-def _fused_search(oracle, base: int, stride: int, n: int, before, after, rng, violated):
+def _fused_search(oracle, base: int, stride: int, n: int, rng, violated):
     """``_sampled_search`` in one frame, for the searches ``_fuses`` allows:
     the line's position p is flat index ``base + p * stride`` of
     ``oracle.fn.values`` (``base = -1, stride = 1`` on a line oracle).
 
-    The start takes ``draw``'s ``getrandbits`` rule on [1, n], with
-    ``before`` and ``after`` replays of ``while getrandbits(1): pass``
-    around each draw, as the axis-line view's ``randint`` has them (both
-    empty on a line).  The pivots then halve toward it as the step loop
-    does.  The query count stays in a local, written back in a ``finally``;
-    ``BudgetExhausted(count)`` is raised at the query ``query`` raises it
-    at, after that query's draw and replays, in the start as among the
-    pivots.  It matches ``_sampled_search`` draw for draw: the same start,
-    pivots, pairs checked, result, ``oracle.count`` and ``rng.getstate()``."""
+    The start takes ``draw``'s ``getrandbits`` rule on [1, n]; the pivots
+    then halve toward it as the step loop does.  The query count stays in a
+    local, written back in a ``finally``; ``BudgetExhausted(count)`` is
+    raised at the query ``query`` raises it at, after that query's draw, in
+    the start as among the pivots.  It matches ``_sampled_search`` draw for
+    draw: the same start, pivots, pairs checked, result, ``oracle.count``
+    and ``rng.getstate()``."""
     getrandbits, values, k = rng.getrandbits, oracle.fn.values, n.bit_length()
     budget, count = oracle.budget, oracle.count
     try:
         while True:
-            for _ in before:
-                while getrandbits(1):
-                    pass
             x = getrandbits(k)
             while x >= n:
                 x = getrandbits(k)
-            for _ in after:
-                while getrandbits(1):
-                    pass
             if count >= budget:
                 raise BudgetExhausted(count)
             count += 1
@@ -421,9 +410,9 @@ def _searches(oracle: QueryOracle, checks, rng, certify):
     fused = _fuses(oracle, rng)
     for violated in checks:
         if fused:
-            hit = _fused_search(oracle, -1, 1, n, (), (), rng, violated)
+            hit = _fused_search(oracle, -1, 1, n, rng, violated)
         else:
-            hit = _sampled_search(oracle, n, rng, rng, violated)
+            hit = _sampled_search(oracle, n, rng, violated)
         yield None if hit is None else certify(*hit)
 
 

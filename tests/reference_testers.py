@@ -3,21 +3,22 @@ search driver and its budget shell.
 
 Each tester here runs its own search loop, draws every pivot and start point
 through ``sample_nonerased_uniform`` over a freshly built ``Box`` (the
-box sampler the library once had, kept here verbatim), reads a grid's axis
-line through ``AxisLineView``, which builds and validates every point it
-asks for, and rebuilds the O(n) bounded-derivative value maps on every
-call.  The cross-check tests in ``test_tester_reference.py`` require the
-library testers to give the same verdict, ``queries_used`` and certificate
-as these on the same seed.
+box sampler the library once had, kept here verbatim), draws a grid's axis
+line through ``sample_axis_line`` as an ``AxisLine`` and reads it through
+``AxisLineView``, which builds and validates every point it asks for, and
+rebuilds the O(n) bounded-derivative value maps on every call.  The
+cross-check tests in ``test_tester_reference.py`` require the library
+testers to give the same verdict, ``queries_used`` and certificate as these
+on the same seed.
 
 ``PrefixBoundingPair`` is the step-bound class as it was while every prefix
 sum was a Python number (Fractions wherever a Fraction entry came first),
 with its O(1) value maps; ``test_line.py`` requires the library class to
 give the same values, types and errors on its whole public surface.
 
-``sample_axis_line``, ``all_axis_lines``, ``axis_line_views``,
-``remaining``, ``poset_le`` and ``comparable_pairs`` are helpers that only
-tests use, kept here rather than in the library.
+``AxisLine``, ``sample_axis_line``, ``all_axis_lines``,
+``axis_line_views``, ``remaining``, ``poset_le`` and ``comparable_pairs``
+are helpers that only tests use, kept here rather than in the library.
 """
 from __future__ import annotations
 
@@ -42,7 +43,6 @@ from ertest.core import (
     value_gt,
 )
 from ertest.hypergrid import (
-    AxisLine,
     BoundingFamily,
     _grid_params,
     bdp_hypergrid_budget,
@@ -111,24 +111,43 @@ def remaining(oracle: QueryOracle) -> int:
     return oracle.budget - oracle.count
 
 
+@dataclass(frozen=True)
+class AxisLine:
+    """The line along ``axis`` (1-based) of a grid, with the other
+    coordinates fixed, listed in increasing dimension order."""
+
+    axis: int
+    fixed: tuple
+
+    def point(self, pos: int) -> tuple:
+        return self.fixed[:self.axis - 1] + (pos,) + self.fixed[self.axis - 1:]
+
+
 def sample_axis_line(domain: Domain, rng) -> AxisLine:
-    """Uniform over all d * n^(d-1) axis-parallel lines, by ``draw``."""
-    axis = draw(rng, 1, domain.d)
-    fixed = tuple(draw(rng, 1, domain.n) for _ in range(domain.d - 1))
-    return AxisLine(axis, fixed)
+    """Uniform over all d * n^(d-1) axis-parallel lines, by one ``draw`` of
+    the line's index: axis-major, and within an axis the fixed coordinates
+    in increasing dimension order, the lowest varying fastest."""
+    n, d = domain.n, domain.d
+    axis, j = divmod(draw(rng, 0, d * n ** (d - 1) - 1), n ** (d - 1))
+    fixed = []
+    for _ in range(d - 1):
+        j, c = divmod(j, n)
+        fixed.append(c + 1)
+    return AxisLine(axis + 1, tuple(fixed))
 
 
 def axis_line_views(oracle: QueryOracle, iterations: int, checks, rng) -> list:
     """What ``hypergrid._axis_searches`` hands each line's search on its
-    sampler path: ``(view, draws, violated, state)``, with ``draws`` the
-    source the start is drawn from, ``violated`` the pair check and
-    ``state`` the ``rng.getstate()`` once the line is drawn.  The sampler
-    and the step loop are rebound by name, as the bench's tracer rebinds
-    them, to record and draw nothing, so every search is a clean pass."""
+    sampler path: ``(view, violated, state)``, with ``violated`` the pair
+    check and ``state`` the ``rng.getstate()`` once the line is drawn.  The
+    sampler and the step loop are rebound by name, as the bench's tracer
+    rebinds them, to record and draw nothing, so every search is a clean
+    pass."""
     seen = []
 
-    def start(line, lo, hi, draws):
-        seen.append((line, draws))
+    def start(line, lo, hi, start_rng):
+        assert start_rng is rng
+        seen.append((line,))
         return lo, None
 
     def search(line, lo, hi, s, fs, search_rng, violated):
@@ -296,13 +315,9 @@ class AxisLineView:
         return self.oracle.query(self.head + pt + self.tail)
 
 
-def _sample_on_line(oracle, line, n: int, rng):
-    lopt = line.point(1)
-    hipt = line.point(n)
-    box = Box(tuple(min(a, b) for a, b in zip(lopt, hipt)),
-              tuple(max(a, b) for a, b in zip(lopt, hipt)))
-    pt, v = sample_nonerased_uniform(oracle, box, rng)
-    return pt[line.axis - 1], v
+def _sample_on_line(view, n: int, rng):
+    (p,), v = sample_nonerased_uniform(view, Box((1,), (n,)), rng)
+    return p, v
 
 
 def test_monotone_hypergrid(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
@@ -312,7 +327,7 @@ def test_monotone_hypergrid(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
         for _ in range(hypergrid_iterations(d, e, a, 12)):
             line = sample_axis_line(oracle.fn.domain, rng)
             view = AxisLineView(oracle, line)
-            s, fs = _sample_on_line(oracle, line, n, rng)
+            s, fs = _sample_on_line(view, n, rng)
 
             def on_pivot(m, fm, side):
                 if side == "right" and value_gt(fs, fm):
@@ -342,7 +357,7 @@ def test_bdp_hypergrid(oracle: QueryOracle, family: BoundingFamily,
             line = sample_axis_line(oracle.fn.domain, rng)
             bounds = family.per_dim[line.axis - 1]
             view = AxisLineView(oracle, line)
-            s, fs = _sample_on_line(oracle, line, n, rng)
+            s, fs = _sample_on_line(view, n, rng)
 
             if bounds.all_finite:
                 g_map, h_map = bdp_to_monotone_transforms(bounds)

@@ -3,9 +3,9 @@ against the path through ``sample_nonerased_uniform`` and the step loop, and
 what a counting wrapper of the sampler sees.
 
 A plain ``random.Random`` with a plain ``QueryOracle`` (a line oracle or a
-grid oracle) runs ``line._fused_search``: each search's start, on a grid
-with the replays of its axis line's fixed-coordinate draws, and its pivots
-in one frame.  A ``Random`` subclass draws the same values through its
+grid oracle) runs ``line._fused_search``: each search's start and its
+pivots in one frame, on a grid after ``_axis_searches`` has drawn the axis
+line.  A ``Random`` subclass draws the same values through its
 inherited ``randint`` and takes the sampler path, as a rebound sampler name
 does.  Both must find the same pairs, certify the same, charge the same
 queries, leave the same ``getstate()`` and run out of budget at the same
@@ -22,11 +22,12 @@ from hypothesis import given, settings, strategies as st
 
 from ertest import hypergrid as HG
 from ertest import line as L
-from ertest.core import ERASED, BudgetExhausted, Domain, ErasedFunction, LazyValues, QueryOracle
+from ertest.core import (ERASED, BudgetExhausted, Domain, ErasedFunction, LazyValues, QueryOracle,
+                         draw)
 from ertest.hypergrid import BoundingFamily
 from ertest.line import LineBoundingPair
 
-from reference_testers import axis_line_views
+from reference_testers import axis_line_views, sample_axis_line
 from test_tester_reference import values_with_erasures
 
 FUSED_SETTINGS = settings(max_examples=400, deadline=None)
@@ -82,16 +83,16 @@ def _search(rng, case, fused):
 
     try:
         if fn.domain.d == 1 and fused:
-            hit = L._fused_search(oracle, -1, 1, n, (), (), rng, violated)
+            hit = L._fused_search(oracle, -1, 1, n, rng, violated)
         elif fn.domain.d == 1:
-            hit = L._sampled_search(oracle, n, rng, rng, violated)
+            hit = L._sampled_search(oracle, n, rng, violated)
         else:
             ((view, *_),) = axis_line_views(oracle, 1, (None,) * fn.domain.d, rng)
             if fused:
-                hit = L._fused_search(oracle, view.base - view.stride, view.stride, n,
-                                      view.before, view.after, rng, violated)
+                hit = L._fused_search(oracle, view.base - view.stride, view.stride, n, rng,
+                                      violated)
             else:
-                hit = L._sampled_search(view, n, view, rng, violated)
+                hit = L._sampled_search(view, n, rng, violated)
         out = ("found", hit)
     except BudgetExhausted as e:
         out = ("budget", e.args)
@@ -126,7 +127,7 @@ def _run(case, iterations, rng, fused):
     def certify(*hit):
         if d > 1:
             view, pa, fa, pb, fb = hit
-            hit = (view.line, (view.line.point(pa), fa), (view.line.point(pb), fb))
+            hit = (view.axis, (view.point(pa), fa), (view.point(pb), fb))
         return None if len(pairs) % 3 == 0 else hit
 
     if d == 1:  # two checks in turn, as bdp-line's views take turns
@@ -165,7 +166,8 @@ def test_fused_searches_match_the_sampler_path_search_for_search(case, seed, ite
 @pytest.mark.parametrize("d, n", [(1, 9), (2, 5), (3, 4)])
 def test_a_budget_spent_inside_a_start_is_raised_after_its_replays(d, n, budget):
     # nothing nonerased: every start draws until the budget runs out, and
-    # on a grid the query that raises comes after that draw's replays
+    # the query that raises is the start's own, right after its one plain
+    # draw over [1, n], on a grid as on a line
     dom = Domain.grid(n, d)
     case = (ErasedFunction(dom, [ERASED] * (dom.size - 1) + [0]), L._descends, 0, budget)
     spent = 0
@@ -175,9 +177,17 @@ def test_a_budget_spent_inside_a_start_is_raised_after_its_replays(d, n, budget)
         assert fused == _search(_Unfused(seed), case, False)
         with _rebound_sampler():
             assert fused == _search(random.Random(seed), case, False)
-        (kind, got), pairs, count, _ = fused
+        (kind, got), pairs, count, state = fused
         if kind == "budget":
             assert got == (budget,) and count == budget and pairs == []
+            # the line's one draw, then one draw over [1, n] per query, the
+            # one that raises included
+            want = random.Random(seed)
+            if d > 1:
+                sample_axis_line(dom, want)
+            for _ in range(budget + 1):
+                draw(want, 1, n)
+            assert state == want.getstate()
             spent += 1
     assert spent >= 6
 

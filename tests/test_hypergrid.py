@@ -1,7 +1,6 @@
 """Hypergrid testers: the quasi-metric, axis-line machinery, dimension
 reduction, and the two grid testers."""
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -9,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ertest.core import (
-    ALL_CHECKS_PASSED,
     BUDGET_EXHAUSTED,
     ERASED,
     Domain,
@@ -21,12 +19,10 @@ from ertest.core import (
 from ertest.line import (INF, LineBoundingPair, bdp_line_budget, convex_line_budget,
                          monotone_line_budget, one_sixth_iterations, proximity_iterations)
 from ertest.hypergrid import (
-    AxisLine,
     BoundingFamily,
     _exact_iterations,
     bdp_hypergrid_budget,
     check_grid_certificate,
-    grid_pair_violates,
     hypergrid_iterations,
     monotone_hypergrid_budget,
     quasi_metric,
@@ -38,7 +34,7 @@ from ertest.transforms import k_runs_sample_size
 from ertest.rng import make_rng
 
 from reference_oracles import is_member_bdp
-from reference_testers import all_axis_lines, axis_line_views, sample_axis_line
+from reference_testers import AxisLine, all_axis_lines, axis_line_views, sample_axis_line
 
 
 def grid_fn(n, d, mapping, erase=None, rng=None):
@@ -181,6 +177,12 @@ def test_single_line_domain():
         assert sample_axis_line(dom, rng) == AxisLine(1, ())
 
 
+def _axis_line(view) -> AxisLine:
+    """The reference line of an axis-line view, read off its first point."""
+    first = view.point(1)
+    return AxisLine(view.axis, first[:view.axis - 1] + first[view.axis:])
+
+
 def test_axis_line_view_reads_every_point_of_its_line():
     # the views _axis_searches builds reach every axis line; each reads its
     # line's points, every line once
@@ -189,11 +191,12 @@ def test_axis_line_view_reads_every_point_of_its_line():
     oracle = QueryOracle(fn, budget=dom.size * dom.d)
     seen = set()
     for view, *_ in axis_line_views(oracle, 2000, (None,) * dom.d, random.Random(0)):
-        if view.line in seen:
+        line = _axis_line(view)
+        if line in seen:
             continue
-        seen.add(view.line)
+        seen.add(line)
         for p in range(1, dom.n + 1):
-            assert view.query((p,)) == fn.value_at(view.line.point(p))
+            assert view.query((p,)) == fn.value_at(line.point(p))
     assert seen == set(all_axis_lines(dom))
     assert oracle.count == oracle.budget
 
@@ -207,19 +210,19 @@ def test_axis_line_view_refuses_a_position_off_its_line(pos):
     assert oracle.count == 0
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2 ** 64 - 1), st.integers(-2 ** 70, 2 ** 70))
-def test_a_start_replay_consumes_what_randint_c_c_consumes(seed, c):
-    # the axis-line view replays each rng.randint(c, c) as this loop
-    drawn, replayed = random.Random(seed), random.Random(seed)
-    assert drawn.randint(c, c) == c
-    while replayed.getrandbits(1):
-        pass
-    assert drawn.getstate() == replayed.getstate()
-
-
 class _SubRandom(random.Random):
     pass
+
+
+class _Indices(random.Random):
+    """Hands out the given values as its random bits, one per call."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self._values = iter(values)
+
+    def getrandbits(self, k):
+        return next(self._values)
 
 
 _FOLD_SHAPES = [(d, n) for d in (1, 2, 3, 4) for n in (1, 2, 3, 5, 16)]
@@ -228,23 +231,34 @@ _FOLD_SHAPES = [(d, n) for d in (1, 2, 3, 4) for n in (1, 2, 3, 5, 16)]
 @pytest.mark.parametrize("rng_type", [random.Random, _SubRandom])
 @pytest.mark.parametrize("d, n", _FOLD_SHAPES)
 def test_folded_axis_draws_build_the_view_of_sample_axis_line(d, n, rng_type):
-    # _axis_searches draws each line in its own frame; its view, and the
-    # stream after it, match sample_axis_line's line on a plain Random and
-    # the base, stride and replay ranges Domain.index_of's order gives it
+    # _axis_searches draws each line as one index in [0, d * n^(d-1)): the
+    # indices map one-to-one onto the axis lines, each view reads the points
+    # of sample_axis_line's line for that index, and on a seeded stream the
+    # view, and the stream after it, match sample_axis_line's on a plain
+    # Random, with the base and stride Domain.index_of's order gives it
     dom = Domain.grid(n, d)
-    oracle = QueryOracle(ErasedFunction(dom, list(range(dom.size))))
+    fn = ErasedFunction(dom, [i * i for i in range(dom.size)])
+    count = d * n ** (d - 1)
+    oracle = QueryOracle(fn, budget=count * n)
     checks = tuple(object() for _ in range(d))
+    views = axis_line_views(oracle, count, checks, _Indices(range(count)))
+    assert len(views) == count
+    lines = [sample_axis_line(dom, _Indices([x])) for x in range(count)]
+    assert len(set(lines)) == count and set(lines) == set(all_axis_lines(dom))
+    for (view, check, _), line in zip(views, lines):
+        assert (view.axis, check) == (line.axis, checks[line.axis - 1])
+        for p in range(1, n + 1):
+            assert view.point(p) == line.point(p)
+            assert view.query((p,)) == fn.value_at(line.point(p))
     for seed in range(6):
         folded, plain = rng_type(seed), random.Random(seed)
-        for view, draws, check, state in axis_line_views(oracle, 30, checks, folded):
+        for view, check, state in axis_line_views(oracle, 30, checks, folded):
             line = sample_axis_line(dom, plain)
-            assert (view.axis, view.fixed) == (line.axis, line.fixed)
-            assert view.line == line
-            assert (view.oracle, view.rng, view.n) == (oracle, folded, n)
+            assert _axis_line(view) == line
+            assert (view.oracle, view.axis, view.n) == (oracle, line.axis, n)
             assert view.base == dom.index_of(line.point(1))
             assert view.stride == n ** (line.axis - 1)
-            assert (view.before, view.after) == (range(line.axis - 1), range(d - line.axis))
-            assert draws is view and check is checks[line.axis - 1]
+            assert check is checks[line.axis - 1]
             assert state == plain.getstate()
 
 

@@ -2,11 +2,10 @@
 
 On the same seed, every library tester must give the same verdict: outcome,
 reason, ``queries_used``, certificate and stats.  That pins the RNG stream of
-the Box-free draws, including the draws a grid start makes for its fixed
-coordinates (the reference's ``randint(c, c)``, the library's
-``getrandbits(1)`` replay of it), the flat-index reads of a grid's axis line
-against the reference's built points, and the values of the O(1)
-bounded-derivative maps.
+the Box-free draws, including a grid's one draw of its axis line's index
+(the reference's ``sample_axis_line``) and its start's plain draw on that
+line, the flat-index reads of a grid's axis line against the reference's
+built points, and the values of the O(1) bounded-derivative maps.
 """
 import random
 from fractions import Fraction
