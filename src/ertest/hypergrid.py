@@ -9,6 +9,7 @@ lines.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,13 +27,11 @@ from .core import (
 from .line import (
     INF,
     LineBoundingPair,
+    _axis_searches,
     _bdp_check,
     _descends,
-    _fused_search,
-    _fuses,
     _log_budget,
     _run_searches,
-    _sampled_search,
     bdp_to_monotone_transforms,  # noqa: F401  unused here; bench/tracing.py wraps it
     check_bounds,
     pair_violates,
@@ -101,35 +100,6 @@ def grid_pair_violates(family: BoundingFamily, x: tuple, fx, y: tuple, fy) -> bo
 
 
 # ---------------------------------------------------------------------------
-# axis lines
-
-class _AxisLineView:
-    """One axis line of a grid oracle, presented as a line oracle; the
-    budget is the grid's.
-
-    Position p of the line along ``axis`` (1-based) is flat index
-    ``base + (p - 1) * stride`` (``Domain.index_of``'s order, with
-    ``stride = n ** (axis - 1)`` and ``base`` the index of the line's first
-    point), so ``query((p,))`` checks 1 <= p <= n and reads
-    ``oracle.query_index`` without building or validating a point, and
-    ``point(p)`` builds the grid point only when a certificate names it."""
-
-    __slots__ = ("oracle", "axis", "n", "base", "stride")
-
-    def __init__(self, oracle: QueryOracle, axis: int, n: int, base: int, stride: int):
-        self.oracle, self.axis, self.n, self.base, self.stride = oracle, axis, n, base, stride
-
-    def query(self, pt):
-        (p,) = pt
-        if not 1 <= p <= self.n:
-            raise ValueError(f"position {p} outside the axis line [1, {self.n}]")
-        return self.oracle.query_index(self.base + (p - 1) * self.stride)
-
-    def point(self, p: int) -> tuple:
-        return self.oracle.fn.domain.point_at(self.base + (p - 1) * self.stride)
-
-
-# ---------------------------------------------------------------------------
 # testers
 
 def _grid_params(oracle, eps, alpha, gate_factor: int):
@@ -164,49 +134,6 @@ def _exact_iterations(d: int, e: Fraction, a: Fraction, factor: int) -> int:
     return ceil_frac(Fraction(factor * d) / denom)
 
 
-def _axis_searches(oracle: QueryOracle, iterations: int, checks, rng, certify):
-    """Per iteration, one randomized binary search along a uniform axis
-    line, with the pair check of its axis (``checks[axis - 1]``).  Yields
-    None after a clean pass, else ``certify(view, a, fa, b, fb)`` for the
-    first violated pair, itself None to go on searching.
-
-    Each line is one draw of its index x in [0, d * n ** (d - 1)), by
-    ``draw``'s plain-``Random`` rule on ``rng.getrandbits`` (on any
-    ``rng``, so a subclass's own ``randint`` is not asked).  ``divmod(x, n
-    ** (d - 1))`` gives the 0-based axis r and the line's index j among
-    that axis' lines, whose base-n digits, lowest first, are the other
-    dimensions' coordinates less 1 in increasing dimension order; the
-    line's first point is then flat index ``j % n ** r + j // n ** r * n **
-    (r + 1)``, as ``Domain.index_of`` would give it.  ``_fuses`` decides
-    once, at the first search, how every search runs: by ``_fused_search``,
-    with an ``_AxisLineView`` built only for a pair that goes to
-    ``certify``, or by ``_sampled_search`` over a view built for each
-    line."""
-    domain = oracle.fn.domain
-    n, d = domain.n, domain.d
-    lines = n ** (d - 1)
-    span = d * lines
-    getrandbits, k = rng.getrandbits, span.bit_length()
-    strides = [n ** r for r in range(d)]
-    fused = _fuses(oracle, rng)
-    for _ in range(iterations):
-        x = getrandbits(k)
-        while x >= span:
-            x = getrandbits(k)
-        r, j = divmod(x, lines)
-        stride = strides[r]
-        base = j % stride + j // stride * stride * n
-        if fused:
-            hit = _fused_search(oracle, base - stride, stride, n, rng, checks[r])
-            if hit is None:
-                yield None
-                continue
-        view = _AxisLineView(oracle, r + 1, n, base, stride)
-        if not fused:
-            hit = _sampled_search(view, n, rng, checks[r])
-        yield None if hit is None else certify(view, *hit)
-
-
 def test_monotone_hypergrid(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
     """Per iteration: one uniform axis line, one nonerased start point on it,
     one randomized binary search along it; rejects on an observed violated
@@ -216,8 +143,9 @@ def test_monotone_hypergrid(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
     def certify(view, pa, fa, pb, fb):
         return ("monotone-violation", (view.point(pa), fa), (view.point(pb), fb))
 
-    return _run_searches(oracle, monotone_hypergrid_budget(n, d, e, a), _axis_searches(
-        oracle, hypergrid_iterations(d, e, a, 12), (_descends,) * d, rng, certify))
+    checks = itertools.repeat((_descends,) * d, hypergrid_iterations(d, e, a, 12))
+    return _run_searches(oracle, monotone_hypergrid_budget(n, d, e, a),
+                         _axis_searches(oracle, checks, rng, certify))
 
 
 def test_bdp_hypergrid(oracle: QueryOracle, family: BoundingFamily,
@@ -234,20 +162,23 @@ def test_bdp_hypergrid(oracle: QueryOracle, family: BoundingFamily,
             return ("bdp-violation", (view.point(pa), fa), (view.point(pb), fb))
         return None
 
-    checks = [_bdp_check(bounds) for bounds in family.per_dim]
-    return _run_searches(oracle, bdp_hypergrid_budget(n, d, e, a), _axis_searches(
-        oracle, hypergrid_iterations(d, e, a, 48), checks, rng, certify))
+    checks = itertools.repeat(tuple(map(_bdp_check, family.per_dim)),
+                              hypergrid_iterations(d, e, a, 48))
+    return _run_searches(oracle, bdp_hypergrid_budget(n, d, e, a),
+                         _axis_searches(oracle, checks, rng, certify))
 
 
 def check_grid_certificate(fn: ErasedFunction, certificate,
                            family: BoundingFamily = None) -> bool:
     """Validates a grid reject certificate against the raw function.  False
-    means the certificate is bogus, or not (kind, (point, value),
-    (point, value))."""
+    means the certificate is bogus or not (kind, (point, value), (point,
+    value)); ``check_bounds`` refuses a bdp certificate's misfit family."""
     try:
         kind, (x, fx), (y, fy) = certificate
     except (TypeError, ValueError):  # not of that shape
         return False
+    if kind == "bdp-violation":
+        check_bounds("bdp-grid", family, BoundingFamily, fn.domain)
     if not holds_values(fn, [(x, fx), (y, fy)]):
         return False
     if kind == "monotone-violation":

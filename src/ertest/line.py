@@ -5,6 +5,9 @@ functions (lower, upper) describes a bounded-derivative property, with
 monotonicity as the one-sided special case lower = 0, upper = +inf.  Segment
 sums evaluate in extended-real arithmetic; lower entries may be -inf and upper
 entries +inf, so a directed sum never mixes opposite infinities.
+
+The second half holds the testers.  A line is its own one axis line, so the
+binary-search testers here and in ``hypergrid`` share ``_axis_searches``.
 """
 from __future__ import annotations
 
@@ -265,10 +268,10 @@ def sample_nonerased_uniform(line, lo: int, hi: int, rng):
     ends only through ``BudgetExhausted``.
 
     The convexity search's starts and pivots come through here.  The starts
-    and pivots of the binary searches do too whenever ``_fuses`` refuses
-    the fused search: ``_fused_search`` draws and reads as this function
-    does, draw for draw, and steps aside whenever this module-global name
-    is bound to anything else (a tracer's counting wrapper, say)."""
+    and pivots of ``_axis_searches`` do too whenever ``_fuses`` refuses the
+    fused search: ``_fused_search`` draws and reads as this function does,
+    draw for draw, and steps aside whenever this module-global name is
+    bound to anything else (a tracer's counting wrapper, say)."""
     while True:
         m = draw(rng, lo, hi)
         v = line.query((m,))
@@ -285,7 +288,7 @@ def _fuses(oracle, rng) -> bool:
     plain ``QueryOracle`` with its budget set, and
     ``sample_nonerased_uniform`` still the library's own function.  Any
     other oracle (a recording subclass, say), RNG or rebound sampler name
-    takes ``_sampled_search``."""
+    takes ``_axis_searches``' sampler path."""
     return (type(rng) is Random and type(oracle) is QueryOracle
             and oracle.budget is not None and sample_nonerased_uniform is _SAMPLER)
 
@@ -314,43 +317,24 @@ def randomized_binary_search_step_loop(oracle, lo, hi, s, fs, rng, violated):
     return None
 
 
-def _sampled_search(line, n: int, rng, violated):
-    """One search over [1, n] of ``line`` (the oracle, or an axis-line view
-    of a grid): its nonerased start through ``sample_nonerased_uniform``,
-    its pivots through ``randomized_binary_search_step_loop``, each by its
-    module-global name.  Returns what the step loop returns."""
-    s, fs = sample_nonerased_uniform(line, 1, n, rng)
-    return randomized_binary_search_step_loop(line, 1, n, s, fs, rng, violated)
-
-
 def _fused_search(oracle, base: int, stride: int, n: int, rng, violated):
-    """``_sampled_search`` in one frame, for the searches ``_fuses`` allows:
-    the line's position p is flat index ``base + p * stride`` of
+    """One search over [1, n] of a line in one frame, for the searches
+    ``_fuses`` allows: position p is flat index ``base + p * stride`` of
     ``oracle.fn.values`` (``base = -1, stride = 1`` on a line oracle).
 
-    The start takes ``draw``'s ``getrandbits`` rule on [1, n]; the pivots
-    then halve toward it as the step loop does.  The query count stays in a
-    local, written back in a ``finally``; ``BudgetExhausted(count)`` is
-    raised at the query ``query`` raises it at, after that query's draw, in
-    the start as among the pivots.  It matches ``_sampled_search`` draw for
-    draw: the same start, pivots, pairs checked, result, ``oracle.count``
-    and ``rng.getstate()``."""
-    getrandbits, values, k = rng.getrandbits, oracle.fn.values, n.bit_length()
+    One draw-and-read loop serves the search: its first pass draws the
+    start over [1, n], each later pass a pivot that halves the interval
+    toward it as the step loop does, each by ``draw``'s ``getrandbits``
+    rule, redrawn on an erased read.  The query count stays in a local,
+    written back in a ``finally``; ``BudgetExhausted(count)`` is raised at
+    the query ``query`` raises it at, after its draw.  It matches the
+    sampler path draw for draw: the same start, pivots, pairs checked,
+    result, ``oracle.count`` and ``rng.getstate()``."""
+    getrandbits, values = rng.getrandbits, oracle.fn.values
     budget, count = oracle.budget, oracle.count
+    l, r, s = 1, n, None
     try:
-        while True:
-            x = getrandbits(k)
-            while x >= n:
-                x = getrandbits(k)
-            if count >= budget:
-                raise BudgetExhausted(count)
-            count += 1
-            s = 1 + x
-            fs = values[base + s * stride]
-            if fs is not ERASED:
-                break
-        l, r = 1, n
-        while l < r:
+        while s is None or l < r:
             span = r - l + 1
             k = span.bit_length()
             while True:
@@ -364,6 +348,9 @@ def _fused_search(oracle, base: int, stride: int, n: int, rng, violated):
                 fm = values[base + m * stride]
                 if fm is not ERASED:
                     break
+            if s is None:
+                s, fs = m, fm
+                continue
             if m == s:
                 return None
             if s < m:
@@ -399,21 +386,74 @@ def _run_searches(oracle: QueryOracle, budget: int, searches, stats=None) -> Ver
     return Verdict.accepted(reason, oracle.count, stats)
 
 
-def _searches(oracle: QueryOracle, checks, rng, certify):
-    """One randomized binary search over the line [1, n] of ``oracle`` per
-    pair check ``violated(a, fa, b, fb)`` of ``checks`` (a < b), drawn
-    lazily from ``rng``.  Yields None after a clean pass, else
-    ``certify(a, fa, b, fb)`` for the first violated pair, itself None to
-    go on searching.  ``_fuses`` decides once, at the first search, whether
-    every search runs ``_fused_search`` or ``_sampled_search``."""
-    n = oracle.fn.domain.n
+class _AxisLineView:
+    """One axis line of a grid oracle, presented as a line oracle; the
+    budget is the oracle's.  A line oracle is its own one axis line.
+
+    Position p of the line along ``axis`` (1-based) is flat index
+    ``base + (p - 1) * stride`` (``Domain.index_of``'s order, with
+    ``stride = n ** (axis - 1)`` and ``base`` the index of the line's first
+    point), so ``query((p,))`` checks 1 <= p <= n and reads
+    ``oracle.query_index`` without building or validating a point, and
+    ``point(p)`` builds the grid point only when a certificate names it."""
+
+    __slots__ = ("oracle", "axis", "n", "base", "stride")
+
+    def __init__(self, oracle: QueryOracle, axis: int, n: int, base: int, stride: int):
+        self.oracle, self.axis, self.n, self.base, self.stride = oracle, axis, n, base, stride
+
+    def query(self, pt):
+        (p,) = pt
+        if not 1 <= p <= self.n:
+            raise ValueError(f"position {p} outside the axis line [1, {self.n}]")
+        return self.oracle.query_index(self.base + (p - 1) * self.stride)
+
+    def point(self, p: int) -> tuple:
+        return self.oracle.fn.domain.point_at(self.base + (p - 1) * self.stride)
+
+
+def _axis_searches(oracle: QueryOracle, checks, rng, certify):
+    """The search generator of the binary-search testers, line and grid.
+    ``checks`` yields one tuple of per-axis pair checks per search, which
+    runs along a uniform axis line with the check of that line's axis.
+    Yields None after a clean pass, else ``certify(view, a, fa, b, fb)``
+    for the first violated pair (a < b), itself None to go on searching.
+
+    Each line is one draw of its index x in [0, d * n ** (d - 1)) by
+    ``draw``'s plain-``Random`` rule on ``rng.getrandbits``; a line oracle
+    is its own one axis line, drawn as ``getrandbits(0)``, which is 0 and
+    leaves ``rng``'s state as it was.  ``divmod(x, n ** (d - 1))`` gives
+    the 0-based axis r and the index j among that axis' lines, whose
+    base-n digits, lowest first, are the other coordinates less 1; the
+    line's first point is flat index ``j % n ** r + j // n ** r * n **
+    (r + 1)``.  ``_fuses`` decides once how every search runs: by
+    ``_fused_search``, with an ``_AxisLineView`` built only for a pair that
+    goes to ``certify``, or over each line's view, the start through
+    ``sample_nonerased_uniform`` and the pivots through
+    ``randomized_binary_search_step_loop``, each by its module-global name."""
+    n, d = oracle.fn.domain.n, oracle.fn.domain.d
+    lines = n ** (d - 1)
+    span = d * lines
+    getrandbits, k = rng.getrandbits, span.bit_length() if span > 1 else 0
+    strides = [n ** r for r in range(d)]
     fused = _fuses(oracle, rng)
-    for violated in checks:
+    for per_axis in checks:
+        x = getrandbits(k)
+        while x >= span:
+            x = getrandbits(k)
+        r, j = divmod(x, lines)
+        stride, violated = strides[r], per_axis[r]
+        base = j % stride + j // stride * stride * n
         if fused:
-            hit = _fused_search(oracle, -1, 1, n, rng, violated)
-        else:
-            hit = _sampled_search(oracle, n, rng, violated)
-        yield None if hit is None else certify(*hit)
+            hit = _fused_search(oracle, base - stride, stride, n, rng, violated)
+            if hit is None:
+                yield None
+                continue
+        view = _AxisLineView(oracle, r + 1, n, base, stride)
+        if not fused:
+            s, fs = sample_nonerased_uniform(view, 1, n, rng)
+            hit = randomized_binary_search_step_loop(view, 1, n, s, fs, rng, violated)
+        yield None if hit is None else certify(view, *hit)
 
 
 def _descends(a, fa, b, fb) -> bool:
@@ -470,9 +510,9 @@ def test_monotone_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
     probability at least 2/3.  Reject verdicts carry the violated pair."""
     n = _line_domain(oracle)
     e, a = check_params(eps, alpha)
-    checks = itertools.repeat(_descends, proximity_iterations(e))
-    return _run_searches(oracle, monotone_line_budget(n, e, a), _searches(
-        oracle, checks, rng, lambda pa, fa, pb, fb: ("monotone-violation", (pa, fa), (pb, fb))))
+    checks = itertools.repeat((_descends,), proximity_iterations(e))
+    return _run_searches(oracle, monotone_line_budget(n, e, a), _axis_searches(
+        oracle, checks, rng, lambda _, pa, fa, pb, fb: ("monotone-violation", (pa, fa), (pb, fb))))
 
 
 def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng) -> Verdict:
@@ -488,7 +528,7 @@ def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng
     e, a = check_params(eps, alpha)
     check_bounds("bdp-line", bounds, LineBoundingPair, oracle.fn.domain)
 
-    def certify(pa, fa, pb, fb):
+    def certify(_, pa, fa, pb, fb):
         # reject on the original values, not the view: certificates
         # must hold against the raw function under exact recheck
         if pair_violates(bounds, pa, fa, pb, fb):
@@ -496,13 +536,14 @@ def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng
         return None
 
     if not bounds.all_finite:
-        checks = itertools.repeat(_bdp_check(bounds), proximity_iterations(e))
+        checks = itertools.repeat((_bdp_check(bounds),), proximity_iterations(e))
     else:
         g_view, h_view, _ = _bdp_views(bounds)
         reps = one_sixth_iterations(e)
-        checks = itertools.chain(itertools.repeat(g_view, reps), itertools.repeat(h_view, reps))
+        checks = itertools.chain(itertools.repeat((g_view,), reps),
+                                 itertools.repeat((h_view,), reps))
     return _run_searches(oracle, bdp_line_tester_budget(bounds, e, a),
-                         _searches(oracle, checks, rng, certify))
+                         _axis_searches(oracle, checks, rng, certify))
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +681,8 @@ def check_line_certificate(fn: ErasedFunction, certificate,
     """Validates a reject certificate against the function itself, outside
     any oracle.  False means the certificate is bogus, or not of the shape
     its kind has: (kind, pair, pair), each pair (position, value), and for
-    convexity each pair itself two (position, value) pairs."""
+    convexity each pair itself two (position, value) pairs; ``check_bounds``
+    refuses a bdp certificate's misfit bounds."""
     try:
         kind, c1, c2 = certificate
         if kind == "convex-violation":
@@ -649,6 +691,8 @@ def check_line_certificate(fn: ErasedFunction, certificate,
             (a, fa), (b, fb) = c1, c2
     except (TypeError, ValueError):  # not of its kind's shape
         return False
+    if kind == "bdp-violation":
+        check_bounds("bdp-line", bounds, LineBoundingPair, fn.domain)
     if kind in ("monotone-violation", "bdp-violation"):
         # the pair rule the search applied
         return (holds_values(fn, [((a,), fa), ((b,), fb)]) and a < b

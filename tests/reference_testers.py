@@ -16,6 +16,10 @@ sum was a Python number (Fractions wherever a Fraction entry came first),
 with its O(1) value maps; ``test_line.py`` requires the library class to
 give the same values, types and errors on its whole public surface.
 
+``line_searches`` is the line testers' search generator as it was before a
+line became its own one axis line: the sampler loop, run on the line oracle
+itself, with no axis line drawn and no view.
+
 ``AxisLine``, ``sample_axis_line``, ``all_axis_lines``,
 ``axis_line_views``, ``remaining``, ``poset_le`` and ``comparable_pairs``
 are helpers that only tests use, kept here rather than in the library.
@@ -28,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from unittest import mock
 
-from ertest import hypergrid as HG
 from ertest import line as L
 from ertest.core import (
     ALL_CHECKS_PASSED,
@@ -137,12 +140,13 @@ def sample_axis_line(domain: Domain, rng) -> AxisLine:
 
 
 def axis_line_views(oracle: QueryOracle, iterations: int, checks, rng) -> list:
-    """What ``hypergrid._axis_searches`` hands each line's search on its
-    sampler path: ``(view, violated, state)``, with ``violated`` the pair
-    check and ``state`` the ``rng.getstate()`` once the line is drawn.  The
-    sampler and the step loop are rebound by name, as the bench's tracer
-    rebinds them, to record and draw nothing, so every search is a clean
-    pass."""
+    """What ``line._axis_searches`` hands each line's search on its sampler
+    path, given the one tuple of per-axis pair checks ``checks`` for each
+    of ``iterations`` searches: ``(view, violated, state)``, with
+    ``violated`` the pair check and ``state`` the ``rng.getstate()`` once
+    the line is drawn.  The sampler and the step loop are rebound by name,
+    as the bench's tracer rebinds them, to record and draw nothing, so
+    every search is a clean pass."""
     seen = []
 
     def start(line, lo, hi, start_rng):
@@ -155,9 +159,22 @@ def axis_line_views(oracle: QueryOracle, iterations: int, checks, rng) -> list:
 
     with mock.patch.object(L, "sample_nonerased_uniform", start), \
             mock.patch.object(L, "randomized_binary_search_step_loop", search):
-        out = list(HG._axis_searches(oracle, iterations, checks, rng, None))
+        out = list(L._axis_searches(oracle, itertools.repeat(checks, iterations), rng, None))
     assert out == [None] * iterations
     return seen
+
+
+def line_searches(oracle: QueryOracle, checks, rng, certify):
+    """One search over [1, n] of the line oracle itself per pair check of
+    ``checks``: its start through ``line.sample_nonerased_uniform``, its
+    pivots through ``line.randomized_binary_search_step_loop``.  Yields
+    None after a clean pass, else ``certify(a, fa, b, fb)`` for the first
+    violated pair."""
+    n = oracle.fn.domain.n
+    for violated in checks:
+        s, fs = L.sample_nonerased_uniform(oracle, 1, n, rng)
+        hit = L.randomized_binary_search_step_loop(oracle, 1, n, s, fs, rng, violated)
+        yield None if hit is None else certify(*hit)
 
 
 def all_axis_lines(domain: Domain):

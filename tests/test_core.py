@@ -14,6 +14,7 @@ from ertest.core import (
     REJECT,
     VIOLATION_FOUND,
     BudgetExhausted,
+    ConfigError,
     Domain,
     ErasedFunction,
     QueryOracle,
@@ -29,7 +30,7 @@ from ertest.core import (
     value_gt,
 )
 from ertest import line
-from ertest.hypergrid import check_grid_certificate
+from ertest.hypergrid import BoundingFamily, check_grid_certificate
 from ertest.rng import derive_seed, make_rng
 from ertest.transforms import (
     UniformTesterSpec,
@@ -253,6 +254,26 @@ _WRONG_SHAPE = {
 @pytest.mark.parametrize("case", sorted(_WRONG_SHAPE))
 def test_certificate_checks_fail_on_certificates_of_the_wrong_shape(case):
     assert _WRONG_SHAPE[case]() is False
+
+
+_BDP_LINE = ("bdp-violation", (1, 3), (2, 2))
+_BDP_GRID = ("bdp-violation", ((1, 1), 3), ((2, 1), 2))
+
+
+@pytest.mark.parametrize("check, bounds, want", [
+    (line.check_line_certificate, None, "bdp-line needs LineBoundingPair bounds, got NoneType"),
+    (line.check_line_certificate, line.LineBoundingPair.lipschitz(3),
+     "bdp-line bounds have n=3, d=1; the domain has n=4, d=1"),
+    (check_grid_certificate, None, "bdp-grid needs BoundingFamily bounds, got NoneType"),
+    (check_grid_certificate, BoundingFamily.lipschitz(2, 3),
+     "bdp-grid bounds have n=2, d=3; the domain has n=2, d=2"),
+], ids=["line-none", "line-misfit", "grid-none", "grid-misfit"])
+def test_bdp_certificate_checks_refuse_bounds_that_do_not_fit(check, bounds, want):
+    # a bounded-derivative certificate is refused with the testers' own
+    # refusal of such bounds, not an AttributeError from inside the check
+    fn, cert = (_LINE, _BDP_LINE) if check is line.check_line_certificate else (_GRID, _BDP_GRID)
+    with pytest.raises(ConfigError, match=f"^{want}$"):
+        check(fn, cert, bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
-"""The fused search of ``line._searches`` and ``hypergrid._axis_searches``
-against the path through ``sample_nonerased_uniform`` and the step loop, and
-what a counting wrapper of the sampler sees.
+"""The fused search of ``line._axis_searches`` against the path through
+``sample_nonerased_uniform`` and the step loop, and what a counting wrapper
+of the sampler sees.
 
 A plain ``random.Random`` with a plain ``QueryOracle`` (a line oracle or a
 grid oracle) runs ``line._fused_search``: each search's start and its
-pivots in one frame, on a grid after ``_axis_searches`` has drawn the axis
-line.  A ``Random`` subclass draws the same values through its
-inherited ``randint`` and takes the sampler path, as a rebound sampler name
-does.  Both must find the same pairs, certify the same, charge the same
-queries, leave the same ``getstate()`` and run out of budget at the same
-query.
+pivots in one draw-and-read loop, after ``_axis_searches`` has drawn the
+axis line (on a line, none: a line is its own one axis line).  A
+``Random`` subclass draws the same values through its inherited ``randint``
+and takes the sampler path, as a rebound sampler name does.  Both must find
+the same pairs, certify the same, charge the same queries, leave the same
+``getstate()`` and run out of budget at the same query.  On a line, both
+must also match ``reference_testers.line_searches``, the sampler loop run
+on the line oracle itself with no view.
 """
 import functools
 import itertools
@@ -27,7 +29,7 @@ from ertest.core import (ERASED, BudgetExhausted, Domain, ErasedFunction, LazyVa
 from ertest.hypergrid import BoundingFamily
 from ertest.line import LineBoundingPair
 
-from reference_testers import axis_line_views, sample_axis_line
+from reference_testers import axis_line_views, line_searches, sample_axis_line
 from test_tester_reference import values_with_erasures
 
 FUSED_SETTINGS = settings(max_examples=400, deadline=None)
@@ -68,11 +70,12 @@ def search_cases(draw):
     return fn, check, spent, budget
 
 
-def _search(rng, case, fused):
-    """One search on ``case``'s line, or on the axis line ``rng`` draws
-    first: ``_fused_search`` when ``fused``, else ``_sampled_search``.
-    Returns the outcome, the pairs checked, ``oracle.count`` and
-    ``rng.getstate()``."""
+def _search(rng, case, how):
+    """One search on the axis line ``rng`` draws first, a line being its
+    own: ``_fused_search`` when ``how`` is "fused", the sampler path over
+    the line's view when "sampled", and, on a line, ``line_searches`` on
+    the line oracle itself when "reference".  Returns the outcome, the
+    pairs checked, ``oracle.count`` and ``rng.getstate()``."""
     fn, check, spent, budget = case
     oracle, n, pairs = QueryOracle(fn, budget), fn.domain.n, []
     oracle.count = spent
@@ -82,17 +85,16 @@ def _search(rng, case, fused):
         return check(*pair)
 
     try:
-        if fn.domain.d == 1 and fused:
-            hit = L._fused_search(oracle, -1, 1, n, rng, violated)
-        elif fn.domain.d == 1:
-            hit = L._sampled_search(oracle, n, rng, violated)
+        if how == "reference":
+            hit = next(line_searches(oracle, [violated], rng, lambda *pair: pair))
         else:
             ((view, *_),) = axis_line_views(oracle, 1, (None,) * fn.domain.d, rng)
-            if fused:
+            if how == "fused":
                 hit = L._fused_search(oracle, view.base - view.stride, view.stride, n, rng,
                                       violated)
             else:
-                hit = L._sampled_search(view, n, rng, violated)
+                s, fs = L.sample_nonerased_uniform(view, 1, n, rng)
+                hit = L.randomized_binary_search_step_loop(view, 1, n, s, fs, rng, violated)
         out = ("found", hit)
     except BudgetExhausted as e:
         out = ("budget", e.args)
@@ -103,19 +105,23 @@ def _search(rng, case, fused):
 @given(search_cases(), st.integers(0, 2 ** 32 - 1))
 def test_fused_loop_matches_the_sampler_loop_draw_for_draw(case, seed):
     with mock.patch.object(L, "draw", _no_draw):
-        fused = _search(random.Random(seed), case, True)
-    assert fused == _search(_Unfused(seed), case, False)
+        fused = _search(random.Random(seed), case, "fused")
+    assert fused == _search(_Unfused(seed), case, "sampled")
+    if case[0].domain.d == 1:
+        assert fused == _search(random.Random(seed), case, "reference")
     (kind, got), _, count, _ = fused
     if kind == "budget":
         # raised at the query that passes the budget, with the count written back
         assert got == (count,) and count == case[-1]
 
 
-def _run(case, iterations, rng, fused):
+def _run(case, iterations, rng, reference=False):
     """The searches of ``iterations`` lines of ``case``, as a tester runs
     them but with every certificate recorded, one in three passed over:
     per search, what it yields, the pairs it checked, ``oracle.count`` and
-    ``rng.getstate()``; then how the searches ended."""
+    ``rng.getstate()``; then how the searches ended.  ``reference`` runs
+    a line's searches through ``line_searches`` in place of
+    ``_axis_searches``."""
     fn, check, spent, budget = case
     oracle, d, pairs = QueryOracle(fn, budget), fn.domain.d, []
     oracle.count = spent
@@ -124,17 +130,21 @@ def _run(case, iterations, rng, fused):
         pairs.append(pair)
         return check(*pair)
 
-    def certify(*hit):
-        if d > 1:
-            view, pa, fa, pb, fb = hit
-            hit = (view.axis, (view.point(pa), fa), (view.point(pb), fb))
+    def certify(view, pa, fa, pb, fb):
+        # line_searches hands no view: its line is the line oracle's axis 1
+        axis, point = (1, lambda p: (p,)) if view is None else (view.axis, view.point)
+        hit = (axis, (point(pa), fa), (point(pb), fb))
         return None if len(pairs) % 3 == 0 else hit
 
     if d == 1:  # two checks in turn, as bdp-line's views take turns
-        checks = itertools.islice(itertools.cycle([violated, L._descends]), iterations)
-        searches = L._searches(oracle, checks, rng, certify)
+        checks = itertools.islice(itertools.cycle([(violated,), (L._descends,)]), iterations)
     else:
-        searches = HG._axis_searches(oracle, iterations, (violated,) * d, rng, certify)
+        checks = itertools.repeat((violated,) * d, iterations)
+    if reference:
+        searches = line_searches(oracle, (check for (check,) in checks), rng,
+                                 functools.partial(certify, None))
+    else:
+        searches = L._axis_searches(oracle, checks, rng, certify)
     log = []
     try:
         for got in searches:
@@ -150,13 +160,15 @@ def _run(case, iterations, rng, fused):
 def test_fused_searches_match_the_sampler_path_search_for_search(case, seed, iterations,
                                                                  rebound):
     with mock.patch.object(L, "draw", _no_draw):
-        fused = _run(case, iterations, random.Random(seed), True)
+        fused = _run(case, iterations, random.Random(seed))
     if rebound:
         with _rebound_sampler():
-            unfused = _run(case, iterations, random.Random(seed), False)
+            unfused = _run(case, iterations, random.Random(seed))
     else:
-        unfused = _run(case, iterations, _Unfused(seed), False)
+        unfused = _run(case, iterations, _Unfused(seed))
     assert fused == unfused
+    if case[0].domain.d == 1:
+        assert fused == _run(case, iterations, random.Random(seed), reference=True)
     _, end, count, _ = fused
     if end != "done":
         assert end == ("budget", (count,)) and count == case[-1]
@@ -167,21 +179,24 @@ def test_fused_searches_match_the_sampler_path_search_for_search(case, seed, ite
 def test_a_budget_spent_inside_a_start_is_raised_after_its_replays(d, n, budget):
     # nothing nonerased: every start draws until the budget runs out, and
     # the query that raises is the start's own, right after its one plain
-    # draw over [1, n], on a grid as on a line
+    # draw over [1, n], on a grid as on a line (the name is from when a
+    # start replayed draws around that one; it replays none now)
     dom = Domain.grid(n, d)
     case = (ErasedFunction(dom, [ERASED] * (dom.size - 1) + [0]), L._descends, 0, budget)
     spent = 0
     for seed in range(12):
         with mock.patch.object(L, "draw", _no_draw):
-            fused = _search(random.Random(seed), case, True)
-        assert fused == _search(_Unfused(seed), case, False)
+            fused = _search(random.Random(seed), case, "fused")
+        assert fused == _search(_Unfused(seed), case, "sampled")
         with _rebound_sampler():
-            assert fused == _search(random.Random(seed), case, False)
+            assert fused == _search(random.Random(seed), case, "sampled")
+        if d == 1:
+            assert fused == _search(random.Random(seed), case, "reference")
         (kind, got), pairs, count, state = fused
         if kind == "budget":
             assert got == (budget,) and count == budget and pairs == []
-            # the line's one draw, then one draw over [1, n] per query, the
-            # one that raises included
+            # a grid line's one draw (a line draws none for itself), then
+            # one draw over [1, n] per query, the one that raises included
             want = random.Random(seed)
             if d > 1:
                 sample_axis_line(dom, want)

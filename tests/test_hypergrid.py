@@ -235,7 +235,9 @@ def test_folded_axis_draws_build_the_view_of_sample_axis_line(d, n, rng_type):
     # indices map one-to-one onto the axis lines, each view reads the points
     # of sample_axis_line's line for that index, and on a seeded stream the
     # view, and the stream after it, match sample_axis_line's on a plain
-    # Random, with the base and stride Domain.index_of's order gives it
+    # Random, with the base and stride Domain.index_of's order gives it; a
+    # line (d = 1) is its own one axis line, so its view is the whole line
+    # and the stream is left as it was
     dom = Domain.grid(n, d)
     fn = ErasedFunction(dom, [i * i for i in range(dom.size)])
     count = d * n ** (d - 1)
@@ -253,7 +255,7 @@ def test_folded_axis_draws_build_the_view_of_sample_axis_line(d, n, rng_type):
     for seed in range(6):
         folded, plain = rng_type(seed), random.Random(seed)
         for view, check, state in axis_line_views(oracle, 30, checks, folded):
-            line = sample_axis_line(dom, plain)
+            line = sample_axis_line(dom, plain) if d > 1 else AxisLine(1, ())
             assert _axis_line(view) == line
             assert (view.oracle, view.axis, view.n) == (oracle, line.axis, n)
             assert view.base == dom.index_of(line.point(1))

@@ -1,6 +1,6 @@
 """Every search tester in the budgeted search shell queries the same points,
-in the same order, as its reference in ``reference_testers.py``, and returns
-the same verdict.
+in the same order, as its reference in ``reference_testers.py``, returns
+the same verdict and leaves its RNG in the same state.
 
 The verdict cross-checks in ``test_tester_reference.py`` cannot see the order
 of the queries inside one search level (the convexity search walks right
@@ -52,9 +52,10 @@ class RecordingOracle(QueryOracle):
 
 def _same_queries(lib_tester, ref_tester, fn, seed, *args):
     lib, want = RecordingOracle(fn), RecordingOracle(fn)
-    assert lib_tester(lib, *args, random.Random(seed)) == ref_tester(
-        want, *args, random.Random(seed))
+    lib_rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert lib_tester(lib, *args, lib_rng) == ref_tester(want, *args, ref_rng)
     assert lib.log == want.log
+    assert lib_rng.getstate() == ref_rng.getstate()
 
 
 @SETTINGS
