@@ -298,7 +298,7 @@ class ErasedFunction:
     finite token a Fraction.
     """
 
-    __slots__ = ("domain", "values", "kind", "modulus", "declared_alpha", "_nonerased")
+    __slots__ = ("domain", "values", "kind", "modulus", "declared_alpha")
 
     def __init__(self, domain: Domain, values, kind: str = "real",
                  declared_alpha=None, modulus: Optional[int] = None):
@@ -343,7 +343,6 @@ class ErasedFunction:
         self.kind = kind
         self.modulus = modulus
         self.declared_alpha = declared_alpha
-        self._nonerased = None
 
     def value_at(self, pt):
         """Direct read for generators, oracles and certificate checks.
@@ -353,10 +352,8 @@ class ErasedFunction:
     def erased_count(self) -> int:
         return sum(1 for v in self.values if v is ERASED)
 
-    def nonerased_indices(self):
-        if self._nonerased is None:
-            self._nonerased = [i for i, v in enumerate(self.values) if v is not ERASED]
-        return self._nonerased
+    def nonerased_indices(self) -> list:
+        return [i for i, v in enumerate(self.values) if v is not ERASED]
 
     def __repr__(self):
         return (f"ErasedFunction(n={self.domain.n}, d={self.domain.d}, "

@@ -59,11 +59,21 @@ def line_pairs(fn: ErasedFunction):
     """Nonerased (position, value) pairs of a line function, in order."""
     if not fn.domain.is_line:
         raise ValueError("expected a line domain")
-    return [(i + 1, v) for i, v in enumerate(fn.values) if v is not ERASED]
+    return _valued(fn.values)
 
 
-def _kept_cert(positions) -> tuple:
-    return ("kept",) + tuple((p,) if isinstance(p, int) else p for p in positions)
+def _valued(cells) -> list:
+    """The (position, value) pairs of a line's nonerased cells, in order."""
+    return [(i + 1, v) for i, v in enumerate(cells) if v is not ERASED]
+
+
+def _kept_report(tag: str, pairs, keep) -> DistanceReport:
+    """The exact report keeping ``pairs[i]`` for each i in ``keep``, in order, of
+    the nonerased (point, value) ``pairs``, a line's points as positions."""
+    m = len(pairs)
+    absolute = m - len(keep)
+    kept = tuple((p,) if isinstance(p, int) else p for p, _ in map(pairs.__getitem__, keep))
+    return DistanceReport(tag, absolute, Fraction(absolute, m), ("kept",) + kept)
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +104,8 @@ def longest_nondecreasing_indices(values) -> list:
 
 def distance_to_monotone_line(fn: ErasedFunction) -> DistanceReport:
     pairs = line_pairs(fn)
-    keep = longest_nondecreasing_indices([v for _, v in pairs])
-    kept_pos = [pairs[i][0] for i in keep]
-    absolute = len(pairs) - len(keep)
-    return DistanceReport("monotone-line", absolute,
-                          Fraction(absolute, len(pairs)), _kept_cert(kept_pos))
+    return _kept_report("monotone-line", pairs,
+                        longest_nondecreasing_indices([v for _, v in pairs]))
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +148,7 @@ def distance_to_bdp_line(fn: ErasedFunction, bounds: LineBoundingPair) -> Distan
         keep.append(cur)
         cur = parent[cur]
     keep.reverse()
-    absolute = m - len(keep)
-    kept_pos = [pairs[i][0] for i in keep]
-    return DistanceReport("bdp-line", absolute, Fraction(absolute, m), _kept_cert(kept_pos))
+    return _kept_report("bdp-line", pairs, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +206,7 @@ def distance_to_convex_line(fn: ErasedFunction) -> DistanceReport:
         keep.reverse()
     else:
         keep = [0] if m else []
-    absolute = m - len(keep)
-    kept_pos = [pairs[i][0] for i in keep]
-    return DistanceReport("convex-line", absolute, Fraction(absolute, m), _kept_cert(kept_pos))
+    return _kept_report("convex-line", pairs, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +372,10 @@ def distance_to_monotone_grid_exact(fn: ErasedFunction) -> DistanceReport:
     items = _grid_items(fn)
     cells = [None if v is ERASED else v for v in fn.values]
     if _is_monotone(cells, fn.domain):
-        absolute, keep = 0, range(len(items))
+        keep = range(len(items))
     else:
-        absolute, keep = _min_changes_poset(len(items), _violated_grid_edges(cells, fn.domain))
-    kept_pts = [items[i][0] for i in keep]
-    return DistanceReport("monotone-grid", absolute,
-                          Fraction(absolute, len(items)), _kept_cert(kept_pts))
+        _, keep = _min_changes_poset(len(items), _violated_grid_edges(cells, fn.domain))
+    return _kept_report("monotone-grid", items, keep)
 
 
 def _exact_ints(values, sums):
@@ -547,10 +548,9 @@ def distance_to_k_runs(fn: ErasedFunction, k: int) -> DistanceReport:
         if switched[i] >> (2 * r + b) & 1:
             r, b = r - 1, 1 - b
     labels[0] = b
-    kept_pos = [pairs[i][0] for i in range(m) if labels[i] == pairs[i][1]]
-    report = DistanceReport("k-runs", absolute, Fraction(absolute, m), _kept_cert(kept_pos))
+    report = _kept_report("k-runs", pairs, [i for i in range(m) if labels[i] == pairs[i][1]])
     assert count_alternations(labels) <= k - 1
-    assert m - len(kept_pos) == absolute
+    assert report.absolute == absolute
     return report
 
 
@@ -625,10 +625,10 @@ def distance_to_low_degree(fn: ErasedFunction, degree: int) -> DistanceReport:
         raise SizeLimit("beyond the exhaustive coefficient regime")
     if degree + 1 > p:
         raise ValueError("degree too high for the field size")
-    pts = [(i, v) for i, v in enumerate(fn.values) if v is not ERASED]
-    ys = [y for _, y in pts]
-    # columns[k - 1][t]: x_t^k for the t-th nonerased point
-    columns = [[pow(x, k, p) for x, _ in pts] for k in range(1, degree + 1)]
+    pairs = line_pairs(fn)
+    ys = [y for _, y in pairs]
+    # columns[k - 1][t]: x_t^k for the t-th nonerased point, at position x_t + 1
+    columns = [[pow(x - 1, k, p) for x, _ in pairs] for k in range(1, degree + 1)]
 
     def best_constant(tail):
         residuals = ys
@@ -641,13 +641,10 @@ def distance_to_low_degree(fn: ErasedFunction, degree: int) -> DistanceReport:
         agree = max(counts)
         return -agree, counts.index(agree), tail
 
-    neg_agree, c0, tail = min(map(best_constant, itertools.product(range(p), repeat=degree)))
-    best_coeffs = (c0,) + tail
-    m = len(pts)
-    absolute = m + neg_agree
-    kept = [(x + 1,) for x, y in pts if poly_eval(best_coeffs, x, p) == y]
-    return DistanceReport("low-degree", absolute, Fraction(absolute, m),
-                          ("kept",) + tuple(kept))
+    _, c0, tail = min(map(best_constant, itertools.product(range(p), repeat=degree)))
+    coeffs = (c0,) + tail
+    return _kept_report("low-degree", pairs, [t for t, (x, y) in enumerate(pairs)
+                                              if poly_eval(coeffs, x - 1, p) == y])
 
 
 # ---------------------------------------------------------------------------
@@ -723,83 +720,81 @@ def _ext_add(a, b):
     return a + b
 
 
-def complete_bdp_line(pairs, kept_pos, bounds: LineBoundingPair) -> dict:
-    """Assign values to the dropped points so every consecutive nonerased pair
-    fits its directed segment sums; keeps the kept points untouched.  Greedy
-    left-to-right inside the corridor spanned by the previous point and the
-    next kept point: its finite lower end, else its finite upper end; with
-    both ends infinite, the one infinity they share (so the oracle's report
-    on a line holding ``inf`` verifies), else 0."""
-    kept = set(kept_pos)
-    kept_list = [p for p, _ in pairs if p in kept]
-    vals = dict(pairs)
-    out = {}
+def complete_bdp_line(values, kept_idx, bounds: LineBoundingPair) -> list:
+    """The line's cells with every nonerased cell outside ``kept_idx`` filled
+    so each consecutive nonerased pair fits its directed segment sums; kept
+    and erased cells are left as they are.  Greedy left-to-right inside the
+    corridor spanned by the previous cell and the next kept cell: its finite
+    lower end, else its finite upper end; with both ends infinite, the one
+    infinity they share (so the oracle's report on a line holding ``inf``
+    verifies), else 0."""
+    kept_set = set(kept_idx)
+    cells = list(values)
     prev = None
-    next_kept_iter = iter(kept_list)
+    next_kept_iter = iter(sorted(kept_idx))
     next_kept = next(next_kept_iter, None)
-    for pos, _ in pairs:
-        if next_kept is not None and pos > next_kept:
+    for i, v in enumerate(values):
+        if v is ERASED:
+            continue
+        if next_kept is not None and i > next_kept:
             next_kept = next(next_kept_iter, None)
-        if pos in kept:
-            out[pos] = vals[pos]
-            prev = pos
+        if i not in kept_set:
+            lowers, uppers = [], []
+            if prev is not None:
+                lowers.append(_ext_add(cells[prev], bounds.seg_lower(prev + 1, i + 1)))
+                uppers.append(_ext_add(cells[prev], bounds.seg_upper(prev + 1, i + 1)))
+            if next_kept is not None:
+                lowers.append(_ext_add(values[next_kept], -bounds.seg_upper(i + 1, next_kept + 1)))
+                uppers.append(_ext_add(values[next_kept], -bounds.seg_lower(i + 1, next_kept + 1)))
+            lo = max(lowers) if lowers else -INF
+            hi = min(uppers) if uppers else INF
+            if lo not in (INF, -INF):
+                cells[i] = lo
+            elif hi not in (INF, -INF):
+                cells[i] = hi
+            else:
+                cells[i] = lo if lo == hi else 0
+        prev = i
+    return cells
+
+
+def complete_convex_line(values, kept_idx) -> list:
+    """The line's cells, piecewise-linear through the kept cells and extended
+    with the terminal slopes beyond them; a single kept cell spreads as a
+    constant.  Kept and erased cells are left as they are."""
+    kept = sorted(kept_idx)
+    kept_set = set(kept)
+    slopes = [_slope((a, values[a]), (b, values[b])) for a, b in zip(kept, kept[1:])] or [0]
+    first, last = kept[0], kept[-1]
+    cells = list(values)
+    for i, v in enumerate(values):
+        if v is ERASED or i in kept_set:
             continue
-        lowers, uppers = [], []
-        if prev is not None:
-            lowers.append(_ext_add(out[prev], bounds.seg_lower(prev, pos)))
-            uppers.append(_ext_add(out[prev], bounds.seg_upper(prev, pos)))
-        if next_kept is not None:
-            lowers.append(_ext_add(vals[next_kept], -bounds.seg_upper(pos, next_kept)))
-            uppers.append(_ext_add(vals[next_kept], -bounds.seg_lower(pos, next_kept)))
-        lo = max(lowers) if lowers else -INF
-        hi = min(uppers) if uppers else INF
-        if lo not in (INF, -INF):
-            out[pos] = lo
-        elif hi not in (INF, -INF):
-            out[pos] = hi
+        if i < first:
+            cells[i] = values[first] + slopes[0] * (i - first)
+        elif i > last:
+            cells[i] = values[last] + slopes[-1] * (i - last)
         else:
-            out[pos] = lo if lo == hi else 0
-        prev = pos
-    return out
+            k = bisect_right(kept, i) - 1
+            cells[i] = values[kept[k]] + slopes[k] * (i - kept[k])
+    return cells
 
 
-def complete_convex_line(pairs, kept_pos) -> dict:
-    """Piecewise-linear through the kept points, extended with the terminal
-    slopes beyond them; a single kept point spreads as a constant."""
-    vals = dict(pairs)
-    kept = sorted(kept_pos)
-    out = {pos: vals[pos] for pos in kept}
-    slopes = [_slope((kept[i], vals[kept[i]]), (kept[i + 1], vals[kept[i + 1]]))
-              for i in range(len(kept) - 1)] or [0]
-    for pos, _ in pairs:
-        if pos in out:
-            continue
-        if pos < kept[0]:
-            out[pos] = vals[kept[0]] + slopes[0] * (pos - kept[0])
-        elif pos > kept[-1]:
-            out[pos] = vals[kept[-1]] + slopes[-1] * (pos - kept[-1])
-        else:
-            i = bisect_right(kept, pos) - 1
-            a = kept[i]
-            out[pos] = vals[a] + slopes[i] * (pos - a)
-    return out
-
-
-def is_member_bdp_values(points_values, bounds: LineBoundingPair) -> bool:
-    """Pairwise membership check, O(m^2): the fallback where the exact
-    sweep in ``_bdp_violation_free`` does not apply or finds a violation."""
-    items = sorted(points_values.items())
-    for (a, fa), (b, fb) in itertools.combinations(items, 2):
+def is_member_bdp_values(cells, bounds: LineBoundingPair) -> bool:
+    """Pairwise check of a line's cells, O(m^2): the fallback where the
+    exact sweep in ``_bdp_violation_free`` does not apply or finds a violation."""
+    for (a, fa), (b, fb) in itertools.combinations(_valued(cells), 2):
         if pair_violates(bounds, a, fa, b, fb):
             return False
     return True
 
 
-def is_member_convex_values(points_values) -> bool:
-    items = sorted(points_values.items())
+def is_member_convex_values(cells) -> bool:
+    """Consecutive slopes of a line's nonerased cells never fall, by ``value_gt``."""
+    items = _valued(cells)
     last = None
-    for (a, fa), (b, fb) in zip(items, items[1:]):
-        s = _slope((a, fa), (b, fb))
+    for p, q in zip(items, items[1:]):
+        s = _slope(p, q)
         if last is not None and value_gt(last, s):
             return False
         last = s
@@ -844,8 +839,7 @@ def _point_indices(fn: ErasedFunction, points):
             if ERASED in map(values.__getitem__, found):
                 return None
     if found is None:
-        # read fn.values directly: nonerased_indices() would keep a list on fn
-        valued = [i for i, v in enumerate(values) if v is not ERASED]
+        valued = fn.nonerased_indices()
         if fn.domain.is_line:  # (i + 1,) is point_at(i), without its range check
             index = {(i + 1,): i for i in valued}
         else:
@@ -908,15 +902,12 @@ def _member_completion(fn: ErasedFunction, prop: PropertySpec, kept_idx):
         check_field_line(fn)
         coeffs = interpolate([(i, values[i]) for i in kept_idx[:prop.degree + 1]], fn.modulus)
         return [poly_eval(coeffs, x, fn.modulus) for x in range(len(values))]
-    kept_pos = [i + 1 for i in kept_idx]
     if prop.tag == "convex-line":
-        filled = complete_convex_line(line_pairs(fn), kept_pos)
-    else:  # bdp-line
-        filled = complete_bdp_line(line_pairs(fn), kept_pos, prop.bounds)
-    cells = [filled.get(i + 1, ERASED) for i in range(len(values))]
-    member = (is_member_convex_values(filled) if prop.tag == "convex-line"
-              else _bdp_violation_free(fn.domain, cells, (prop.bounds,))
-              or is_member_bdp_values(filled, prop.bounds))
+        cells = complete_convex_line(values, kept_idx)
+        return cells if is_member_convex_values(cells) else None
+    cells = complete_bdp_line(values, kept_idx, prop.bounds)  # bdp-line
+    member = (_bdp_violation_free(fn.domain, cells, (prop.bounds,))
+              or is_member_bdp_values(cells, prop.bounds))
     return cells if member else None
 
 

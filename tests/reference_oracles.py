@@ -8,7 +8,10 @@ and ``verify_report`` to return the same verdict as the pairwise
 ``verify_report`` kept here, and ``_point_indices`` the same indices as
 the dict lookup ``point_indices``.  The branch-and-bound grid oracle, the
 greedy grid matching and the pairwise grid membership check serve only as
-references for tests, and ``nonerased_points`` only as a test helper.
+references for tests, and ``nonerased_points`` only as a test helper.  The
+line completions and membership checks here take {position: value} dicts,
+the library's former form, so the pairwise verifier shares none of the
+library's completion code, and the library's cells form is compared with them.
 """
 from __future__ import annotations
 
@@ -17,23 +20,19 @@ from fractions import Fraction
 
 from bisect import bisect_right
 
-from ertest.core import ERASED, ErasedFunction, InvalidField, SizeLimit, grid_le
+from ertest.core import ERASED, ErasedFunction, InvalidField, SizeLimit, grid_le, value_gt
 from ertest.hypergrid import BoundingFamily, grid_pair_violates
-from ertest.line import LineBoundingPair, pair_violates
+from ertest.line import INF, LineBoundingPair, pair_violates
 from ertest.oracles import (
     _ENUM_CAP,
     FIELD_EXHAUSTIVE_GATE,
     DistanceReport,
     PropertySpec,
     _grid_items,
-    _kept_cert,
     _min_changes_poset,
     _slope,
-    complete_bdp_line,
     count_alternations,
     interpolate,
-    is_member_bdp_values,
-    is_member_convex_values,
     is_prime,
     line_pairs,
     poly_eval,
@@ -45,6 +44,10 @@ GRID_EXACT_GATE = 20
 def nonerased_points(fn: ErasedFunction) -> list:
     """The function's nonerased points, in canonical index order."""
     return [fn.domain.point_at(i) for i in fn.nonerased_indices()]
+
+
+def _kept_cert(positions) -> tuple:
+    return ("kept",) + tuple((p,) if isinstance(p, int) else p for p in positions)
 
 
 def distance_to_bdp_line(fn, bounds: LineBoundingPair) -> DistanceReport:
@@ -356,6 +359,73 @@ def complete_convex_line(pairs, kept_pos) -> dict:
     return out
 
 
+def _ext_add(a, b):
+    if a in (INF, -INF) or b in (INF, -INF):
+        s = (a if a in (INF, -INF) else 0) + (b if b in (INF, -INF) else 0)
+        return s
+    return a + b
+
+
+def complete_bdp_line(pairs, kept_pos, bounds: LineBoundingPair) -> dict:
+    """Assign values to the dropped points so every consecutive nonerased pair
+    fits its directed segment sums; keeps the kept points untouched.  Greedy
+    left-to-right inside the corridor spanned by the previous point and the
+    next kept point: its finite lower end, else its finite upper end; with
+    both ends infinite, the one infinity they share, else 0."""
+    kept = set(kept_pos)
+    kept_list = [p for p, _ in pairs if p in kept]
+    vals = dict(pairs)
+    out = {}
+    prev = None
+    next_kept_iter = iter(kept_list)
+    next_kept = next(next_kept_iter, None)
+    for pos, _ in pairs:
+        if next_kept is not None and pos > next_kept:
+            next_kept = next(next_kept_iter, None)
+        if pos in kept:
+            out[pos] = vals[pos]
+            prev = pos
+            continue
+        lowers, uppers = [], []
+        if prev is not None:
+            lowers.append(_ext_add(out[prev], bounds.seg_lower(prev, pos)))
+            uppers.append(_ext_add(out[prev], bounds.seg_upper(prev, pos)))
+        if next_kept is not None:
+            lowers.append(_ext_add(vals[next_kept], -bounds.seg_upper(pos, next_kept)))
+            uppers.append(_ext_add(vals[next_kept], -bounds.seg_lower(pos, next_kept)))
+        lo = max(lowers) if lowers else -INF
+        hi = min(uppers) if uppers else INF
+        if lo not in (INF, -INF):
+            out[pos] = lo
+        elif hi not in (INF, -INF):
+            out[pos] = hi
+        else:
+            out[pos] = lo if lo == hi else 0
+        prev = pos
+    return out
+
+
+def is_member_bdp_values(points_values, bounds: LineBoundingPair) -> bool:
+    """Pairwise check of a total function on line positions, {position: value}."""
+    items = sorted(points_values.items())
+    for (a, fa), (b, fb) in itertools.combinations(items, 2):
+        if pair_violates(bounds, a, fa, b, fb):
+            return False
+    return True
+
+
+def is_member_convex_values(points_values) -> bool:
+    """Consecutive slopes of {position: value} never fall, by ``value_gt``."""
+    items = sorted(points_values.items())
+    last = None
+    for (a, fa), (b, fb) in zip(items, items[1:]):
+        s = _slope((a, fa), (b, fb))
+        if last is not None and value_gt(last, s):
+            return False
+        last = s
+    return True
+
+
 def complete_monotone_grid(items, kept_idx) -> dict:
     """Monotone extension: each point takes the max kept value below it,
     defaulting to the overall minimum kept value."""
@@ -371,7 +441,6 @@ def complete_monotone_grid(items, kept_idx) -> dict:
 def point_indices(fn: ErasedFunction, points):
     """Domain indices of ``points``, or None unless they are distinct
     nonerased points of ``fn``'s domain: a dict over every nonerased point."""
-    # read fn.values directly: nonerased_indices() would keep a list on fn
     valued = [i for i, v in enumerate(fn.values) if v is not ERASED]
     if fn.domain.is_line:  # (i + 1,) is point_at(i), without its range check
         index = {(i + 1,): i for i in valued}

@@ -1,13 +1,11 @@
 """Erasure strategies, the middle-layer cube instance, certified instance
 generators, and the deterministic baseline they defeat."""
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from ertest.core import (
-    ALL_CHECKS_PASSED,
     ERASED,
     Domain,
     ErasedFunction,

@@ -20,7 +20,7 @@ from ertest.harness import CSV_COLUMNS, TESTERS, WORKERS_ENV
 from ertest.harness import TesterEntry as RegistryEntry
 from ertest.line import INF, LineBoundingPair
 from ertest.hypergrid import BoundingFamily
-from ertest.oracles import PropertySpec, distance_to_monotone_line
+from ertest.oracles import PropertySpec
 from ertest import adversary
 from ertest.adversary import certify_distance
 

@@ -1,9 +1,7 @@
 """Experiment runner: config validation, per-trial invariants, aggregation,
 determinism, and report emission."""
 import itertools
-import json
 import math
-import os
 from dataclasses import asdict, fields, replace
 from fractions import Fraction
 
@@ -26,7 +24,6 @@ from ertest.harness import (
     WORKERS_ENV,
     Z99,
     ExperimentConfig,
-    TrialSummary,
     emit_report,
     run_experiment,
     run_trial,

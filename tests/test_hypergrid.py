@@ -3,10 +3,11 @@ reduction, and the two grid testers."""
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from ertest import hypergrid, line
 from ertest.core import (
     BUDGET_EXHAUSTED,
     ERASED,
@@ -17,7 +18,9 @@ from ertest.core import (
     erased_fraction,
 )
 from ertest.line import (INF, LineBoundingPair, bdp_line_budget, convex_line_budget,
-                         monotone_line_budget, one_sixth_iterations, proximity_iterations)
+                         monotone_line_budget, one_sixth_iterations, pair_violates,
+                         proximity_iterations)
+from ertest.line import test_bdp_line as run_line_bdp
 from ertest.hypergrid import (
     BoundingFamily,
     _exact_iterations,
@@ -464,6 +467,38 @@ def test_checkerboard_rejected_under_lipschitz_bounds():
     assert rejects >= 60
 
 
+_WIDE = LineBoundingPair([-1e16], [1e17])
+_RECHECKED = {
+    # f(1) - f(2) = 1e16 + 128 exceeds -lower(1) = 1e16 by 128: the G view
+    # flags the pair exactly, yet 128 is inside value_gt's tolerance at
+    # 1e16, so the raw pair does not violate and the distance is 0
+    "line": (line, run_line_bdp, O.distance_to_bdp_line,
+             ErasedFunction(Domain.line(2), [1e16 + 128, 0.0]), _WIDE),
+    "grid": (hypergrid, run_grid_bdp, O.bdp_grid_matching_bound,
+             ErasedFunction(Domain.grid(2, 2), [1e16 + 128, 0.0, 1e16 + 128, 0.0]),
+             BoundingFamily((_WIDE, _WIDE))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RECHECKED))
+def test_bdp_testers_accept_when_the_raw_recheck_clears_a_view_flag(case):
+    # the testers stay one-sided only through certify's exact recheck on the
+    # raw values: skipping it would reject, or record no recheck here
+    module, run, distance, fn, bounds = _RECHECKED[case]
+    assert distance(fn, bounds).absolute == 0
+    rechecks = []
+
+    def recheck(*args):
+        rechecks.append(pair_violates(*args))
+        return rechecks[-1]
+
+    with mock.patch.object(module, "pair_violates", recheck):
+        for seed in range(5):
+            verdict = run(QueryOracle(fn), bounds, Fraction(1, 4), 0, make_rng(seed))
+            assert not verdict.is_reject
+    assert rechecks and not any(rechecks)
+
+
 def test_fully_erased_line_burns_budget_to_accept():
     # a dead line cannot yield a start point; the sampling loop ends only
     # at the global cap, which is an accept by the budget rule
@@ -485,3 +520,5 @@ def test_grid_certificate_checker_rejects_bogus_input():
     g = grid_fn(3, 2, lambda p: -p[0])
     assert check_grid_certificate(g, ("monotone-violation", ((1, 2), -1), ((2, 2), -2)))
     assert not check_grid_certificate(g, ("monotone-violation", ((2, 1), -2), ((1, 2), -1)))
+    # points and values hold, but the kind names no violation
+    assert not check_grid_certificate(g, ("no-such-kind", ((1, 2), -1), ((2, 2), -2)))

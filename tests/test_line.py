@@ -254,6 +254,8 @@ _LINE_REFUSALS = {
     "unequal-sides": (lambda: LineBoundingPair([0, 0], [1]),
                       "lower and upper must have equal length"),
     "bad-segment": (lambda: LineBoundingPair.lipschitz(4).seg_lower(3, 2), "bad segment [3, 2)"),
+    "bad-upper-segment": (lambda: LineBoundingPair.lipschitz(4).seg_upper(0, 2),
+                          "bad segment [0, 2)"),
 }
 
 

@@ -192,6 +192,29 @@ def test_verify_report_matches_reference_on_lines(data):
 
 @SETTINGS
 @given(st.data())
+def test_line_completions_match_the_dict_form_reference(data):
+    # the library fills a line's cells; the reference fills {position: value}
+    fn = data.draw(line_functions(16))
+    bounds = data.draw(any_line_bounds(fn.domain.n))
+    valued = fn.nonerased_indices()
+    kept_idx = data.draw(st.lists(st.sampled_from(valued), min_size=1, unique=True))
+    pairs = O.line_pairs(fn)
+    kept_pos = [i + 1 for i in kept_idx]
+    for cells, filled in ((O.complete_convex_line(fn.values, kept_idx),
+                           ref.complete_convex_line(pairs, kept_pos)),
+                          (O.complete_bdp_line(fn.values, kept_idx, bounds),
+                           ref.complete_bdp_line(pairs, kept_pos, bounds))):
+        assert [i for i, v in enumerate(cells) if v is ERASED] == \
+            [i for i, v in enumerate(fn.values) if v is ERASED]
+        assert {i + 1: v for i, v in enumerate(cells) if v is not ERASED} == filled
+        assert all(cells[i] is fn.values[i] for i in kept_idx)
+        assert O.is_member_convex_values(cells) == ref.is_member_convex_values(filled)
+        assert O.is_member_bdp_values(cells, bounds) == \
+            ref.is_member_bdp_values(filled, bounds)
+
+
+@SETTINGS
+@given(st.data())
 def test_verify_report_matches_reference_on_grids(data):
     if data.draw(st.booleans()):
         fn, _ = data.draw(grid_members(monotone_families))

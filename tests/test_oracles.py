@@ -373,13 +373,13 @@ def test_float_convex_completions_reverify():
 
 def test_convex_membership_tolerates_float_noise_only():
     # 0.1 steps in floats: consecutive slopes differ by rounding noise
-    noisy = {x: x * 0.1 for x in range(1, 30)}
-    slopes = [noisy[x + 1] - noisy[x] for x in range(1, 29)]
+    noisy = [x * 0.1 for x in range(1, 30)]
+    slopes = [b - a for a, b in zip(noisy, noisy[1:])]
     assert any(b < a for a, b in zip(slopes, slopes[1:]))
     assert O.is_member_convex_values(noisy)
     tiny = Fraction(1, 10 ** 30)
-    assert not O.is_member_convex_values({1: 0, 2: 1, 3: 2 - tiny})
-    assert not O.is_member_convex_values({1: 0.0, 2: 1.0, 3: 1.5})
+    assert not O.is_member_convex_values([0, 1, 2 - tiny])
+    assert not O.is_member_convex_values([0.0, 1.0, 1.5])
 
 
 def test_compute_distance_routes_grids_to_any_size_oracles():
