@@ -224,14 +224,13 @@ def _far_template(prop: PropertySpec, domain: Domain, rng) -> ErasedFunction:
         return ErasedFunction(domain, vals, kind="real")
     if tag == "monotone-grid":
         jit = rng.random()
-        vals = [-float(sum(domain.point_at(i))) - jit
-                for i in range(domain.size)]
+        vals = [-float(sum(pt)) - jit for pt in domain.points()]
         return ErasedFunction(domain, vals, kind="real")
     if tag == "bdp-grid":
         fam = prop.bounds
         cap = max(_finite_step_cap(b) for b in fam.per_dim)
         amp = 2 * cap * (n * d + 1) + 1 + rng.random()
-        vals = [amp * (sum(domain.point_at(i)) % 2) for i in range(domain.size)]
+        vals = [amp * (sum(pt) % 2) for pt in domain.points()]
         return ErasedFunction(domain, vals, kind="real")
     if tag == "k-runs":
         start = rng.randint(0, 1)
@@ -304,11 +303,10 @@ def _member_template(prop: PropertySpec, domain: Domain, rng) -> ErasedFunction:
         else:
             fam = prop.bounds
         tables = [_member_walk(fam.per_dim[r], n, rng) for r in range(d)]
-        vals = [sum(tables[r][pt[r] - 1] for r in range(d))
-                for pt in map(domain.point_at, range(domain.size))]
+        vals = [sum(tables[r][pt[r] - 1] for r in range(d)) for pt in domain.points()]
         return ErasedFunction(domain, vals, kind="real")
     if tag == "k-runs":
-        runs = rng.randint(1, prop.k)
+        runs = min(rng.randint(1, prop.k), n)  # n points hold at most n runs
         cuts = sorted(rng.sample(range(1, n), runs - 1)) if runs > 1 else []
         bit = rng.randint(0, 1)
         vals = []

@@ -201,8 +201,8 @@ class Domain:
         return tuple(coords)
 
     def points(self) -> Iterator[tuple]:
-        for idx in range(self.size):
-            yield self.point_at(idx)
+        """Every point in index order, ``point_at(0)`` first, in one pass."""
+        return (p[::-1] for p in itertools.product(range(1, self.n + 1), repeat=self.d))
 
 
 def grid_le(x, y) -> bool:

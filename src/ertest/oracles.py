@@ -164,9 +164,17 @@ def distance_to_convex_line(fn: ErasedFunction) -> DistanceReport:
     finds its best predecessor by bisecting slope(j, i) into a prefix
     maximum.  Ties go to the smallest h with the longest chain, and the kept
     chain ends at the first longest pair (j, i) in (i, then j) order.
+
+    A member exits first, in O(m): when m >= 2 and the consecutive slopes
+    never fall by ``<=``, the ``bisect_right`` comparison, every point is
+    kept, which is the report the DP gives then.  The check stops at the
+    first fall; a NaN slope, from two equal infinities, fails ``<=`` and
+    takes the DP.
     """
     pairs = line_pairs(fn)
     m = len(pairs)
+    if m > 1 and all(a <= b for a, b in itertools.pairwise(map(_slope, pairs, pairs[1:]))):
+        return _kept_report("convex-line", pairs, range(m))
     # slope[j][i], best[j][i], parent[j][i] for j < i: the longest chain
     # ending with consecutive points j then i, and the point before j
     slope = [[None] * m for _ in range(m)]
@@ -285,7 +293,7 @@ def _min_changes_poset(m: int, edges):
 
 
 def _grid_items(fn: ErasedFunction):
-    return [(fn.domain.point_at(i), fn.values[i]) for i in fn.nonerased_indices()]
+    return [(p, v) for p, v in zip(fn.domain.points(), fn.values) if v is not ERASED]
 
 
 def _dominance_sweep(cells, domain, better, signs=None, cuts=None) -> list:
@@ -503,6 +511,11 @@ def distance_to_k_runs(fn: ErasedFunction, k: int) -> DistanceReport:
     (r, c) from (r-1, 1-c)", for the backtrace.  The report is the least
     (cost, r, c) at the end.  O(m·k) time; O(m) memory, one int of 2k + 2
     bits per point.
+
+    A member exits first: when the nonerased bits alternate at most k - 1
+    times, by ``!=``, every point is kept, which is the report the DP gives
+    then.  The count stops at the k-th alternation, so the check costs
+    O(m) on a member and O(k) on an input that alternates throughout.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -514,6 +527,9 @@ def distance_to_k_runs(fn: ErasedFunction, k: int) -> DistanceReport:
     # cost0[r], cost1[r]: least changes with r runs so far, last bit 0 or 1
     cost0, cost1 = [NEG] * (k + 1), [NEG] * (k + 1)
     first = pairs[0][1]
+    alternations = (1 for (_, a), (_, b) in itertools.pairwise(pairs) if a != b)
+    if next(itertools.islice(alternations, k - 1, None), None) is None:
+        return _kept_report("k-runs", pairs, range(m))
     cost0[1], cost1[1] = first, 1 - first
     switched = [0] * m
     # (r, bit 2r, bit 2r+1), r downward, so cost*[r - 1] still holds the
@@ -614,6 +630,12 @@ def distance_to_low_degree(fn: ErasedFunction, degree: int) -> DistanceReport:
     then counted by residue.  The least key (-agreement, c0, tail) wins, the
     tails in ``itertools.product`` order: ties go to the smallest
     (c0, c1, ..., cd).
+
+    A member exits first, once 0 <= degree < m: the polynomial through the
+    first degree + 1 nonerased points is checked at every point by ``==``,
+    the DP's kept rule, and if it agrees everywhere every point is kept,
+    which is the report the DP gives then.  O(degree^3 + degree·m), linear
+    in m, stopping at the first disagreement.
     """
     if fn.kind != "field":
         raise ValueError("low-degree distance needs a field-valued function")
@@ -626,6 +648,11 @@ def distance_to_low_degree(fn: ErasedFunction, degree: int) -> DistanceReport:
     if degree + 1 > p:
         raise ValueError("degree too high for the field size")
     pairs = line_pairs(fn)
+    m = len(pairs)
+    if 0 <= degree < m:
+        coeffs = interpolate([(x - 1, y) for x, y in pairs[:degree + 1]], p)
+        if all(poly_eval(coeffs, x - 1, p) == y for x, y in pairs):
+            return _kept_report("low-degree", pairs, range(m))
     ys = [y for _, y in pairs]
     # columns[k - 1][t]: x_t^k for the t-th nonerased point, at position x_t + 1
     columns = [[pow(x - 1, k, p) for x, _ in pairs] for k in range(1, degree + 1)]
@@ -707,7 +734,8 @@ def compute_distance(fn: ErasedFunction, prop: PropertySpec) -> DistanceReport:
 
 def is_restorable(fn: ErasedFunction, prop: PropertySpec) -> bool:
     """Extendable properties reduce restorability to the restriction:
-    distance of f on its nonerased points is zero."""
+    distance of f on its nonerased points is zero.  On convex-line, k-runs
+    and low-degree a member costs the oracle's linear exit, not its DP."""
     return compute_distance(fn, prop).absolute == 0
 
 

@@ -99,6 +99,12 @@ def test_first_coordinate_varies_fastest():
     assert list(dom.points()) == [dom.point_at(i) for i in range(dom.size)]
 
 
+@pytest.mark.parametrize("n, d", [(1, 1), (7, 1), (1, 3), (2, 4), (4, 3)])
+def test_points_come_in_index_order(n, d):
+    dom = Domain.grid(n, d)
+    assert list(dom.points()) == [dom.point_at(i) for i in range(dom.size)]
+
+
 def test_huge_domain_sampled_round_trip():
     dom = Domain.grid(2 ** 20, 3)
     rng = random.Random(42)

@@ -17,9 +17,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ertest import oracles as O
+from ertest.adversary import generate_member_instance
 from ertest.core import ERASED, Domain, ErasedFunction, grid_le
 from ertest.hypergrid import BoundingFamily
 from ertest.line import INF, LineBoundingPair
+from ertest.rng import make_rng
 
 import reference_oracles as ref
 
@@ -282,6 +284,71 @@ def test_convex_line_matches_reference(fn):
     assert O.distance_to_convex_line(fn) == ref.distance_to_convex_line(fn)
 
 
+_SLOPE_STEPS = {
+    # 0 often, so equal consecutive slopes are common
+    "int": st.sampled_from([0, 0, 1, 2]),
+    "fraction": st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 3), Fraction(1, 2)]),
+    "float": st.sampled_from([0.0, 0.0, 0.1, 0.7]),
+}
+
+
+@st.composite
+def convex_members(draw, max_n=14):
+    """A convex line of ints, Fractions or floats: consecutive slopes that
+    never fall, often equal; sometimes ``inf`` or ``-inf`` at an end and one
+    point nudged, then erased at random (one point always stays)."""
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(sorted(_NUMBERS)))
+    vals = [draw(_NUMBERS[kind])]
+    slope = draw(_NUMBERS[kind])
+    for _ in range(n - 1):
+        vals.append(vals[-1] + slope)
+        slope += draw(_SLOPE_STEPS[kind])
+    for end in (0, n - 1):
+        if draw(st.integers(0, 3)) == 0:
+            vals[end] = draw(st.sampled_from([INF, INF, -INF]))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        vals[i] += draw(st.sampled_from(_NUDGES))
+    erased = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    erased[draw(st.integers(0, n - 1))] = False
+    return ErasedFunction(Domain.line(n), [ERASED if e else v for v, e in zip(vals, erased)])
+
+
+@SETTINGS
+@given(convex_members())
+@example(ErasedFunction(Domain.line(4), [INF, 0, 0, INF]))
+@example(ErasedFunction(Domain.line(3), [-INF, 0, INF]))
+def test_convex_line_matches_reference_on_members(fn):
+    assert O.distance_to_convex_line(fn) == ref.distance_to_convex_line(fn)
+
+
+@pytest.mark.parametrize("vals", [
+    [(t - 5) ** 2 for t in range(1, 13)],
+    [3 * t - 7 for t in range(1, 9)],                       # every slope equal
+    [Fraction(t * t, 3) if t % 3 else ERASED for t in range(1, 11)],
+    [INF, 4, 1, 0, 0, 1, INF],
+    [2, 5],
+])
+def test_convex_member_makes_one_slope_per_link(vals):
+    fn = ErasedFunction(Domain.line(len(vals)), vals)
+    m = len(O.line_pairs(fn))
+    with mock.patch.object(O, "_slope", wraps=O._slope) as spy:
+        report = O.distance_to_convex_line(fn)
+    assert report.absolute == 0
+    assert spy.call_count == m - 1
+    assert report == ref.distance_to_convex_line(fn)
+
+
+def test_a_nan_chord_keeps_the_dp_path():
+    # inf to inf is a NaN slope, which fails <=: the check stops at the
+    # first link, after its two slopes, and the DP computes every chord
+    fn = ErasedFunction(Domain.line(3), [INF, INF, 0])
+    with mock.patch.object(O, "_slope", wraps=O._slope) as spy:
+        O.distance_to_convex_line(fn)
+    assert spy.call_count == 2 + 3
+
+
 @SETTINGS
 @given(st.data())
 def test_bdp_line_matches_reference(data):
@@ -326,6 +393,30 @@ def test_k_runs_matches_reference(fn, k):
     assert O.distance_to_k_runs(fn, k) == ref.distance_to_k_runs(fn, k)
 
 
+@st.composite
+def k_runs_members(draw):
+    """A bit line of at most k runs, k >= 1, sometimes with one bit flipped,
+    erased at random (one point always stays); returns (function, k)."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 40))
+    cuts = draw(st.lists(st.integers(1, n - 1), max_size=k - 1, unique=True)) if n > 1 else []
+    bit = draw(st.sampled_from([0, 1]))
+    bits = [bit ^ (sum(c <= t for c in cuts) % 2) for t in range(n)]
+    if draw(st.booleans()):
+        bits[draw(st.integers(0, n - 1))] ^= 1
+    erased = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    erased[draw(st.integers(0, n - 1))] = False
+    return ErasedFunction(Domain.line(n), [ERASED if e else b for b, e in zip(bits, erased)],
+                          kind="bit"), k
+
+
+@SETTINGS
+@given(k_runs_members())
+def test_k_runs_matches_reference_on_members(member):
+    fn, k = member
+    assert O.distance_to_k_runs(fn, k) == ref.distance_to_k_runs(fn, k)
+
+
 @SETTINGS
 @given(st.data())
 def test_bdp_grid_matches_reference(data):
@@ -355,6 +446,46 @@ def test_low_degree_matches_reference(data):
     vals = [ERASED if e else v for v, e in zip(vals, erased)]
     fn = ErasedFunction(Domain.line(p), vals, kind="field", modulus=p)
     assert O.distance_to_low_degree(fn, degree) == ref.distance_to_low_degree(fn, degree)
+
+
+@SETTINGS
+@given(st.data())
+def test_low_degree_matches_reference_at_most_degree_points(data):
+    # m <= degree nonerased points: any values fit, and the exit is skipped
+    p = data.draw(st.sampled_from([3, 5, 7, 11]))
+    degree = data.draw(st.integers(1, min(3, p - 1)))
+    kept = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=degree, unique=True))
+    vals = [data.draw(st.integers(0, p - 1)) if x in kept else ERASED for x in range(p)]
+    fn = ErasedFunction(Domain.line(p), vals, kind="field", modulus=p)
+    assert O.distance_to_low_degree(fn, degree) == ref.distance_to_low_degree(fn, degree)
+
+
+_GENERATED = {
+    # tag: (sizes, the property drawn for a size n, the reference oracle)
+    "convex-line": (st.integers(1, 32), lambda n: st.just(O.PropertySpec("convex-line")),
+                    lambda fn, prop: ref.distance_to_convex_line(fn)),
+    "k-runs": (st.integers(1, 64),
+               lambda n: st.integers(1, 6).map(lambda k: O.PropertySpec("k-runs", k=k)),
+               lambda fn, prop: ref.distance_to_k_runs(fn, prop.k)),
+    # the field has p = n elements, so the degree stays below n
+    "low-degree": (st.sampled_from([2, 3, 5, 7, 11, 13]),
+                   lambda n: st.integers(0, min(2, n - 1)).map(
+                       lambda d: O.PropertySpec("low-degree", degree=d)),
+                   lambda fn, prop: ref.distance_to_low_degree(fn, prop.degree)),
+}
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(_GENERATED)), st.integers(0, 2 ** 32), st.data())
+def test_generated_members_match_reference(tag, seed, data):
+    sizes, props, reference = _GENERATED[tag]
+    n = data.draw(sizes)
+    prop = data.draw(props(n))
+    alpha = Fraction(data.draw(st.integers(0, 7)), 8)
+    fn = generate_member_instance(prop, Domain.line(n), alpha, make_rng(seed))
+    report = O.compute_distance(fn, prop)
+    assert report.absolute == 0
+    assert report == reference(fn, prop)
 
 
 def _adjacency(m, edges):
