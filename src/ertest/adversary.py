@@ -26,6 +26,7 @@ from .line import (INF, LineBoundingPair, _descends, _run_searches,
 from .hypergrid import BoundingFamily
 from .oracles import (
     PropertySpec,
+    _check_fit,
     compute_distance as certify_distance,
     is_restorable,
     poly_eval,
@@ -37,20 +38,25 @@ FAR_RETRIES = 32
 # ---------------------------------------------------------------------------
 # erasure strategies
 
+def _erase(fn: ErasedFunction, a, pick) -> ErasedFunction:
+    """A copy of the total ``fn``, declaring ``a``, with the indices that
+    ``pick(count)`` returns erased, count = floor(a*|D|).  ``pick`` runs
+    only after the total check, so a refused call draws nothing."""
+    if any(v is ERASED for v in fn.values):
+        raise ValueError("input must be total")
+    vals = list(fn.values)
+    for i in pick(int(a * fn.domain.size)):  # floor: Fraction.__int__ truncates, a >= 0
+        vals[i] = ERASED
+    return ErasedFunction(fn.domain, vals, kind=fn.kind,
+                          declared_alpha=a, modulus=fn.modulus)
+
+
 def erase_random(fn: ErasedFunction, alpha, rng) -> ErasedFunction:
     """Erase exactly floor(alpha*|D|) points, uniform without replacement."""
     a = exact_fraction(alpha)
     if not 0 <= a < 1:
         raise ValueError("alpha outside [0,1)")
-    if any(v is ERASED for v in fn.values):
-        raise ValueError("input must be total")
-    size = fn.domain.size
-    count = int(a * size)  # floor: Fraction.__int__ truncates, a >= 0
-    vals = list(fn.values)
-    for i in rng.sample(range(size), count):
-        vals[i] = ERASED
-    return ErasedFunction(fn.domain, vals, kind=fn.kind,
-                          declared_alpha=a, modulus=fn.modulus)
+    return _erase(fn, a, lambda count: rng.sample(range(fn.domain.size), count))
 
 
 def binary_search_pivot_order(n: int) -> list:
@@ -79,15 +85,8 @@ def erase_binary_search_pivots(fn: ErasedFunction, alpha) -> ErasedFunction:
         raise ValueError("alpha outside (0,1)")
     if not fn.domain.is_line:
         raise ValueError("pivot erasure targets line functions")
-    if any(v is ERASED for v in fn.values):
-        raise ValueError("input must be total")
-    n = fn.domain.n
-    count = int(a * n)
-    vals = list(fn.values)
-    for pos in binary_search_pivot_order(n)[:count]:
-        vals[pos - 1] = ERASED
-    return ErasedFunction(fn.domain, vals, kind=fn.kind,
-                          declared_alpha=a, modulus=fn.modulus)
+    return _erase(fn, a, lambda count: [
+        pos - 1 for pos in binary_search_pivot_order(fn.domain.n)[:count]])
 
 
 def erase_none(fn: ErasedFunction, alpha, rng=None) -> ErasedFunction:
@@ -129,10 +128,6 @@ def classic_monotone_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
 # ---------------------------------------------------------------------------
 # the middle-layer cube instance
 
-def _cube_weight(pt) -> int:
-    return sum(c - 1 for c in pt)
-
-
 def hypercube_middle_layer(d: int) -> ErasedFunction:
     """On {0,1}^d, d even: erased at weight d/2, one below, zero above.  No
     axis-parallel edge between nonerased points is violated, yet the
@@ -141,10 +136,8 @@ def hypercube_middle_layer(d: int) -> ErasedFunction:
         raise ValueError("need even d >= 2")
     dom = Domain.hamming_cube(d)
     half = d // 2
-    vals = []
-    for idx in range(dom.size):
-        w = _cube_weight(dom.point_at(idx))
-        vals.append(ERASED if w == half else (1 if w < half else 0))
+    weights = (sum(pt) - d for pt in dom.points())  # coordinates are 1 or 2
+    vals = [ERASED if w == half else (1 if w < half else 0) for w in weights]
     return ErasedFunction(dom, vals, kind="bit")
 
 
@@ -177,8 +170,7 @@ def middle_layer_matching(d: int) -> list:
     dom = Domain.hamming_cube(d)
     half = d // 2
     pairs = []
-    for idx in range(dom.size):
-        pt = dom.point_at(idx)
+    for pt in dom.points():
         bits = tuple(c - 1 for c in pt)
         if sum(bits) < half:
             mate = _bracket_partner(bits)
@@ -189,7 +181,7 @@ def middle_layer_matching(d: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# far templates
+# templates: the total functions instances start from
 
 def _finite_step_cap(bounds: LineBoundingPair) -> float:
     cap = 1.0
@@ -202,64 +194,6 @@ def _finite_step_cap(bounds: LineBoundingPair) -> float:
             cap = max(cap, abs(float(l)))
     return cap
 
-
-def _far_template(prop: PropertySpec, domain: Domain, rng) -> ErasedFunction:
-    tag = prop.tag
-    n, d = domain.n, domain.d
-    if tag == "monotone-line":
-        vals = []
-        cur = n + rng.random()
-        for _ in range(n):
-            vals.append(cur)
-            cur -= 1 + rng.random()
-        return ErasedFunction(domain, vals, kind="real")
-    if tag == "bdp-line":
-        amp = 2 * _finite_step_cap(prop.bounds) * (n + 1) + 1 + rng.random()
-        vals = [amp * (t % 2) for t in range(n)]
-        return ErasedFunction(domain, vals, kind="real")
-    if tag == "convex-line":
-        mid = (n + 1) / 2
-        tilt = rng.random()
-        vals = [-(t - mid) ** 2 + tilt * t for t in range(1, n + 1)]
-        return ErasedFunction(domain, vals, kind="real")
-    if tag == "monotone-grid":
-        jit = rng.random()
-        vals = [-float(sum(pt)) - jit for pt in domain.points()]
-        return ErasedFunction(domain, vals, kind="real")
-    if tag == "bdp-grid":
-        fam = prop.bounds
-        cap = max(_finite_step_cap(b) for b in fam.per_dim)
-        amp = 2 * cap * (n * d + 1) + 1 + rng.random()
-        vals = [amp * (sum(pt) % 2) for pt in domain.points()]
-        return ErasedFunction(domain, vals, kind="real")
-    if tag == "k-runs":
-        start = rng.randint(0, 1)
-        vals = [(t + start) % 2 for t in range(n)]
-        return ErasedFunction(domain, vals, kind="bit")
-    p = n  # low-degree, the last tag PropertySpec admits
-    low = [rng.randint(0, p - 1) for _ in range(prop.degree + 1)]
-    vals = [poly_eval(low + [1], x, p) for x in range(p)]
-    return ErasedFunction(domain, vals, kind="field", modulus=p)
-
-
-def generate_far_instance(prop: PropertySpec, domain: Domain, target_eps,
-                          alpha, rng, eraser: Callable = erase_random):
-    """Template + erase + certify, retried a bounded number of times until
-    the certified relative distance reaches the target."""
-    e = exact_fraction(target_eps)
-    for _ in range(FAR_RETRIES):
-        total = _far_template(prop, domain, rng)
-        fn = eraser(total, alpha, rng) if exact_fraction(alpha) > 0 else total
-        report = certify_distance(fn, prop)
-        if report.relative >= e:
-            return fn, report
-    raise GenerationFailed(
-        f"no {prop.tag} instance reached distance {target_eps} "
-        f"after {FAR_RETRIES} attempts")
-
-
-# ---------------------------------------------------------------------------
-# member templates
 
 def _member_walk(bounds: LineBoundingPair, n: int, rng) -> list:
     """Start anywhere, then steps drawn strictly inside each (lower, upper)
@@ -278,57 +212,103 @@ def _member_walk(bounds: LineBoundingPair, n: int, rng) -> list:
     return vals
 
 
-def _member_template(prop: PropertySpec, domain: Domain, rng) -> ErasedFunction:
+def _template(prop: PropertySpec, domain: Domain, member: bool, rng) -> ErasedFunction:
+    """A total function on ``domain``: a random member of ``prop``, or one
+    built far from it (a descent, a too steep alternation, an arch, a run
+    per point, one degree more).  Each property's branch holds both forms;
+    values are real, bits for k-runs and field elements mod n for low-degree."""
     tag = prop.tag
     n, d = domain.n, domain.d
-    if tag == "monotone-line":
-        vals = []
-        cur = rng.uniform(-4, 4)
-        for _ in range(n):
-            cur += rng.random()
-            vals.append(cur)
-        return ErasedFunction(domain, vals, kind="real")
-    if tag == "bdp-line":
-        return ErasedFunction(domain, _member_walk(prop.bounds, n, rng), kind="real")
-    if tag == "convex-line":
-        vals = [rng.uniform(-4, 4)]
-        slope = rng.uniform(-2, 0)
-        for _ in range(n - 1):
-            vals.append(vals[-1] + slope)
-            slope += rng.random()
-        return ErasedFunction(domain, vals, kind="real")
-    if tag in ("monotone-grid", "bdp-grid"):
-        if tag == "monotone-grid":
-            fam = BoundingFamily.monotone(n, d)
-        else:
-            fam = prop.bounds
-        tables = [_member_walk(fam.per_dim[r], n, rng) for r in range(d)]
-        vals = [sum(tables[r][pt[r] - 1] for r in range(d)) for pt in domain.points()]
-        return ErasedFunction(domain, vals, kind="real")
     if tag == "k-runs":
-        runs = min(rng.randint(1, prop.k), n)  # n points hold at most n runs
-        cuts = sorted(rng.sample(range(1, n), runs - 1)) if runs > 1 else []
+        if member:
+            runs = min(rng.randint(1, prop.k), n)  # n points hold at most n runs
+            cuts = sorted(rng.sample(range(1, n), runs - 1))
+        else:
+            cuts = range(1, n)
         bit = rng.randint(0, 1)
         vals = []
-        edges = cuts + [n]
-        pos = 0
-        for stop in edges:
-            vals.extend([bit] * (stop - pos))
-            pos = stop
+        for start, stop in zip([0, *cuts], [*cuts, n]):
+            vals.extend([bit] * (stop - start))
             bit ^= 1
         return ErasedFunction(domain, vals, kind="bit")
-    p = n  # low-degree, the last tag PropertySpec admits
-    coeffs = [rng.randint(0, p - 1) for _ in range(prop.degree + 1)]
-    vals = [poly_eval(coeffs, x, p) for x in range(p)]
-    return ErasedFunction(domain, vals, kind="field", modulus=p)
+    if tag == "low-degree":
+        coeffs = [rng.randint(0, n - 1) for _ in range(prop.degree + 1)]
+        if not member:
+            coeffs.append(1)
+        return ErasedFunction(domain, [poly_eval(coeffs, x, n) for x in range(n)],
+                              kind="field", modulus=n)
+    if tag == "monotone-line":
+        vals = []
+        if member:
+            cur = rng.uniform(-4, 4)
+            for _ in range(n):
+                cur += rng.random()
+                vals.append(cur)
+        else:
+            cur = n + rng.random()
+            for _ in range(n):
+                vals.append(cur)
+                cur -= 1 + rng.random()
+    elif tag == "bdp-line":
+        if member:
+            vals = _member_walk(prop.bounds, n, rng)
+        else:
+            amp = 2 * _finite_step_cap(prop.bounds) * (n + 1) + 1 + rng.random()
+            vals = [amp * (t % 2) for t in range(n)]
+    elif tag == "convex-line":
+        if member:
+            vals = [rng.uniform(-4, 4)]
+            slope = rng.uniform(-2, 0)
+            for _ in range(n - 1):
+                vals.append(vals[-1] + slope)
+                slope += rng.random()
+        else:
+            mid = (n + 1) / 2
+            tilt = rng.random()
+            vals = [-(t - mid) ** 2 + tilt * t for t in range(1, n + 1)]
+    elif member:  # monotone-grid and bdp-grid, the tags left
+        fam = prop.bounds if tag == "bdp-grid" else BoundingFamily.monotone(n, d)
+        tables = [_member_walk(fam.per_dim[r], n, rng) for r in range(d)]
+        vals = [sum(tables[r][pt[r] - 1] for r in range(d)) for pt in domain.points()]
+    elif tag == "monotone-grid":
+        jit = rng.random()
+        vals = [-float(sum(pt)) - jit for pt in domain.points()]
+    else:
+        cap = max(_finite_step_cap(b) for b in prop.bounds.per_dim)
+        amp = 2 * cap * (n * d + 1) + 1 + rng.random()
+        vals = [amp * (sum(pt) % 2) for pt in domain.points()]
+    return ErasedFunction(domain, vals, kind="real")
+
+
+def _instance(prop: PropertySpec, domain: Domain, member: bool, alpha, rng,
+              eraser: Callable) -> ErasedFunction:
+    """A template, erased by ``eraser`` when alpha > 0."""
+    total = _template(prop, domain, member, rng)
+    return eraser(total, alpha, rng) if exact_fraction(alpha) > 0 else total
+
+
+def generate_far_instance(prop: PropertySpec, domain: Domain, target_eps,
+                          alpha, rng, eraser: Callable = erase_random):
+    """Template + erase + certify, retried a bounded number of times until
+    the certified relative distance reaches the target."""
+    _check_fit(domain, prop)
+    e = exact_fraction(target_eps)
+    for _ in range(FAR_RETRIES):
+        fn = _instance(prop, domain, False, alpha, rng, eraser)
+        report = certify_distance(fn, prop)
+        if report.relative >= e:
+            return fn, report
+    raise GenerationFailed(
+        f"no {prop.tag} instance reached distance {target_eps} "
+        f"after {FAR_RETRIES} attempts")
 
 
 def generate_member_instance(prop: PropertySpec, domain: Domain, alpha, rng,
                              eraser: Callable = erase_random) -> ErasedFunction:
     """Random member, then erasures; restorability is checked, not assumed,
     and a member that fails the check raises GenerationFailed."""
-    total = _member_template(prop, domain, rng)
-    fn = eraser(total, alpha, rng) if exact_fraction(alpha) > 0 else total
+    _check_fit(domain, prop)
+    fn = _instance(prop, domain, True, alpha, rng, eraser)
     if not is_restorable(fn, prop):
         raise GenerationFailed(f"the {prop.tag} member instance is not restorable")
     return fn
@@ -361,9 +341,8 @@ class InstanceSpec:
     def realize(self, rng):
         """(function, distance report or None for members)."""
         if self.member:
-            fn = generate_member_instance(self.prop, self.domain, self.alpha,
-                                          rng, self.eraser())
-            return fn, None
+            return generate_member_instance(self.prop, self.domain, self.alpha,
+                                            rng, self.eraser()), None
         if self.target_eps is None:
             raise ValueError("far instances need a target distance")
         return generate_far_instance(self.prop, self.domain, self.target_eps,

@@ -25,6 +25,7 @@ from typing import Optional
 from .core import (
     ERASED,
     ConfigError,
+    Domain,
     ErasedFunction,
     InvalidField,
     SizeLimit,
@@ -715,20 +716,20 @@ class PropertySpec:
             check_bounds(self.tag, self.bounds, want)
 
 
-def _check_fit(fn: ErasedFunction, prop: PropertySpec) -> None:
+def _check_fit(domain: Domain, prop: PropertySpec) -> None:
     """Refuse a line property on a grid, as ``validate_config`` words it, and
-    bounds that do not fit ``fn``'s domain."""
-    if not fn.domain.is_line and prop.tag not in ("monotone-grid", "bdp-grid"):
-        raise ConfigError(f"{prop.tag} runs on line domains, got d={fn.domain.d}")
+    bounds that do not fit ``domain``: the generators' check before a draw."""
+    if not domain.is_line and prop.tag not in ("monotone-grid", "bdp-grid"):
+        raise ConfigError(f"{prop.tag} runs on line domains, got d={domain.d}")
     want = _PROPERTIES[prop.tag][1]
     if want is not None:
-        check_bounds(prop.tag, prop.bounds, want, fn.domain)
+        check_bounds(prop.tag, prop.bounds, want, domain)
 
 
 def compute_distance(fn: ErasedFunction, prop: PropertySpec) -> DistanceReport:
     """The one distance dispatch, after ``_check_fit``: the exact oracle for
     each property, and the matching lower bound for bounded-derivative grids."""
-    _check_fit(fn, prop)
+    _check_fit(fn.domain, prop)
     return _PROPERTIES[prop.tag][2](fn, prop)
 
 
@@ -892,7 +893,7 @@ def verify_report(fn: ErasedFunction, prop: PropertySpec, report: DistanceReport
     it does not accept; consecutive slopes for convexity, O(m log m).  No
     check calls an oracle.  Misfits are refused as ``compute_distance`` does.
     """
-    _check_fit(fn, prop)
+    _check_fit(fn.domain, prop)
     cert = report.certificate
     if not isinstance(cert, tuple) or cert[:1] != (
             ("matching",) if report.is_lower_bound else ("kept",)):

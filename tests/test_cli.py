@@ -559,6 +559,33 @@ def test_cli_generate_on_a_grid_and_an_unknown_shape(tmp_path, capsys):
     assert not (tmp_path / "t.fn").exists()
 
 
+SPEC_MISFITS = [
+    ({"property": "bdp-line", "domain": ["line", 9]}, "bdp-line",
+     "bdp-line bounds have n=8, d=1; the domain has n=9, d=1"),
+    ({"property": "monotone-line", "domain": ["grid", 4, 2]}, "monotone-line",
+     "monotone-line runs on line domains, got d=2"),
+]
+
+
+@pytest.mark.parametrize("spec, tester, message", SPEC_MISFITS,
+                         ids=["line-length", "line-on-grid"])
+@pytest.mark.parametrize("member", [True, False], ids=["member", "far"])
+def test_cli_generate_and_experiment_refuse_a_misfit_spec(tmp_path, capsys, spec, tester,
+                                                          message, member):
+    """Both commands name the property and the sizes, before any draw."""
+    bounds = write_lines(tmp_path / "lip8.bounds", "bounds 1 8\n" + "-1 " * 7 + "\n"
+                         + "1 " * 7 + "\n")
+    spec = dict(spec, bounds=bounds, member=member, target_eps="1/4", alpha="1/8",
+                out=str(tmp_path / "misfit.fn"))
+    assert main(["generate", "--spec", write_lines(tmp_path / "g.json", json.dumps(spec))]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "misfit.fn").exists()
+    cfg = {"tester": tester, "instance": spec, "trials": 2, "seed": 1, "eps": "1/4",
+           "bounds": bounds}
+    assert main(["experiment", "--config", write_lines(tmp_path / "e.json", json.dumps(cfg))]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # experiment subcommand
 
