@@ -584,12 +584,10 @@ def _link_gt(s1, s2) -> bool:
 def _walk_nonerased(oracle, start, stop, step):
     """Linear scan start, start+step, ... within [min,max]=sorted((start,stop));
     returns (pos, value) of the first nonerased point or None."""
-    pos = start
-    while (pos <= stop) if step > 0 else (pos >= stop):
+    for pos in range(start, stop + step, step):
         v = oracle.query((pos,))
         if v is not ERASED:
             return pos, v
-        pos += step
     return None
 
 
@@ -598,23 +596,22 @@ def convex_search(oracle: QueryOracle, s: int, rng, counters) -> object:
     iteratively: each loop pass is one recursion level, and only the side
     holding s recurses.
 
-    A level has an interval [lo, hi], its anchors (nonerased (position,
-    value) pairs queried so far, in position order) and a (slope, chord)
-    bound per side, None while that side is unbounded.  Per level: sample a
-    nonerased pivot x (sampling queries), walk outward for the nearest
-    nonerased neighbors y right and z left (walking queries), merge {z, x, y}
-    into the anchors, and test that the chord slopes over them fit between
-    the bounds.  Then descend toward s, keeping the anchors on its side and
-    taking the chord (z,x) or (x,y) as the new bound.  ``counters`` gains
-    the queries each phase spends.  A chord between two int values keeps
-    its slope as (rise, run) and compares by cross products; any other
-    chord's slope is one ``_slope``, compared by ``value_gt`` (``_link``).
+    A level has an interval [lo, hi] and a (slope, chord) bound per side,
+    None while that side is unbounded; the low bound's chord ends at lo and
+    the high bound's starts at hi.  Per level: sample a nonerased pivot x
+    (sampling queries), walk outward for the nearest nonerased neighbors y
+    right and z left (walking queries), and test that the chord slopes over
+    the points lo, z, x, y, hi (those known, each position once) fit
+    between the bounds.  Then descend toward s, taking the chord (z,x) or
+    (x,y) as the new bound.  ``counters`` gains the queries each phase
+    spends.  A level builds at most 4 chords and compares at most 5 pairs,
+    by ``_link_gt``, the one chord rule of the search, the certificate check
+    and ``oracles.is_member_convex_values``.
 
     Returns None (accept) or a certificate ("convex-violation", chord_a,
     chord_b) where chord_a sits left of chord_b but has the larger slope.
     """
     lo, hi = 1, oracle.fn.domain.n
-    anchors = []
     low = high = None
     while True:
         before = oracle.count
@@ -626,12 +623,11 @@ def convex_search(oracle: QueryOracle, s: int, rng, counters) -> object:
         left = _walk_nonerased(oracle, x - 1, lo, -1)
         counters["walking"] += oracle.count - before
 
-        merged = dict(anchors)
-        merged[x] = fx
-        for hit in (right, left):
-            if hit is not None:
-                merged[hit[0]] = hit[1]
-        points = sorted(merged.items())
+        # a walk may stop on a bound's end, and x may be one
+        points = []
+        for p in (low and low[1][1], left, (x, fx), right, high and high[1][0]):
+            if p is not None and not (points and points[-1][0] == p[0]):
+                points.append(p)
 
         chain = [] if low is None else [low]
         chain += [(_link(p, q), (p, q)) for p, q in zip(points, points[1:])]
@@ -647,9 +643,9 @@ def convex_search(oracle: QueryOracle, s: int, rng, counters) -> object:
         i = points.index((x, fx))
         k = i - (low is None)
         if s < x:
-            hi, anchors, high = left[0], points[:i], chain[k]
+            hi, high = left[0], chain[k]
         else:
-            lo, anchors, low = right[0], points[i + 1:], chain[k + 1]
+            lo, low = right[0], chain[k + 1]
 
 
 def test_convex_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
@@ -703,5 +699,5 @@ def check_line_certificate(fn: ErasedFunction, certificate,
             return False
         if not (a < b and c < d and a <= c and b <= d and (a, b) != (c, d)):
             return False
-        return value_gt(_slope((a, fa), (b, fb)), _slope((c, fc), (d, fd)))
+        return _link_gt(_link((a, fa), (b, fb)), _link((c, fc), (d, fd)))
     return False

@@ -7,9 +7,9 @@ explicit completion changes, and ``verify_report`` re-checks that completion
 for membership.  One float rule per check: the monotone oracles and kept-set
 checks, at every d, and the convex-line oracle compare by plain ``>``, exact
 on any mix of ints, floats and Fractions; the bounded-derivative oracles and
-checks, the matching checks and the convexity check use ``value_gt``,
-tolerant of float noise as the testers are.  Feed ints or Fractions when a
-certified distance matters.
+checks and the matching checks use ``value_gt``, and the convexity check
+the search's chord rule ``line._link_gt``, tolerant of float noise as the
+testers are.  Feed ints or Fractions when a certified distance matters.
 """
 from __future__ import annotations
 
@@ -30,10 +30,9 @@ from .core import (
     InvalidField,
     SizeLimit,
     grid_descends,
-    value_gt,
 )
 from .hypergrid import BoundingFamily, grid_pair_violates
-from .line import INF, LineBoundingPair, _slope, check_bounds, pair_violates
+from .line import INF, LineBoundingPair, _link, _link_gt, _slope, check_bounds, pair_violates
 
 FIELD_EXHAUSTIVE_GATE = 64
 _ENUM_CAP = 1 << 20
@@ -166,15 +165,15 @@ def distance_to_convex_line(fn: ErasedFunction) -> DistanceReport:
     maximum.  Ties go to the smallest h with the longest chain, and the kept
     chain ends at the first longest pair (j, i) in (i, then j) order.
 
-    A member exits first, in O(m): when m >= 2 and the consecutive slopes
-    never fall by ``<=``, the ``bisect_right`` comparison, every point is
-    kept, which is the report the DP gives then.  The check stops at the
-    first fall; a NaN slope, from two equal infinities, fails ``<=`` and
-    takes the DP.
+    A member exits first, in O(m): when the consecutive slopes never fall
+    by ``<=``, the ``bisect_right`` comparison, every point is kept, which
+    is the report the DP gives then; at m <= 2 there is nothing to compare,
+    so the DP runs only for m >= 3.  The check stops at the first fall; a
+    NaN slope, from two equal infinities, fails ``<=`` and takes the DP.
     """
     pairs = line_pairs(fn)
     m = len(pairs)
-    if m > 1 and all(a <= b for a, b in itertools.pairwise(map(_slope, pairs, pairs[1:]))):
+    if all(a <= b for a, b in itertools.pairwise(map(_slope, pairs, pairs[1:]))):
         return _kept_report("convex-line", pairs, range(m))
     # slope[j][i], best[j][i], parent[j][i] for j < i: the longest chain
     # ending with consecutive points j then i, and the point before j
@@ -201,20 +200,17 @@ def distance_to_convex_line(fn: ErasedFunction) -> DistanceReport:
                 length, h = prefix[k - 1]
                 best[j][i] = length + 1
                 parent[j][i] = h
-    if m > 1:
-        longest, bj, bi = 0, None, None
-        for i in range(1, m):
-            for j in range(i):
-                if best[j][i] > longest:
-                    longest, bj, bi = best[j][i], j, i
-        keep = [bi, bj]
-        while parent[bj][bi] is not None:
-            h = parent[bj][bi]
-            keep.append(h)
-            bj, bi = h, bj
-        keep.reverse()
-    else:
-        keep = [0] if m else []
+    longest, bj, bi = 0, None, None
+    for i in range(1, m):
+        for j in range(i):
+            if best[j][i] > longest:
+                longest, bj, bi = best[j][i], j, i
+    keep = [bi, bj]
+    while parent[bj][bi] is not None:
+        h = parent[bj][bi]
+        keep.append(h)
+        bj, bi = h, bj
+    keep.reverse()
     return _kept_report("convex-line", pairs, keep)
 
 
@@ -636,7 +632,8 @@ def distance_to_low_degree(fn: ErasedFunction, degree: int) -> DistanceReport:
     first degree + 1 nonerased points is checked at every point by ``==``,
     the DP's kept rule, and if it agrees everywhere every point is kept,
     which is the report the DP gives then.  O(degree^3 + degree·m), linear
-    in m, stopping at the first disagreement.
+    in m, stopping at the first disagreement, and ahead of the size gate:
+    a member is reported at any p, and m <= p, so it meets no refusal.
     """
     if fn.kind != "field":
         raise ValueError("low-degree distance needs a field-valued function")
@@ -644,16 +641,16 @@ def distance_to_low_degree(fn: ErasedFunction, degree: int) -> DistanceReport:
     p = fn.modulus
     if not is_prime(p):
         raise InvalidField(f"{p} is not prime")
-    if p > FIELD_EXHAUSTIVE_GATE or p ** (degree + 1) > _ENUM_CAP:
-        raise SizeLimit("beyond the exhaustive coefficient regime")
-    if degree + 1 > p:
-        raise ValueError("degree too high for the field size")
     pairs = line_pairs(fn)
     m = len(pairs)
     if 0 <= degree < m:
         coeffs = interpolate([(x - 1, y) for x, y in pairs[:degree + 1]], p)
         if all(poly_eval(coeffs, x - 1, p) == y for x, y in pairs):
             return _kept_report("low-degree", pairs, range(m))
+    if p > FIELD_EXHAUSTIVE_GATE or p ** (degree + 1) > _ENUM_CAP:
+        raise SizeLimit("beyond the exhaustive coefficient regime")
+    if degree + 1 > p:
+        raise ValueError("degree too high for the field size")
     ys = [y for _, y in pairs]
     # columns[k - 1][t]: x_t^k for the t-th nonerased point, at position x_t + 1
     columns = [[pow(x - 1, k, p) for x, _ in pairs] for k in range(1, degree + 1)]
@@ -819,15 +816,10 @@ def is_member_bdp_values(cells, bounds: LineBoundingPair) -> bool:
 
 
 def is_member_convex_values(cells) -> bool:
-    """Consecutive slopes of a line's nonerased cells never fall, by ``value_gt``."""
+    """Consecutive chords of a line's nonerased cells never fall, by ``_link_gt``."""
     items = _valued(cells)
-    last = None
-    for p, q in zip(items, items[1:]):
-        s = _slope(p, q)
-        if last is not None and value_gt(last, s):
-            return False
-        last = s
-    return True
+    links = list(map(_link, items, items[1:]))
+    return not any(map(_link_gt, links, links[1:]))
 
 
 def complete_monotone_grid(fn: ErasedFunction, kept_idx) -> list:

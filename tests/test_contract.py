@@ -14,7 +14,7 @@ from ertest.core import Domain, ErasedFunction
 from ertest.harness import TESTERS, ExperimentConfig, run_trial, validate_config
 from ertest.hypergrid import BoundingFamily
 from ertest.line import INF, LineBoundingPair
-from ertest.oracles import _ENUM_CAP, PropertySpec
+from ertest.oracles import PropertySpec
 from ertest.rng import make_rng
 from ertest.transforms import Poset
 
@@ -98,11 +98,10 @@ def k_runs_member(draw):
 
 @st.composite
 def low_degree_member(draw):
-    """degree + 2 <= p, the tester's gate, and p^(degree+1) within the
-    oracle's exhaustive regime, which member generation checks through."""
+    """degree + 2 <= p, the tester's gate: member generation checks through
+    the oracle's member exit, which runs before its size gate."""
     p = draw(st.sampled_from(PRIMES))
-    top = max(deg for deg in range(p - 1) if p ** (deg + 1) <= _ENUM_CAP)
-    degree = draw(st.integers(0, min(top, 4)))
+    degree = draw(st.integers(0, min(p - 2, 4)))
     return generated(draw, PropertySpec("low-degree", degree=degree), Domain.line(p),
                      degree=degree)
 

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ertest.core import (
     ALL_CHECKS_PASSED,
@@ -355,6 +355,25 @@ def test_link_comparison_decides_as_value_gt_on_slopes(data):
                            else _slope(p, q))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_convex_certificate_decides_as_value_gt_on_slopes(data):
+    """``check_line_certificate`` decides a convexity certificate as
+    ``value_gt`` decides its two chords' ``_slope``s, on values that mix
+    ints, Fractions, floats and infinities: the search's chord rule, which
+    the check shares, gives what the plain slopes give."""
+    n = data.draw(st.integers(2, 8))
+    values = data.draw(st.lists(st.one_of(_PAIR_VALUES, st.sampled_from([INF, -INF])),
+                                min_size=n, max_size=n))
+    a, b = sorted(data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)))
+    c = data.draw(st.integers(a, n - 1))
+    d = data.draw(st.integers(max(b, c + 1), n))
+    assume((a, b) != (c, d))
+    p, q, r, s = ((i, values[i - 1]) for i in (a, b, c, d))
+    cert = ("convex-violation", (p, q), (r, s))
+    assert check_line_certificate(line_fn(values), cert) == value_gt(_slope(p, q), _slope(r, s))
+
+
 def test_transforms_require_finite_bounds():
     with pytest.raises(ValueError):
         bdp_to_monotone_transforms(LineBoundingPair.monotone(4))
@@ -569,9 +588,11 @@ def _chain_breaks(items, left_sc, right_sc):
     return any(s1 > s2 for s1, s2 in zip(chain, chain[1:]))
 
 
-def _min_convex_witnesses(lo, hi, anchors, left_sc, right_sc, val):
+def _min_convex_witnesses(lo, hi, left_sc, right_sc, val):
     """Fewest nonerased points landing in a bad interval, minimized over all
-    pivot trees; mirrors convex_search's anchor merging exactly."""
+    pivot trees; mirrors convex_search's state exactly: the interval and a
+    (slope, chord) bound per side, the left chord ending at lo and the right
+    one starting at hi."""
     pts = [p for p in range(lo, hi + 1) if p in val]
     if not pts:
         return 0
@@ -581,13 +602,8 @@ def _min_convex_witnesses(lo, hi, anchors, left_sc, right_sc, val):
         above = [p for p in pts if p > x]
         z = below[-1] if below else None
         y = above[0] if above else None
-        merged = dict(anchors)
-        merged[x] = val[x]
-        if z is not None:
-            merged[z] = val[z]
-        if y is not None:
-            merged[y] = val[y]
-        items = sorted(merged.items())
+        ends = {z, x, y, left_sc and left_sc[1][1][0], right_sc and right_sc[1][0][0]}
+        items = [(p, val[p]) for p in sorted(ends - {None})]
         if _chain_breaks(items, left_sc, right_sc):
             w = len(pts)
         else:
@@ -595,15 +611,11 @@ def _min_convex_witnesses(lo, hi, anchors, left_sc, right_sc, val):
             if z is not None:
                 chord = ((z, val[z]), (x, val[x]))
                 slope = Fraction(val[x] - val[z], x - z)
-                w += _min_convex_witnesses(
-                    lo, z, tuple(it for it in items if it[0] < x),
-                    left_sc, (slope, chord), val)
+                w += _min_convex_witnesses(lo, z, left_sc, (slope, chord), val)
             if y is not None:
                 chord = ((x, val[x]), (y, val[y]))
                 slope = Fraction(val[y] - val[x], y - x)
-                w += _min_convex_witnesses(
-                    y, hi, tuple(it for it in items if it[0] > x),
-                    (slope, chord), right_sc, val)
+                w += _min_convex_witnesses(y, hi, (slope, chord), right_sc, val)
         best = w if best is None else min(best, w)
     return best
 
@@ -615,7 +627,7 @@ def test_convex_witness_count_covers_distance_in_every_tree():
         f = random_erased_line(rng, n, lo=-6, hi=6, erase_p=0.4, max_nonerased=8)
         val = {i + 1: v for i, v in enumerate(f.values) if v is not ERASED}
         dist = O.distance_to_convex_line(f).absolute
-        got = _min_convex_witnesses(1, n, (), None, None, val)
+        got = _min_convex_witnesses(1, n, None, None, val)
         assert got >= dist, (f.values, got, dist)
 
 

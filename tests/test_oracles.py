@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ertest.adversary import erase_random
+from ertest.adversary import erase_random, generate_member_instance
 from ertest.core import (ERASED, ConfigError, Domain, ErasedFunction, InvalidField, QueryOracle,
                          SizeLimit, grid_le)
 from ertest.hypergrid import BoundingFamily
@@ -704,7 +704,7 @@ _ORACLE_REFUSALS = {
     "low-degree-real": (lambda: O.distance_to_low_degree(line_fn([0, 1]), 1),
                         ValueError, "low-degree distance needs a field-valued function"),
     "low-degree-large-field": (
-        lambda: O.distance_to_low_degree(line_fn([0, 1], kind="field", modulus=67), 1),
+        lambda: O.distance_to_low_degree(line_fn([0, 1, 5], kind="field", modulus=67), 1),
         SizeLimit, "beyond the exhaustive coefficient regime"),
     "low-degree-many-coefficients": (
         lambda: O.distance_to_low_degree(line_fn([0, 1], kind="field", modulus=61), 3),
@@ -718,6 +718,17 @@ def test_oracles_refuse_inputs_outside_their_scope(case):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == message
+
+
+def test_a_low_degree_member_is_reported_past_the_size_gate():
+    """The member exit runs before the size gate: a member at p = 67, past
+    the exhaustive regime, gets the all-kept report, and a degree-4 member
+    on 31 points, where 31^5 is past the enumeration cap, is generated."""
+    fn = line_fn([0, 1], kind="field", modulus=67)
+    assert O.distance_to_low_degree(fn, 1) == _all_kept(fn, O.PropertySpec("low-degree", degree=1))
+    prop = O.PropertySpec("low-degree", degree=4)
+    member = generate_member_instance(prop, Domain.line(31), 0, make_rng(1))
+    assert O.distance_to_low_degree(member, 4) == _all_kept(member, prop)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,11 @@ the Box-free draws, including a grid's one draw of its axis line's index
 line, the flat-index reads of a grid's axis line against the reference's
 built points, and the values of the O(1) bounded-derivative maps.
 """
+import contextlib
+import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -120,6 +123,56 @@ def test_monotone_line_matches_reference(fn, eps, alpha, seed):
 @given(line_functions(), EPS, st.sampled_from([0, Fraction(1, 8)]), SEEDS)
 def test_convex_line_matches_reference(fn, eps, alpha, seed):
     _both(L.test_convex_line, ref.test_convex_line, fn, seed, eps, alpha)
+
+
+_SLOPES = {
+    "int": st.integers(-20, 20),
+    "fraction": st.builds(Fraction, st.integers(-40, 40), st.integers(1, 4)),
+    "float": st.one_of(st.integers(-80, 80).map(lambda k: k / 4),
+                       st.floats(-20, 20, allow_nan=False, allow_infinity=False)),
+}
+
+
+@st.composite
+def convex_members(draw):
+    """A convex line of 50 to 300 points: its slopes, drawn from a few values
+    and sorted, never fall and are often equal, so searches accept and run
+    many levels deep; a share of the points is erased, one always kept."""
+    n = draw(st.integers(50, 300))
+    kind = draw(st.sampled_from(sorted(_SLOPES)))
+    pool = draw(st.lists(_SLOPES[kind], min_size=1, max_size=6))
+    slopes = sorted(draw(st.lists(st.sampled_from(pool), min_size=n - 1, max_size=n - 1)))
+    vals = list(itertools.accumulate(slopes, initial=draw(_SLOPES[kind])))
+    coins = random.Random(draw(SEEDS))
+    erase_p = draw(st.sampled_from([0, 0.1, 0.5]))
+    keep = coins.randrange(n)
+    return ErasedFunction(Domain.line(n), [ERASED if i != keep and coins.random() < erase_p
+                                           else v for i, v in enumerate(vals)])
+
+
+CONVEX_ALPHAS = st.sampled_from([0, Fraction(1, 8), Fraction(1, 3)])
+
+
+@SETTINGS
+@given(convex_members(), EPS, CONVEX_ALPHAS, SEEDS)
+def test_convex_members_match_reference_over_many_levels(fn, eps, alpha, seed):
+    _both(L.test_convex_line, ref.test_convex_line, fn, seed, eps, alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(convex_members(), line_functions()), EPS, CONVEX_ALPHAS, SEEDS)
+def test_convex_search_checks_a_bounded_chain_per_level(fn, eps, alpha, seed):
+    """Each level of the convexity search builds at most 4 chords (lo, z, x,
+    y, hi) and compares at most 5 pairs with the two bounds, however deep the
+    search runs: a level is a sampler call that no search's start made."""
+    spies = {name: mock.patch.object(L, name, wraps=getattr(L, name))
+             for name in ("sample_nonerased_uniform", "convex_search", "_link", "_link_gt")}
+    with contextlib.ExitStack() as stack:
+        calls = {name: stack.enter_context(spy) for name, spy in spies.items()}
+        L.test_convex_line(QueryOracle(fn), eps, alpha, random.Random(seed))
+    levels = calls["sample_nonerased_uniform"].call_count - calls["convex_search"].call_count
+    assert calls["_link"].call_count <= 4 * levels
+    assert calls["_link_gt"].call_count <= 5 * levels
 
 
 @SETTINGS
