@@ -106,13 +106,13 @@ def classic_monotone_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
     def searches():
         for _ in range(proximity_iterations(eps)):
             s = draw(rng, 1, n)
-            fs = oracle.query((s,))
+            fs = oracle.query_index(s - 1)
             lo, hi = 1, n
             while fs is not ERASED and lo <= hi:
                 m = (lo + hi) // 2
                 if m == s:
                     break
-                fm = oracle.query((m,))
+                fm = oracle.query_index(m - 1)
                 if fm is not ERASED:
                     a, fa, b, fb = (m, fm, s, fs) if m < s else (s, fs, m, fm)
                     if _descends(a, fa, b, fb):

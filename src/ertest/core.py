@@ -378,8 +378,8 @@ def holds_values(fn: ErasedFunction, named) -> bool:
 
 
 class QueryOracle:
-    """The only read channel testers may use.  Counts every query; raises
-    BudgetExhausted when count would pass the budget."""
+    """The only read channel testers may use.  Every read is one
+    ``query_index``, which counts it; ``query`` is that read at a point."""
 
     __slots__ = ("fn", "budget", "count")
 
@@ -396,23 +396,14 @@ class QueryOracle:
         self.budget = budget
 
     def query(self, pt):
-        if self.budget is None:
-            raise RuntimeError("query before any budget was set")
-        if self.count >= self.budget:
-            raise BudgetExhausted(self.count)
-        self.count += 1
-        fn = self.fn
-        # a point on a line indexes directly once it is range-checked; the
-        # rest, out-of-range points included, goes through index_of
-        if len(pt) == 1 and fn.domain.d == 1 and 1 <= pt[0] <= fn.domain.n:
-            return fn.values[pt[0] - 1]
-        return fn.values[fn.domain.index_of(pt)]
+        """``query_index(fn.domain.index_of(pt))``: an outside point raises uncharged."""
+        return self.query_index(self.fn.domain.index_of(pt))
 
     def query_index(self, idx: int):
-        """``query`` for the point at flat index ``idx`` (``Domain.index_of``
-        order), with the same budget check and charge, but no point to
-        validate: an axis-line view reads a grid this way.  An index outside
-        [0, size) raises ValueError once charged, as an outside point does."""
+        """The one read, so an override sees every read a tester makes: the
+        value at flat index ``idx`` (``Domain.index_of`` order), charged one
+        query, or BudgetExhausted, uncharged, once the budget is spent.  An
+        index outside [0, size) raises ValueError once charged."""
         if self.budget is None:
             raise RuntimeError("query before any budget was set")
         if self.count >= self.budget:

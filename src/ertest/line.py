@@ -11,6 +11,7 @@ binary-search testers here and in ``hypergrid`` share ``_axis_searches``.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -264,8 +265,8 @@ def sample_nonerased_uniform(line, lo: int, hi: int, rng):
     """A uniform nonerased position of [lo, hi] on a line oracle (or an axis
     line of a grid), with its value.  Each draw is one ``draw(rng, lo, hi)``
     (``getrandbits`` on a plain ``Random``, ``rng.randint`` otherwise) and
-    one query, so erasures are paid for in budget; a fully erased range
-    ends only through ``BudgetExhausted``.
+    one read of ``line.query_index(m - 1)``, so erasures are paid for in
+    budget; a fully erased range ends only through ``BudgetExhausted``.
 
     The convexity search's starts and pivots come through here.  The starts
     and pivots of ``_axis_searches`` do too whenever ``_fuses`` refuses the
@@ -274,7 +275,7 @@ def sample_nonerased_uniform(line, lo: int, hi: int, rng):
     bound to anything else (a tracer's counting wrapper, say)."""
     while True:
         m = draw(rng, lo, hi)
-        v = line.query((m,))
+        v = line.query_index(m - 1)
         if v is not ERASED:
             return m, v
 
@@ -364,13 +365,12 @@ def _fused_search(oracle, base: int, stride: int, n: int, rng, violated):
         oracle.count = count
 
 
-def _run_searches(oracle: QueryOracle, budget: int, searches, stats=None) -> Verdict:
+def _run_searches(oracle: QueryOracle, budget: int, searches) -> Verdict:
     """The budgeted shell every search tester runs in.
 
     ``searches`` yields one certificate or None per search, drawing lazily
     once the budget is set; the first certificate rejects.  A spent budget
-    accepts.  ``stats``, when given, is a dict of counters the searches
-    update; the verdict carries a copy of it.
+    accepts.  The verdict carries no stats.
     """
     oracle.set_budget(budget)
     cert, reason = None, ALL_CHECKS_PASSED
@@ -380,10 +380,9 @@ def _run_searches(oracle: QueryOracle, budget: int, searches, stats=None) -> Ver
                 break
     except BudgetExhausted:
         reason = BUDGET_EXHAUSTED
-    stats = None if stats is None else dict(stats)
     if cert is not None:
-        return Verdict.rejected(cert, oracle.count, stats)
-    return Verdict.accepted(reason, oracle.count, stats)
+        return Verdict.rejected(cert, oracle.count)
+    return Verdict.accepted(reason, oracle.count)
 
 
 class _AxisLineView:
@@ -393,20 +392,19 @@ class _AxisLineView:
     Position p of the line along ``axis`` (1-based) is flat index
     ``base + (p - 1) * stride`` (``Domain.index_of``'s order, with
     ``stride = n ** (axis - 1)`` and ``base`` the index of the line's first
-    point), so ``query((p,))`` checks 1 <= p <= n and reads
-    ``oracle.query_index`` without building or validating a point, and
-    ``point(p)`` builds the grid point only when a certificate names it."""
+    point), so ``query_index(p - 1)`` reads it as a line oracle would: it
+    checks 1 <= p <= n and reads ``oracle.query_index`` without building a
+    point, and ``point(p)`` builds the grid point only for a certificate."""
 
     __slots__ = ("oracle", "axis", "n", "base", "stride")
 
     def __init__(self, oracle: QueryOracle, axis: int, n: int, base: int, stride: int):
         self.oracle, self.axis, self.n, self.base, self.stride = oracle, axis, n, base, stride
 
-    def query(self, pt):
-        (p,) = pt
-        if not 1 <= p <= self.n:
-            raise ValueError(f"position {p} outside the axis line [1, {self.n}]")
-        return self.oracle.query_index(self.base + (p - 1) * self.stride)
+    def query_index(self, i: int):
+        if not 0 <= i < self.n:
+            raise ValueError(f"position {i + 1} outside the axis line [1, {self.n}]")
+        return self.oracle.query_index(self.base + i * self.stride)
 
     def point(self, p: int) -> tuple:
         return self.oracle.fn.domain.point_at(self.base + (p - 1) * self.stride)
@@ -585,7 +583,7 @@ def _walk_nonerased(oracle, start, stop, step):
     """Linear scan start, start+step, ... within [min,max]=sorted((start,stop));
     returns (pos, value) of the first nonerased point or None."""
     for pos in range(start, stop + step, step):
-        v = oracle.query((pos,))
+        v = oracle.query_index(pos - 1)
         if v is not ERASED:
             return pos, v
     return None
@@ -599,14 +597,14 @@ def convex_search(oracle: QueryOracle, s: int, rng, counters) -> object:
     A level has an interval [lo, hi] and a (slope, chord) bound per side,
     None while that side is unbounded; the low bound's chord ends at lo and
     the high bound's starts at hi.  Per level: sample a nonerased pivot x
-    (sampling queries), walk outward for the nearest nonerased neighbors y
-    right and z left (walking queries), and test that the chord slopes over
-    the points lo, z, x, y, hi (those known, each position once) fit
+    through ``sample_nonerased_uniform``, walk outward for the nearest
+    nonerased neighbors y right and z left, and test that the chord slopes
+    over the points lo, z, x, y, hi (those known, each position once) fit
     between the bounds.  Then descend toward s, taking the chord (z,x) or
-    (x,y) as the new bound.  ``counters`` gains the queries each phase
-    spends.  A level builds at most 4 chords and compares at most 5 pairs,
-    by ``_link_gt``, the one chord rule of the search, the certificate check
-    and ``oracles.is_member_convex_values``.
+    (x,y) as the new bound.  ``counters["walking"]`` gains every query the
+    walks make, a walk the budget stops included.  A level builds at most 4
+    chords and compares at most 5 pairs, by ``_link_gt``, the one chord rule
+    of the search, the certificate check and ``oracles.is_member_convex_values``.
 
     Returns None (accept) or a certificate ("convex-violation", chord_a,
     chord_b) where chord_a sits left of chord_b but has the larger slope.
@@ -614,14 +612,13 @@ def convex_search(oracle: QueryOracle, s: int, rng, counters) -> object:
     lo, hi = 1, oracle.fn.domain.n
     low = high = None
     while True:
-        before = oracle.count
         x, fx = sample_nonerased_uniform(oracle, lo, hi, rng)
-        counters["sampling"] += oracle.count - before
-
         before = oracle.count
-        right = _walk_nonerased(oracle, x + 1, hi, +1)
-        left = _walk_nonerased(oracle, x - 1, lo, -1)
-        counters["walking"] += oracle.count - before
+        try:
+            right = _walk_nonerased(oracle, x + 1, hi, +1)
+            left = _walk_nonerased(oracle, x - 1, lo, -1)
+        finally:
+            counters["walking"] += oracle.count - before
 
         # a walk may stop on a bound's end, and x may be one
         points = []
@@ -651,22 +648,22 @@ def convex_search(oracle: QueryOracle, s: int, rng, counters) -> object:
 def test_convex_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
     """Accepts every function with a convex restoration; rejects functions
     whose every restoration is eps-far on the nonerased points with
-    probability at least 2/3.  Verdict stats carry the sampling/walking
-    query split."""
+    probability at least 2/3.  Verdict stats split ``queries_used`` into
+    walking, every query of the walks, and sampling, the rest."""
     n = _line_domain(oracle)
     e, a = check_params(eps, alpha)
     if oracle.fn.kind != "real":
         raise ValueError("convexity is tested for real-valued functions")
-    counters = {"sampling": 0, "walking": 0}
+    counters = {"walking": 0}
 
     def searches():
         for _ in range(proximity_iterations(e)):
-            before = oracle.count
             s, _ = sample_nonerased_uniform(oracle, 1, n, rng)
-            counters["sampling"] += oracle.count - before
             yield convex_search(oracle, s, rng, counters)
 
-    return _run_searches(oracle, convex_line_budget(n, e, a), searches(), counters)
+    verdict = _run_searches(oracle, convex_line_budget(n, e, a), searches())
+    w = counters["walking"]
+    return dataclasses.replace(verdict, stats={"sampling": verdict.queries_used - w, "walking": w})
 
 
 # ---------------------------------------------------------------------------

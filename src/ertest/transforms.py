@@ -69,8 +69,8 @@ class POTSpec:
 
 
 def erasure_resilient_pot_run(pot: POTSpec, oracle: QueryOracle, rng) -> Verdict:
-    """One wrapped run: q uniform draws; any erased draw is an immediate
-    accept, otherwise the base decide rules."""
+    """One wrapped run: q uniform flat-index reads; any erased draw is an
+    immediate accept, otherwise the base decide rules on their points."""
     domain = oracle.fn.domain
     oracle.set_budget(pot.q)
     if pot.distinct:
@@ -81,11 +81,10 @@ def erasure_resilient_pot_run(pot: POTSpec, oracle: QueryOracle, rng) -> Verdict
         idxs = [draw(rng, 0, domain.size - 1) for _ in range(pot.q)]
     sample = []
     for i in idxs:
-        pt = domain.point_at(i)
-        v = oracle.query(pt)
+        v = oracle.query_index(i)
         if v is ERASED:
             return Verdict.accepted(ERASED_SAMPLE_ACCEPT, oracle.count)
-        sample.append((pt, v))
+        sample.append((domain.point_at(i), v))
     if pot.decide(sample):
         return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)
     return Verdict.rejected(("pot-sample", tuple(sample)), oracle.count)
@@ -320,7 +319,7 @@ def test_k_runs(oracle: QueryOracle, k: int, eps, rng) -> Verdict:
     seen = {}
     for _ in range(draws):
         pos = draw(rng, 1, n)
-        v = oracle.query((pos,))
+        v = oracle.query_index(pos - 1)
         if v is not ERASED:
             seen[pos] = v
     ordered = sorted(seen.items())
@@ -364,7 +363,7 @@ def tester_from_distance_approx(approx: Callable, fill, alpha, eps,
     oracle.set_budget(fn.domain.size)
     filled = []
     for idx in range(fn.domain.size):
-        v = oracle.query(fn.domain.point_at(idx))
+        v = oracle.query_index(idx)
         filled.append(fill if v is ERASED else v)
     view = ErasedFunction(fn.domain, filled, kind=fn.kind, modulus=fn.modulus)
     estimate = approx(view)

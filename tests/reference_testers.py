@@ -449,18 +449,20 @@ def _chord_slope(chord):
 
 
 def test_interval(frame: IntervalFrame, oracle: QueryOracle, rng, counters=None) -> object:
+    """The search from ``frame``; ``counters["walking"]`` gains every query
+    of the walks, a walk the budget stops included."""
     if counters is None:
-        counters = {"sampling": 0, "walking": 0}
+        counters = {"walking": 0}
     while True:
-        before = oracle.count
         (x,), fx = sample_nonerased_uniform(
             oracle, Box((frame.lo,), (frame.hi,)), rng)
-        counters["sampling"] += oracle.count - before
 
         before = oracle.count
-        right = _walk_nonerased(oracle, x + 1, frame.hi, +1)
-        left = _walk_nonerased(oracle, x - 1, frame.lo, -1)
-        counters["walking"] += oracle.count - before
+        try:
+            right = _walk_nonerased(oracle, x + 1, frame.hi, +1)
+            left = _walk_nonerased(oracle, x - 1, frame.lo, -1)
+        finally:
+            counters["walking"] += oracle.count - before
 
         merged = {pos: val for pos, val in frame.anchors}
         merged[x] = fx
@@ -505,25 +507,30 @@ def test_interval(frame: IntervalFrame, oracle: QueryOracle, rng, counters=None)
 
 
 def test_convex_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
+    """Stats split ``queries_used`` into walking, every query of the walks,
+    and sampling, the rest: the starts and pivots, a start or pivot the
+    budget stops included."""
     n = _line_domain(oracle)
     e, a = _params(eps, alpha)
     if oracle.fn.kind != "real":
         raise ValueError("convexity is tested for real-valued functions")
     oracle.set_budget(convex_line_budget(n, e, a))
     box = Box.whole(oracle.fn.domain)
-    counters = {"sampling": 0, "walking": 0}
+    counters = {"walking": 0}
+
+    def stats():
+        return {"sampling": oracle.count - counters["walking"], "walking": counters["walking"]}
+
     try:
         for _ in range(proximity_iterations(e)):
-            before = oracle.count
             (s,), fs = sample_nonerased_uniform(oracle, box, rng)
-            counters["sampling"] += oracle.count - before
             frame = IntervalFrame(1, n, (), NEG_INF, INF, s, fs)
             cert = test_interval(frame, oracle, rng, counters)
             if cert is not None:
-                return Verdict.rejected(cert, oracle.count, stats=dict(counters))
+                return Verdict.rejected(cert, oracle.count, stats=stats())
     except BudgetExhausted:
-        return Verdict.accepted(BUDGET_EXHAUSTED, oracle.count, stats=dict(counters))
-    return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count, stats=dict(counters))
+        return Verdict.accepted(BUDGET_EXHAUSTED, oracle.count, stats=stats())
+    return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count, stats=stats())
 
 
 # ---------------------------------------------------------------------------

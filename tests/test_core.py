@@ -1,6 +1,7 @@
 """Domain plumbing: indexing, erasures, the query channel, and verdicts."""
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -319,9 +320,22 @@ def test_index_query_refuses_an_index_outside_the_domain():
     for idx in (-1, 4):
         with pytest.raises(ValueError, match=f"^index {idx} outside domain of size 4$"):
             o.query_index(idx)
-    assert o.count == 2  # charged, as an outside point is
+    assert o.count == 2  # charged, unlike an outside point
     with pytest.raises(RuntimeError, match="before any budget"):
         QueryOracle(f).query_index(0)
+
+
+def test_query_refuses_a_point_outside_the_domain_uncharged():
+    # query is query_index at index_of(pt), whose refusal comes first:
+    # before the charge, and before the budget checks
+    f = ErasedFunction(Domain.line(4), [0, 1, 2, 3])
+    o = QueryOracle(f, 5)
+    for pt in [(0,), (5,), (1, 1)]:
+        with pytest.raises(ValueError, match=f"^point {re.escape(repr(pt))} outside "):
+            o.query(pt)
+    assert o.count == 0
+    with pytest.raises(ValueError, match="^point"):
+        QueryOracle(f).query((0,))
 
 
 def test_set_budget_keeps_count():

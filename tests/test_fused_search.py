@@ -176,11 +176,10 @@ def test_fused_searches_match_the_sampler_path_search_for_search(case, seed, ite
 
 @pytest.mark.parametrize("budget", [0, 1, 5])
 @pytest.mark.parametrize("d, n", [(1, 9), (2, 5), (3, 4)])
-def test_a_budget_spent_inside_a_start_is_raised_after_its_replays(d, n, budget):
+def test_a_budget_spent_inside_a_start_is_raised_after_its_one_draw(d, n, budget):
     # nothing nonerased: every start draws until the budget runs out, and
     # the query that raises is the start's own, right after its one plain
-    # draw over [1, n], on a grid as on a line (the name is from when a
-    # start replayed draws around that one; it replays none now)
+    # draw over [1, n], on a grid as on a line
     dom = Domain.grid(n, d)
     case = (ErasedFunction(dom, [ERASED] * (dom.size - 1) + [0]), L._descends, 0, budget)
     spent = 0

@@ -199,7 +199,7 @@ def test_axis_line_view_reads_every_point_of_its_line():
             continue
         seen.add(line)
         for p in range(1, dom.n + 1):
-            assert view.query((p,)) == fn.value_at(line.point(p))
+            assert view.query_index(p - 1) == fn.value_at(line.point(p))
     assert seen == set(all_axis_lines(dom))
     assert oracle.count == oracle.budget
 
@@ -209,7 +209,7 @@ def test_axis_line_view_refuses_a_position_off_its_line(pos):
     oracle = QueryOracle(grid_fn(4, 3, lambda p: sum(p)), budget=10)
     ((view, *_),) = axis_line_views(oracle, 1, (None,) * 3, random.Random(0))
     with pytest.raises(ValueError, match=f"^position {pos} outside the axis line \\[1, 4\\]$"):
-        view.query((pos,))
+        view.query_index(pos - 1)
     assert oracle.count == 0
 
 
@@ -254,7 +254,7 @@ def test_folded_axis_draws_build_the_view_of_sample_axis_line(d, n, rng_type):
         assert (view.axis, check) == (line.axis, checks[line.axis - 1])
         for p in range(1, n + 1):
             assert view.point(p) == line.point(p)
-            assert view.query((p,)) == fn.value_at(line.point(p))
+            assert view.query_index(p - 1) == fn.value_at(line.point(p))
     for seed in range(6):
         folded, plain = rng_type(seed), random.Random(seed)
         for view, check, state in axis_line_views(oracle, 30, checks, folded):

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from ertest.core import (
     ALL_CHECKS_PASSED,
+    BUDGET_EXHAUSTED,
     ERASED,
     Domain,
     ErasedFunction,
@@ -759,8 +760,7 @@ def test_convex_tester_reports_query_split():
                              make_rng(63, t))
         assert v.stats is not None
         assert not v.is_reject
-        if v.reason == ALL_CHECKS_PASSED:
-            assert v.stats["sampling"] + v.stats["walking"] == v.queries_used
+        assert v.stats["sampling"] + v.stats["walking"] == v.queries_used
         total_s.append(v.stats["sampling"])
         total_w.append(v.stats["walking"])
     t = len(total_w)
@@ -769,3 +769,17 @@ def test_convex_tester_reports_query_split():
     var_w = sum((w - mean_w) ** 2 for w in total_w) / (t - 1)
     se_w = math.sqrt(var_w / t)
     assert mean_w <= 2 * mean_s + 3 * se_w, (mean_w, mean_s, se_w)
+
+
+def sparse_squares():
+    """A line of 1024 points holding i*i at each 0-based index i that 128
+    divides, erased elsewhere: so sparse that the convexity search's budget
+    runs out inside a start, a pivot or a walk."""
+    return line_fn([i * i if i % 128 == 0 else ERASED for i in range(1024)])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_convex_split_keeps_the_queries_of_a_phase_the_budget_stops(seed):
+    v = run_convex(QueryOracle(sparse_squares()), 0.9, 0, make_rng(seed))
+    assert (v.reason, v.queries_used) == (BUDGET_EXHAUSTED, 2000)
+    assert v.stats["sampling"] + v.stats["walking"] == 2000
