@@ -1,5 +1,5 @@
-"""Instance generation: erasure strategies, restorable members, certified-far
-functions, and the deterministic-search baseline they defeat.
+"""Instance generation only: erasure strategies, named in one table,
+``ERASERS``, restorable members, and certified-far functions.
 
 Erasures here are oblivious: the pattern is fixed before any tester runs.
 Far instances always ship with a distance report from the exact oracles (or
@@ -16,13 +16,9 @@ from .core import (
     Domain,
     ErasedFunction,
     GenerationFailed,
-    QueryOracle,
-    Verdict,
-    draw,
     exact_fraction,
 )
-from .line import (INF, LineBoundingPair, _descends, _run_searches,
-                   monotone_line_budget, proximity_iterations)
+from .line import INF, LineBoundingPair
 from .hypergrid import BoundingFamily
 from .oracles import (
     PropertySpec,
@@ -89,40 +85,12 @@ def erase_binary_search_pivots(fn: ErasedFunction, alpha) -> ErasedFunction:
         pos - 1 for pos in binary_search_pivot_order(fn.domain.n)[:count]])
 
 
-def erase_none(fn: ErasedFunction, alpha, rng=None) -> ErasedFunction:
-    return fn
-
-
-# ---------------------------------------------------------------------------
-# the baseline a pivot adversary defeats
-
-def classic_monotone_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
-    """Sortedness spot-checker with DETERMINISTIC midpoint pivots.  Not
-    erasure-resilient: an erased pivot is skipped without any comparison, so
-    erasing the top of the search tree blinds it.  Shipped for A/B runs
-    against the randomized-pivot tester; budgeted identically."""
-    n = oracle.fn.domain.n
-
-    def searches():
-        for _ in range(proximity_iterations(eps)):
-            s = draw(rng, 1, n)
-            fs = oracle.query_index(s - 1)
-            lo, hi = 1, n
-            while fs is not ERASED and lo <= hi:
-                m = (lo + hi) // 2
-                if m == s:
-                    break
-                fm = oracle.query_index(m - 1)
-                if fm is not ERASED:
-                    a, fa, b, fb = (m, fm, s, fs) if m < s else (s, fs, m, fm)
-                    if _descends(a, fa, b, fb):
-                        yield ("monotone-violation", (a, fa), (b, fb))
-                if s < m:
-                    hi = m - 1
-                else:
-                    lo = m + 1
-
-    return _run_searches(oracle, monotone_line_budget(n, eps, alpha), searches())
+# every erasure strategy by name: an (fn, alpha, rng) lambda that looks its eraser up when called
+ERASERS = {
+    "random": lambda fn, alpha, rng: erase_random(fn, alpha, rng),
+    "pivots": lambda fn, alpha, rng: erase_binary_search_pivots(fn, alpha),
+    "none": lambda fn, alpha, rng: fn,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +298,9 @@ class InstanceSpec:
     seed: int = 0
 
     def eraser(self) -> Callable:
-        if self.erasure == "random":
-            return erase_random
-        if self.erasure == "pivots":
-            return lambda fn, alpha, rng: erase_binary_search_pivots(fn, alpha)
-        if self.erasure == "none":
-            return erase_none
-        raise ValueError(f"unknown erasure strategy {self.erasure!r}")
+        if self.erasure not in ERASERS:
+            raise ValueError(f"unknown erasure strategy {self.erasure!r}")
+        return ERASERS[self.erasure]
 
     def realize(self, rng):
         """(function, distance report or None for members)."""

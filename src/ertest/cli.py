@@ -16,10 +16,9 @@ import sys
 from .core import Domain, exact_fraction
 from .oracles import PropertySpec
 from .adversary import (
+    ERASERS,
     InstanceSpec,
     certify_distance,
-    erase_binary_search_pivots,
-    erase_random,
     hypercube_middle_layer,
 )
 from .fileio import (
@@ -215,11 +214,7 @@ def cmd_adversary(args) -> int:
         if args.input is None or args.alpha is None:
             raise ValueError(f"{args.strategy} needs --input and --alpha")
         base = load_function(args.input, kind=args.kind, modulus=args.modulus)
-        alpha = exact_fraction(args.alpha)
-        if args.strategy == "random":
-            fn = erase_random(base, alpha, make_rng(args.seed, "erase"))
-        else:
-            fn = erase_binary_search_pivots(base, alpha)
+        fn = ERASERS[args.strategy](base, args.alpha, make_rng(args.seed, "erase"))
     save_function(fn, args.out)
     print(f"wrote {args.out} ({fn.erased_count()}/{fn.domain.size} erased)")
     return 0

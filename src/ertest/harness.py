@@ -30,6 +30,7 @@ from .line import (
     bdp_line_tester_budget,
     check_bounds,
     check_line_certificate,
+    classic_monotone_line,
     convex_line_budget,
     monotone_line_budget,
     test_bdp_line,
@@ -56,7 +57,7 @@ from .transforms import (
     poset_monotone_uniform_spec,
     test_k_runs,
 )
-from .adversary import InstanceSpec, classic_monotone_line
+from .adversary import InstanceSpec
 from .oracles import check_field_line
 
 WORKERS_ENV = "ERTEST_WORKERS"

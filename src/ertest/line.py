@@ -6,7 +6,8 @@ monotonicity as the one-sided special case lower = 0, upper = +inf.  Segment
 sums evaluate in extended-real arithmetic; lower entries may be -inf and upper
 entries +inf, so a directed sum never mixes opposite infinities.
 
-The second half holds the testers.  A line is its own one axis line, so the
+The second half holds the testers, the deterministic-pivot baseline
+``classic_monotone_line`` among them.  A line is its own one axis line, so the
 binary-search testers here and in ``hypergrid`` share ``_axis_searches``.
 """
 from __future__ import annotations
@@ -511,6 +512,35 @@ def test_monotone_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
     checks = itertools.repeat((_descends,), proximity_iterations(e))
     return _run_searches(oracle, monotone_line_budget(n, e, a), _axis_searches(
         oracle, checks, rng, lambda _, pa, fa, pb, fb: ("monotone-violation", (pa, fa), (pb, fb))))
+
+
+def classic_monotone_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
+    """Sortedness spot-checker with DETERMINISTIC midpoint pivots.  Not
+    erasure-resilient: an erased pivot is skipped without any comparison, so
+    erasing the top of the search tree blinds it.  Shipped for A/B runs
+    against the randomized-pivot tester; budgeted identically."""
+    n = _line_domain(oracle)
+
+    def searches():
+        for _ in range(proximity_iterations(eps)):
+            s = draw(rng, 1, n)
+            fs = oracle.query_index(s - 1)
+            lo, hi = 1, n
+            while fs is not ERASED and lo <= hi:
+                m = (lo + hi) // 2
+                if m == s:
+                    break
+                fm = oracle.query_index(m - 1)
+                if fm is not ERASED:
+                    a, fa, b, fb = (m, fm, s, fs) if m < s else (s, fs, m, fm)
+                    if _descends(a, fa, b, fb):
+                        yield ("monotone-violation", (a, fa), (b, fb))
+                if s < m:
+                    hi = m - 1
+                else:
+                    lo = m + 1
+
+    return _run_searches(oracle, monotone_line_budget(n, eps, alpha), searches())
 
 
 def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng) -> Verdict:

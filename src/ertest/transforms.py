@@ -112,8 +112,8 @@ def low_degree_pot(p: int, degree: int) -> POTSpec:
     """Degree-at-most-``degree`` test over GF(p): d+2 distinct uniform points
     must fit one polynomial.  Domain position i holds the value at field
     element i-1, so the line has n <= p points (``check_field_line``); a
-    sample with a position past p raises ConfigError, and a certificate
-    holding one checks False."""
+    sample with a grid point or a position past p raises ConfigError, and a
+    certificate holding one checks False."""
     if not is_prime(p):
         raise InvalidField(f"{p} is not prime")
     if degree < 0:
@@ -122,6 +122,8 @@ def low_degree_pot(p: int, degree: int) -> POTSpec:
         raise ValueError("need q = degree+2 distinct field points")
 
     def decide(sample) -> bool:
+        if (d := max((len(pt) for pt, _ in sample), default=1)) > 1:
+            raise ConfigError(f"low-degree runs on line domains, got d={d}")
         pts = sorted(set((pt[0] - 1, v) for pt, v in sample))
         if pts and pts[-1][0] >= p:  # two positions would name one field element
             raise ConfigError(f"low-degree needs a line of at most p={p} points, "
@@ -267,16 +269,17 @@ def poset_monotone_uniform_spec(poset: Poset) -> UniformTesterSpec:
     group of equal values at a time, and keeps the bitmask ``higher`` of
     the elements seen in earlier groups, whose values are larger by ``>``.
     The sample is violated iff some element has one of them below it in
-    the poset: ``below & higher`` nonzero.  O(s log s) for s sampled
-    points, where the pairwise rule took O(s^2).  A sampled element past
-    ``poset.size`` raises ConfigError, and a certificate holding one
-    checks False."""
+    the poset: ``below & higher`` nonzero, in O(s log s) for s sampled
+    points.  A sampled grid point or element past ``poset.size`` raises
+    ConfigError, and a certificate holding one checks False."""
     below, poset_size = poset._below, poset.size
 
     def q(size, eps):
         return math.ceil(8 * math.sqrt(size / float(eps)))
 
     def decide(sample) -> bool:
+        if (d := max((len(pt) for pt, _ in sample), default=1)) > 1:
+            raise ConfigError(f"poset-monotone runs on line domains, got d={d}")
         values = {pt[0]: v for pt, v in sample}
         top = max(values, default=0)
         if top > poset_size:

@@ -17,19 +17,18 @@ from ertest.core import (
     grid_le,
 )
 from ertest.adversary import (
+    ERASERS,
     InstanceSpec,
     binary_search_pivot_order,
     certify_distance,
-    classic_monotone_line,
     erase_binary_search_pivots,
-    erase_none,
     erase_random,
     generate_far_instance,
     generate_member_instance,
     hypercube_middle_layer,
     middle_layer_matching,
 )
-from ertest.line import INF, LineBoundingPair
+from ertest.line import INF, LineBoundingPair, classic_monotone_line
 from ertest.line import test_monotone_line as run_monotone
 from ertest.hypergrid import BoundingFamily
 from ertest import oracles as O
@@ -114,7 +113,7 @@ def test_erase_pivots_gates():
     holed = line_fn([1, ERASED, 3])
     with pytest.raises(ValueError):
         erase_binary_search_pivots(holed, Fraction(1, 3))
-    assert erase_none(fn, Fraction(1, 2)) is fn
+    assert ERASERS["none"](fn, Fraction(1, 2), None) is fn
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +131,13 @@ def test_classic_tester_works_on_total_inputs():
                               make_rng(5102, t)).is_reject
         for t in range(20))
     assert rejects == 20
+
+
+def test_classic_tester_refuses_a_grid():
+    # refused, not searched as if its first 4 flat values were a line
+    grid = ErasedFunction(Domain.grid(4, 2), [-sum(p) for p in Domain.grid(4, 2).points()])
+    with pytest.raises(ValueError, match="^this tester runs on line domains$"):
+        classic_monotone_line(QueryOracle(grid), Fraction(1, 4), 0, make_rng(0))
 
 
 def test_pivot_erasure_blinds_classic_but_not_randomized():
@@ -397,6 +403,21 @@ def test_instance_spec_eraser_dispatch():
                                       member=False)
     with pytest.raises(ValueError):
         far_missing_target.realize(make_rng(5405))
+
+
+def test_instance_spec_reads_the_one_eraser_table():
+    def spec(name):
+        return InstanceSpec(Domain.line(15), PropertySpec("monotone-line"),
+                            member=True, erasure=name, alpha=Fraction(7, 15))
+
+    assert set(ERASERS) == {"random", "pivots", "none"}
+    for name in ERASERS:
+        assert spec(name).eraser() is ERASERS[name]
+    with pytest.raises(ValueError, match="^unknown erasure strategy 'bogus'$"):
+        spec("bogus").eraser()
+    # the pivots entry erases the top of the midpoint-search tree
+    fn, _ = spec("pivots").realize(make_rng(5406))
+    assert {i + 1 for i, v in enumerate(fn.values) if v is ERASED} == {8, 4, 12, 2, 6, 10, 14}
 
 
 # ---------------------------------------------------------------------------

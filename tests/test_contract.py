@@ -8,6 +8,7 @@ and ``run_trial``, which raises when the queries pass the entry's budget
 2. No trial's ``queries_used`` passes the entry's budget.
 3. Every reject certificate re-validates.
 4. That certificate with one named value changed does not.
+5. A line entry refuses a grid even when ``validate_config`` is skipped.
 
 Every tester reads through ``QueryOracle.query_index`` alone, so an oracle
 that overrides only that sees every query a verdict counts.  The grid
@@ -247,3 +248,18 @@ def test_one_read_hook_sees_every_read(tester, member, data, seed):
     oracle = ReadCounter(fn)
     assert entry.run(cfg, oracle, alpha, make_rng(seed, "trial", 0)) == verdict
     assert oracle.reads == verdict.queries_used
+
+
+@pytest.mark.parametrize("tester", sorted(t for t, e in TESTERS.items() if e.shape == "line"))
+def test_a_line_entry_refuses_a_grid_without_validate_config(tester):
+    # a library caller that skips validate_config gets a refusal, not a
+    # verdict read off the grid's first coordinates
+    entry = TESTERS[tester]
+    kind = entry.kind or "real"
+    fn = ErasedFunction(Domain.grid(2, 2), [0, 1, 1, 0], kind=kind,
+                        modulus=5 if kind == "field" else None)
+    cfg = ExperimentConfig(tester=tester, instance=fn, trials=1, seed=0, eps=Fraction(1, 4),
+                           k=1, degree=1, bounds=LineBoundingPair.lipschitz(2),
+                           poset=Poset(4, [(1, 2)]))
+    with pytest.raises(ValueError):
+        entry.run(cfg, QueryOracle(fn), 0, make_rng(0))

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from hypothesis import example, given, strategies as st
 
-from ertest import adversary as A
 from ertest import hypergrid as HG
 from ertest import line as L
 from ertest.core import Domain, ErasedFunction, QueryOracle
@@ -61,7 +60,7 @@ def _same_queries(lib_tester, ref_tester, fn, seed, *args):
 @example(ErasedFunction(Domain.line(2), [0.0, -5e-324]), Fraction(1, 4), 0, 0)
 @example(ErasedFunction(Domain.line(2), [1.0, 0.999999999999999]), Fraction(1, 4), 0, 0)
 def test_classic_monotone_line_matches_reference(fn, eps, alpha, seed):
-    _same_queries(A.classic_monotone_line, ref.classic_monotone_line, fn, seed, eps, alpha)
+    _same_queries(L.classic_monotone_line, ref.classic_monotone_line, fn, seed, eps, alpha)
 
 
 @SETTINGS

@@ -342,6 +342,35 @@ def _chain(size):
     return Poset(size, [(i, i + 1) for i in range(1, size)])
 
 
+def test_low_degree_refuses_a_grid_point():
+    """The decide rule reads a point's one coordinate as a field position,
+    so a library caller who runs it on a 2x2 grid gets validate_config's
+    refusal of a grid, never a reject read off first coordinates; a
+    certificate of grid points checks False."""
+    fn = ErasedFunction(Domain.grid(2, 2), [0, 1, 2, 3], kind="field", modulus=5)
+    pot = low_degree_pot(5, 1)
+    for seed in range(3):
+        with pytest.raises(ConfigError, match="^low-degree runs on line domains, got d=2$"):
+            erasure_resilient_pot_run(pot, QueryOracle(fn), make_rng(seed))
+    first_coordinates = ("pot-sample", (((2, 2), 3), ((2, 1), 1), ((1, 1), 0)))
+    assert check_pot_certificate(fn, pot, first_coordinates) is False
+
+
+def test_poset_decide_refuses_a_grid_point():
+    """Read flat, [0, 1, 1, 0] on the 2x2 bit grid satisfies 1 <= 2 of the
+    poset; read by first coordinates it does not.  Every run is refused as
+    validate_config refuses a grid, and a sample holding grid points checks
+    False."""
+    fn = ErasedFunction(Domain.grid(2, 2), [0, 1, 1, 0], kind="bit")
+    spec = poset_monotone_uniform_spec(Poset(4, [(1, 2)]))
+    for seed in range(20):
+        with pytest.raises(ConfigError, match="^poset-monotone runs on line domains, got d=2$"):
+            erasure_resilient_extendable(spec, 0, Fraction(1, 4), QueryOracle(fn),
+                                         make_rng(seed))
+    sample = (((1, 1), 0), ((2, 1), 1), ((1, 2), 1), ((2, 2), 0))
+    assert check_extendable_certificate(fn, spec, ("extendable-sample", sample)) is False
+
+
 def test_poset_decide_refuses_an_element_past_the_poset():
     """Called from the library, past the size check of ``validate_config``:
     a 4-element chain on an 8-point line is refused by name, a certificate
