@@ -1,10 +1,11 @@
 """Domains, partially erased functions, and the budgeted query oracle.
 
 Points on a ``Domain`` are 1-based coordinate tuples.  A function value is
-either a real number (int, float or Fraction), a bit, a field element, or the
-erasure symbol ``ERASED``.  Testers read values only through ``QueryOracle``,
-which counts every access and signals ``BudgetExhausted`` once the budget is
-spent; testers translate that signal into an accepting verdict.
+either a real number (an int, a finite float or a Fraction), a bit, a field
+element, or the erasure symbol ``ERASED``.  Testers read values only through
+``QueryOracle``, which counts every access and signals ``BudgetExhausted``
+once the budget is spent; testers translate that signal into an accepting
+verdict.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from random import Random
 from typing import Iterator, Optional
 
 REL_TOL = 1e-9
+INF = float("inf")
 
 VALUE_KINDS = ("real", "bit", "field")
 
@@ -218,8 +220,7 @@ def grid_descends(x, fx, y, fy) -> bool:
 def _check_kind(kind: str, value, modulus) -> bool:
     if kind == "real":
         if isinstance(value, float):
-            # NaN equals nothing, itself included, so no report could keep it
-            return value == value
+            return -INF < value < INF  # a real value is finite: not inf, -inf or NaN
         return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
     if kind == "bit":
         return isinstance(value, int) and not isinstance(value, bool) and value in (0, 1)
@@ -289,9 +290,11 @@ class ErasedFunction:
     ``declared_alpha`` is the erasure bound the instance promises, which
     testers trust; construction refuses an erased fraction above it.  All
     nonerased values must share one kind; mixing is rejected here, at
-    construction.  Real values whose types are only int and Fraction are
-    accepted by one pass over their types; any other type sends every value
-    through ``_check_kind`` in order, so the first misfit is the one named.
+    construction.  A real value is an int, a Fraction or a finite float:
+    ``inf``, ``-inf`` and NaN are refused.  Real values whose types are only
+    int and Fraction are accepted by one pass over their types; any other
+    type sends every value through ``_check_kind`` in order, so the first
+    misfit is the one named.
     Real ``LazyValues`` are kept as they are, unbuilt: every token builds an
     int or ERASED, so only their erased count is taken.  A loaded file's
     values follow one rule: a plain integer token is an int, any other
@@ -317,7 +320,7 @@ class ErasedFunction:
         if lazy:
             erased = values.erased
         elif kind == "real" and set(map(type, values)) <= _EXACT_REAL_TYPES:
-            # every value fits: an exact type can be neither bool nor NaN
+            # every value fits: an exact type is neither a bool nor infinite
             erased = sum(map(operator.is_, values, itertools.repeat(ERASED)))
         else:
             erased = 0

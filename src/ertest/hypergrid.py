@@ -34,7 +34,6 @@ from .line import (
     _run_searches,
     bdp_to_monotone_transforms,  # noqa: F401  unused here; bench/tracing.py wraps it
     check_bounds,
-    pair_violates,
     randomized_binary_search_step_loop,  # noqa: F401  likewise
     sample_nonerased_uniform,  # noqa: F401  likewise
 )
@@ -157,10 +156,7 @@ def test_bdp_hypergrid(oracle: QueryOracle, family: BoundingFamily,
     check_bounds("bdp-grid", family, BoundingFamily, oracle.fn.domain)
 
     def certify(view, pa, fa, pb, fb):
-        # reject only when the raw pair violates under exact recheck
-        if pair_violates(family.per_dim[view.axis - 1], pa, fa, pb, fb):
-            return ("bdp-violation", (view.point(pa), fa), (view.point(pb), fb))
-        return None
+        return ("bdp-violation", (view.point(pa), fa), (view.point(pb), fb))
 
     checks = itertools.repeat(tuple(map(_bdp_check, family.per_dim)),
                               hypergrid_iterations(d, e, a, 48))

@@ -168,8 +168,7 @@ def distance_to_convex_line(fn: ErasedFunction) -> DistanceReport:
     A member exits first, in O(m): when the consecutive slopes never fall
     by ``<=``, the ``bisect_right`` comparison, every point is kept, which
     is the report the DP gives then; at m <= 2 there is nothing to compare,
-    so the DP runs only for m >= 3.  The check stops at the first fall; a
-    NaN slope, from two equal infinities, fails ``<=`` and takes the DP.
+    so the DP runs only for m >= 3.  The check stops at the first fall.
     """
     pairs = line_pairs(fn)
     m = len(pairs)
@@ -386,13 +385,11 @@ def distance_to_monotone_grid_exact(fn: ErasedFunction) -> DistanceReport:
 def _exact_ints(values, sums):
     """``values`` and the bound prefix ``sums`` as ints over one positive
     common denominator, or None when the exact fast accept does not apply:
-    the values are neither all finite floats nor all ints and Fractions, or
-    a sum is not an int or Fraction (every sum from a float bound entry on is a float).
+    the values are neither all floats nor all ints and Fractions, or a sum
+    is not an int or Fraction (every sum from a float bound entry on is a float).
     """
-    if all(type(v) is float for v in values):
-        if not all(map(math.isfinite, values)):
-            return None
-    elif not all(isinstance(v, (int, Fraction)) for v in values):
+    if not (all(type(v) is float for v in values)
+            or all(isinstance(v, (int, Fraction)) for v in values)):
         return None
     if not all(isinstance(s, (int, Fraction)) for s in sums):
         return None
@@ -739,21 +736,13 @@ def is_restorable(fn: ErasedFunction, prop: PropertySpec) -> bool:
 
 # -- canonical completions, one per property ---------------------------------
 
-def _ext_add(a, b):
-    if a in (INF, -INF) or b in (INF, -INF):
-        s = (a if a in (INF, -INF) else 0) + (b if b in (INF, -INF) else 0)
-        return s
-    return a + b
-
-
 def complete_bdp_line(values, kept_idx, bounds: LineBoundingPair) -> list:
     """The line's cells with every nonerased cell outside ``kept_idx`` filled
     so each consecutive nonerased pair fits its directed segment sums; kept
     and erased cells are left as they are.  Greedy left-to-right inside the
     corridor spanned by the previous cell and the next kept cell: its finite
-    lower end, else its finite upper end; with both ends infinite, the one
-    infinity they share (so the oracle's report on a line holding ``inf``
-    verifies), else 0."""
+    lower end, else its finite upper end, else 0.  Values are finite, so an
+    infinite end comes from an infinite bound alone."""
     kept_set = set(kept_idx)
     cells = list(values)
     prev = None
@@ -767,11 +756,11 @@ def complete_bdp_line(values, kept_idx, bounds: LineBoundingPair) -> list:
         if i not in kept_set:
             lowers, uppers = [], []
             if prev is not None:
-                lowers.append(_ext_add(cells[prev], bounds.seg_lower(prev + 1, i + 1)))
-                uppers.append(_ext_add(cells[prev], bounds.seg_upper(prev + 1, i + 1)))
+                lowers.append(cells[prev] + bounds.seg_lower(prev + 1, i + 1))
+                uppers.append(cells[prev] + bounds.seg_upper(prev + 1, i + 1))
             if next_kept is not None:
-                lowers.append(_ext_add(values[next_kept], -bounds.seg_upper(i + 1, next_kept + 1)))
-                uppers.append(_ext_add(values[next_kept], -bounds.seg_lower(i + 1, next_kept + 1)))
+                lowers.append(values[next_kept] - bounds.seg_upper(i + 1, next_kept + 1))
+                uppers.append(values[next_kept] - bounds.seg_lower(i + 1, next_kept + 1))
             lo = max(lowers) if lowers else -INF
             hi = min(uppers) if uppers else INF
             if lo not in (INF, -INF):
@@ -779,7 +768,7 @@ def complete_bdp_line(values, kept_idx, bounds: LineBoundingPair) -> list:
             elif hi not in (INF, -INF):
                 cells[i] = hi
             else:
-                cells[i] = lo if lo == hi else 0
+                cells[i] = 0
         prev = i
     return cells
 

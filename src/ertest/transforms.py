@@ -69,10 +69,11 @@ class POTSpec:
 
 
 def erasure_resilient_pot_run(pot: POTSpec, oracle: QueryOracle, rng) -> Verdict:
-    """One wrapped run: q uniform flat-index reads; any erased draw is an
-    immediate accept, otherwise the base decide rules on their points."""
+    """One wrapped run: q uniform flat-index reads, budgeted past the
+    oracle's count; any erased draw is an immediate accept, otherwise the
+    base decide rules on their points."""
     domain = oracle.fn.domain
-    oracle.set_budget(pot.q)
+    oracle.set_budget(oracle.count + pot.q)
     if pot.distinct:
         if pot.q > domain.size:
             raise ValueError("cannot draw more distinct points than the domain has")
@@ -93,18 +94,16 @@ def erasure_resilient_pot_run(pot: POTSpec, oracle: QueryOracle, rng) -> Verdict
 def pot_amplify(pot: POTSpec, alpha, detection_lower_bound,
                 oracle: QueryOracle, rng) -> Verdict:
     """Independent repetition against a detection-rate floor: ln(3)/bound
-    runs push the miss probability below 1/3; reject on any rejecting run."""
+    runs push the miss probability below 1/3; reject on any rejecting run.
+    Every run reads through ``oracle``, so it sees and counts each read."""
     _, a = check_params(alpha=alpha)
     bound = exact_fraction(detection_lower_bound)
     if not 0 < bound <= 1:
         raise ValueError("detection bound must be in (0,1]")
-    reps = ceil_frac(Fraction(LN3) / bound)
-    oracle.set_budget(reps * pot.q)
-    for _ in range(reps):
-        verdict = erasure_resilient_pot_run(pot, QueryOracle(oracle.fn, pot.q), rng)
-        oracle.count += verdict.queries_used
+    for _ in range(ceil_frac(Fraction(LN3) / bound)):
+        verdict = erasure_resilient_pot_run(pot, oracle, rng)
         if verdict.is_reject:
-            return Verdict.rejected(verdict.certificate, oracle.count)
+            return verdict
     return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)
 
 

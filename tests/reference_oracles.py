@@ -359,19 +359,11 @@ def complete_convex_line(pairs, kept_pos) -> dict:
     return out
 
 
-def _ext_add(a, b):
-    if a in (INF, -INF) or b in (INF, -INF):
-        s = (a if a in (INF, -INF) else 0) + (b if b in (INF, -INF) else 0)
-        return s
-    return a + b
-
-
 def complete_bdp_line(pairs, kept_pos, bounds: LineBoundingPair) -> dict:
     """Assign values to the dropped points so every consecutive nonerased pair
     fits its directed segment sums; keeps the kept points untouched.  Greedy
     left-to-right inside the corridor spanned by the previous point and the
-    next kept point: its finite lower end, else its finite upper end; with
-    both ends infinite, the one infinity they share, else 0."""
+    next kept point: its finite lower end, else its finite upper end, else 0."""
     kept = set(kept_pos)
     kept_list = [p for p, _ in pairs if p in kept]
     vals = dict(pairs)
@@ -388,11 +380,11 @@ def complete_bdp_line(pairs, kept_pos, bounds: LineBoundingPair) -> dict:
             continue
         lowers, uppers = [], []
         if prev is not None:
-            lowers.append(_ext_add(out[prev], bounds.seg_lower(prev, pos)))
-            uppers.append(_ext_add(out[prev], bounds.seg_upper(prev, pos)))
+            lowers.append(out[prev] + bounds.seg_lower(prev, pos))
+            uppers.append(out[prev] + bounds.seg_upper(prev, pos))
         if next_kept is not None:
-            lowers.append(_ext_add(vals[next_kept], -bounds.seg_upper(pos, next_kept)))
-            uppers.append(_ext_add(vals[next_kept], -bounds.seg_lower(pos, next_kept)))
+            lowers.append(vals[next_kept] - bounds.seg_upper(pos, next_kept))
+            uppers.append(vals[next_kept] - bounds.seg_lower(pos, next_kept))
         lo = max(lowers) if lowers else -INF
         hi = min(uppers) if uppers else INF
         if lo not in (INF, -INF):
@@ -400,7 +392,7 @@ def complete_bdp_line(pairs, kept_pos, bounds: LineBoundingPair) -> dict:
         elif hi not in (INF, -INF):
             out[pos] = hi
         else:
-            out[pos] = lo if lo == hi else 0
+            out[pos] = 0
         prev = pos
     return out
 

@@ -3,11 +3,9 @@ reduction, and the two grid testers."""
 import itertools
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 
-from ertest import hypergrid, line
 from ertest.core import (
     BUDGET_EXHAUSTED,
     ERASED,
@@ -18,7 +16,7 @@ from ertest.core import (
     erased_fraction,
 )
 from ertest.line import (INF, LineBoundingPair, bdp_line_budget, convex_line_budget,
-                         monotone_line_budget, one_sixth_iterations, pair_violates,
+                         monotone_line_budget, one_sixth_iterations,
                          proximity_iterations)
 from ertest.line import test_bdp_line as run_line_bdp
 from ertest.hypergrid import (
@@ -469,12 +467,13 @@ def test_checkerboard_rejected_under_lipschitz_bounds():
 
 _WIDE = LineBoundingPair([-1e16], [1e17])
 _RECHECKED = {
-    # f(1) - f(2) = 1e16 + 128 exceeds -lower(1) = 1e16 by 128: the G view
-    # flags the pair exactly, yet 128 is inside value_gt's tolerance at
-    # 1e16, so the raw pair does not violate and the distance is 0
-    "line": (line, run_line_bdp, O.distance_to_bdp_line,
+    # f(1) - f(2) = 1e16 + 128 exceeds -lower(1) = 1e16 by 128, yet 128 is
+    # inside value_gt's tolerance at 1e16: the raw pair does not violate,
+    # the distance is 0, and the G view, which decides as the raw pair
+    # check does, flags nothing
+    "line": (run_line_bdp, O.distance_to_bdp_line,
              ErasedFunction(Domain.line(2), [1e16 + 128, 0.0]), _WIDE),
-    "grid": (hypergrid, run_grid_bdp, O.bdp_grid_matching_bound,
+    "grid": (run_grid_bdp, O.bdp_grid_matching_bound,
              ErasedFunction(Domain.grid(2, 2), [1e16 + 128, 0.0, 1e16 + 128, 0.0]),
              BoundingFamily((_WIDE, _WIDE))),
 }
@@ -482,21 +481,13 @@ _RECHECKED = {
 
 @pytest.mark.parametrize("case", sorted(_RECHECKED))
 def test_bdp_testers_accept_when_the_raw_recheck_clears_a_view_flag(case):
-    # the testers stay one-sided only through certify's exact recheck on the
-    # raw values: skipping it would reject, or record no recheck here
-    module, run, distance, fn, bounds = _RECHECKED[case]
+    # certify does not recheck the raw pair, so the testers stay one-sided
+    # only because the views decide as the raw pair check does
+    run, distance, fn, bounds = _RECHECKED[case]
     assert distance(fn, bounds).absolute == 0
-    rechecks = []
-
-    def recheck(*args):
-        rechecks.append(pair_violates(*args))
-        return rechecks[-1]
-
-    with mock.patch.object(module, "pair_violates", recheck):
-        for seed in range(5):
-            verdict = run(QueryOracle(fn), bounds, Fraction(1, 4), 0, make_rng(seed))
-            assert not verdict.is_reject
-    assert rechecks and not any(rechecks)
+    for seed in range(5):
+        verdict = run(QueryOracle(fn), bounds, Fraction(1, 4), 0, make_rng(seed))
+        assert not verdict.is_reject
 
 
 def test_fully_erased_line_burns_budget_to_accept():

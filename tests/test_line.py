@@ -313,11 +313,11 @@ def _finite_bounds(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(_finite_bounds(), st.data())
-def test_view_checks_decide_as_value_gt_on_the_maps(bounds, data):
+def test_view_checks_decide_as_the_pair_clauses(bounds, data):
     """The G and H view checks and ``_bdp_check`` (the grid's check too)
-    give the bool of ``value_gt`` on the maps' values, on the int path and
-    on the fallback; values often sit at a segment sum, give or take 2."""
-    g_map, h_map = bdp_to_monotone_transforms(bounds)
+    give ``pair_violates``' two clauses, the checks the certificate check
+    runs, on the int path and on the fallback; values often sit at a
+    segment sum, give or take 2."""
     g_view, h_view, either = _bdp_views(bounds)
     check = _bdp_check(bounds)
     for _ in range(6):
@@ -328,8 +328,9 @@ def test_view_checks_decide_as_value_gt_on_the_maps(bounds, data):
         if isinstance(edge, float):
             edge = int(edge)  # int values beside a float sum: the fallback's tolerance decides
         fb = data.draw(st.one_of(_PAIR_VALUES, st.integers(-2, 2).map(lambda k: fa + edge + k)))
-        g = value_gt(g_map(a, fa), g_map(b, fb))
-        h = value_gt(h_map(a, fa), h_map(b, fb))
+        g = value_gt(fa - fb, -bounds.seg_lower(a, b))
+        h = value_gt(fb - fa, bounds.seg_upper(a, b))
+        assert (g or h) == pair_violates(bounds, a, fa, b, fb)
         assert ((g_view(a, fa, b, fb), h_view(a, fa, b, fb), either(a, fa, b, fb),
                  check(a, fa, b, fb)) == (g, h, g or h, g or h))
 
@@ -361,11 +362,10 @@ def test_link_comparison_decides_as_value_gt_on_slopes(data):
 def test_convex_certificate_decides_as_value_gt_on_slopes(data):
     """``check_line_certificate`` decides a convexity certificate as
     ``value_gt`` decides its two chords' ``_slope``s, on values that mix
-    ints, Fractions, floats and infinities: the search's chord rule, which
-    the check shares, gives what the plain slopes give."""
+    ints, Fractions and floats: the search's chord rule, which the check
+    shares, gives what the plain slopes give."""
     n = data.draw(st.integers(2, 8))
-    values = data.draw(st.lists(st.one_of(_PAIR_VALUES, st.sampled_from([INF, -INF])),
-                                min_size=n, max_size=n))
+    values = data.draw(st.lists(_PAIR_VALUES, min_size=n, max_size=n))
     a, b = sorted(data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)))
     c = data.draw(st.integers(a, n - 1))
     d = data.draw(st.integers(max(b, c + 1), n))

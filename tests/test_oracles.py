@@ -3,6 +3,7 @@ random instances, and certificate re-verification in bulk."""
 import contextlib
 import itertools
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -179,13 +180,19 @@ def test_bdp_matches_exhaustive_pairwise():
 @pytest.mark.parametrize("values", [[INF, 5.0], [5.0, -INF], [INF, 5.0, 7.0], [-INF, 1.0, -INF]])
 @pytest.mark.parametrize("bounds", ["monotone", "steps-0-1"])
 def test_bdp_line_reports_verify_beside_infinite_values(values, bounds):
-    # a dropped point whose corridor has the same infinity at both ends is
-    # filled with that infinity, not 0, so the oracle's own report verifies
+    # an infinite value is refused before any oracle sees it; in its place the
+    # largest finite float of its sign, and the oracle's own report verifies
+    # beside that value
     n = len(values)
     pair = (LineBoundingPair.monotone(n) if bounds == "monotone"
             else LineBoundingPair([0] * (n - 1), [1] * (n - 1)))
-    f, prop = line_fn(values), O.PropertySpec("bdp-line", bounds=pair)
+    with pytest.raises(ValueError):
+        line_fn(values)
+    big = sys.float_info.max
+    f = line_fn([big if v == INF else -big if v == -INF else v for v in values])
+    prop = O.PropertySpec("bdp-line", bounds=pair)
     report = O.compute_distance(f, prop)
+    assert report.absolute > 0
     assert O.verify_report(f, prop, report) is True
 
 
@@ -495,7 +502,6 @@ _FAST_ACCEPT_CASES = {
     # breaks one of its conditions and must fall back to the pairwise check
     "exact-sums-float-values": (_MEMBER, LineBoundingPair.lipschitz(4)),
     "float-bound-entries": (_MEMBER, LineBoundingPair([-1.0] * 3, [1.0] * 3)),
-    "infinite-value": (_MEMBER[:3] + [INF], LineBoundingPair.monotone(4)),
     "mixed-value-types": ([0, 0.5, Fraction(3, 2), 2.0], LineBoundingPair.lipschitz(4)),
 }
 
@@ -542,6 +548,36 @@ def test_erased_function_refuses_nan():
                            (Domain.grid(2, 2), [0.0, ERASED, nan, 2.0])):
         with pytest.raises(ValueError, match="nan"):
             ErasedFunction(domain, values)
+
+
+_NON_FINITE = {
+    # each once reached an oracle: a bdp-line completion beside an infinity,
+    # the fast accept's infinite value, and NaN chords on which the convex
+    # oracles disagreed or verify_report accepted two distances
+    "inf-first": [INF, 5.0],
+    "minus-inf-last": [5.0, -INF],
+    "inf-before-two": [INF, 5.0, 7.0],
+    "minus-inf-both-ends": [-INF, 1.0, -INF],
+    "inf-after-member": _MEMBER[:3] + [INF],
+    "inf-inf-0": [INF, INF, 0],
+    "1-inf-inf-3": [1, INF, INF, 3],
+    "two-verified-distances": [5.0, 0.0, INF, INF, -3.0],
+    "inf-convex-ends": [INF, 4, 1, 0, 0, 1, INF],
+    "nan": [0.0, float("nan"), 1.0],
+    "numpy-inf": None,
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_FINITE))
+def test_erased_function_refuses_non_finite_real_values(case):
+    values = _NON_FINITE[case]
+    if values is None:
+        np = pytest.importorskip("numpy")
+        values = [1.0, np.float64("inf"), 2.0]
+    bad = next(v for v in values if not -INF < v < INF)
+    with pytest.raises(ValueError) as err:
+        line_fn(values)
+    assert str(err.value) == f"value {bad!r} does not fit kind 'real'"
 
 
 _ORACLES = ("compute_distance", "is_restorable", "distance_to_monotone_line",
@@ -650,6 +686,56 @@ def test_verify_report_fails_a_matching_on_a_line_property():
     report = O.DistanceReport("monotone-line", 1, Fraction(1, 2),
                               ("matching", ((1,), (2,))), is_lower_bound=True)
     assert not O.verify_report(fn, O.PropertySpec("monotone-line"), report)
+
+
+_EXACT_REALS = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-6, 6),
+                                                       st.integers(1, 3)))
+
+
+@st.composite
+def _small_line_case(draw, tag):
+    """A line of 1 to 7 points with erasures, and a ``tag`` property that
+    fits it: ints and Fractions for the real properties (bdp-line bounds of
+    ints, Fractions and infinities), bits for k-runs, GF(7) for low-degree."""
+    n = draw(st.integers(1, 7))
+    values, kind, params = _EXACT_REALS, {}, {}
+    if tag == "k-runs":
+        values, kind = st.sampled_from([0, 1]), {"kind": "bit"}
+        params = {"k": draw(st.integers(1, 3))}
+    elif tag == "low-degree":
+        values, kind = st.integers(0, 6), {"kind": "field", "modulus": 7}
+        params = {"degree": draw(st.integers(0, 2))}
+    elif tag == "bdp-line":
+        lower = draw(st.lists(st.sampled_from([-INF, -1, 0, Fraction(1, 2)]),
+                              min_size=n - 1, max_size=n - 1))
+        widths = draw(st.lists(st.sampled_from([Fraction(1, 2), 1, 2, INF]),
+                               min_size=n - 1, max_size=n - 1))
+        params = {"bounds": LineBoundingPair(
+            lower, [w if lo == -INF else lo + w for lo, w in zip(lower, widths)])}
+    vals = draw(st.lists(st.one_of(values, st.just(ERASED)), min_size=n, max_size=n))
+    if all(v is ERASED for v in vals):
+        vals[draw(st.integers(0, n - 1))] = draw(values)
+    return line_fn(vals, **kind), O.PropertySpec(tag, **params)
+
+
+@pytest.mark.parametrize("tag", ["monotone-line", "convex-line", "bdp-line", "k-runs",
+                                 "low-degree"])
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_no_report_verify_accepts_is_below_the_oracles_distance(tag, data):
+    """Every kept set of a small line, offered as a report: each one
+    ``verify_report`` accepts drops at least as many points as the oracle's
+    report does, so the verifier cannot certify a distance below the exact
+    one on exact values."""
+    fn, prop = data.draw(_small_line_case(tag))
+    exact = O.compute_distance(fn, prop).absolute
+    valued = [i + 1 for i, v in enumerate(fn.values) if v is not ERASED]
+    m = len(valued)
+    for size in range(1, m + 1):
+        for kept in itertools.combinations(valued, size):
+            report = O.DistanceReport(tag, m - size, Fraction(m - size, m),
+                                      ("kept",) + tuple((p,) for p in kept))
+            assert not O.verify_report(fn, prop, report) or m - size >= exact
 
 
 _LIP_3x3 = grid_fn(3, 2, lambda p: sum(p))

@@ -282,6 +282,42 @@ def test_wrappers_report_their_oracles_count():
     assert len(outcomes) == 4
 
 
+class _RecordingOracle(QueryOracle):
+    """A query oracle that logs the flat index of every read."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, fn):
+        super().__init__(fn)
+        self.log = []
+
+    def query_index(self, idx):
+        self.log.append(idx)
+        return super().query_index(idx)
+
+
+@pytest.mark.parametrize("fn, seed", [(affine_fn(1, 0, 17), 4114),
+                                      (parabola_fn(17), 4115),
+                                      (parabola_fn(17, erase={1, 4, 6, 9, 12, 15}), 4116)])
+def test_amplify_reads_through_the_callers_oracle(fn, seed):
+    """Every run charges the caller's oracle, so a subclass logs each of the
+    ``queries_used`` reads, and the verdict and RNG state are those of runs
+    on fresh oracles, one per repetition, with their counts summed."""
+    pot = low_degree_pot(17, 1)
+    oracle, rng = _RecordingOracle(fn), make_rng(seed)
+    verdict = pot_amplify(pot, 0, Fraction(1, 10), oracle, rng)
+    assert len(oracle.log) == verdict.queries_used == oracle.count
+    fresh_rng, used = make_rng(seed), 0
+    for _ in range(11):  # ceil(ln 3 / 0.1)
+        run = erasure_resilient_pot_run(pot, QueryOracle(fn), fresh_rng)
+        used += run.queries_used
+        if run.is_reject:
+            break
+    assert (verdict.outcome, verdict.certificate, verdict.queries_used) == \
+        (run.outcome, run.certificate, used)
+    assert rng.getstate() == fresh_rng.getstate()
+
+
 def test_amplify_parameter_gates():
     pot = low_degree_pot(17, 1)
     fn = affine_fn(1, 0, 17)
