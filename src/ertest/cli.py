@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from .core import Domain, exact_fraction
+from .core import ConfigError, Domain, exact_fraction
 from .oracles import PropertySpec
 from .adversary import (
     ERASERS,
@@ -123,20 +123,47 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _domain_from_json(node) -> Domain:
-    shape = node[0]
-    if shape == "line":
-        return Domain.line(int(node[1]))
-    if shape == "grid":
-        return Domain.grid(int(node[1]), int(node[2]))
-    raise ValueError(f"unknown domain shape {shape!r}")
+class _JsonObject(dict):
+    """An object of the JSON file ``path``: a missing key is an error naming it."""
+
+    def __init__(self, path, items):
+        super().__init__(items)
+        self.path = path
+
+    def __missing__(self, key):
+        raise ConfigError(f"{self.path}: missing key {key!r}")
 
 
-def _spec_from_json(node, default_bounds) -> InstanceSpec:
+def _read_json(path: str) -> _JsonObject:
+    """The JSON object in ``path``; a decode error or another value names ``path``."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh, object_hook=functools.partial(_JsonObject, path))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return data
+
+
+def _domain_from_json(node, path: str) -> Domain:
+    """``["line", n]`` or ``["grid", n, d]``, else an error that names ``path``."""
+    try:
+        shape, *sizes = node
+        sizes = list(map(int, sizes)) if len(sizes) == {"line": 1, "grid": 2}[shape] else None
+    except (LookupError, TypeError, ValueError):  # not a list, or a size int() refuses
+        sizes = None
+    if sizes is None:
+        raise ConfigError(f'{path}: expected a domain ["line", n] or ["grid", n, d], '
+                          f'got {json.dumps(node)}')
+    return Domain(*sizes)
+
+
+def _spec_from_json(node, default_bounds, path: str) -> InstanceSpec:
     """A spec from JSON; its own ``bounds`` file wins over ``default_bounds``."""
     bounds = load_bounds(node["bounds"]) if node.get("bounds") else default_bounds
     return InstanceSpec(
-        domain=_domain_from_json(node["domain"]),
+        domain=_domain_from_json(node["domain"], path),
         prop=PropertySpec(node["property"], bounds=bounds,
                           k=node.get("k"), degree=node.get("degree")),
         member=bool(node.get("member", False)),
@@ -147,21 +174,22 @@ def _spec_from_json(node, default_bounds) -> InstanceSpec:
     )
 
 
-def _instance_from_json(node, cfg_bounds):
+def _instance_from_json(node, cfg_bounds, path: str):
+    if not isinstance(node, dict):
+        raise ConfigError(f"{path}: expected a JSON object as 'instance'")
     if "file" in node:
         return load_function(node["file"], kind=node.get("kind", "real"),
                              modulus=node.get("modulus"))
-    return _spec_from_json(node, cfg_bounds)
+    return _spec_from_json(node, cfg_bounds, path)
 
 
 def cmd_experiment(args) -> int:
-    with open(args.config) as fh:
-        data = json.load(fh)
+    data = _read_json(args.config)
     bounds = load_bounds(data["bounds"]) if data.get("bounds") else None
     poset = load_poset(data["poset"]) if data.get("poset") else None
     cfg = ExperimentConfig(
         tester=data["tester"],
-        instance=_instance_from_json(data["instance"], bounds),
+        instance=_instance_from_json(data["instance"], bounds, args.config),
         trials=int(data["trials"]),
         seed=int(data["seed"]),
         eps=data.get("eps"),
@@ -181,9 +209,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    with open(args.spec) as fh:
-        data = json.load(fh)
-    spec = _spec_from_json(data, None)
+    data = _read_json(args.spec)
+    spec = _spec_from_json(data, None, args.spec)
     fn, report = spec.realize(make_rng(spec.seed, "instance"))
     out = data["out"]
     save_function(fn, out)

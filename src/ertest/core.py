@@ -77,9 +77,13 @@ class InvalidField(ValueError):
 
 def value_gt(a, b) -> bool:
     """Strict a > b.  Uses a relative tolerance when floats are involved so
-    representation noise never flips a comparison; exact types compare exactly."""
+    representation noise never flips a comparison; exact types compare exactly,
+    and so does an int or Fraction past float range, beyond any float's tolerance."""
     if isinstance(a, float) or isinstance(b, float):
-        fa, fb = float(a), float(b)
+        try:
+            fa, fb = float(a), float(b)
+        except OverflowError:  # a plain float, unlike numpy's, is exact beside any int or Fraction
+            return float(a) > b if isinstance(a, float) else a > float(b)
         if fa == fb or math.isinf(fa) or math.isinf(fb):
             return fa > fb
         return fa - fb > REL_TOL * max(1.0, abs(fa), abs(fb))

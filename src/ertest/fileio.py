@@ -29,9 +29,9 @@ What a parsed load builds is checked in C-level passes, not per token in
 Python: ``ErasedFunction`` accepts real values by one pass over their
 types (ints and Fractions here), and ``LineBoundingPair`` builds every row
 with one side builder in O(n), summing a row of ints and its infinity as
-plain ints.  A row with a Fraction sums in Fraction arithmetic, and a pair
-of rows whose order the int comparison cannot decide takes the per-entry
-checks, so every error names the same first bad token.
+plain ints.  Rows of ints, Fractions and their own infinity are ordered by
+one C-level ``>`` pass, past float range too; others, and rows out of
+order, take the per-entry checks, so every error names the first bad token.
 """
 from __future__ import annotations
 

@@ -91,11 +91,8 @@ def quasi_metric(family: BoundingFamily, x: tuple, y: tuple):
 
 def grid_pair_violates(family: BoundingFamily, x: tuple, fx, y: tuple, fy) -> bool:
     """True iff f(x) - f(y) > m_B(x, y) or f(y) - f(x) > m_B(y, x)."""
-    m_xy = quasi_metric(family, x, y)
-    if m_xy != INF and value_gt(fx - fy, m_xy):
-        return True
-    m_yx = quasi_metric(family, y, x)
-    return m_yx != INF and value_gt(fy - fx, m_yx)
+    return (value_gt(fx - fy, quasi_metric(family, x, y))
+            or value_gt(fy - fx, quasi_metric(family, y, x)))
 
 
 # ---------------------------------------------------------------------------

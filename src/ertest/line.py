@@ -41,48 +41,31 @@ from .core import (
 
 
 def _step_side(entries, sign):
-    """One side of step bounds from C-level passes: (keys, sums, infs).
+    """One side of step bounds from C-level passes: (exact, sums, infs).
 
     ``sign`` names the side's one allowed infinity: -1 lower, +1 upper.
-    ``sums`` are the prefix sums of the finite steps, ``infs`` the prefix
-    counts of infinite steps.  A side is integral exactly when every entry
-    is an int or that infinity: ``keys`` is then the entries themselves and
-    the sums are plain ints.  On any other side ``keys`` is None and the
-    sums are the entries' own left fold, in the types their arithmetic gives.
-    ``sums`` is an unread ``accumulate``, which the caller lists only after
-    its order check: a pair that check refuses raises the check's error,
-    not one from summing.
+    ``sums`` are the prefix sums of the finite steps, in the types their
+    arithmetic gives, and ``infs`` the prefix counts of infinite steps.  A
+    side is exact when every entry is an int, a Fraction or that infinity;
+    ``value_gt`` between two exact sides is then plain ``>``.  ``sums`` is
+    an unread ``accumulate``, which the caller lists only after its order
+    check: a pair that check refuses raises the check's error, not one
+    from summing.
     """
     inf, size = sign * INF, len(entries)
     types = list(map(type, entries))
     kinds = set(types)
-    finite, infs, integral = entries, [0] * (size + 1), kinds <= {int}
-    if kinds - {int, Fraction}:  # a float, or a float subclass such as numpy's
+    finite, infs, exact = entries, [0] * (size + 1), kinds <= {int, Fraction}
+    if not exact:  # a float, or a float subclass such as numpy's, or a bool
         # float.__eq__ answers True only for an equal number (NotImplemented
         # for a Fraction), so the flags mark exactly this side's infinities;
         # any other float (finite, NaN, the other infinity) goes unmarked
         flags = list(map(operator.is_, map(inf.__eq__, entries), itertools.repeat(True)))
         infs = list(itertools.accumulate(flags, initial=0))
-        integral = kinds <= {int, float} and infs[-1] == types.count(float)
+        exact = kinds <= {int, Fraction, float} and infs[-1] == types.count(float)
         if infs[-1]:
             finite = [0 if hit else e for e, hit in zip(entries, flags)]
-    return entries if integral else None, itertools.accumulate(finite, initial=0), infs
-
-
-def _steps_ordered(lo, up) -> bool:
-    """lower < upper at every step of two ``_step_side`` sides, decided as
-    ``value_gt`` decides it, or False when this cannot be decided here: a
-    side has no keys, or a side holds an infinity while some entry is too
-    large for the float that ``value_gt`` turns it into beside one."""
-    (lo_keys, _, lo_infs), (up_keys, _, up_infs) = lo, up
-    if lo_keys is None or up_keys is None:
-        return False
-    if lo_infs[-1] or up_infs[-1]:
-        try:
-            sum(map(float, itertools.chain(lo_keys, up_keys)))
-        except OverflowError:
-            return False
-    return all(map(operator.gt, up_keys, lo_keys))
+    return exact, itertools.accumulate(finite, initial=0), infs
 
 
 def _shown(v) -> str:
@@ -101,12 +84,11 @@ class LineBoundingPair:
     lower(i) <= g(i+1) - g(i) <= upper(i) for every step i.
 
     Each side's prefix sums come from ``_step_side`` in O(n) C-level
-    passes.  A side is integral exactly when every entry is an int or its
-    own infinity: it sums plain ints, and lower < upper is then one int
-    comparison per step.  Any other side sums its entries themselves, in
-    their own types, so a segment sum is the difference of two such prefix
-    sums.  Where the int comparison cannot decide, ``value_gt`` checks step
-    by step and raises at the first bad step, before any side is summed.
+    passes, in the entries' own types, so a segment sum is the difference
+    of two such prefix sums.  When both sides are exact (ints, Fractions
+    and each side's own infinity), lower < upper is one C-level ``>`` pass;
+    otherwise ``value_gt`` checks step by step.  Either way a bad pair
+    raises at its first bad step, before any side is summed.
     """
 
     __slots__ = ("lower", "upper", "_lo_pre", "_lo_inf", "_up_pre", "_up_inf")
@@ -116,15 +98,14 @@ class LineBoundingPair:
         upper = tuple(upper)
         if len(lower) != len(upper):
             raise ValueError("lower and upper must have equal length")
-        lo, up = _step_side(lower, -1), _step_side(upper, +1)
-        if not _steps_ordered(lo, up):
+        (lo_exact, lo_sums, self._lo_inf), (up_exact, up_sums, self._up_inf) = (
+            _step_side(lower, -1), _step_side(upper, +1))
+        if not (lo_exact and up_exact and all(map(operator.gt, upper, lower))):
             for l, u in zip(lower, upper):
                 if not value_gt(u, l):
                     raise ValueError(f"need lower < upper, got {_shown(l)} vs {_shown(u)}")
         self.lower = lower
         self.upper = upper
-        _, lo_sums, self._lo_inf = lo
-        _, up_sums, self._up_inf = up
         self._lo_pre, self._up_pre = list(lo_sums), list(up_sums)
 
     @property
@@ -163,11 +144,7 @@ def pair_violates(bounds: LineBoundingPair, a: int, fa, b: int, fb) -> bool:
     """For a < b: does the pair drop faster than the lower bounds allow,
     f(a) - f(b) > -(sum of lower over [a, b)), or rise faster than the upper
     bounds allow, f(b) - f(a) > sum of upper over [a, b)?"""
-    s = bounds.seg_lower(a, b)
-    if s != -INF and value_gt(fa - fb, -s):
-        return True
-    s = bounds.seg_upper(a, b)
-    return s != INF and value_gt(fb - fa, s)
+    return value_gt(fa - fb, -bounds.seg_lower(a, b)) or value_gt(fb - fa, bounds.seg_upper(a, b))
 
 
 def bdp_to_monotone_transforms(bounds: LineBoundingPair):

@@ -761,14 +761,8 @@ def complete_bdp_line(values, kept_idx, bounds: LineBoundingPair) -> list:
             if next_kept is not None:
                 lowers.append(values[next_kept] - bounds.seg_upper(i + 1, next_kept + 1))
                 uppers.append(values[next_kept] - bounds.seg_lower(i + 1, next_kept + 1))
-            lo = max(lowers) if lowers else -INF
-            hi = min(uppers) if uppers else INF
-            if lo not in (INF, -INF):
-                cells[i] = lo
-            elif hi not in (INF, -INF):
-                cells[i] = hi
-            else:
-                cells[i] = 0
+            lo, hi = max(lowers, default=-INF), min(uppers, default=INF)
+            cells[i] = lo if lo != -INF else hi if hi != INF else 0
         prev = i
     return cells
 

@@ -554,8 +554,10 @@ def test_cli_generate_on_a_grid_and_an_unknown_shape(tmp_path, capsys):
         certify_distance(fn, PropertySpec("monotone-grid")))
 
     spec = {"property": "monotone-line", "domain": ["torus", 4], "out": str(tmp_path / "t.fn")}
-    assert main(["generate", "--spec", write_lines(tmp_path / "t.json", json.dumps(spec))]) == 2
-    assert capsys.readouterr().err == "error: unknown domain shape 'torus'\n"
+    path = write_lines(tmp_path / "t.json", json.dumps(spec))
+    assert main(["generate", "--spec", path]) == 2
+    assert capsys.readouterr().err == (
+        f'error: {path}: expected a domain ["line", n] or ["grid", n, d], got ["torus", 4]\n')
     assert not (tmp_path / "t.fn").exists()
 
 
@@ -705,3 +707,56 @@ def test_cli_experiment_bad_config_exits_two(tmp_path, capsys):
     path = write_lines(tmp_path / "bad.json", json.dumps(cfg))
     assert main(["experiment", "--config", path]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+_LINE_SPEC = {"property": "monotone-line", "domain": ["line", 8], "member": True}
+_CONFIG = {"tester": "monotone-line", "trials": 3, "seed": 1, "eps": "1/4",
+           "instance": _LINE_SPEC}
+JSON_ERRORS = [
+    ("experiment", {k: v for k, v in _CONFIG.items() if k != "trials"},
+     "missing key 'trials'"),
+    ("experiment", [_CONFIG], "expected a JSON object"),
+    ("experiment", dict(_CONFIG, instance=[1]), "expected a JSON object as 'instance'"),
+    ("experiment", dict(_CONFIG, instance=dict(_LINE_SPEC, domain=["line"])),
+     'expected a domain ["line", n] or ["grid", n, d], got ["line"]'),
+    ("generate", {"property": "monotone-line"}, "missing key 'domain'"),
+    ("generate", {"property": "monotone-line", "domain": "line"},
+     'expected a domain ["line", n] or ["grid", n, d], got "line"'),
+    ("generate", {"property": "monotone-line", "domain": ["grid", 4, "x"]},
+     'expected a domain ["line", n] or ["grid", n, d], got ["grid", 4, "x"]'),
+]
+
+
+@pytest.mark.parametrize("command, data, message", JSON_ERRORS,
+                         ids=["no-trials", "list", "list-instance", "short-domain",
+                              "no-domain", "string-domain", "bad-size"])
+def test_cli_json_errors_name_the_file(tmp_path, capsys, command, data, message):
+    if command == "generate":
+        data = dict(data, out=str(tmp_path / "x.fn"))
+    path = write_lines(tmp_path / "c.json", json.dumps(data))
+    flag = "--config" if command == "experiment" else "--spec"
+    assert main([command, flag, path]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "x.fn").exists()
+
+
+@pytest.mark.parametrize("command, flag", [("experiment", "--config"), ("generate", "--spec")])
+def test_cli_json_decode_errors_name_the_file(tmp_path, capsys, command, flag):
+    text = '{"tester": "monotone-line",\n "trials": 3'
+    with pytest.raises(json.JSONDecodeError) as info:
+        json.loads(text)
+    path = write_lines(tmp_path / "c.json", text)
+    assert main([command, flag, path]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {info.value}\n"
+
+
+def test_cli_bdp_line_decides_a_bound_past_float_range(tmp_path, capsys):
+    """A 400-digit lower bound beside ``inf`` uppers loads, and the tester
+    rejects a line that rises by less than it."""
+    bounds = write_lines(tmp_path / "huge.bounds", f"bounds 1 3\n{'1' * 400} 0\ninf inf\n")
+    path = write_lines(tmp_path / "three.fn", "domain line 3\n0 1 2\n")
+    code = main(["test", "--tester", "bdp-line", "--input", path, "--bounds", bounds,
+                 "--eps", "1/4"])
+    assert code == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["outcome"] == "reject" and out["certificate"][0] == "bdp-violation"

@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ertest.core import (
     ACCEPT,
@@ -74,6 +74,36 @@ def test_value_comparisons():
     assert not value_gt(1, 2)
     assert not value_gt(1.0 + 1e-12, 1.0)  # float noise tolerated
     assert value_gt(Fraction(1, 3), Fraction(1, 4))
+
+
+def _overflows(x) -> bool:
+    try:
+        float(x)
+    except OverflowError:
+        return True
+    return False
+
+
+_NUMBERS = st.one_of(
+    st.integers(-2 ** 1100, 2 ** 1100),
+    st.builds(Fraction, st.integers(-2 ** 1100, 2 ** 1100), st.integers(1, 2 ** 64)),
+    st.floats(allow_nan=False),  # finite floats and both infinities
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_NUMBERS, _NUMBERS)
+@example(10 ** 400, 0.5)
+@example(-1e308, -10 ** 400)
+@example(10 ** 400, math.inf)
+@example(-math.inf, -10 ** 400)
+@example(Fraction(10 ** 400, 3), 1e308)
+def test_value_gt_is_exact_past_float_range(a, b):
+    """``value_gt`` decides every pair of ints, Fractions and floats; beside
+    a number that no float holds it is the exact ``a > b``."""
+    got = value_gt(a, b)
+    if _overflows(a) or _overflows(b):
+        assert got == (a > b)
 
 
 # ---------------------------------------------------------------------------

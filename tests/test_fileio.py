@@ -360,11 +360,22 @@ def test_loaded_bounds_sum_and_check_as_fraction_bounds(tmp_path_factory, rows, 
         assert pair_violates(got, a, fa, b, fb) == pair_violates(want, a, fa, b, fb)
     for side, sign, tokens, own in ((got.lower, -1, lower, "-inf"), (got.upper, 1, upper, "inf")):
         if all(t == own or re.fullmatch(r"-?\d+", t) for t in tokens):
-            assert _step_side(side, sign)[0] is not None
+            exact, sums, _ = _step_side(side, sign)
+            assert exact is True and all(type(s) is int for s in sums)
 
 
 class _Int(int):
     pass
+
+
+def test_a_bound_past_float_range_beside_infinity_loads(tmp_path):
+    """A 400-digit lower bound beside ``inf`` uppers is in order: the file
+    loads, and its sums are exact."""
+    path = tmp_path / "huge.bounds"
+    path.write_text(f"bounds 1 3\n{'1' * 400} 0\ninf inf\n")
+    pair = load_bounds(str(path))
+    assert pair.lower == (int("1" * 400), 0) and pair.upper == (INF, INF)
+    assert (pair.seg_lower(1, 3), pair.seg_upper(1, 3)) == (int("1" * 400), INF)
 
 
 _REAL = st.one_of(st.integers(-5, 5), st.integers(-5, 5).map(Fraction),

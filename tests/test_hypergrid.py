@@ -504,6 +504,16 @@ def test_fully_erased_line_burns_budget_to_accept():
     assert BUDGET_EXHAUSTED in outcomes
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_monotone_grid_decides_a_value_past_float_range(seed):
+    """A 2x2 grid whose corner (1, 1) holds an int too large for any float,
+    above the floats at the other corners: the tester rejects it and its
+    certificate checks."""
+    g = ErasedFunction(Domain.grid(2, 2), [10 ** 400, 0.5, 1.0, 2.0])
+    v = run_grid_monotone(QueryOracle(g), Fraction(1, 8), Fraction(0), make_rng(65, seed))
+    assert v.is_reject and check_grid_certificate(g, v.certificate)
+
+
 def test_grid_certificate_checker_rejects_bogus_input():
     f = grid_fn(3, 2, lambda p: p[0] + p[1])
     assert not check_grid_certificate(f, ("monotone-violation", ((1, 1), 2), ((2, 2), 4)))

@@ -134,12 +134,7 @@ def _step_bounds(draw):
     entries = draw(st.sampled_from([_EXACT_ENTRIES, _STEP_ENTRIES]))
     steps = draw(st.lists(st.tuples(entries, entries), max_size=7))
     if draw(st.integers(0, 3)):
-        def ordered(l, u):
-            try:
-                return (u, l) if value_gt(l, u) else (l, u)
-            except OverflowError:
-                return l, u
-        steps = [ordered(l, u) for l, u in steps]
+        steps = [(u, l) if value_gt(l, u) else (l, u) for l, u in steps]
     return [l for l, _ in steps], [u for _, u in steps]
 
 
@@ -161,6 +156,20 @@ def test_bounding_pair_counts_infinities_of_a_float_subclass():
     lower, upper = [0, 0, 0], list(np.array([1.5, np.inf, 2.0]))
     assert (_surface(lambda: LineBoundingPair(lower, upper), bdp_to_monotone_transforms)
             == _surface(lambda: ref.PrefixBoundingPair(lower, upper), ref.prefix_transforms))
+
+
+@pytest.mark.parametrize("lower, upper, seg_lower, seg_upper", [
+    ([10 ** 400], [INF], 10 ** 400, INF),
+    ([Fraction(10 ** 400, 3), -INF], [INF, 0], -INF, INF),
+    ([-INF], [-10 ** 400], -INF, -10 ** 400),
+    ([10 ** 400, 0], [INF, 1.5], 10 ** 400, INF),
+], ids=["int", "fraction", "negative", "float-upper"])
+def test_bounding_pair_orders_a_bound_past_float_range(lower, upper, seg_lower, seg_upper):
+    """A bound too large for any float is in order beside the other side's
+    own infinity, on exact sides and beside a float step alike, and the
+    pair sums it exactly."""
+    b = LineBoundingPair(lower, upper)
+    assert (b.seg_lower(1, b.n), b.seg_upper(1, b.n)) == (seg_lower, seg_upper)
 
 
 @settings(max_examples=50, deadline=None)
@@ -749,6 +758,18 @@ def test_certificate_checker_rejects_bogus_input():
     assert not check_line_certificate(f, ("mystery", (1, 0), (2, 1)))
     good = line_fn([3, 1])
     assert check_line_certificate(good, ("monotone-violation", (1, 3), (2, 1)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_monotone_line_decides_a_value_past_float_range(seed):
+    """A line that mixes an int too large for any float with a float
+    descends; the tester rejects it and its certificate checks."""
+    f = line_fn([10 ** 400, 0.5])
+    assert check_line_certificate(f, ("monotone-violation", (1, 10 ** 400), (2, 0.5)))
+    assert not check_line_certificate(line_fn([0.5, 10 ** 400]),
+                                      ("monotone-violation", (1, 0.5), (2, 10 ** 400)))
+    v = run_monotone(QueryOracle(f), Fraction(1, 8), Fraction(0), make_rng(64, seed))
+    assert v.is_reject and check_line_certificate(f, v.certificate)
 
 
 def test_convex_tester_reports_query_split():
