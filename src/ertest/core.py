@@ -44,10 +44,6 @@ class _Erased:
 ERASED = _Erased()
 
 
-def is_erased(value) -> bool:
-    return value is ERASED
-
-
 class BudgetExhausted(Exception):
     """Signal, not an error: the oracle budget is spent.
 
@@ -88,6 +84,15 @@ def value_gt(a, b) -> bool:
             return fa > fb
         return fa - fb > REL_TOL * max(1.0, abs(fa), abs(fb))
     return a > b
+
+
+def difference(a, b):
+    """``a - b``, in Fractions when a float meets a number past float range
+    and the subtraction overflows; ``value_gt`` compares that exactly."""
+    try:
+        return a - b
+    except OverflowError:
+        return Fraction(a) - Fraction(b)
 
 
 def draw(rng, lo: int, hi: int) -> int:

@@ -146,9 +146,10 @@ def test_monotone_hypergrid(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
 
 def test_bdp_hypergrid(oracle: QueryOracle, family: BoundingFamily,
                        eps, alpha, rng) -> Verdict:
-    """Like the monotone grid tester, but the line check runs both
-    transformed views of the sampled dimension's bounds (or the direct
-    segment-sum check when that dimension has an infinite bound)."""
+    """Like the monotone grid tester, but each search checks its pairs with
+    ``line._bdp_check`` of the sampled dimension's bounds, the rule
+    ``test_bdp_line`` runs: both value-map views at once with finite
+    bounds, the directed segment sums with an infinite bound."""
     n, d, e, a = _grid_params(oracle, eps, alpha, 970)
     check_bounds("bdp-grid", family, BoundingFamily, oracle.fn.domain)
 

@@ -33,6 +33,7 @@ from .core import (
     Verdict,
     ceil_frac,
     check_params,
+    difference,
     draw,
     exact_log2,
     holds_values,
@@ -144,7 +145,8 @@ def pair_violates(bounds: LineBoundingPair, a: int, fa, b: int, fb) -> bool:
     """For a < b: does the pair drop faster than the lower bounds allow,
     f(a) - f(b) > -(sum of lower over [a, b)), or rise faster than the upper
     bounds allow, f(b) - f(a) > sum of upper over [a, b)?"""
-    return value_gt(fa - fb, -bounds.seg_lower(a, b)) or value_gt(fb - fa, bounds.seg_upper(a, b))
+    drop = difference(fa, fb)  # -drop is fb - fa: float subtraction rounds alike both ways
+    return value_gt(drop, -bounds.seg_lower(a, b)) or value_gt(-drop, bounds.seg_upper(a, b))
 
 
 def bdp_to_monotone_transforms(bounds: LineBoundingPair):
@@ -198,13 +200,14 @@ def convex_line_budget(n: int, eps, alpha) -> int:
 
 
 def bdp_line_budget(n: int, eps, alpha) -> int:
-    """Two monotonicity searches at proximity eps/4 share one budget."""
+    """Twice a monotonicity tester's budget at proximity eps/4; the one-rule
+    searches need about half, but the harness cap and CSV ``budget_Q`` stay."""
     return 2 * _log_budget(240, n, eps, alpha)  # 60 / (eps/4) = 240 / eps
 
 
 def bdp_line_tester_budget(bounds: LineBoundingPair, eps, alpha) -> int:
-    """The budget ``test_bdp_line`` runs under: two views' worth with finite
-    bounds, one monotonicity search's worth when a bound is infinite."""
+    """The budget ``test_bdp_line`` runs under: ``bdp_line_budget`` with
+    finite bounds, a monotonicity tester's budget when a bound is infinite."""
     if bounds.all_finite:
         return bdp_line_budget(bounds.n, eps, alpha)
     return monotone_line_budget(bounds.n, eps, alpha)
@@ -439,42 +442,32 @@ def _descends(a, fa, b, fb) -> bool:
     return value_gt(fa, fb)
 
 
-def _bdp_views(bounds: LineBoundingPair):
-    """The pair checks of finite ``bounds``' views: (G, H, either).  A pair
-    a < b violates monotonicity under G iff f(a) - f(b) > lo_pre[a-1] -
-    lo_pre[b-1], and under H iff f(b) - f(a) > up_pre[b-1] - up_pre[a-1]:
-    ``pair_violates``' two clauses, so a flagged pair is its certificate.
-    When both sides sum plain ints (``_step_side``'s integral sides) and
-    both values are ints, a check is that int comparison; any other value
-    or side compares the same differences with ``value_gt``."""
+def _bdp_check(bounds: LineBoundingPair):
+    """The pair check of every bounded-derivative search, line and grid.
+
+    With finite bounds it flags a pair a < b that violates monotonicity
+    under either value map of ``bdp_to_monotone_transforms``: under G iff
+    f(a) - f(b) > lo_pre[a-1] - lo_pre[b-1], under H iff f(b) - f(a) >
+    up_pre[b-1] - up_pre[a-1].  These are ``pair_violates``' two clauses,
+    so a flagged pair is its certificate.  When both sides sum plain ints
+    (``_step_side``'s integral sides) and both values are ints, the check
+    is that int comparison; any other value or side compares the same
+    differences with ``value_gt``.  With an infinite bound it is
+    ``pair_violates`` itself, on the directed segment sums."""
+    if not bounds.all_finite:
+        return functools.partial(pair_violates, bounds)
     lo_pre, up_pre = bounds._lo_pre, bounds._up_pre
     ints = type(lo_pre[-1]) is int and type(up_pre[-1]) is int  # no Fraction or float sum
 
-    def g_view(a, fa, b, fb):
-        if ints and type(fa) is int and type(fb) is int:
-            return fa - fb > lo_pre[a - 1] - lo_pre[b - 1]
-        return value_gt(fa - fb, lo_pre[a - 1] - lo_pre[b - 1])
-
-    def h_view(a, fa, b, fb):
-        if ints and type(fa) is int and type(fb) is int:
-            return fb - fa > up_pre[b - 1] - up_pre[a - 1]
-        return value_gt(fb - fa, up_pre[b - 1] - up_pre[a - 1])
-
-    def either(a, fa, b, fb):  # one frame for both int tests on every grid pivot
+    def either(a, fa, b, fb):
         if ints and type(fa) is int and type(fb) is int:
             return (fa - fb > lo_pre[a - 1] - lo_pre[b - 1]
                     or fb - fa > up_pre[b - 1] - up_pre[a - 1])
-        return g_view(a, fa, b, fb) or h_view(a, fa, b, fb)
+        drop = difference(fa, fb)
+        return (value_gt(drop, lo_pre[a - 1] - lo_pre[b - 1])
+                or value_gt(-drop, up_pre[b - 1] - up_pre[a - 1]))
 
-    return g_view, h_view, either
-
-
-def _bdp_check(bounds: LineBoundingPair):
-    """The pair check a bounded-derivative search runs: either view of
-    ``_bdp_views`` with finite bounds, the directed segment sums otherwise."""
-    if not bounds.all_finite:
-        return functools.partial(pair_violates, bounds)
-    return _bdp_views(bounds)[2]
+    return either
 
 
 def test_monotone_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
@@ -518,30 +511,23 @@ def classic_monotone_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
 
 
 def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng) -> Verdict:
-    """Bounded-derivative tester via two monotonicity views.
-
-    With finite bounds, value maps G and H turn derivative violations into
-    monotonicity violations; each view gets a search loop at proximity eps/4
-    with enough repetitions for a 1/6 miss bound, so the union misses with
-    probability at most 1/3.  One-sided-infinite bounds skip the maps and
-    check the directed segment sums on the search path directly.
-    """
-    n = _line_domain(oracle)
+    """``test_monotone_line``'s searches with ``_bdp_check(bounds)``, the
+    grid tester's pair check.  With finite bounds, value maps G and H turn
+    derivative violations into monotonicity violations, the check flags a
+    pair either view would, and ``one_sixth_iterations`` searches run.  A
+    search's draws and path do not depend on its check until the check
+    flags a pair, so on the same draws it flags whenever the G check or
+    the H check would: each search detects at least as often as one view's
+    search, under the per-view analysis at proximity eps/4, and the
+    searches miss with probability at most 1/6.  With an infinite bound the
+    check is the directed segment sums, over ``proximity_iterations``."""
+    _line_domain(oracle)
     e, a = check_params(eps, alpha)
     check_bounds("bdp-line", bounds, LineBoundingPair, oracle.fn.domain)
-
-    def certify(_, pa, fa, pb, fb):
-        return ("bdp-violation", (pa, fa), (pb, fb))
-
-    if not bounds.all_finite:
-        checks = itertools.repeat((_bdp_check(bounds),), proximity_iterations(e))
-    else:
-        g_view, h_view, _ = _bdp_views(bounds)
-        reps = one_sixth_iterations(e)
-        checks = itertools.chain(itertools.repeat((g_view,), reps),
-                                 itertools.repeat((h_view,), reps))
-    return _run_searches(oracle, bdp_line_tester_budget(bounds, e, a),
-                         _axis_searches(oracle, checks, rng, certify))
+    reps = one_sixth_iterations(e) if bounds.all_finite else proximity_iterations(e)
+    return _run_searches(oracle, bdp_line_tester_budget(bounds, e, a), _axis_searches(
+        oracle, itertools.repeat((_bdp_check(bounds),), reps), rng,
+        lambda _, pa, fa, pb, fb: ("bdp-violation", (pa, fa), (pb, fb))))
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +535,13 @@ def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng
 
 def _slope(p, q):
     """Slope of the chord from p to q, each a (position, value) pair: exact
-    for int and Fraction values, float otherwise."""
+    for int and Fraction values, and where a float meets a number past
+    float range, float otherwise."""
     (a, fa), (b, fb) = p, q
-    num = fb - fa
+    try:
+        num = fb - fa
+    except OverflowError:  # a float beside a number past float range
+        num = difference(fb, fa)
     if isinstance(num, (int, Fraction)):
         return Fraction(num, b - a)
     return num / (b - a)

@@ -287,30 +287,26 @@ def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng
             return Verdict.accepted(BUDGET_EXHAUSTED, oracle.count)
         return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)
 
+    # one search loop; each pivot checks the G view, then the H view
     g_map, h_map = bdp_to_monotone_transforms(bounds)
     oracle.set_budget(bdp_line_budget(n, e, a))
-    reps = one_sixth_iterations(e)
     try:
-        for vmap in (g_map, h_map):
-            for _ in range(reps):
-                (s,), fs = sample_nonerased_uniform(oracle, box, rng)
-                vs = vmap(s, fs)
+        for _ in range(one_sixth_iterations(e)):
+            (s,), fs = sample_nonerased_uniform(oracle, box, rng)
 
-                def on_pivot(m, fm, side):
-                    vm = vmap(m, fm)
-                    if side == "right" and value_gt(vs, vm):
-                        return ((s, fs), (m, fm))
-                    if side == "left" and value_gt(vm, vs):
-                        return ((m, fm), (s, fs))
-                    return None
+            def on_pivot(m, fm, side):
+                pa, fa, pb, fb = (s, fs, m, fm) if side == "right" else (m, fm, s, fs)
+                for vmap in (g_map, h_map):
+                    if value_gt(vmap(pa, fa), vmap(pb, fb)):
+                        return ((pa, fa), (pb, fb))
+                return None
 
-                hit = randomized_binary_search_step_loop(oracle, 1, n, s, fs, rng, on_pivot)
-                if hit is None:
-                    continue
-                (pa, fa), (pb, fb) = hit
-                if pair_violates(bounds, pa, fa, pb, fb):
-                    return Verdict.rejected(("bdp-violation", (pa, fa), (pb, fb)),
-                                            oracle.count)
+            hit = randomized_binary_search_step_loop(oracle, 1, n, s, fs, rng, on_pivot)
+            if hit is None:
+                continue
+            (pa, fa), (pb, fb) = hit
+            if pair_violates(bounds, pa, fa, pb, fb):
+                return Verdict.rejected(("bdp-violation", (pa, fa), (pb, fb)), oracle.count)
     except BudgetExhausted:
         return Verdict.accepted(BUDGET_EXHAUSTED, oracle.count)
     return Verdict.accepted(ALL_CHECKS_PASSED, oracle.count)

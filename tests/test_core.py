@@ -22,6 +22,7 @@ from ertest.core import (
     SizeLimit,
     Verdict,
     ceil_frac,
+    difference,
     draw,
     erased_fraction,
     exact_fraction,
@@ -104,6 +105,25 @@ def test_value_gt_is_exact_past_float_range(a, b):
     got = value_gt(a, b)
     if _overflows(a) or _overflows(b):
         assert got == (a > b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(*[_NUMBERS.filter(lambda v: v not in (math.inf, -math.inf))] * 2)
+@example(10 ** 400, 0.5)
+@example(0.5, -10 ** 400)
+@example(Fraction(10 ** 400, 3), 1e308)
+def test_difference_is_exact_where_subtraction_overflows(a, b):
+    """``difference`` is ``a - b`` wherever that subtraction works, and the
+    exact difference where it overflows, which ``value_gt`` then orders
+    against 0 as the exact numbers are ordered."""
+    got = difference(a, b)
+    try:
+        want = a - b
+    except OverflowError:
+        assert got == Fraction(a) - Fraction(b)
+        assert value_gt(got, 0) == (a > b)
+    else:
+        assert type(got) is type(want) and got == want
 
 
 # ---------------------------------------------------------------------------

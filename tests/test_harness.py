@@ -154,7 +154,7 @@ def test_member_experiment_never_rejects():
 
 
 @pytest.mark.parametrize("bounds, expected", [
-    # an infinite bound runs one monotonicity search's budget, not two views'
+    # an infinite bound runs a monotonicity tester's budget, not bdp_line_budget's doubled cap
     (LineBoundingPair.monotone(256), 2195),
     (LineBoundingPair.lipschitz(256), 17556),
 ], ids=["infinite-bound", "finite-bounds"])

@@ -16,6 +16,7 @@ from ertest.core import (
     QueryOracle,
     value_gt,
 )
+from ertest.adversary import erase_random
 from ertest.hypergrid import BoundingFamily
 from ertest.line import (
     INF,
@@ -31,7 +32,6 @@ from ertest.line import (
     proximity_iterations,
     randomized_binary_search_step_loop,
     _bdp_check,
-    _bdp_views,
     _exact_log_budget,
     _link,
     _link_gt,
@@ -323,11 +323,10 @@ def _finite_bounds(draw):
 @settings(max_examples=500, deadline=None)
 @given(_finite_bounds(), st.data())
 def test_view_checks_decide_as_the_pair_clauses(bounds, data):
-    """The G and H view checks and ``_bdp_check`` (the grid's check too)
-    give ``pair_violates``' two clauses, the checks the certificate check
-    runs, on the int path and on the fallback; values often sit at a
-    segment sum, give or take 2."""
-    g_view, h_view, either = _bdp_views(bounds)
+    """``_bdp_check``, the one check of the line and grid searches, flags
+    a pair iff either of ``pair_violates``' two clauses, the checks the
+    certificate check runs, holds, on the int path and on the fallback;
+    values often sit at a segment sum, give or take 2."""
     check = _bdp_check(bounds)
     for _ in range(6):
         a = data.draw(st.integers(1, bounds.n - 1))
@@ -340,8 +339,7 @@ def test_view_checks_decide_as_the_pair_clauses(bounds, data):
         g = value_gt(fa - fb, -bounds.seg_lower(a, b))
         h = value_gt(fb - fa, bounds.seg_upper(a, b))
         assert (g or h) == pair_violates(bounds, a, fa, b, fb)
-        assert ((g_view(a, fa, b, fb), h_view(a, fa, b, fb), either(a, fa, b, fb),
-                 check(a, fa, b, fb)) == (g, h, g or h, g or h))
+        assert check(a, fa, b, fb) == (g or h)
 
 
 @settings(max_examples=500, deadline=None)
@@ -698,6 +696,29 @@ def test_sawtooth_far_from_lipschitz_is_caught():
     assert rejects >= 60
 
 
+@pytest.mark.parametrize("sign, lower, upper", [(+1, -10, 1), (-1, -1, 10)])
+def test_far_input_only_one_view_sees_is_caught(sign, lower, upper):
+    """Zeros with spikes of +5 under step bounds (-10, 1): every violated
+    pair rises too fast and none drops too fast, so only the H view flags
+    pairs; spikes of -5 under (-1, 10) are the mirror case, which only G
+    sees.  With an eighth of the points erased the input is certified
+    1/4-far, and at eps = 1/4, alpha = 1/8 the tester rejects at least
+    300 of 500 trials, as criterion 02 asks, each with a certificate that
+    re-validates."""
+    bounds = LineBoundingPair([lower] * 63, [upper] * 63)
+    rng = make_rng(72, "spikes", sign)
+    values = [5 * sign if rng.random() < Fraction(1, 3) else 0 for _ in range(64)]
+    f = erase_random(line_fn(values), Fraction(1, 8), rng)
+    assert O.distance_to_bdp_line(f, bounds).relative >= Fraction(1, 4)
+    rejects = 0
+    for t in range(500):
+        v = run_bdp(QueryOracle(f), bounds, Fraction(1, 4), Fraction(1, 8), make_rng(73, sign, t))
+        if v.is_reject:
+            rejects += 1
+            assert check_line_certificate(f, v.certificate, bounds)
+    assert rejects >= 300
+
+
 def test_concave_far_input_is_caught():
     rng = random.Random(56)
     vals = [ERASED if rng.random() < 0.2 else -(x - 32) ** 2 for x in range(64)]
@@ -770,6 +791,25 @@ def test_monotone_line_decides_a_value_past_float_range(seed):
                                       ("monotone-violation", (1, 0.5), (2, 10 ** 400)))
     v = run_monotone(QueryOracle(f), Fraction(1, 8), Fraction(0), make_rng(64, seed))
     assert v.is_reject and check_line_certificate(f, v.certificate)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bdp_and_convex_line_decide_a_value_past_float_range(seed):
+    """A line whose first value is an int too large for any float, beside
+    floats: a difference with it overflows a float, so the checks take it
+    exactly.  The line is far from Lipschitz, and the bdp-line
+    tester rejects it with a certificate that checks; its slopes rise, so
+    it is convex, and the convexity tester accepts.  Both oracles' reports
+    verify."""
+    f = line_fn([10 ** 400, 0.5, 1.0])
+    bounds = LineBoundingPair.lipschitz(3)
+    v = run_bdp(QueryOracle(f), bounds, Fraction(1, 8), Fraction(0), make_rng(66, seed))
+    assert v.is_reject and check_line_certificate(f, v.certificate, bounds)
+    assert not run_convex(QueryOracle(f), Fraction(1, 8), Fraction(0), make_rng(67, seed)).is_reject
+    for prop, absolute in ((O.PropertySpec("bdp-line", bounds=bounds), 1),
+                           (O.PropertySpec("convex-line"), 0)):
+        report = O.compute_distance(f, prop)
+        assert report.absolute == absolute and O.verify_report(f, prop, report)
 
 
 def test_convex_tester_reports_query_split():
