@@ -13,6 +13,7 @@ from typing import Callable
 
 from .core import (
     ERASED,
+    ConfigError,
     Domain,
     ErasedFunction,
     GenerationFailed,
@@ -163,6 +164,19 @@ def _finite_step_cap(bounds: LineBoundingPair) -> float:
     return cap
 
 
+def _check_float_steps(prop: PropertySpec) -> None:
+    """Refuses, before any draw, bounded-derivative bounds with a finite
+    step past float range: the templates take their steps as floats."""
+    if prop.tag not in ("bdp-line", "bdp-grid"):
+        return
+    for b in getattr(prop.bounds, "per_dim", (prop.bounds,)):
+        try:
+            list(map(float, b.lower + b.upper))
+        except OverflowError:
+            raise ConfigError(f"{prop.tag} templates are floats and need step bounds "
+                              "within float range") from None
+
+
 def _member_walk(bounds: LineBoundingPair, n: int, rng) -> list:
     """Start anywhere, then steps drawn strictly inside each (lower, upper)
     window, clamped to a finite span when a side is unbounded."""
@@ -260,6 +274,7 @@ def generate_far_instance(prop: PropertySpec, domain: Domain, target_eps,
     """Template + erase + certify, retried a bounded number of times until
     the certified relative distance reaches the target."""
     _check_fit(domain, prop)
+    _check_float_steps(prop)
     e = exact_fraction(target_eps)
     for _ in range(FAR_RETRIES):
         fn = _instance(prop, domain, False, alpha, rng, eraser)
@@ -276,6 +291,7 @@ def generate_member_instance(prop: PropertySpec, domain: Domain, alpha, rng,
     """Random member, then erasures; restorability is checked, not assumed,
     and a member that fails the check raises GenerationFailed."""
     _check_fit(domain, prop)
+    _check_float_steps(prop)
     fn = _instance(prop, domain, True, alpha, rng, eraser)
     if not is_restorable(fn, prop):
         raise GenerationFailed(f"the {prop.tag} member instance is not restorable")

@@ -396,15 +396,19 @@ class QueryOracle:
     __slots__ = ("fn", "budget", "count")
 
     def __init__(self, fn: ErasedFunction, budget: Optional[int] = None):
-        if budget is not None and budget < 0:
-            raise ValueError("budget must be nonnegative")
-        self.fn = fn
-        self.budget = budget
-        self.count = 0
+        self.fn, self.budget, self.count = fn, None, 0
+        if budget is not None:
+            self.set_budget(budget)
 
     def set_budget(self, budget: int):
+        """Caps the reads at ``budget``, refused below 0 and past
+        ``sys.maxsize``: no run spends such a cap, so a search of a member
+        under it would not end."""
         if budget < 0:
             raise ValueError("budget must be nonnegative")
+        if budget > sys.maxsize:
+            raise ValueError(f"query budget of at least 2**{int(budget).bit_length() - 1} "
+                             f"exceeds sys.maxsize ({sys.maxsize})")
         self.budget = budget
 
     def query(self, pt):

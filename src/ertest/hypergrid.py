@@ -9,7 +9,6 @@ lines.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +19,7 @@ from .core import (
     Verdict,
     ceil_frac,
     check_params,
+    difference,
     grid_descends,
     holds_values,
     value_gt,
@@ -90,9 +90,11 @@ def quasi_metric(family: BoundingFamily, x: tuple, y: tuple):
 
 
 def grid_pair_violates(family: BoundingFamily, x: tuple, fx, y: tuple, fy) -> bool:
-    """True iff f(x) - f(y) > m_B(x, y) or f(y) - f(x) > m_B(y, x)."""
-    return (value_gt(fx - fy, quasi_metric(family, x, y))
-            or value_gt(fy - fx, quasi_metric(family, y, x)))
+    """True iff f(x) - f(y) > m_B(x, y) or f(y) - f(x) > m_B(y, x), each
+    difference by ``difference`` as in ``line.pair_violates``."""
+    drop = difference(fx, fy)
+    return (value_gt(drop, quasi_metric(family, x, y))
+            or value_gt(-drop, quasi_metric(family, y, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +137,9 @@ def test_monotone_hypergrid(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
     one randomized binary search along it; rejects on an observed violated
     pair.  One-sided."""
     n, d, e, a = _grid_params(oracle, eps, alpha, 250)
-
-    def certify(view, pa, fa, pb, fb):
-        return ("monotone-violation", (view.point(pa), fa), (view.point(pb), fb))
-
-    checks = itertools.repeat((_descends,) * d, hypergrid_iterations(d, e, a, 12))
-    return _run_searches(oracle, monotone_hypergrid_budget(n, d, e, a),
-                         _axis_searches(oracle, checks, rng, certify))
+    return _run_searches(oracle, monotone_hypergrid_budget(n, d, e, a), _axis_searches(
+        oracle, "monotone-violation", (_descends,) * d, hypergrid_iterations(d, e, a, 12), rng,
+        points=True))
 
 
 def test_bdp_hypergrid(oracle: QueryOracle, family: BoundingFamily,
@@ -152,14 +150,9 @@ def test_bdp_hypergrid(oracle: QueryOracle, family: BoundingFamily,
     bounds, the directed segment sums with an infinite bound."""
     n, d, e, a = _grid_params(oracle, eps, alpha, 970)
     check_bounds("bdp-grid", family, BoundingFamily, oracle.fn.domain)
-
-    def certify(view, pa, fa, pb, fb):
-        return ("bdp-violation", (view.point(pa), fa), (view.point(pb), fb))
-
-    checks = itertools.repeat(tuple(map(_bdp_check, family.per_dim)),
-                              hypergrid_iterations(d, e, a, 48))
-    return _run_searches(oracle, bdp_hypergrid_budget(n, d, e, a),
-                         _axis_searches(oracle, checks, rng, certify))
+    return _run_searches(oracle, bdp_hypergrid_budget(n, d, e, a), _axis_searches(
+        oracle, "bdp-violation", tuple(map(_bdp_check, family.per_dim)),
+        hypergrid_iterations(d, e, a, 48), rng, points=True))
 
 
 def check_grid_certificate(fn: ErasedFunction, certificate,

@@ -69,6 +69,18 @@ def _step_side(entries, sign):
     return exact, itertools.accumulate(finite, initial=0), infs
 
 
+def _prefix_list(sums, entries) -> list:
+    """``list(sums)``, a side's prefix sums from ``_step_side``.  Where a
+    float meets a number past float range and a sum overflows, every sum of
+    the side is a Fraction instead (``difference``'s rule), so no difference
+    of two of them overflows either; the side's infinities count as 0."""
+    try:
+        return list(sums)
+    except OverflowError:
+        steps = (0 if abs(e) == INF else Fraction(e) for e in entries)
+        return list(itertools.accumulate(steps, initial=0))
+
+
 def _shown(v) -> str:
     """``str(v)``, or, for a number with more digits than CPython's int
     conversion limit lets ``str`` write, its type and that limit."""
@@ -85,9 +97,10 @@ class LineBoundingPair:
     lower(i) <= g(i+1) - g(i) <= upper(i) for every step i.
 
     Each side's prefix sums come from ``_step_side`` in O(n) C-level
-    passes, in the entries' own types, so a segment sum is the difference
-    of two such prefix sums.  When both sides are exact (ints, Fractions
-    and each side's own infinity), lower < upper is one C-level ``>`` pass;
+    passes, in the entries' own types (``_prefix_list``: in Fractions where
+    a float sum would overflow), so a segment sum is the difference of two
+    such prefix sums.  When both sides are exact (ints, Fractions and each
+    side's own infinity), lower < upper is one C-level ``>`` pass;
     otherwise ``value_gt`` checks step by step.  Either way a bad pair
     raises at its first bad step, before any side is summed.
     """
@@ -107,7 +120,7 @@ class LineBoundingPair:
                     raise ValueError(f"need lower < upper, got {_shown(l)} vs {_shown(u)}")
         self.lower = lower
         self.upper = upper
-        self._lo_pre, self._up_pre = list(lo_sums), list(up_sums)
+        self._lo_pre, self._up_pre = _prefix_list(lo_sums, lower), _prefix_list(up_sums, upper)
 
     @property
     def n(self) -> int:
@@ -366,48 +379,39 @@ def _run_searches(oracle: QueryOracle, budget: int, searches) -> Verdict:
 
 
 class _AxisLineView:
-    """One axis line of a grid oracle, presented as a line oracle; the
-    budget is the oracle's.  A line oracle is its own one axis line.
+    """An axis line of an oracle (a line oracle's is the whole line) as a
+    line oracle, for the sampler path: ``query_index(p - 1)`` checks
+    1 <= p <= n and reads flat index ``base + (p - 1) * stride`` through
+    ``oracle.query_index``, under its budget."""
 
-    Position p of the line along ``axis`` (1-based) is flat index
-    ``base + (p - 1) * stride`` (``Domain.index_of``'s order, with
-    ``stride = n ** (axis - 1)`` and ``base`` the index of the line's first
-    point), so ``query_index(p - 1)`` reads it as a line oracle would: it
-    checks 1 <= p <= n and reads ``oracle.query_index`` without building a
-    point, and ``point(p)`` builds the grid point only for a certificate."""
+    __slots__ = ("oracle", "n", "base", "stride")
 
-    __slots__ = ("oracle", "axis", "n", "base", "stride")
-
-    def __init__(self, oracle: QueryOracle, axis: int, n: int, base: int, stride: int):
-        self.oracle, self.axis, self.n, self.base, self.stride = oracle, axis, n, base, stride
+    def __init__(self, oracle: QueryOracle, n: int, base: int, stride: int):
+        self.oracle, self.n, self.base, self.stride = oracle, n, base, stride
 
     def query_index(self, i: int):
         if not 0 <= i < self.n:
             raise ValueError(f"position {i + 1} outside the axis line [1, {self.n}]")
         return self.oracle.query_index(self.base + i * self.stride)
 
-    def point(self, p: int) -> tuple:
-        return self.oracle.fn.domain.point_at(self.base + (p - 1) * self.stride)
 
-
-def _axis_searches(oracle: QueryOracle, checks, rng, certify):
-    """The search generator of the binary-search testers, line and grid.
-    ``checks`` yields one tuple of per-axis pair checks per search, which
-    runs along a uniform axis line with the check of that line's axis.
-    Yields None after a clean pass, else ``certify(view, a, fa, b, fb)``
-    for the first violated pair (a < b), itself None to go on searching.
+def _axis_searches(oracle: QueryOracle, tag: str, per_axis, reps: int, rng, points=False):
+    """The search generator of the binary-search testers, line and grid:
+    ``reps`` searches, each along a uniform axis line with ``per_axis[r]``,
+    the pair check of its 0-based axis r.  Yields None after a clean pass,
+    else ``(tag, (a, fa), (b, fb))`` for the first violated pair a < b:
+    positions on the line, or, with ``points``, their grid points.
 
     Each line is one draw of its index x in [0, d * n ** (d - 1)) by
     ``draw``'s plain-``Random`` rule on ``rng.getrandbits``; a line oracle
     is its own one axis line, drawn as ``getrandbits(0)``, which is 0 and
     leaves ``rng``'s state as it was.  ``divmod(x, n ** (d - 1))`` gives
-    the 0-based axis r and the index j among that axis' lines, whose
-    base-n digits, lowest first, are the other coordinates less 1; the
-    line's first point is flat index ``j % n ** r + j // n ** r * n **
-    (r + 1)``.  ``_fuses`` decides once how every search runs: by
-    ``_fused_search``, with an ``_AxisLineView`` built only for a pair that
-    goes to ``certify``, or over each line's view, the start through
-    ``sample_nonerased_uniform`` and the pivots through
+    r and the index j among that axis' lines, whose base-n digits, lowest
+    first, are the other coordinates less 1; the line's first point is flat
+    index ``base = j % n ** r + j // n ** r * n ** (r + 1)`` and its stride
+    is ``n ** r``.  ``_fuses`` decides once how every search runs: by
+    ``_fused_search``, or over the line's ``_AxisLineView``, the start
+    through ``sample_nonerased_uniform`` and the pivots through
     ``randomized_binary_search_step_loop``, each by its module-global name."""
     n, d = oracle.fn.domain.n, oracle.fn.domain.d
     lines = n ** (d - 1)
@@ -415,7 +419,7 @@ def _axis_searches(oracle: QueryOracle, checks, rng, certify):
     getrandbits, k = rng.getrandbits, span.bit_length() if span > 1 else 0
     strides = [n ** r for r in range(d)]
     fused = _fuses(oracle, rng)
-    for per_axis in checks:
+    for _ in range(reps):
         x = getrandbits(k)
         while x >= span:
             x = getrandbits(k)
@@ -424,14 +428,17 @@ def _axis_searches(oracle: QueryOracle, checks, rng, certify):
         base = j % stride + j // stride * stride * n
         if fused:
             hit = _fused_search(oracle, base - stride, stride, n, rng, violated)
-            if hit is None:
-                yield None
-                continue
-        view = _AxisLineView(oracle, r + 1, n, base, stride)
-        if not fused:
+        else:
+            view = _AxisLineView(oracle, n, base, stride)
             s, fs = sample_nonerased_uniform(view, 1, n, rng)
             hit = randomized_binary_search_step_loop(view, 1, n, s, fs, rng, violated)
-        yield None if hit is None else certify(view, *hit)
+        if hit is None:
+            yield None
+            continue
+        a, fa, b, fb = hit
+        if points:
+            a, b = (oracle.fn.domain.point_at(base + (p - 1) * stride) for p in (a, b))
+        yield tag, (a, fa), (b, fb)
 
 
 def _descends(a, fa, b, fb) -> bool:
@@ -476,9 +483,8 @@ def test_monotone_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
     probability at least 2/3.  Reject verdicts carry the violated pair."""
     n = _line_domain(oracle)
     e, a = check_params(eps, alpha)
-    checks = itertools.repeat((_descends,), proximity_iterations(e))
     return _run_searches(oracle, monotone_line_budget(n, e, a), _axis_searches(
-        oracle, checks, rng, lambda _, pa, fa, pb, fb: ("monotone-violation", (pa, fa), (pb, fb))))
+        oracle, "monotone-violation", (_descends,), proximity_iterations(e), rng))
 
 
 def classic_monotone_line(oracle: QueryOracle, eps, alpha, rng) -> Verdict:
@@ -526,8 +532,7 @@ def test_bdp_line(oracle: QueryOracle, bounds: LineBoundingPair, eps, alpha, rng
     check_bounds("bdp-line", bounds, LineBoundingPair, oracle.fn.domain)
     reps = one_sixth_iterations(e) if bounds.all_finite else proximity_iterations(e)
     return _run_searches(oracle, bdp_line_tester_budget(bounds, e, a), _axis_searches(
-        oracle, itertools.repeat((_bdp_check(bounds),), reps), rng,
-        lambda _, pa, fa, pb, fb: ("bdp-violation", (pa, fa), (pb, fb))))
+        oracle, "bdp-violation", (_bdp_check(bounds),), reps, rng))
 
 
 # ---------------------------------------------------------------------------

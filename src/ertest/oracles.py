@@ -29,6 +29,7 @@ from .core import (
     ErasedFunction,
     InvalidField,
     SizeLimit,
+    difference,
     grid_descends,
 )
 from .hypergrid import BoundingFamily, grid_pair_violates
@@ -386,7 +387,8 @@ def _exact_ints(values, sums):
     """``values`` and the bound prefix ``sums`` as ints over one positive
     common denominator, or None when the exact fast accept does not apply:
     the values are neither all floats nor all ints and Fractions, or a sum
-    is not an int or Fraction (every sum from a float bound entry on is a float).
+    is not an int or Fraction (a float bound entry makes every later sum a
+    float, unless its side's sums overflowed into Fractions).
     """
     if not (all(type(v) is float for v in values)
             or all(isinstance(v, (int, Fraction)) for v in values)):
@@ -418,7 +420,7 @@ def _bdp_violation_free(domain, cells, per_dim) -> bool:
 
     The test is exact: values and bounds scale to ints.  Exact non-violation
     implies ``value_gt``'s tolerant non-violation only when every segment
-    sum is exact (no float bound entries), every value is finite, and the
+    sum is exact (an int or Fraction), every value is finite, and the
     values are all floats (one rounding per difference, and rounding is
     monotone) or all ints and Fractions.  Otherwise this returns False and
     the caller runs its pairwise check, so verdicts are the pairwise ones.
@@ -457,7 +459,7 @@ def bdp_grid_matching_bound(fn: ErasedFunction, family) -> DistanceReport:
 
     ``_bdp_violation_free`` first tests for a violated pair in O(2^d·d·N)
     over the N grid points.  It accepts exactly, and only where that implies
-    the float-tolerant verdict: every bound entry is an int or Fraction and
+    the float-tolerant verdict: every bound sum is an int or Fraction and
     the values are all finite floats or all ints and Fractions.  When it
     accepts, the matching is empty.
     Otherwise the greedy maximal matching runs over violated pairs in (i, j)
@@ -742,7 +744,13 @@ def complete_bdp_line(values, kept_idx, bounds: LineBoundingPair) -> list:
     and erased cells are left as they are.  Greedy left-to-right inside the
     corridor spanned by the previous cell and the next kept cell: its finite
     lower end, else its finite upper end, else 0.  Values are finite, so an
-    infinite end comes from an infinite bound alone."""
+    infinite end comes from an infinite bound alone and is that segment sum
+    as it is; a finite end is a value plus a segment sum by ``difference``'s
+    rule, in Fractions where a float meets a number past float range."""
+
+    def end(v, seg):
+        return seg if seg == INF or seg == -INF else difference(v, -seg)
+
     kept_set = set(kept_idx)
     cells = list(values)
     prev = None
@@ -756,11 +764,11 @@ def complete_bdp_line(values, kept_idx, bounds: LineBoundingPair) -> list:
         if i not in kept_set:
             lowers, uppers = [], []
             if prev is not None:
-                lowers.append(cells[prev] + bounds.seg_lower(prev + 1, i + 1))
-                uppers.append(cells[prev] + bounds.seg_upper(prev + 1, i + 1))
+                lowers.append(end(cells[prev], bounds.seg_lower(prev + 1, i + 1)))
+                uppers.append(end(cells[prev], bounds.seg_upper(prev + 1, i + 1)))
             if next_kept is not None:
-                lowers.append(values[next_kept] - bounds.seg_upper(i + 1, next_kept + 1))
-                uppers.append(values[next_kept] - bounds.seg_lower(i + 1, next_kept + 1))
+                lowers.append(end(values[next_kept], -bounds.seg_upper(i + 1, next_kept + 1)))
+                uppers.append(end(values[next_kept], -bounds.seg_lower(i + 1, next_kept + 1)))
             lo, hi = max(lowers, default=-INF), min(uppers, default=INF)
             cells[i] = lo if lo != -INF else hi if hi != INF else 0
         prev = i

@@ -159,7 +159,7 @@ def axis_line_views(oracle: QueryOracle, iterations: int, checks, rng) -> list:
 
     with mock.patch.object(L, "sample_nonerased_uniform", start), \
             mock.patch.object(L, "randomized_binary_search_step_loop", search):
-        out = list(L._axis_searches(oracle, itertools.repeat(checks, iterations), rng, None))
+        out = list(L._axis_searches(oracle, "unused", checks, iterations, rng))
     assert out == [None] * iterations
     return seen
 
@@ -575,7 +575,17 @@ def _prefix_with_inf(entries, sign):
     +1 for upper bounds.  While every finite entry so far is an integral
     Fraction, the sum is kept as an int and stored as ``Fraction(acc)``: the
     value and type ``finite[-1] + e`` gives, without Fraction addition.
+    Where a float meets a number past float range and a sum overflows, the
+    side is summed again with every finite entry as a Fraction.
     """
+    try:
+        return _python_prefix(entries, sign)
+    except OverflowError:
+        return _python_prefix([e if isinstance(e, float) and math.isinf(e) else Fraction(e)
+                               for e in entries], sign)
+
+
+def _python_prefix(entries, sign):
     finite = [0]
     inf_count = [0]
     acc = 0  # None once a finite entry is not an integral Fraction

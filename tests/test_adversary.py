@@ -600,3 +600,23 @@ def test_generated_instances_are_pinned_byte_for_byte():
     got["middle-layer-4"] = _sha((hypercube_middle_layer(4).values, None))
     got["middle-layer-matching-4"] = _sha(middle_layer_matching(4))
     assert got == PINNED_INSTANCES
+
+
+@pytest.mark.parametrize("prop", [
+    PropertySpec("bdp-line", bounds=LineBoundingPair([-1, 0.5], [10 ** 400, 1])),
+    PropertySpec("bdp-grid", bounds=BoundingFamily((LineBoundingPair.lipschitz(3),
+                                                    LineBoundingPair([-(10 ** 400), 0], [1, 1])))),
+], ids=["line", "grid"])
+def test_generation_refuses_steps_past_float_range_before_any_draw(prop):
+    """The bounded-derivative templates walk and scale their steps as
+    floats: bounds with a finite step past float range are refused, member
+    and far alike, before the generator draws anything."""
+    domain = Domain.line(3) if prop.tag == "bdp-line" else Domain.grid(3, 2)
+    message = f"^{prop.tag} templates are floats and need step bounds within float range$"
+    for generate in (lambda rng: generate_member_instance(prop, domain, 0, rng),
+                     lambda rng: generate_far_instance(prop, domain, Fraction(1, 4), 0, rng)):
+        rng = random.Random(3)
+        state = rng.getstate()
+        with pytest.raises(ConfigError, match=message):
+            generate(rng)
+        assert rng.getstate() == state

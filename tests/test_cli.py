@@ -1,5 +1,7 @@
 """Command-line surface and the flat-file formats underneath it."""
 import json
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -760,3 +762,47 @@ def test_cli_bdp_line_decides_a_bound_past_float_range(tmp_path, capsys):
     assert code == 1
     out = json.loads(capsys.readouterr().out)
     assert out["outcome"] == "reject" and out["certificate"][0] == "bdp-violation"
+
+
+SEARCH_TESTERS = ["monotone-line", "classic-monotone-line", "bdp-line", "convex-line",
+                  "monotone-grid", "bdp-grid"]
+
+
+@pytest.mark.parametrize("tester", SEARCH_TESTERS)
+def test_cli_test_refuses_a_budget_past_sys_maxsize(tmp_path, capsys, tester):
+    """At eps = 1e-400 every search tester's budget passes ``sys.maxsize``:
+    ``set_budget`` refuses it before the first read, so the call exits 2
+    at once with one line that names it, where a search would never end."""
+    entry = TESTERS[tester]
+    if entry.shape == "line":
+        path = write_lines(tmp_path / "f.fn", "domain line 4\n1 2 3 4\n")
+        bounds = "bounds 1 4\n-1 -1 -1\n1 1 1\n"
+    else:
+        path = write_lines(tmp_path / "f.fn", "domain grid 2 2\n1 2\n3 4\n")
+        bounds = "bounds 2 2\n-1\n1\n-1\n1\n"
+    args = ["test", "--tester", tester, "--input", path, "--eps", "1e-400"]
+    if "bounds" in entry.needs:
+        args += ["--bounds", write_lines(tmp_path / "f.bounds", bounds)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: query budget of at least 2\*\*\d+ exceeds sys\.maxsize "
+                        rf"\({sys.maxsize}\)\n", err), err
+
+
+@pytest.mark.parametrize("prop, domain, bounds", [
+    ("bdp-line", ["line", 4], f"bounds 1 4\n-{'1' * 400} -1 -1\n1 1 1\n"),
+    ("bdp-grid", ["grid", 2, 2], f"bounds 2 2\n-1\n1\n-1\n{'1' * 400}\n"),
+], ids=["line", "grid"])
+@pytest.mark.parametrize("member", [True, False], ids=["member", "far"])
+def test_cli_generate_refuses_bounds_past_float_range(tmp_path, capsys, prop, domain, bounds,
+                                                      member):
+    """The bounded-derivative templates take their steps as floats, so a
+    spec whose bounds hold a finite step past float range is refused with
+    one line that names the property, and no file is written."""
+    spec = {"property": prop, "domain": domain, "member": member, "target_eps": "1/4",
+            "bounds": write_lines(tmp_path / "huge.bounds", bounds),
+            "out": str(tmp_path / "huge.fn")}
+    assert main(["generate", "--spec", write_lines(tmp_path / "g.json", json.dumps(spec))]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {prop} templates are floats and need step bounds within float range\n")
+    assert not (tmp_path / "huge.fn").exists()

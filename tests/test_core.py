@@ -2,6 +2,7 @@
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -386,6 +387,22 @@ def test_query_refuses_a_point_outside_the_domain_uncharged():
     assert o.count == 0
     with pytest.raises(ValueError, match="^point"):
         QueryOracle(f).query((0,))
+
+
+def test_query_oracle_refuses_a_budget_past_sys_maxsize():
+    """No count reaches a budget past ``sys.maxsize``, so the constructor
+    and ``set_budget`` refuse one, naming it; ``sys.maxsize`` itself is a
+    budget."""
+    f = ErasedFunction(Domain.line(2), [0, 1])
+    message = re.escape(f"query budget of at least 2**63 exceeds sys.maxsize ({sys.maxsize})")
+    for budget in (sys.maxsize + 1, 2 ** 64 - 1):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            QueryOracle(f, budget)
+        o = QueryOracle(f, 1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            o.set_budget(budget)
+        assert o.budget == 1
+    assert QueryOracle(f, sys.maxsize).budget == sys.maxsize
 
 
 def test_set_budget_keeps_count():

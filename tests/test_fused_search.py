@@ -8,10 +8,10 @@ pivots in one draw-and-read loop, after ``_axis_searches`` has drawn the
 axis line (on a line, none: a line is its own one axis line).  A
 ``Random`` subclass draws the same values through its inherited ``randint``
 and takes the sampler path, as a rebound sampler name does.  Both must find
-the same pairs, certify the same, charge the same queries, leave the same
-``getstate()`` and run out of budget at the same query.  On a line, both
-must also match ``reference_testers.line_searches``, the sampler loop run
-on the line oracle itself with no view.
+the same pairs, yield the same certificates, charge the same queries, leave
+the same ``getstate()`` and run out of budget at the same query.  On a line,
+both must also match ``reference_testers.line_searches``, the sampler loop
+run on the line oracle itself with no view.
 """
 import functools
 import itertools
@@ -117,11 +117,10 @@ def test_fused_loop_matches_the_sampler_loop_draw_for_draw(case, seed):
 
 def _run(case, iterations, rng, reference=False):
     """The searches of ``iterations`` lines of ``case``, as a tester runs
-    them but with every certificate recorded, one in three passed over:
-    per search, what it yields, the pairs it checked, ``oracle.count`` and
-    ``rng.getstate()``; then how the searches ended.  ``reference`` runs
-    a line's searches through ``line_searches`` in place of
-    ``_axis_searches``."""
+    them but on past every certificate: per search, what it yields, the
+    pairs it checked, ``oracle.count`` and ``rng.getstate()``; then how the
+    searches ended.  ``reference`` runs a line's searches through
+    ``line_searches`` in place of ``_axis_searches``."""
     fn, check, spent, budget = case
     oracle, d, pairs = QueryOracle(fn, budget), fn.domain.d, []
     oracle.count = spent
@@ -130,21 +129,11 @@ def _run(case, iterations, rng, reference=False):
         pairs.append(pair)
         return check(*pair)
 
-    def certify(view, pa, fa, pb, fb):
-        # line_searches hands no view: its line is the line oracle's axis 1
-        axis, point = (1, lambda p: (p,)) if view is None else (view.axis, view.point)
-        hit = (axis, (point(pa), fa), (point(pb), fb))
-        return None if len(pairs) % 3 == 0 else hit
-
-    if d == 1:  # two checks in turn, as bdp-line's views take turns
-        checks = itertools.islice(itertools.cycle([(violated,), (L._descends,)]), iterations)
-    else:
-        checks = itertools.repeat((violated,) * d, iterations)
     if reference:
-        searches = line_searches(oracle, (check for (check,) in checks), rng,
-                                 functools.partial(certify, None))
+        searches = line_searches(oracle, itertools.repeat(violated, iterations), rng,
+                                 lambda a, fa, b, fb: ("tag", (a, fa), (b, fb)))
     else:
-        searches = L._axis_searches(oracle, checks, rng, certify)
+        searches = L._axis_searches(oracle, "tag", (violated,) * d, iterations, rng, points=d > 1)
     log = []
     try:
         for got in searches:

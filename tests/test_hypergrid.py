@@ -31,6 +31,7 @@ from ertest.hypergrid import (
 from ertest.hypergrid import test_bdp_hypergrid as run_grid_bdp
 from ertest.hypergrid import test_monotone_hypergrid as run_grid_monotone
 from ertest import oracles as O
+from ertest.harness import ExperimentConfig, run_trial, validate_config
 from ertest.transforms import k_runs_sample_size
 from ertest.rng import make_rng
 
@@ -178,21 +179,29 @@ def test_single_line_domain():
         assert sample_axis_line(dom, rng) == AxisLine(1, ())
 
 
-def _axis_line(view) -> AxisLine:
-    """The reference line of an axis-line view, read off its first point."""
-    first = view.point(1)
-    return AxisLine(view.axis, first[:view.axis - 1] + first[view.axis:])
+def _view_point(view, p: int) -> tuple:
+    """The grid point at position p of an axis-line view, as ``_axis_searches``
+    builds a grid certificate's points."""
+    return view.oracle.fn.domain.point_at(view.base + (p - 1) * view.stride)
+
+
+def _axis_line(view, axis: int) -> AxisLine:
+    """The reference line along ``axis`` of an axis-line view, read off its
+    first point."""
+    first = _view_point(view, 1)
+    return AxisLine(axis, first[:axis - 1] + first[axis:])
 
 
 def test_axis_line_view_reads_every_point_of_its_line():
     # the views _axis_searches builds reach every axis line; each reads its
-    # line's points, every line once
+    # line's points, every line once; each axis' "check" is its number
     dom = Domain.grid(4, 3)
     fn = ErasedFunction(dom, [ERASED if i % 7 == 3 else i * i for i in range(dom.size)])
     oracle = QueryOracle(fn, budget=dom.size * dom.d)
     seen = set()
-    for view, *_ in axis_line_views(oracle, 2000, (None,) * dom.d, random.Random(0)):
-        line = _axis_line(view)
+    axes = tuple(range(1, dom.d + 1))
+    for view, axis, _ in axis_line_views(oracle, 2000, axes, random.Random(0)):
+        line = _axis_line(view, axis)
         if line in seen:
             continue
         seen.add(line)
@@ -249,19 +258,19 @@ def test_folded_axis_draws_build_the_view_of_sample_axis_line(d, n, rng_type):
     lines = [sample_axis_line(dom, _Indices([x])) for x in range(count)]
     assert len(set(lines)) == count and set(lines) == set(all_axis_lines(dom))
     for (view, check, _), line in zip(views, lines):
-        assert (view.axis, check) == (line.axis, checks[line.axis - 1])
+        assert check is checks[line.axis - 1]
         for p in range(1, n + 1):
-            assert view.point(p) == line.point(p)
+            assert _view_point(view, p) == line.point(p)
             assert view.query_index(p - 1) == fn.value_at(line.point(p))
     for seed in range(6):
         folded, plain = rng_type(seed), random.Random(seed)
         for view, check, state in axis_line_views(oracle, 30, checks, folded):
             line = sample_axis_line(dom, plain) if d > 1 else AxisLine(1, ())
-            assert _axis_line(view) == line
-            assert (view.oracle, view.axis, view.n) == (oracle, line.axis, n)
+            assert check is checks[line.axis - 1]
+            assert _axis_line(view, line.axis) == line
+            assert (view.oracle, view.n) == (oracle, n)
             assert view.base == dom.index_of(line.point(1))
             assert view.stride == n ** (line.axis - 1)
-            assert check is checks[line.axis - 1]
             assert state == plain.getstate()
 
 
@@ -512,6 +521,24 @@ def test_monotone_grid_decides_a_value_past_float_range(seed):
     g = ErasedFunction(Domain.grid(2, 2), [10 ** 400, 0.5, 1.0, 2.0])
     v = run_grid_monotone(QueryOracle(g), Fraction(1, 8), Fraction(0), make_rng(65, seed))
     assert v.is_reject and check_grid_certificate(g, v.certificate)
+
+
+@pytest.mark.parametrize("make", [BoundingFamily.monotone, BoundingFamily.lipschitz])
+@pytest.mark.parametrize("seed", range(3))
+def test_bdp_grid_decides_a_value_past_float_range(make, seed):
+    """The grid above under the monotone and the Lipschitz family: a pair
+    difference with the 400-digit corner overflows a float, so the pair
+    check takes it exactly.  A trial rejects with a certificate that
+    re-validates, and the oracle's matching bound verifies."""
+    g = ErasedFunction(Domain.grid(2, 2), [10 ** 400, 0.5, 1.0, 2.0])
+    fam = make(2, 2)
+    cfg = ExperimentConfig(tester="bdp-grid", instance=g, trials=1, seed=seed,
+                           eps=Fraction(1, 2), bounds=fam)
+    verdict, _ = run_trial(cfg, *validate_config(cfg), 0)
+    assert verdict.is_reject and check_grid_certificate(g, verdict.certificate, fam)
+    prop = O.PropertySpec("bdp-grid", bounds=fam)
+    report = O.compute_distance(g, prop)
+    assert report.absolute == 1 and O.verify_report(g, prop, report)
 
 
 def test_grid_certificate_checker_rejects_bogus_input():

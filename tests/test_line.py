@@ -163,13 +163,27 @@ def test_bounding_pair_counts_infinities_of_a_float_subclass():
     ([Fraction(10 ** 400, 3), -INF], [INF, 0], -INF, INF),
     ([-INF], [-10 ** 400], -INF, -10 ** 400),
     ([10 ** 400, 0], [INF, 1.5], 10 ** 400, INF),
-], ids=["int", "fraction", "negative", "float-upper"])
+    ([10 ** 400, 0.5], [INF, 1.5], Fraction(2 * 10 ** 400 + 1, 2), INF),
+], ids=["int", "fraction", "negative", "float-upper", "float-sum"])
 def test_bounding_pair_orders_a_bound_past_float_range(lower, upper, seg_lower, seg_upper):
     """A bound too large for any float is in order beside the other side's
     own infinity, on exact sides and beside a float step alike, and the
     pair sums it exactly."""
     b = LineBoundingPair(lower, upper)
     assert (b.seg_lower(1, b.n), b.seg_upper(1, b.n)) == (seg_lower, seg_upper)
+
+
+def test_bounding_pair_sums_a_float_side_past_float_range_in_fractions():
+    """A float step before a bound too large for any float: the side's float
+    sum would overflow, so every sum of that side is a Fraction, and no
+    segment sum, the float step's own included, overflows; the other side
+    keeps its float sums."""
+    b = LineBoundingPair([0.5, 10 ** 400], [1.5, INF])
+    assert [type(s) for s in b._lo_pre] == [int, Fraction, Fraction]
+    assert [type(s) for s in b._up_pre] == [int, float, float]
+    assert [b.seg_lower(1, 2), b.seg_lower(2, 3), b.seg_lower(1, 3)] == [
+        Fraction(1, 2), 10 ** 400, Fraction(2 * 10 ** 400 + 1, 2)]
+    assert (b.seg_upper(1, 2), b.seg_upper(2, 3)) == (1.5, INF)
 
 
 @settings(max_examples=50, deadline=None)

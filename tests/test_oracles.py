@@ -334,6 +334,20 @@ def _bdp_grid_far(n, seed):
     return ErasedFunction(dom, vals), O.PropertySpec("bdp-grid", bounds=family)
 
 
+def test_bdp_line_completion_and_reports_past_float_range():
+    """A corridor end of a 400-digit cell plus an infinite segment sum is
+    that infinity, and one plus a finite sum is exact: the completion
+    fills the cell between the kept ones, and the bdp-line oracle's
+    reports verify, under monotone bounds and beside a float lower bound."""
+    assert O.complete_bdp_line([10 ** 400, 5, 7], [0, 2], LineBoundingPair.monotone(3)) == [
+        10 ** 400, 10 ** 400, 7]
+    f = ErasedFunction(Domain.line(3), [10 ** 400, 5, 7])
+    for bounds in (LineBoundingPair.monotone(3), LineBoundingPair([10 ** 400, 0.5], [INF, 1.5])):
+        prop = O.PropertySpec("bdp-line", bounds=bounds)
+        report = O.compute_distance(f, prop)
+        assert report.absolute > 0 and O.verify_report(f, prop, report)
+
+
 def test_bdp_grid_matching_bound_reverifies():
     for seed in range(20):
         f, prop = _bdp_grid_far(4, seed)
